@@ -55,11 +55,16 @@ impl ChunkPool {
     }
 
     /// Hands out an empty `Vec` with at least `cap` capacity, preferring a
-    /// recycled backing (a *hit*) over a fresh allocation (a *miss*).
+    /// recycled backing (a *hit*) over a fresh allocation (a *miss*). Best
+    /// fit — the smallest parked backing that is large enough — so a chunk
+    /// request never walks off with the multi-megabyte backing a segment
+    /// seal parked here and will ask for again.
     pub fn acquire(&self, cap: usize) -> Vec<u8> {
         let recycled = {
             let mut free = self.free.lock();
-            let idx = free.iter().position(|v| v.capacity() >= cap);
+            let idx = (0..free.len())
+                .filter(|&i| free[i].capacity() >= cap)
+                .min_by_key(|&i| free[i].capacity());
             idx.map(|i| free.swap_remove(i))
         };
         match recycled {
@@ -512,6 +517,16 @@ mod tests {
         assert!(v.capacity() >= 8);
         assert_eq!(pool.hits(), 1);
         assert_eq!(pool.idle(), 0);
+        // Best fit: with a large backing parked *before* a small one, the
+        // small request takes the small one and the large request still
+        // hits.
+        pool.release(Vec::with_capacity(1 << 20));
+        pool.release(Vec::with_capacity(64));
+        let small = pool.acquire(48);
+        assert!(small.capacity() < 1 << 20, "small request took the large backing");
+        let large = pool.acquire(1 << 19);
+        assert!(large.capacity() >= 1 << 20);
+        assert_eq!((pool.hits(), pool.misses(), pool.idle()), (3, 1, 0));
     }
 
     #[test]

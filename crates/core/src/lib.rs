@@ -81,8 +81,8 @@ pub use pipeline::{
 pub use receiver::{GraphReceiver, ReceiveStats, StreamAbsorber, StreamIn};
 pub use registry::{RegistryStats, TypeDirectory};
 pub use sender::{
-    send_roots_parallel, GraphSender, ParallelConfig, ParallelSend, SendConfig, SendStats,
-    StreamOut, Tracking,
+    send_roots_parallel, GraphSender, ParallelConfig, ParallelSend, SegmentImage, SendConfig,
+    SendStats, StreamOut, Tracking,
 };
 pub use serializer::SkywaySerializer;
 pub use stream::{

@@ -18,6 +18,12 @@
 //! for Threads"). Heterogeneous clusters are handled here too: if the
 //! receiver's object format differs, the clone is written *in the
 //! receiver's format*, so only the sender pays (§3.1).
+//!
+//! The same traversal also writes the final image of a shared segment
+//! ([`GraphSender::with_segment_base`]): nothing will parse or patch that
+//! output again, so references go out absolute against the segment's
+//! reserved base and root markers as filler words. The two encodings differ
+//! in one added constant per reference and one branch per root.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,7 +32,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use mheap::layout::{baddr, mark};
-use mheap::{Addr, KlassKind, LayoutSpec, Vm};
+use mheap::{Addr, KlassKind, LayoutSpec, Vm, FILLER_WORD, SEGMENT_BASE};
 use simnet::NodeId;
 
 use crate::buffer::{OutputBuffer, TOP_MARK, TOP_REF};
@@ -119,6 +125,38 @@ pub struct StreamOut {
     pub stats: SendStats,
 }
 
+/// What the traversal writes for references and root markers — the one
+/// thing that differs between a stream a receiver will parse and a segment
+/// image nobody will touch again.
+#[derive(Debug)]
+enum Encoding {
+    /// The wire stream: a reference is its target's logical address plus
+    /// one (0 = null), and `TOP_MARK` / `TOP_REF` words announce roots to
+    /// the receiver's parser.
+    Wire,
+    /// The final image of a segment: a reference is the absolute address
+    /// `base + logical` (`base` rides in `GraphSender::ref_bias`), valid
+    /// unchanged in every attacher, marker slots hold filler the heap
+    /// walkers skip, and the roots and the class name behind each tID are
+    /// collected on the side.
+    Image { roots: Vec<Addr>, tid_names: HashMap<u32, String> },
+}
+
+/// A finished segment image ([`GraphSender::finish_image`]).
+#[derive(Debug)]
+pub struct SegmentImage {
+    /// The image: heap-format objects and filler words, references
+    /// absolute against the base the sender was given. Its backing came
+    /// from the sender's pool, if it had one — release it there.
+    pub bytes: Vec<u8>,
+    /// Graph roots as absolute addresses, one per `write_root`, in order.
+    pub roots: Vec<Addr>,
+    /// Class name behind every global type id the image's klass words use.
+    pub tid_names: HashMap<u32, String>,
+    /// Composition statistics.
+    pub stats: SendStats,
+}
+
 /// Precomputed per-klass facts the per-object hot path needs; resolving
 /// them once per class (instead of per object) is what keeps the traversal
 /// at copy speed, as the real Skyway's VM-internal send loop is.
@@ -196,10 +234,17 @@ pub struct GraphSender<'a> {
     stream: u16,
     cfg: SendConfig,
     out: OutputBuffer,
+    encoding: Encoding,
+    /// Added to a target's logical address to form the reference word: 1
+    /// on the wire, the segment base in an image. Kept beside `encoding`
+    /// so the per-reference path is one add either way.
+    ref_bias: u64,
     /// Thread-local fallback: heap address → logical buffer address.
     fallback: AddrMap,
     gray: VecDeque<(Addr, u64, u64)>,
     stats: SendStats,
+    /// Keyed by klass word; bit 31 set for segment residents, whose klass
+    /// word is a global tID rather than a local klass id.
     klass_facts: HashMap<u32, KlassFacts>,
     metrics: SenderMetrics,
     /// Trace context of the transfer this stream belongs to
@@ -262,6 +307,8 @@ impl<'a> GraphSender<'a> {
             stream,
             cfg,
             out: OutputBuffer::new(cfg.chunk_limit),
+            encoding: Encoding::Wire,
+            ref_bias: 1,
             fallback: AddrMap::default(),
             gray: VecDeque::new(),
             stats: SendStats::default(),
@@ -311,6 +358,17 @@ impl<'a> GraphSender<'a> {
         self
     }
 
+    /// Writes the final image of a segment based at `base` instead of a
+    /// wire stream: absolute references, filler in place of marker words,
+    /// roots and tID names collected for [`GraphSender::finish_image`]. The
+    /// caller sizes `chunk_limit` so the whole image fits one chunk.
+    #[must_use]
+    pub fn with_segment_base(mut self, base: u64) -> Self {
+        self.encoding = Encoding::Image { roots: Vec::new(), tid_names: HashMap::new() };
+        self.ref_bias = base;
+        self
+    }
+
     /// Resolves (and caches) the per-klass facts for the klass word of
     /// `obj`.
     fn facts_for(&mut self, obj: Addr) -> Result<&KlassFacts> {
@@ -320,15 +378,20 @@ impl<'a> GraphSender<'a> {
             .arena()
             .load_word(obj.0 + self.vm.spec().klass_off())
             .map_err(Error::Heap)? as u32;
-        if !self.klass_facts.contains_key(&kw) {
-            let k = self.vm.klasses().get(mheap::KlassId(kw)).map_err(Error::Heap)?;
+        let key = kw | u32::from(obj.raw() >= SEGMENT_BASE) << 31;
+        if !self.klass_facts.contains_key(&key) {
+            let k = self.vm.klass_of(obj).map_err(Error::Heap)?;
             let hdr = self.vm.spec().instance_header();
             let payload_exact =
                 k.fields.iter().map(|f| f.offset + u64::from(f.ty.size())).max().unwrap_or(hdr)
                     - hdr;
+            let tid = self.dir.tid_for(self.node, &k)?;
+            if let Encoding::Image { tid_names, .. } = &mut self.encoding {
+                tid_names.entry(tid).or_insert_with(|| k.name.clone());
+            }
             let facts = KlassFacts {
                 kind: k.kind,
-                tid: u64::from(self.dir.tid_for(self.node, &k)?),
+                tid: u64::from(tid),
                 elem_size: match k.kind {
                     KlassKind::Instance => 0,
                     _ => u64::from(k.elem_size().map_err(Error::Heap)?),
@@ -344,9 +407,9 @@ impl<'a> GraphSender<'a> {
                     .map(|f| f.offset)
                     .collect(),
             };
-            self.klass_facts.insert(kw, facts);
+            self.klass_facts.insert(key, facts);
         }
-        Ok(&self.klass_facts[&kw])
+        Ok(&self.klass_facts[&key])
     }
 
     /// The logical position already assigned to `obj` in this phase, if
@@ -497,7 +560,7 @@ impl<'a> GraphSender<'a> {
                         self.out.write_word(slot, 0)?;
                     } else {
                         let rel = self.visit(tgt)?;
-                        self.out.write_word(slot, rel + 1)?;
+                        self.out.write_word(slot, rel + self.ref_bias)?;
                     }
                 }
                 self.stats.data_bytes += payload - 8 * facts.ref_offsets.len() as u64;
@@ -530,7 +593,7 @@ impl<'a> GraphSender<'a> {
                         self.out.write_word(slot, 0)?;
                     } else {
                         let rel = self.visit(tgt)?;
-                        self.out.write_word(slot, rel + 1)?;
+                        self.out.write_word(slot, rel + self.ref_bias)?;
                     }
                 }
             }
@@ -604,17 +667,31 @@ impl<'a> GraphSender<'a> {
             return Err(Error::NullRoot);
         }
         if let Some(rel) = self.lookup_visited(root)? {
+            let words = match &mut self.encoding {
+                Encoding::Wire => [TOP_REF, rel + 1],
+                Encoding::Image { roots, .. } => {
+                    roots.push(Addr::from_raw(self.ref_bias + rel));
+                    [FILLER_WORD; 2]
+                }
+            };
             let at = self.out.emit(16)?;
-            self.out.write_word(at, TOP_REF)?;
-            self.out.write_word(at + 8, rel + 1)?;
+            self.out.write_word(at, words[0])?;
+            self.out.write_word(at + 8, words[1])?;
             self.stats.marker_bytes += 16;
             return Ok(());
         }
         let at = self.out.emit(8)?;
-        self.out.write_word(at, TOP_MARK)?;
         self.stats.marker_bytes += 8;
         let size = self.size_recv(root)?;
         let logical = self.out.assign(size);
+        let marker = match &mut self.encoding {
+            Encoding::Wire => TOP_MARK,
+            Encoding::Image { roots, .. } => {
+                roots.push(Addr::from_raw(self.ref_bias + logical));
+                FILLER_WORD
+            }
+        };
+        self.out.write_word(at, marker)?;
         self.claim(root, logical)?;
         self.gray.push_back((root, logical, size));
         while let Some((obj, logical, size)) = self.gray.pop_front() {
@@ -638,6 +715,29 @@ impl<'a> GraphSender<'a> {
                 .record(obs::Event::ChunkSent { sid: u32::from(self.sid), bytes: c.len() as u64 });
         }
         StreamOut { stream: self.stream, chunks, stats: self.stats }
+    }
+
+    /// Completes a sender started with [`GraphSender::with_segment_base`],
+    /// yielding the image in one piece.
+    ///
+    /// # Errors
+    /// [`Error::BadFrame`] if the sender was writing a wire stream, or if
+    /// the image outgrew `chunk_limit` and was cut into chunks.
+    pub fn finish_image(mut self) -> Result<SegmentImage> {
+        let Encoding::Image { roots, tid_names, .. } =
+            std::mem::replace(&mut self.encoding, Encoding::Wire)
+        else {
+            return Err(Error::BadFrame("sender was not writing a segment image".into()));
+        };
+        let mut out = self.finish();
+        if out.chunks.len() > 1 {
+            return Err(Error::BadFrame(format!(
+                "segment image cut into {} chunks; chunk_limit must bound the whole image",
+                out.chunks.len()
+            )));
+        }
+        let bytes = out.chunks.pop().unwrap_or_default();
+        Ok(SegmentImage { bytes, roots, tid_names, stats: out.stats })
     }
 
     /// Bytes produced so far (streaming diagnostics).

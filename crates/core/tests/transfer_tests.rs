@@ -514,3 +514,37 @@ fn skyway_emits_more_bytes_than_kryo_but_no_invocations() {
     assert!(stats.header_bytes > 0);
     assert!(stats.header_bytes + stats.padding_bytes > stats.pointer_bytes);
 }
+
+/// FNV-1a over every byte of every chunk, chunk lengths included.
+fn fnv_chunks(chunks: &[Vec<u8>]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |b: u8| h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    for c in chunks {
+        (c.len() as u64).to_le_bytes().into_iter().for_each(&mut eat);
+        c.iter().copied().for_each(&mut eat);
+    }
+    h
+}
+
+// The wire stream of a fixed JSBS graph (12 records, one root repeated so a
+// `TOP_REF` goes out, 4 KiB chunks), pinned byte for byte. The value was
+// taken before the sender learned to write segment images: the wire
+// encoding must not move when the image encoding changes.
+#[test]
+fn wire_stream_is_pinned_byte_for_byte() {
+    for tracking in [Tracking::Baddr, Tracking::HashTable] {
+        let (dir, mut sender, _) = setup_pair();
+        let handles = build_dataset(&mut sender, 12).unwrap();
+        let mut roots: Vec<Addr> = handles.iter().map(|h| sender.resolve(*h).unwrap()).collect();
+        roots.push(roots[3]);
+        let cfg = SendConfig { chunk_limit: 4096, receiver_spec: sender.spec(), tracking };
+        let mut gs = skyway::GraphSender::new(&sender, &dir, NodeId(0), 1, 0, cfg).unwrap();
+        for &r in &roots {
+            gs.write_root(r).unwrap();
+        }
+        let out = gs.finish();
+        assert_eq!(out.chunks.len(), 5, "{tracking:?}");
+        assert_eq!(out.stats.total_bytes, 17_984, "{tracking:?}");
+        assert_eq!(fnv_chunks(&out.chunks), 0x348c_84e4_acf4_8446, "{tracking:?}");
+    }
+}

@@ -289,9 +289,18 @@ impl Heap {
     /// [`Gen::Segment`].
     ///
     /// # Errors
-    /// [`Error::SegmentAlreadyAttached`] if a segment with the same base
-    /// is already attached.
+    /// [`Error::SegmentFormatMismatch`] if the segment was sealed in a
+    /// different object format than this heap's (its walkers would
+    /// mis-parse every header); [`Error::SegmentAlreadyAttached`] if a
+    /// segment with the same base is already attached.
     pub fn attach_segment(&mut self, seg: Arc<Segment>) -> Result<()> {
+        if seg.spec() != self.spec {
+            return Err(Error::SegmentFormatMismatch {
+                base: seg.base(),
+                sealed: seg.spec(),
+                attacher: self.spec,
+            });
+        }
         if self.attached.iter().any(|s| s.base() == seg.base()) {
             return Err(Error::SegmentAlreadyAttached(seg.base()));
         }

@@ -152,6 +152,16 @@ pub enum Error {
     UnknownSegment(u64),
     /// A segment with this base is already attached to the heap.
     SegmentAlreadyAttached(u64),
+    /// A segment sealed in one object format was offered to a heap of
+    /// another; every walker of the attacher would mis-parse it.
+    SegmentFormatMismatch {
+        /// Base of the offered segment.
+        base: u64,
+        /// Format the segment was sealed in.
+        sealed: LayoutSpec,
+        /// Format of the attaching heap.
+        attacher: LayoutSpec,
+    },
 }
 
 impl std::fmt::Display for Error {
@@ -204,6 +214,13 @@ impl std::fmt::Display for Error {
             }
             Error::SegmentAlreadyAttached(base) => {
                 write!(f, "segment {base:#x} is already attached")
+            }
+            Error::SegmentFormatMismatch { base, sealed, attacher } => {
+                write!(
+                    f,
+                    "segment {base:#x} was sealed as {sealed:?} but the attaching heap is \
+                     {attacher:?}"
+                )
             }
         }
     }

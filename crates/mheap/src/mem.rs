@@ -77,6 +77,26 @@ impl Arena {
         Ok(Arena { ptr, len, maps: Vec::new() })
     }
 
+    /// The first `len` bytes of owned memory as 8-byte words, for bulk
+    /// read-only passes (the segment checksum). The caller guarantees that
+    /// nothing stores into that range while the slice is alive — true of
+    /// sealed segment memory, which is never written again.
+    ///
+    /// # Errors
+    /// [`Error::OutOfBounds`] / [`Error::Misaligned`] (`len` must be a
+    /// multiple of 8).
+    pub(crate) fn words(&self, len: u64) -> Result<&[u64]> {
+        self.check(0, len as usize)?;
+        if !len.is_multiple_of(8) {
+            return Err(Error::Misaligned { off: len, align: 8 });
+        }
+        // SAFETY: `ptr` is 8-aligned (allocation layout) and the first
+        // `len` bytes are in bounds (checked above) and initialized (the
+        // arena is zeroed at allocation); no writer runs during the borrow
+        // per this function's contract.
+        Ok(unsafe { std::slice::from_raw_parts(self.ptr as *const u64, (len / 8) as usize) })
+    }
+
     /// Maps `len` bytes of `mem` into this arena's offset space at `base`,
     /// read-only. Reads at `[base, base + len)` resolve into `mem`; writes
     /// there fail with [`Error::SegmentReadOnly`]. The caller (the heap's

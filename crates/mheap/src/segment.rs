@@ -2,8 +2,9 @@
 //!
 //! A *segment* is a self-contained object graph laid out in store-owned
 //! memory, in exactly the managed-heap object format (Skyway's central
-//! invariant). It is built once — written through a [`SegmentBuilder`] —
-//! then *sealed*, after which its bytes never change. Any number of
+//! invariant). It is built once — a [`SegmentBuilder`] reserves its base,
+//! the sealing traversal writes the image against that base — then
+//! *sealed*, after which its bytes never change. Any number of
 //! co-located heaps can then **attach** it: a metadata-only operation that
 //! maps the segment's memory into the heap's address space (see
 //! [`crate::mem::Arena`]'s mapped windows) without cloning a byte or
@@ -35,7 +36,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::layout::{align8, Addr};
+use crate::layout::{Addr, LayoutSpec};
 use crate::mem::Arena;
 use crate::{Error, Result};
 
@@ -59,8 +60,10 @@ pub const SEGMENT_LIMIT: u64 = 1 << 48;
 /// Process-wide bump allocator for segment bases.
 static NEXT_BASE: AtomicU64 = AtomicU64::new(SEGMENT_BASE);
 
-fn claim_base(len: u64) -> Result<u64> {
-    claim_base_from(&NEXT_BASE, len)
+/// Base-region bytes a `len`-byte segment occupies: its granules plus a
+/// guard granule.
+fn span_of(len: u64) -> u64 {
+    (len / BASE_GRANULE + 2) * BASE_GRANULE
 }
 
 /// Claims a `len`-byte (plus guard granule) base from `cursor`. A CAS loop
@@ -72,7 +75,7 @@ fn claim_base(len: u64) -> Result<u64> {
 /// # Errors
 /// [`Error::SegmentSpaceExhausted`] once the region cannot fit the span.
 fn claim_base_from(cursor: &AtomicU64, len: u64) -> Result<u64> {
-    let span = (len / BASE_GRANULE + 2) * BASE_GRANULE;
+    let span = span_of(len);
     // The seed may be stale — the CAS revalidates it, so Relaxed is fine.
     let mut cur = cursor.load(Ordering::Relaxed);
     loop {
@@ -90,6 +93,21 @@ fn claim_base_from(cursor: &AtomicU64, len: u64) -> Result<u64> {
     }
 }
 
+/// Gives the unused tail of the claim `(base, reserved)` back once the
+/// segment turned out to need only `len <= reserved` bytes. Succeeds only
+/// while the claim is still the newest: a later claim starts at the old
+/// end and moves the cursor past it for good (every span is at least two
+/// granules), so the CAS can neither take back space someone else owns nor
+/// be fooled by the cursor returning to the old value.
+fn trim_claim_on(cursor: &AtomicU64, base: u64, reserved: u64, len: u64) {
+    let (old_end, new_end) = (base + span_of(reserved), base + span_of(len));
+    if new_end < old_end {
+        // Losing the race only leaves the tail unused; Relaxed for the
+        // same reason as the claim.
+        let _ = cursor.compare_exchange(old_end, new_end, Ordering::Relaxed, Ordering::Relaxed);
+    }
+}
+
 /// A sealed, immutable object-graph segment. Only a [`SegmentBuilder`] can
 /// produce one, so every `Segment` in existence is sealed — immutability
 /// is enforced by construction, not by a runtime flag.
@@ -98,6 +116,7 @@ pub struct Segment {
     mem: Arc<Arena>,
     base: u64,
     len: u64,
+    spec: LayoutSpec,
     roots: Vec<Addr>,
     tid_names: HashMap<u32, String>,
     checksum: u64,
@@ -120,6 +139,13 @@ impl Segment {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The object format the segment was sealed in; only heaps of the same
+    /// format can attach it.
+    #[inline]
+    pub fn spec(&self) -> LayoutSpec {
+        self.spec
     }
 
     /// True if `addr` falls inside this segment.
@@ -148,7 +174,7 @@ impl Segment {
     /// Recomputes the content checksum and compares it with the seal-time
     /// value — `false` means the sealed bytes were tampered with.
     pub fn verify_checksum(&self) -> bool {
-        checksum_arena(&self.mem, self.len).map(|c| c == self.checksum).unwrap_or(false)
+        self.mem.words(self.len).map(|w| checksum_words(w) == self.checksum).unwrap_or(false)
     }
 
     /// The backing memory (for mapping into an attacher's arena).
@@ -163,122 +189,90 @@ impl Segment {
     }
 }
 
-/// FNV-1a over the first `len` bytes of `mem`, word at a time (`len` is
-/// 8-aligned by construction).
-fn checksum_arena(mem: &Arena, len: u64) -> Result<u64> {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut off = 0u64;
-    while off < len {
-        let w = mem.load_word(off)?;
-        h ^= w;
-        h = h.wrapping_mul(0x1_0000_01b3);
-        off += 8;
+/// FNV-1a-style content checksum, a word at a time. One multiply chain is
+/// latency-bound, so four lanes take every fourth word each and fold into
+/// the chain that finishes the tail; distinct lane seeds make swapped
+/// lanes change the value.
+fn checksum_words(words: &[u64]) -> u64 {
+    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x1_0000_01b3;
+    let mut lanes = [BASIS, BASIS ^ 1, BASIS ^ 2, BASIS ^ 3];
+    let mut quads = words.chunks_exact(4);
+    for q in &mut quads {
+        for (lane, &w) in lanes.iter_mut().zip(q) {
+            *lane = (*lane ^ w).wrapping_mul(PRIME);
+        }
     }
-    Ok(h)
+    let mut h = BASIS;
+    for w in lanes.iter().chain(quads.remainder()) {
+        h = (h ^ w).wrapping_mul(PRIME);
+    }
+    h
 }
 
-/// Write-side of a segment: store-owned memory being filled with a parsed
-/// object graph. Consumed by [`SegmentBuilder::seal`], which computes the
-/// content checksum and yields the immutable [`Segment`].
+/// A reserved place in the global segment address space, waiting for its
+/// image. The base is claimed *before* the graph is traversed — for an
+/// upper bound on the image size — so the traversal can write final,
+/// absolute reference values; [`SegmentBuilder::seal`] then takes the
+/// finished image and returns the part of the reservation it did not need.
 #[derive(Debug)]
 pub struct SegmentBuilder {
-    mem: Arc<Arena>,
     base: u64,
-    cap: u64,
-    len: u64,
-    roots: Vec<Addr>,
-    tid_names: HashMap<u32, String>,
+    reserved: u64,
+    spec: LayoutSpec,
 }
 
 impl SegmentBuilder {
-    /// Claims a base in the global segment address space and allocates
-    /// `cap` bytes (rounded up to 8) of store-owned memory.
+    /// Claims a base for a segment of at most `max_len` bytes of objects in
+    /// format `spec`. No memory is allocated yet.
     ///
     /// # Errors
-    /// [`crate::Error::ArenaAlloc`] if the backing allocation fails;
     /// [`crate::Error::SegmentSpaceExhausted`] if the global base region
     /// is used up.
-    pub fn new(cap: u64) -> Result<Self> {
-        let cap = align8(cap.max(8));
-        let base = claim_base(cap)?;
-        let mem = Arena::new(cap as usize)?;
-        Ok(SegmentBuilder {
-            mem: Arc::new(mem),
-            base,
-            cap,
-            len: 0,
-            roots: Vec::new(),
-            tid_names: HashMap::new(),
-        })
+    pub fn reserve(max_len: u64, spec: LayoutSpec) -> Result<Self> {
+        Ok(SegmentBuilder { base: claim_base_from(&NEXT_BASE, max_len)?, reserved: max_len, spec })
     }
 
-    /// Base of the segment under construction (needed while absolutizing
-    /// references during the fill).
+    /// Base of the segment under construction: the image's byte `rel` will
+    /// live at global address `base + rel`.
     #[inline]
     pub fn base(&self) -> u64 {
         self.base
     }
 
-    /// Capacity in bytes.
-    #[inline]
-    pub fn capacity(&self) -> u64 {
-        self.cap
-    }
-
-    /// Writes a word at a segment-relative offset, growing the used length.
+    /// Seals `image` — heap-format objects and filler words, references
+    /// already absolute — into store-owned memory of exactly its size (one
+    /// copy), records `roots` (global addresses) and the class name behind
+    /// every global type id the image's klass words use, and computes the
+    /// content checksum. The unused tail of the reservation goes back to
+    /// the base allocator unless a later claim already sits behind it.
     ///
     /// # Errors
-    /// [`crate::Error::OutOfBounds`] / [`crate::Error::Misaligned`] past `cap`.
-    pub fn store_word(&mut self, rel: u64, val: u64) -> Result<()> {
-        self.mem.store_word(rel, val)?;
-        self.len = self.len.max(align8(rel + 8));
-        Ok(())
-    }
-
-    /// Reads back a word at a segment-relative offset.
-    ///
-    /// # Errors
-    /// [`crate::Error::OutOfBounds`] / [`crate::Error::Misaligned`].
-    pub fn load_word(&self, rel: u64) -> Result<u64> {
-        self.mem.load_word(rel)
-    }
-
-    /// Copies raw bytes to a segment-relative offset, growing the used
-    /// length.
-    ///
-    /// # Errors
-    /// [`crate::Error::OutOfBounds`] past `cap`.
-    pub fn write_bytes(&mut self, rel: u64, src: &[u8]) -> Result<()> {
-        self.mem.write_bytes(rel, src)?;
-        self.len = self.len.max(align8(rel + src.len() as u64));
-        Ok(())
-    }
-
-    /// Records a graph root (as a global, attacher-valid address).
-    pub fn push_root(&mut self, root: Addr) {
-        self.roots.push(root);
-    }
-
-    /// Records the class name behind a Skyway global type id so attachers
-    /// can resolve klass words without the sealing VM.
-    pub fn record_tid(&mut self, tid: u32, name: impl Into<String>) {
-        self.tid_names.entry(tid).or_insert_with(|| name.into());
-    }
-
-    /// Seals the segment: computes the content checksum over the used
-    /// bytes and yields the immutable, shareable [`Segment`].
-    ///
-    /// # Errors
-    /// Propagates arena read errors from the checksum pass.
-    pub fn seal(self) -> Result<Arc<Segment>> {
-        let len = align8(self.len);
-        let checksum = checksum_arena(&self.mem, len)?;
+    /// [`crate::Error::OutOfBounds`] if `image` outgrew the reservation;
+    /// [`crate::Error::Misaligned`] if it is not whole words;
+    /// [`crate::Error::ArenaAlloc`] if the backing allocation fails.
+    pub fn seal(
+        self,
+        image: &[u8],
+        roots: Vec<Addr>,
+        tid_names: HashMap<u32, String>,
+    ) -> Result<Arc<Segment>> {
+        let len = image.len() as u64;
+        if len > self.reserved {
+            return Err(Error::OutOfBounds { off: self.base, size: image.len() });
+        }
+        // An empty image still gets (one word of) memory to map.
+        let mem = Arena::new(image.len().max(8))?;
+        mem.write_bytes(0, image)?;
+        let checksum = checksum_words(mem.words(len)?);
+        trim_claim_on(&NEXT_BASE, self.base, self.reserved, len);
         Ok(Arc::new(Segment {
-            mem: self.mem,
+            mem: Arc::new(mem),
             base: self.base,
             len,
-            roots: self.roots,
-            tid_names: self.tid_names,
+            spec: self.spec,
+            roots,
+            tid_names,
             checksum,
         }))
     }
@@ -288,15 +282,19 @@ impl SegmentBuilder {
 mod tests {
     use super::*;
 
+    fn image(words: &[u64]) -> Vec<u8> {
+        words.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
     #[test]
     fn bases_are_disjoint_and_above_segment_base() {
-        let a = SegmentBuilder::new(64).unwrap();
-        let b = SegmentBuilder::new(64).unwrap();
+        let a = SegmentBuilder::reserve(64, LayoutSpec::SKYWAY).unwrap();
+        let b = SegmentBuilder::reserve(64, LayoutSpec::SKYWAY).unwrap();
         assert!(a.base() >= SEGMENT_BASE);
         assert!(b.base() >= SEGMENT_BASE);
         assert_ne!(a.base(), b.base());
-        // Guard gap: capacity never reaches the next base.
-        assert!(a.base() + a.capacity() < b.base() || b.base() + b.capacity() < a.base());
+        // Guard gap: a reservation never reaches the next base.
+        assert!(a.base() + 64 < b.base() || b.base() + 64 < a.base());
     }
 
     #[test]
@@ -325,11 +323,30 @@ mod tests {
     }
 
     #[test]
+    fn trim_returns_the_unused_tail_unless_a_later_claim_intervened() {
+        let cursor = AtomicU64::new(SEGMENT_BASE);
+        // An upper-bound reservation of 64 granules for a 100-byte image:
+        // after the trim the next claim starts one sealed span further on.
+        let a = claim_base_from(&cursor, 64 * BASE_GRANULE).unwrap();
+        trim_claim_on(&cursor, a, 64 * BASE_GRANULE, 100);
+        let b = claim_base_from(&cursor, 64 * BASE_GRANULE).unwrap();
+        assert_eq!(b - a, span_of(100));
+        // `b` is no longer the newest claim once `c` exists: its trim must
+        // leave the cursor (and `c`'s space) alone.
+        let c = claim_base_from(&cursor, 8).unwrap();
+        assert_eq!(c - b, span_of(64 * BASE_GRANULE));
+        let before = cursor.load(Ordering::Relaxed);
+        trim_claim_on(&cursor, b, 64 * BASE_GRANULE, 100);
+        assert_eq!(cursor.load(Ordering::Relaxed), before);
+        // An exact reservation has no tail to return.
+        trim_claim_on(&cursor, c, 8, 8);
+        assert_eq!(cursor.load(Ordering::Relaxed), before);
+    }
+
+    #[test]
     fn seal_checksum_detects_tampering() {
-        let mut b = SegmentBuilder::new(64).unwrap();
-        b.store_word(0, 0xfeed).unwrap();
-        b.store_word(8, 0xbeef).unwrap();
-        let seg = b.seal().unwrap();
+        let b = SegmentBuilder::reserve(64, LayoutSpec::SKYWAY).unwrap();
+        let seg = b.seal(&image(&[0xfeed, 0xbeef]), Vec::new(), HashMap::new()).unwrap();
         assert!(seg.verify_checksum());
         // Forge a write through the raw handle (the attacher-side mapping
         // would reject this; the checksum is the second line of defense).
@@ -338,18 +355,47 @@ mod tests {
     }
 
     #[test]
+    fn checksum_sees_every_lane_and_the_tail() {
+        // Ten words: two full quads plus a two-word tail. Flipping any one
+        // word, or swapping two words of different lanes, changes the sum.
+        let words: Vec<u64> = (1..=10).collect();
+        let sum = checksum_words(&words);
+        for i in 0..words.len() {
+            let mut w = words.clone();
+            w[i] ^= 1 << 40;
+            assert_ne!(checksum_words(&w), sum, "word {i} not covered");
+        }
+        let mut swapped = words.clone();
+        swapped.swap(0, 1);
+        assert_ne!(checksum_words(&swapped), sum);
+        assert_ne!(checksum_words(&words[..9]), sum);
+        assert_eq!(checksum_words(&words), sum);
+    }
+
+    #[test]
     fn roots_and_tid_names_survive_seal() {
-        let mut b = SegmentBuilder::new(32).unwrap();
+        let b = SegmentBuilder::reserve(32, LayoutSpec::COMPACT).unwrap();
         let base = b.base();
-        b.store_word(0, 1).unwrap();
-        b.push_root(Addr::from_raw(base));
-        b.record_tid(7, "java.lang.String");
-        b.record_tid(7, "shadowed");
-        let seg = b.seal().unwrap();
+        let names = HashMap::from([(7, "java.lang.String".to_owned())]);
+        let seg = b.seal(&image(&[1]), vec![Addr::from_raw(base)], names).unwrap();
         assert_eq!(seg.roots(), &[Addr::from_raw(base)]);
         assert_eq!(seg.name_for_tid(7), Some("java.lang.String"));
         assert_eq!(seg.name_for_tid(8), None);
+        assert_eq!(seg.spec(), LayoutSpec::COMPACT);
+        assert_eq!(seg.len(), 8);
         assert!(seg.contains(Addr::from_raw(base)));
         assert!(!seg.contains(Addr::from_raw(base + seg.len())));
+    }
+
+    #[test]
+    fn seal_rejects_an_image_beyond_its_reservation() {
+        let b = SegmentBuilder::reserve(8, LayoutSpec::SKYWAY).unwrap();
+        let err = b.seal(&image(&[1, 2]), Vec::new(), HashMap::new()).unwrap_err();
+        assert!(matches!(err, Error::OutOfBounds { .. }), "unexpected error: {err}");
+        // An empty image seals to an empty, attachable segment.
+        let b = SegmentBuilder::reserve(0, LayoutSpec::SKYWAY).unwrap();
+        let seg = b.seal(&[], Vec::new(), HashMap::new()).unwrap();
+        assert!(seg.is_empty());
+        assert!(seg.verify_checksum());
     }
 }

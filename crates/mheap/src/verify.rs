@@ -475,24 +475,23 @@ mod tests {
         assert_heap_ok(&v);
     }
 
-    /// Seals a one-`VNode` segment by copying a freshly allocated VNode's
-    /// bytes into store-owned memory, rewriting its klass word to a Skyway
-    /// global tid (77) and its `next` slot to `next` (a global address).
+    /// Seals a one-`VNode` segment from a freshly allocated VNode's bytes,
+    /// with its klass word rewritten to a Skyway global tid (77) and its
+    /// `next` slot to `next` (a global address).
     fn seal_one_vnode(v: &mut Vm, next: Addr) -> Arc<Segment> {
         let k = v.load_class("VNode").unwrap();
         let n = v.alloc_instance(k).unwrap();
         let size = v.obj_size(n).unwrap();
         let mut bytes = vec![0u8; size as usize];
         v.heap().arena().read_bytes(n.0, &mut bytes).unwrap();
-        let mut b = SegmentBuilder::new(size).unwrap();
-        b.write_bytes(0, &bytes).unwrap();
-        b.store_word(v.spec().klass_off(), 77).unwrap();
-        b.record_tid(77, "VNode");
-        let f = v.klasses().get(k).unwrap().field_by_name("next").unwrap().clone();
-        b.store_word(f.offset, next.0).unwrap();
+        let mut put = |off: u64, w: u64| {
+            bytes[off as usize..off as usize + 8].copy_from_slice(&w.to_le_bytes());
+        };
+        put(v.spec().klass_off(), 77);
+        put(v.klasses().get(k).unwrap().field_by_name("next").unwrap().offset, next.0);
+        let b = SegmentBuilder::reserve(size, v.spec()).unwrap();
         let root = Addr(b.base());
-        b.push_root(root);
-        b.seal().unwrap()
+        b.seal(&bytes, vec![root], HashMap::from([(77, "VNode".to_owned())])).unwrap()
     }
 
     #[test]

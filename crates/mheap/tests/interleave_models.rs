@@ -1,9 +1,9 @@
 //! Interleaving models for the shared old-gen allocation window
 //! (`Heap::begin_shared_old_alloc` / `shared_alloc_raw_old` /
-//! `end_shared_old_alloc`) and the segment base claim
-//! (`segment::claim_base`), re-expressed over the `interleave` shim's
-//! wrapped atomics so the scheduler can drive the races the real heap
-//! only hits under load.
+//! `end_shared_old_alloc`) and the segment base claim and trim
+//! (`segment::claim_base_from`, `segment::trim_claim_on`), re-expressed
+//! over the `interleave` shim's wrapped atomics so the scheduler can drive
+//! the races the real heap only hits under load.
 //!
 //! The positive models mirror the shipped orderings (AcqRel claim CAS,
 //! Release open / Acquire close) and must pass the whole seed sweep; the
@@ -75,6 +75,34 @@ model! {
         let a = handles.into_iter().map(|h| h.join()).collect::<Vec<_>>();
         assert_ne!(a[0], a[1], "base claims must never alias");
         assert_eq!(cursor.load(Ordering::Relaxed), 8);
+    }
+
+    /// A seal claims an upper bound (8) before traversing and gives the
+    /// unused tail back afterwards (`segment::trim_claim_on`, keeping 2).
+    /// The trim CAS succeeds only while the claim is still the newest, so
+    /// whichever way two seals interleave the kept spans stay disjoint and
+    /// the cursor ends above both.
+    fn trimmed_base_claims_stay_disjoint() {
+        let cursor = Arc::new(AtomicU64::new(0));
+        let handles: Vec<_> = (0..2u64)
+            .map(|_| {
+                let c2 = Arc::clone(&cursor);
+                interleave::spawn(move || {
+                    let base = claim(&c2, 8, 64, Ordering::Relaxed).expect("room");
+                    let _ = c2.compare_exchange(
+                        base + 8,
+                        base + 2,
+                        Ordering::Relaxed,
+                        Ordering::Relaxed,
+                    );
+                    base
+                })
+            })
+            .collect();
+        let a = handles.into_iter().map(|h| h.join()).collect::<Vec<_>>();
+        let (lo, hi) = (a[0].min(a[1]), a[0].max(a[1]));
+        assert!(lo + 2 <= hi, "kept spans overlap: {lo} and {hi}");
+        assert!(cursor.load(Ordering::Relaxed) >= hi + 2, "cursor fell into a kept span");
     }
 }
 

@@ -7,12 +7,15 @@
 //! share physical memory. This crate adds the missing tier (the
 //! vineyard-style immutable object store):
 //!
-//! * [`SegStore::seal`] runs the normal [`skyway::GraphSender`] traversal
-//!   over a root set, but lands the stream in *store-owned* memory and
-//!   absolutizes every reference against the segment's global base
+//! * [`SegStore::seal`] reserves the segment's global base first, then
+//!   runs the normal [`skyway::GraphSender`] traversal over a root set
+//!   with that base as its sink: the one pass that clones each object
+//!   writes every reference as its final absolute address
 //!   ([`mheap::SEGMENT_BASE`]-region addresses are valid in every
-//!   attacher). The result is a sealed [`mheap::Segment`]: heap-format
-//!   objects, checksummed, never written again.
+//!   attacher) and filler where the wire would carry root markers. The
+//!   finished image moves into *store-owned* memory with one right-sized
+//!   copy. The result is a sealed [`mheap::Segment`]: heap-format objects,
+//!   checksummed, never written again.
 //! * [`SegStore::attach`] hands a co-located VM the whole graph as a
 //!   *metadata-only* operation: the segment's memory is mapped into the
 //!   heap's address space, no byte is cloned, no card is dirtied, no
@@ -39,13 +42,12 @@ use std::sync::atomic::{fence, AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use mheap::{Addr, KlassKind, Segment, SegmentBuilder, Vm, FILLER_WORD};
+use mheap::{Addr, Segment, SegmentBuilder, Vm};
 use parking_lot::Mutex;
 use simnet::NodeId;
-use skyway::buffer::{TOP_MARK, TOP_REF};
 use skyway::{
-    GraphSender, PipelineReport, ReceiveStats, SendConfig, SendStats, Tracking, TransferMode,
-    TypeDirectory,
+    ChunkPool, GraphSender, PipelineReport, ReceiveStats, SendConfig, SendStats, Tracking,
+    TransferMode, TypeDirectory,
 };
 
 /// Errors produced by the segment store.
@@ -57,8 +59,6 @@ pub enum Error {
     Heap(mheap::Error),
     /// No live segment with this base is in the store.
     UnknownSegment(u64),
-    /// The sealed stream was malformed (truncated or unparseable).
-    BadStream(String),
 }
 
 impl std::fmt::Display for Error {
@@ -69,7 +69,6 @@ impl std::fmt::Display for Error {
             Error::UnknownSegment(base) => {
                 write!(f, "no live segment with base {base:#x} in the store")
             }
-            Error::BadStream(s) => write!(f, "bad sealed stream: {s}"),
         }
     }
 }
@@ -110,7 +109,7 @@ pub struct SealReport {
     pub stats: SendStats,
     /// Number of graph roots recorded in the segment.
     pub roots: usize,
-    /// Wall-clock nanoseconds the seal took (traversal + translation).
+    /// Wall-clock nanoseconds the seal took (traversal + copy + checksum).
     pub seal_ns: u64,
 }
 
@@ -206,15 +205,15 @@ impl SegStore {
     }
 
     /// Seals the object graphs of `roots` from `vm` (running on `node`)
-    /// into a new store-owned segment and returns its report. The
-    /// traversal is the ordinary Skyway sender with hash-table visited
+    /// into a new store-owned segment and returns its report. One
+    /// traversal — the ordinary Skyway sender with hash-table visited
     /// tracking (sealing must not scribble `baddr` words the concurrent
-    /// shuffle machinery owns); the stream is then translated in one
-    /// linear pass — markers become filler, klass words keep their global
-    /// tIDs, references become absolute segment addresses.
+    /// shuffle machinery owns) — writes the final image against a base
+    /// reserved beforehand: klass words hold global tIDs, references are
+    /// absolute segment addresses, root markers are filler.
     ///
     /// # Errors
-    /// Sender/registry errors; [`Error::BadStream`] on a malformed stream.
+    /// Sender/registry errors; heap errors from the segment builder.
     pub fn seal(
         &self,
         vm: &Vm,
@@ -236,33 +235,42 @@ impl SegStore {
         ctx: obs::TraceCtx,
     ) -> Result<SealReport> {
         let t0 = Instant::now();
-        // 1. Traverse: one giant chunk limit keeps the stream in a single
-        //    contiguous buffer (the logical address space is gapless, so
-        //    multiple chunks would concatenate to the same bytes anyway).
+        // 1. Reserve. Hash-table tracking clones every reachable object at
+        //    most once, so everything the sender could reach plus the
+        //    widest marker per root bounds the image. The bound is also the
+        //    chunk limit: the image stays in one piece.
+        let heap = vm.heap();
+        let bound = heap.used()
+            + heap.attached_segments().iter().map(|s| s.len()).sum::<u64>()
+            + 16 * roots.len() as u64;
+        let builder = SegmentBuilder::reserve(bound, vm.spec())?;
+
+        // 2. Traverse into a staging backing from the process-wide pool.
+        //    Seals come back for the same few megabytes, and a recycled
+        //    backing is memory the kernel has already faulted in.
         let cfg = SendConfig {
-            chunk_limit: usize::MAX / 2,
+            chunk_limit: bound as usize,
             receiver_spec: vm.spec(),
             tracking: Tracking::HashTable,
         };
-        let mut gs = GraphSender::new(vm, dir, node, 1, 0, cfg)?;
+        let pool = ChunkPool::global();
+        let mut gs = GraphSender::new(vm, dir, node, 1, 0, cfg)?
+            .with_pool(Arc::clone(pool))
+            .with_metrics(Arc::clone(&self.metrics.registry))
+            .with_segment_base(builder.base());
         for &root in roots {
             gs.write_root(root)?;
         }
-        let out = gs.finish();
-        let mut bytes: Vec<u8> = Vec::with_capacity(out.stats.total_bytes as usize);
-        for c in &out.chunks {
-            bytes.extend_from_slice(c);
-        }
+        let image = gs.finish_image()?;
 
-        // 2. Translate into store-owned memory.
-        let mut b = SegmentBuilder::new(bytes.len() as u64)?;
-        translate_stream(vm, dir, node, &bytes, &mut b)?;
-        let seg = b.seal()?;
+        // 3. Adopt: one right-sized copy into store-owned memory, checksum.
+        let seg = builder.seal(&image.bytes, image.roots, image.tid_names)?;
+        pool.release(image.bytes);
         let base = seg.base();
         let len = seg.len();
         let n_roots = seg.roots().len();
 
-        // 3. Publish.
+        // 4. Publish.
         {
             let mut inner = self.inner.lock();
             inner.segments.insert(
@@ -283,9 +291,9 @@ impl SegStore {
             ctx,
             &vm.name,
             seal_ns,
-            &[("bytes", len), ("objects", out.stats.objects), ("roots", n_roots as u64)],
+            &[("bytes", len), ("objects", image.stats.objects), ("roots", n_roots as u64)],
         );
-        Ok(SealReport { base, bytes: len, stats: out.stats, roots: n_roots, seal_ns })
+        Ok(SealReport { base, bytes: len, stats: image.stats, roots: n_roots, seal_ns })
     }
 
     /// Attaches the segment at `base` to `vm`: maps the sealed memory into
@@ -294,7 +302,9 @@ impl SegStore {
     /// card is dirtied, no reference is rewritten.
     ///
     /// # Errors
-    /// [`Error::UnknownSegment`]; heap errors (e.g. double attach).
+    /// [`Error::UnknownSegment`]; heap errors (double attach, or a `vm`
+    /// whose object format differs from the sealing VM's). A rejected
+    /// attach leaves the refcount where it was.
     pub fn attach(&self, vm: &mut Vm, base: u64) -> Result<Vec<Addr>> {
         self.attach_traced(vm, base, obs::TraceCtx::NONE)
     }
@@ -478,129 +488,6 @@ impl SegStore {
     fn update_live_gauge(&self, inner: &Inner) {
         self.metrics.segments_live.set((inner.segments.len() + inner.limbo.len()) as i64);
     }
-}
-
-/// Rewrites the reference slot at stream offset `off` from the wire's
-/// relative-plus-one encoding (0 = null) to an absolute segment address.
-fn absolutize_ref(bytes: &[u8], b: &mut SegmentBuilder, base: u64, off: u64) -> Result<()> {
-    let v = word_at(bytes, off)?;
-    if v != 0 {
-        b.store_word(off, base + (v - 1))?;
-    }
-    Ok(())
-}
-
-/// Reads the little-endian word at byte offset `at` of the sealed stream.
-fn word_at(bytes: &[u8], at: u64) -> Result<u64> {
-    let i = at as usize;
-    let s =
-        bytes.get(i..i + 8).ok_or_else(|| Error::BadStream(format!("truncated at offset {at}")))?;
-    let mut a = [0u8; 8];
-    a.copy_from_slice(s);
-    Ok(u64::from_le_bytes(a))
-}
-
-/// One linear pass over a sealed sender stream, writing the segment image:
-///
-/// * the raw bytes land at the same offsets (logical address == segment-
-///   relative offset — the sender's logical space is gapless),
-/// * `TOP_MARK` / `TOP_REF` markers become filler words the heap walkers
-///   skip, with the root addresses recorded on the builder,
-/// * klass words keep their Skyway global tIDs (recorded in the builder's
-///   tid→name map so any attacher can resolve them locally), and
-/// * reference slots go from relative-plus-one to absolute global
-///   addresses (`base + rel`), valid unchanged in every attacher.
-fn translate_stream(
-    vm: &Vm,
-    dir: &TypeDirectory,
-    node: NodeId,
-    bytes: &[u8],
-    b: &mut SegmentBuilder,
-) -> Result<()> {
-    if bytes.is_empty() {
-        return Ok(());
-    }
-    b.write_bytes(0, bytes)?;
-    let base = b.base();
-    let spec = vm.spec();
-    let len = bytes.len() as u64;
-    let mut at = 0u64;
-    // tid → klass, resolved (and recorded on the builder) once per class
-    // instead of once per object — name lookups dominate otherwise.
-    let mut klass_cache: HashMap<u32, Arc<mheap::Klass>> = HashMap::new();
-    while at < len {
-        let w = word_at(bytes, at)?;
-        if w == TOP_MARK {
-            b.store_word(at, FILLER_WORD)?;
-            b.push_root(Addr(base + at + 8));
-            at += 8;
-            continue;
-        }
-        if w == TOP_REF {
-            let rel = word_at(bytes, at + 8)?
-                .checked_sub(1)
-                .ok_or_else(|| Error::BadStream(format!("null backward ref at {at}")))?;
-            b.store_word(at, FILLER_WORD)?;
-            b.store_word(at + 8, FILLER_WORD)?;
-            b.push_root(Addr(base + rel));
-            at += 16;
-            continue;
-        }
-        // An object: `w` is its (sanitized) mark word; the next word is
-        // the global tID the sender wrote in place of a local klass id.
-        let tid = word_at(bytes, at + spec.klass_off())? as u32;
-        let klass = match klass_cache.get(&tid) {
-            Some(k) => Arc::clone(k),
-            None => {
-                let name = dir.name_for_tid(node, tid)?;
-                let k = match vm.klasses().by_name(&name) {
-                    Some(k) => k,
-                    None => {
-                        let id = vm.klasses().load(&name, vm.classpath(), spec)?;
-                        vm.klasses().get(id)?
-                    }
-                };
-                b.record_tid(tid, &name);
-                klass_cache.insert(tid, Arc::clone(&k));
-                k
-            }
-        };
-        let size = match klass.kind {
-            KlassKind::Instance => {
-                for f in &klass.fields {
-                    if matches!(f.ty, mheap::FieldType::Ref) {
-                        absolutize_ref(bytes, b, base, at + f.offset)?;
-                    }
-                }
-                klass.instance_size
-            }
-            KlassKind::PrimArray(_) | KlassKind::RefArray => {
-                let alen = match spec.array_len_size {
-                    8 => word_at(bytes, at + spec.array_len_off())?,
-                    4 => {
-                        let w =
-                            word_at(bytes, at + spec.array_len_off() - (spec.array_len_off() % 8))?;
-                        // 4-byte length shares a word; isolate it.
-                        let shift = (spec.array_len_off() % 8) * 8;
-                        (w >> shift) & 0xffff_ffff
-                    }
-                    n => return Err(Error::BadStream(format!("array_len_size {n}"))),
-                };
-                let es = u64::from(klass.elem_size()?);
-                if matches!(klass.kind, KlassKind::RefArray) {
-                    for i in 0..alen {
-                        absolutize_ref(bytes, b, base, at + spec.array_header() + i * 8)?;
-                    }
-                }
-                mheap::layout::align8(spec.array_header() + alen * es)
-            }
-        };
-        if size == 0 {
-            return Err(Error::BadStream(format!("zero-sized object at {at}")));
-        }
-        at += size;
-    }
-    Ok(())
 }
 
 /// Same-node zero-copy transfer: seals `roots` from `sender_vm` into the

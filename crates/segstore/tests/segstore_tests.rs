@@ -1,20 +1,19 @@
 //! Segment-store integration tests: attach must be observationally equal
-//! to a byte-cloning transfer, refcounts must pin segments across GC and
-//! epoch advances, and the global chunk pool must make back-to-back
-//! pipelined transfers allocation-free.
+//! to a byte-cloning transfer, a sealed image must be final as written,
+//! and refcounts must pin segments across GC and epoch advances.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use mheap::stdlib::define_core_classes;
-use mheap::{Addr, ClassPath, FieldType, Gen, HeapConfig, KlassDef, PrimType, Vm};
+use mheap::{
+    Addr, ClassPath, FieldType, Gen, HeapConfig, KlassDef, KlassKind, LayoutSpec, PrimType, Vm,
+    FILLER_WORD,
+};
 use segstore::{shared_transfer, SegStore};
 use simnet::NodeId;
-use skyway::{
-    sequential_transfer, ChunkPool, PipelineConfig, PipelineEngine, SendConfig, TransferMode,
-    TypeDirectory,
-};
+use skyway::{sequential_transfer, SendConfig, TransferMode, TypeDirectory};
 
 fn classpath() -> Arc<ClassPath> {
     let cp = ClassPath::new();
@@ -109,10 +108,14 @@ fn canonicalize(vm: &Vm, root: Addr) -> Vec<(i64, Option<usize>, Option<usize>)>
 
 /// Two co-located VMs on node 0 sharing one type directory.
 fn same_node_env() -> (Arc<TypeDirectory>, Vm, Vm) {
+    env_with(HeapConfig::small().with_capacity(8 << 20))
+}
+
+/// [`same_node_env`] with both heaps built from `cfg`.
+fn env_with(cfg: HeapConfig) -> (Arc<TypeDirectory>, Vm, Vm) {
     let cp = classpath();
-    let sender =
-        Vm::new("s", &HeapConfig::small().with_capacity(8 << 20), Arc::clone(&cp)).unwrap();
-    let receiver = Vm::new("r", &HeapConfig::small().with_capacity(8 << 20), cp).unwrap();
+    let sender = Vm::new("s", &cfg, Arc::clone(&cp)).unwrap();
+    let receiver = Vm::new("r", &cfg, cp).unwrap();
     let dir = Arc::new(TypeDirectory::new(2, NodeId(0)));
     dir.bootstrap_driver(&sender).unwrap();
     dir.worker_startup(NodeId(1)).unwrap();
@@ -177,6 +180,214 @@ proptest! {
         let owned = receiver.resolve(h).unwrap();
         let through = receiver.get_ref(owned, "left").unwrap();
         prop_assert_eq!(&canonicalize(&receiver, through), &canonicalize(&sender, roots[0]));
+    }
+}
+
+/// What hangs off a node's `right` field in an [`ImageSpec`] graph.
+#[derive(Debug, Clone)]
+enum Right {
+    Null,
+    Node(usize),
+    /// A `long[]` with these elements.
+    Longs(Vec<i64>),
+    /// An `SNode[]` over these nodes (`None` = null element).
+    Nodes(Vec<Option<usize>>),
+}
+
+/// A graph with everything a segment image has to get right: instances
+/// whose `left` edges go anywhere (cycles, sharing), primitive arrays,
+/// reference arrays, and a root list whose last entry repeats its first.
+#[derive(Debug, Clone)]
+struct ImageSpec {
+    tags: Vec<i64>,
+    lefts: Vec<Option<usize>>,
+    rights: Vec<Right>,
+    roots: Vec<usize>,
+}
+
+fn image_spec(max_nodes: usize) -> impl Strategy<Value = ImageSpec> {
+    (2..max_nodes)
+        .prop_flat_map(|n| {
+            let right = (
+                0..4u8,
+                0..n,
+                proptest::collection::vec(any::<i64>(), 0..5),
+                proptest::collection::vec(proptest::option::of(0..n), 0..5),
+            )
+                .prop_map(|(kind, node, longs, nodes)| match kind {
+                    0 => Right::Null,
+                    1 => Right::Node(node),
+                    2 => Right::Longs(longs),
+                    _ => Right::Nodes(nodes),
+                });
+            (
+                proptest::collection::vec(any::<i64>(), n),
+                proptest::collection::vec(proptest::option::of(0..n), n),
+                proptest::collection::vec(right, n),
+                proptest::collection::vec(0..n, 1..5),
+            )
+        })
+        .prop_map(|(tags, lefts, rights, mut roots)| {
+            roots.push(roots[0]);
+            ImageSpec { tags, lefts, rights, roots }
+        })
+}
+
+/// Builds `spec` in `vm` and returns the root addresses, in `spec.roots`
+/// order. Every node is allocated before any edge is set, so edges may
+/// point forwards and back.
+fn build_image(vm: &mut Vm, spec: &ImageSpec) -> Vec<Addr> {
+    let node_k = vm.load_class("SNode").unwrap();
+    let nodes: Vec<mheap::Handle> = (0..spec.tags.len())
+        .map(|i| {
+            let n = vm.alloc_instance(node_k).unwrap();
+            vm.set_long(n, "tag", spec.tags[i]).unwrap();
+            vm.handle(n)
+        })
+        .collect();
+    let at = |vm: &Vm, i: usize| vm.resolve(nodes[i]).unwrap();
+    for i in 0..nodes.len() {
+        if let Some(l) = spec.lefts[i] {
+            let (n, t) = (at(vm, i), at(vm, l));
+            vm.set_ref(n, "left", t).unwrap();
+        }
+        let target = match &spec.rights[i] {
+            Right::Null => continue,
+            Right::Node(j) => at(vm, *j),
+            Right::Longs(vals) => {
+                let k = vm.load_class("[J").unwrap();
+                let arr = vm.alloc_array(k, vals.len() as u64).unwrap();
+                for (e, &v) in vals.iter().enumerate() {
+                    vm.array_set_raw(arr, e as u64, v as u64).unwrap();
+                }
+                arr
+            }
+            Right::Nodes(elems) => {
+                let k = vm.load_class("[LSNode;").unwrap();
+                let arr = vm.alloc_array(k, elems.len() as u64).unwrap();
+                let h = vm.handle(arr);
+                for (e, elem) in elems.iter().enumerate() {
+                    if let Some(j) = elem {
+                        let (arr, t) = (vm.resolve(h).unwrap(), at(vm, *j));
+                        vm.array_set_ref(arr, e as u64, t).unwrap();
+                    }
+                }
+                vm.resolve(h).unwrap()
+            }
+        };
+        let n = at(vm, i);
+        vm.set_ref(n, "right", target).unwrap();
+    }
+    spec.roots.iter().map(|&i| at(vm, i)).collect()
+}
+
+/// One object of a [`shape`]: class, array length, cached identity hash,
+/// the payload words that are not references, and the reference targets
+/// as discovery indices.
+type ObjShape = (String, u64, u32, Vec<u64>, Vec<Option<usize>>);
+
+/// Everything reachable from `root` in DFS preorder, described without
+/// addresses: equal graphs have equal shapes wherever their bytes live and
+/// whichever object format they are in.
+fn shape(vm: &Vm, root: Addr) -> Vec<ObjShape> {
+    let mut index: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
+    let mut order: Vec<Addr> = Vec::new();
+    let mut stack = vec![root];
+    while let Some(a) = stack.pop() {
+        if a.is_null() || index.contains_key(&a.0) {
+            continue;
+        }
+        index.insert(a.0, order.len());
+        order.push(a);
+        for off in vm.ref_slots(a).unwrap().into_iter().rev() {
+            stack.push(vm.read_ref_at(a, off).unwrap());
+        }
+    }
+    order
+        .iter()
+        .map(|&a| {
+            let k = vm.klass_of(a).unwrap();
+            let (hdr, len) = match k.kind {
+                KlassKind::Instance => (vm.spec().instance_header(), 0),
+                _ => (vm.spec().array_header(), vm.array_len(a).unwrap()),
+            };
+            let slots = vm.ref_slots(a).unwrap();
+            let payload = (hdr..vm.obj_size(a).unwrap())
+                .step_by(8)
+                .filter(|off| !slots.contains(off))
+                .map(|off| vm.heap().arena().load_word(a.0 + off).unwrap())
+                .collect();
+            let refs = slots
+                .iter()
+                .map(|&off| {
+                    let t = vm.read_ref_at(a, off).unwrap();
+                    (!t.is_null()).then(|| index[&t.0])
+                })
+                .collect();
+            (k.name.clone(), len, vm.cached_hash(a).unwrap(), payload, refs)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // The one-pass seal writes the final image directly: filler where the
+    // wire has root markers, every reference already absolute and inside
+    // the segment, one root per `write_root` — with cycles, sharing, both
+    // array kinds and a repeated root (the wire's `TOP_REF`: two filler
+    // words, the root recorded twice).
+    #[test]
+    fn sealed_image_is_final(spec in image_spec(24)) {
+        let (dir, mut sender, mut receiver) = same_node_env();
+        let roots = build_image(&mut sender, &spec);
+        let store = SegStore::new().with_metrics(Arc::new(obs::Registry::new()));
+        let seal = store.seal(&sender, &dir, NodeId(0), &roots).unwrap();
+        let seg = store.segment(seal.base).unwrap();
+        let (base, len) = (seg.base(), seg.len());
+        let word = |rel: u64| seg.raw_mem().load_word(rel).unwrap();
+
+        // Roots: one per input root, the first right behind the leading
+        // filler word, the repeated last one equal to it and announced by
+        // the two filler words that end the image.
+        prop_assert_eq!(seg.roots().len(), roots.len());
+        prop_assert_eq!(seal.roots, roots.len());
+        prop_assert_eq!(seg.roots()[0], Addr(base + 8));
+        prop_assert_eq!(word(0), FILLER_WORD);
+        prop_assert_eq!(seg.roots()[roots.len() - 1], seg.roots()[0]);
+        prop_assert_eq!(word(len - 16), FILLER_WORD);
+        prop_assert_eq!(word(len - 8), FILLER_WORD);
+        prop_assert_eq!(len, seal.stats.total_bytes);
+
+        // A linear walk of the attached image: filler accounts for exactly
+        // the marker bytes, objects for the rest, and every reference is
+        // an absolute address of an object start inside the segment.
+        let attached = store.attach(&mut receiver, base).unwrap();
+        prop_assert_eq!(&attached[..], seg.roots());
+        let mut starts = std::collections::HashSet::new();
+        let mut object_bytes = 0;
+        receiver.walk_range(base, base + len, |_, a, size| {
+            starts.insert(a);
+            object_bytes += size;
+            Ok(())
+        }).unwrap();
+        prop_assert_eq!(starts.len() as u64, seal.stats.objects);
+        prop_assert_eq!(object_bytes + seal.stats.marker_bytes, len);
+        let fillers = (0..len).step_by(8).filter(|&rel| word(rel) == FILLER_WORD).count() as u64;
+        prop_assert_eq!(fillers * 8, seal.stats.marker_bytes);
+        for &obj in &starts {
+            for off in receiver.ref_slots(obj).unwrap() {
+                let t = receiver.read_ref_at(obj, off).unwrap();
+                prop_assert!(t.is_null() || (t.0 >= base && t.0 < base + len && starts.contains(&t)));
+            }
+        }
+        for r in seg.roots() {
+            prop_assert!(starts.contains(r));
+        }
+        prop_assert_eq!(receiver.verify_heap().unwrap(), vec![]);
+        for (a, &orig) in attached.iter().zip(&roots) {
+            prop_assert_eq!(&shape(&receiver, *a), &shape(&sender, orig));
+        }
     }
 }
 
@@ -304,36 +515,155 @@ fn double_attach_rolls_back_refcount() {
     ));
 }
 
-// The per-node global chunk pool: two fresh engines share it, so the
-// second transfer's chunks all come from the first transfer's returns.
+// Sealing a graph whose objects already live in an attached segment: their
+// klass words hold global tIDs, not klass ids of the re-sealing VM, and
+// they are counted in no space of its heap.
 #[test]
-fn back_to_back_transfers_have_zero_pool_misses() {
+fn reseal_from_an_attached_segment() {
     let (dir, mut sender, mut receiver) = same_node_env();
+    // Load order differs from the sender's, so a tID read as a local klass
+    // id would name the wrong class here.
+    for c in ["java.lang.Integer", "[J", "java.lang.Long"] {
+        receiver.load_class(c).unwrap();
+    }
     let spec = GraphSpec {
-        tags: (0..24).collect(),
-        lefts: (0..24).map(|i| if i > 0 { Some(i - 1) } else { None }).collect(),
-        rights: vec![None; 24],
-        roots: vec![23],
+        tags: vec![7, 11, 13, 17],
+        lefts: vec![None, Some(0), Some(1), Some(2)],
+        rights: vec![None, None, Some(0), Some(1)],
+        roots: vec![3],
     };
     let handles = build(&mut sender, &spec);
     let roots = resolve_roots(&sender, &handles, &spec.roots);
+    let store = SegStore::new().with_metrics(Arc::new(obs::Registry::new()));
+    let first = store.seal(&sender, &dir, NodeId(0), &roots).unwrap();
+    let attached = store.attach(&mut receiver, first.base).unwrap();
 
-    // Both engines are constructed independently — sharing happens only
-    // through the process-global pool that `new` defaults to.
-    let e1 = PipelineEngine::new(PipelineConfig { chunk_limit: 256, ..Default::default() });
-    let e2 = PipelineEngine::new(PipelineConfig { chunk_limit: 256, ..Default::default() });
-    assert!(Arc::ptr_eq(e1.pool(), e2.pool()));
-    assert!(Arc::ptr_eq(e1.pool(), ChunkPool::global()));
+    // An owned node in front of the segment-resident graph; both are roots.
+    let k = receiver.load_class("SNode").unwrap();
+    let owned = receiver.alloc_instance(k).unwrap();
+    receiver.set_long(owned, "tag", 99).unwrap();
+    receiver.set_ref(owned, "left", attached[0]).unwrap();
+    let second = store.seal(&receiver, &dir, NodeId(0), &[owned, attached[0]]).unwrap();
+    assert_eq!(second.stats.objects, first.stats.objects + 1);
+    assert_eq!(second.roots, 2);
 
-    let (_, r1) = e1
-        .transfer(&sender, &mut receiver, &dir, NodeId(0), NodeId(1), 1, 1, &roots, None)
-        .unwrap();
-    let (_, r2) = e2
-        .transfer(&sender, &mut receiver, &dir, NodeId(0), NodeId(1), 1, 2, &roots, None)
-        .unwrap();
-    // First run may allocate; the second must be served entirely from the
-    // chunks the first returned to the shared pool.
-    assert!(r1.pool_hits + r1.pool_misses > 0);
-    assert_eq!(r2.pool_misses, 0);
-    assert!(r2.pool_hits > 0);
+    let cp = classpath();
+    let mut third = Vm::new("t", &HeapConfig::small(), cp).unwrap();
+    let out = store.attach(&mut third, second.base).unwrap();
+    assert_eq!(third.verify_heap().unwrap(), vec![]);
+    assert_eq!(shape(&third, out[0]), shape(&receiver, owned));
+    assert_eq!(shape(&third, out[1]), shape(&sender, roots[0]));
+    assert_eq!(third.get_ref(out[0], "left").unwrap(), out[1]);
+    // The second segment is self-contained: it outlives the first.
+    store.detach(&mut receiver, first.base).unwrap();
+    store.advance_epoch();
+    store.advance_epoch();
+    assert_eq!(shape(&third, out[1]), shape(&sender, roots[0]));
+}
+
+// A VM in the compact format (no `baddr` word, 4-byte array length sharing
+// a word with padding) seals and attaches like any other: strings (char
+// arrays), a long array and a reference array all arrive intact.
+#[test]
+fn compact_format_seals_and_attaches() {
+    let (dir, mut sender, mut receiver) =
+        env_with(HeapConfig::small().with_spec(LayoutSpec::COMPACT));
+    let spec = ImageSpec {
+        tags: vec![1, 2, 3],
+        lefts: vec![Some(2), Some(0), None],
+        rights: vec![
+            Right::Longs(vec![-1, 0, i64::MAX]),
+            Right::Nodes(vec![Some(1), None, Some(0)]),
+            Right::Null,
+        ],
+        roots: vec![1, 0, 1],
+    };
+    let mut roots = build_image(&mut sender, &spec);
+    let s = sender.new_string("compact \u{1f980}").unwrap();
+    roots.push(s);
+    let store = SegStore::new().with_metrics(Arc::new(obs::Registry::new()));
+    let (out, report) =
+        shared_transfer(&store, &sender, &mut receiver, &dir, NodeId(0), &roots).unwrap();
+    assert_eq!(out.len(), roots.len());
+    assert_eq!(report.recv_stats.bytes, report.send_stats.total_bytes);
+    assert_eq!(receiver.verify_heap().unwrap(), vec![]);
+    for (a, &orig) in out.iter().zip(&roots) {
+        assert_eq!(shape(&receiver, *a), shape(&sender, orig));
+    }
+    assert_eq!(receiver.read_string(out[3]).unwrap(), "compact \u{1f980}");
+}
+
+// No roots: an empty segment that still attaches, detaches and reclaims.
+#[test]
+fn empty_root_set_seals_an_empty_segment() {
+    let (dir, sender, mut receiver) = same_node_env();
+    let store = SegStore::new().with_metrics(Arc::new(obs::Registry::new()));
+    let seal = store.seal(&sender, &dir, NodeId(0), &[]).unwrap();
+    assert_eq!((seal.bytes, seal.roots, seal.stats.objects), (0, 0, 0));
+    assert_eq!(store.attach(&mut receiver, seal.base).unwrap(), vec![]);
+    assert_eq!(receiver.verify_heap().unwrap(), vec![]);
+    store.detach(&mut receiver, seal.base).unwrap();
+    assert_eq!(store.advance_epoch(), 1);
+}
+
+// A segment is in its sealing VM's object format; a heap of another format
+// must refuse it (its walkers would mis-parse every header) and the refused
+// attach must leave the segment attachable at refcount zero.
+#[test]
+fn format_mismatch_is_refused_and_rolls_back() {
+    let (dir, mut sender, mut receiver) = same_node_env();
+    let spec = GraphSpec {
+        tags: vec![5, 6],
+        lefts: vec![None, Some(0)],
+        rights: vec![None, None],
+        roots: vec![1],
+    };
+    let handles = build(&mut sender, &spec);
+    let roots = resolve_roots(&sender, &handles, &spec.roots);
+    let store = SegStore::new().with_metrics(Arc::new(obs::Registry::new()));
+    let seal = store.seal(&sender, &dir, NodeId(0), &roots).unwrap();
+
+    let cfg = HeapConfig::small().with_spec(LayoutSpec::COMPACT);
+    let mut compact = Vm::new("c", &cfg, classpath()).unwrap();
+    let err = store.attach(&mut compact, seal.base).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            segstore::Error::Heap(mheap::Error::SegmentFormatMismatch { base, sealed, attacher })
+                if base == seal.base
+                    && sealed == LayoutSpec::SKYWAY
+                    && attacher == LayoutSpec::COMPACT
+        ),
+        "unexpected error: {err}"
+    );
+    assert!(compact.heap().attached_segments().is_empty());
+    assert_eq!(store.refcount(seal.base), Some(0));
+    // Still attachable by a VM of the right format.
+    let out = store.attach(&mut receiver, seal.base).unwrap();
+    assert_eq!(store.refcount(seal.base), Some(1));
+    assert_eq!(canonicalize(&receiver, out[0]), canonicalize(&sender, roots[0]));
+}
+
+// The traversal a seal runs reports to the store's registry, not to the
+// process-wide one: under a scoped registry the sender counters are exact.
+#[test]
+fn seal_traversal_counters_follow_the_store_registry() {
+    let (dir, mut sender, _) = same_node_env();
+    let spec = GraphSpec {
+        tags: vec![1, 2, 3],
+        lefts: vec![None, Some(0), Some(1)],
+        rights: vec![None, None, Some(0)],
+        roots: vec![2, 2],
+    };
+    let handles = build(&mut sender, &spec);
+    let roots = resolve_roots(&sender, &handles, &spec.roots);
+    let registry = Arc::new(obs::Registry::new());
+    let store = SegStore::new().with_metrics(Arc::clone(&registry));
+    let seal = store.seal(&sender, &dir, NodeId(0), &roots).unwrap();
+    assert_eq!(seal.stats.objects, 3);
+    assert_eq!(registry.counter(obs::names::SENDER_OBJECTS_VISITED).get(), 3);
+    assert_eq!(registry.counter(obs::names::SENDER_BYTES_CLONED).get(), seal.stats.total_bytes);
+    assert_eq!(registry.counter(obs::names::SEGSTORE_SEALS).get(), 1);
+    store.seal(&sender, &dir, NodeId(0), &roots).unwrap();
+    assert_eq!(registry.counter(obs::names::SENDER_OBJECTS_VISITED).get(), 6);
 }
