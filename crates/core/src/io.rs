@@ -16,12 +16,9 @@ use simnet::{Cluster, NodeId};
 use crate::buffer::{frame_chunks_traced, parse_frames_traced};
 use crate::registry::TypeDirectory;
 use crate::sender::{GraphSender, SendConfig, SendStats};
+use crate::serializer::{check_wire_spec, spec_flags};
 use crate::stream::{ShuffleController, UpdateRegistry};
 use crate::{Error, Result};
-
-fn spec_flags(spec: mheap::LayoutSpec) -> u8 {
-    (u8::from(spec.with_baddr)) | (u8::from(spec.array_len_size == 4) << 1)
-}
 
 /// Writes object graphs into a named file on a node's simulated disk.
 ///
@@ -175,28 +172,9 @@ impl<'a> SkywaySocketOutputStream<'a> {
     /// Heap/registry/cluster errors.
     pub fn write_object(&mut self, root: Addr, cluster: &mut Cluster) -> Result<()> {
         self.sender.write_root(root)?;
-        let ctx = self.sender.trace_ctx();
-        let traced = if ctx.is_none() {
-            None
-        } else {
-            Some((
-                std::sync::Arc::clone(self.sender.registry()),
-                self.sender.node_name().to_owned(),
-            ))
-        };
-        for chunk in self.sender.take_ready_chunks() {
-            let mut span = traced.as_ref().map(|(reg, node)| {
-                reg.tracer().start(obs::names::TRACE_SENDER_CHUNK_SEND, ctx, node)
-            });
-            if let Some(s) = span.as_mut() {
-                s.annotate("bytes", chunk.len() as u64);
-            }
-            cluster
-                .net_send(self.src, self.dst, frame_chunk_msg(&chunk, ctx))
-                .map_err(Error::Cluster)?;
-            drop(span);
-        }
-        Ok(())
+        let chunks = self.sender.take_ready_chunks();
+        let (ctx, registry) = (self.sender.trace_ctx(), self.sender.registry());
+        send_chunks(&chunks, ctx, registry, self.sender.node_name(), self.src, self.dst, cluster)
     }
 
     /// Flushes the tail and sends the end-of-stream marker.
@@ -204,31 +182,32 @@ impl<'a> SkywaySocketOutputStream<'a> {
     /// # Errors
     /// Cluster errors.
     pub fn close(self, cluster: &mut Cluster) -> Result<SendStats> {
-        let ctx = self.sender.trace_ctx();
-        let traced = if ctx.is_none() {
-            None
-        } else {
-            Some((
-                std::sync::Arc::clone(self.sender.registry()),
-                self.sender.node_name().to_owned(),
-            ))
-        };
+        let (src, dst, ctx) = (self.src, self.dst, self.sender.trace_ctx());
+        let registry = std::sync::Arc::clone(self.sender.registry());
+        let node_name = self.sender.node_name().to_owned();
         let out = self.sender.finish();
-        for chunk in &out.chunks {
-            let mut span = traced.as_ref().map(|(reg, node)| {
-                reg.tracer().start(obs::names::TRACE_SENDER_CHUNK_SEND, ctx, node)
-            });
-            if let Some(s) = span.as_mut() {
-                s.annotate("bytes", chunk.len() as u64);
-            }
-            cluster
-                .net_send(self.src, self.dst, frame_chunk_msg(chunk, ctx))
-                .map_err(Error::Cluster)?;
-            drop(span);
-        }
-        cluster.net_send(self.src, self.dst, vec![0u8]).map_err(Error::Cluster)?; // EOS
+        send_chunks(&out.chunks, ctx, &registry, &node_name, src, dst, cluster)?;
+        cluster.net_send(src, dst, vec![0u8]).map_err(Error::Cluster)?; // EOS
         Ok(out.stats)
     }
+}
+
+/// Sends `chunks` from `src` to `dst`, each under its own chunk-send span.
+fn send_chunks(
+    chunks: &[Vec<u8>],
+    ctx: obs::TraceCtx,
+    registry: &obs::Registry,
+    node_name: &str,
+    src: NodeId,
+    dst: NodeId,
+    cluster: &mut Cluster,
+) -> Result<()> {
+    for chunk in chunks {
+        let mut span = registry.tracer().start(obs::names::TRACE_SENDER_CHUNK_SEND, ctx, node_name);
+        span.annotate("bytes", chunk.len() as u64);
+        cluster.net_send(src, dst, frame_chunk_msg(chunk, ctx)).map_err(Error::Cluster)?;
+    }
+    Ok(())
 }
 
 /// Socket message framing: type 1 carries a bare chunk; type 2 prefixes the
@@ -305,16 +284,7 @@ fn read_blob(
     hooks: Option<&UpdateRegistry>,
 ) -> Result<Vec<Addr>> {
     let (flags, ctx, chunks) = parse_frames_traced(blob)?;
-    let wire = mheap::LayoutSpec {
-        with_baddr: flags & 1 != 0,
-        array_len_size: if flags & 2 != 0 { 4 } else { 8 },
-    };
-    if wire != vm.spec() {
-        return Err(Error::SpecMismatch {
-            wire: format!("{wire:?}"),
-            local: format!("{:?}", vm.spec()),
-        });
-    }
+    check_wire_spec(flags, vm)?;
     let mut rx = crate::receiver::GraphReceiver::new(vm, dir, node);
     rx.attach_trace(ctx);
     for c in chunks {

@@ -78,7 +78,7 @@ pub use io::{
 pub use pipeline::{
     sequential_transfer, PipelineConfig, PipelineEngine, PipelineReport, TransferMode,
 };
-pub use receiver::{GraphReceiver, ReceiveStats, StreamAbsorber, StreamIn};
+pub use receiver::{GraphReceiver, ReceiveStats};
 pub use registry::{RegistryStats, TypeDirectory};
 pub use sender::{
     send_roots_parallel, GraphSender, ParallelConfig, ParallelSend, SegmentImage, SendConfig,

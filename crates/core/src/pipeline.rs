@@ -1,27 +1,37 @@
-//! Chunk-granularity pipelined shuffle engine.
+//! The transfer engine: one lane-parameterised path.
 //!
-//! The sequential path (`SkywaySerializer::serialize` → transport →
-//! `deserialize`) is a strict three-phase barrier: build every chunk, move
-//! every chunk, then absolutize everything in one pass — paying
-//! sum-of-phases wall-clock. This module overlaps the phases at chunk
-//! granularity: a sender thread walks the object graph and flushes chunks
-//! into a bounded channel while the receiving thread places and absolutizes
-//! each chunk as it arrives, so chunk *N* is being absolutized while chunk
-//! *N+1* is in flight and chunk *N+2* is still being cloned out of the
-//! sender heap (paper §4.3 streams output buffers the same way).
+//! The paper describes one mechanism — a sender thread walks the graph into
+//! its own output buffer, flushed chunks stream to the receiver, which
+//! places and absolutizes them as they arrive (§3.2, §4.3) — and N threads
+//! are N copies of it (§4.2 "Support for Threads"). The engine is that
+//! mechanism, once:
 //!
-//! The channel bound provides backpressure: a slow receiver stalls the
-//! sender instead of letting chunks pile up unboundedly. Chunk backings
-//! come from a [`ChunkPool`] shared by sender (acquire) and receiver
-//! (release), so steady-state transfer performs zero per-chunk heap
-//! allocations.
+//! ```text
+//! N sender lanes → bounded queue of depth D → one shared LinkClock
+//!                → N absorb lanes → one adoption step
+//! ```
+//!
+//! | mode      | N       | D       | threads                              |
+//! |-----------|---------|---------|--------------------------------------|
+//! | inline    | 1       | —       | none: produce, then absorb           |
+//! | pipelined | 1       | `depth` | 1 sender; the caller absorbs         |
+//! | parallel  | workers | `depth` | N work-stealing senders, N absorbers |
+//!
+//! The policy only picks N and D: a flat graph that provably fits one chunk
+//! has nothing to overlap and runs inline; otherwise `parallel` engages
+//! above its root floor, and everything else is pipelined.
+//!
+//! The queue bound provides backpressure: a slow receiver stalls the sender
+//! instead of letting chunks pile up unboundedly. Chunk backings come from a
+//! [`ChunkPool`] shared by sender (acquire) and receiver (release), so
+//! steady-state transfer performs zero per-chunk heap allocations.
 //!
 //! Simulated time is charged with the overlap-aware [`LinkClock`] schedule
-//! rather than the whole-payload `net_ns` formula, and both the pipelined
+//! rather than the whole-payload `net_ns` formula, and both the overlapped
 //! schedule and the sequential sum are reported so benchmarks can compare
 //! like for like.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
@@ -30,16 +40,14 @@ use mheap::{Addr, Vm};
 use simnet::{Cluster, LinkClock, NodeId, SimConfig};
 
 use crate::buffer::ChunkPool;
-use crate::receiver::{GraphReceiver, ReceiveStats, StreamAbsorber, StreamIn};
+use crate::receiver::{self, AbsorbCore, GraphReceiver, ReceiveStats};
 use crate::registry::TypeDirectory;
-use crate::sender::{GraphSender, ParallelConfig, SendConfig, SendStats, StealSet, Tracking};
+use crate::sender::{
+    send_lane, GraphSender, LaneSent, ParallelConfig, RootFeed, SendConfig, SendStats, StealSet,
+    Tracking,
+};
 use crate::stream::UpdateRegistry;
 use crate::{Error, Result};
-
-/// One parallel stream's chunk timeline — `(ready_raw_ns, bytes,
-/// absorb_raw_ns)` per chunk in stream order — plus that stream's fixup
-/// CPU time, as fed to the shared-link schedule.
-type StreamTimeline<'a> = (&'a [(u64, u64, u64)], u64);
 
 /// Default flush threshold for pipelined transfer. Much smaller than the
 /// sequential default (1 MiB): the pipeline's overlap window is one chunk,
@@ -49,12 +57,6 @@ pub const DEFAULT_PIPELINE_CHUNK: usize = 64 << 10;
 
 /// Default bound of the in-flight chunk channel.
 pub const DEFAULT_DEPTH: usize = 4;
-
-/// Adaptive chunk-sizing floor.
-pub const MIN_ADAPTIVE_CHUNK: usize = 16 << 10;
-
-/// Adaptive chunk-sizing ceiling.
-pub const MAX_ADAPTIVE_CHUNK: usize = 1 << 20;
 
 /// Which execution strategy a transfer took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,14 +88,13 @@ impl TransferMode {
     }
 }
 
-/// Configuration of the pipelined engine.
+/// Configuration of the transfer engine.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
     /// Flush threshold of the sender's output buffer in bytes.
     pub chunk_limit: usize,
-    /// Maximum chunks in flight between sender and receiver (channel
-    /// bound; the backpressure window). Parallel mode applies it per
-    /// worker pair.
+    /// Maximum chunks in flight between a sender lane and its absorber
+    /// (channel bound; the backpressure window).
     pub depth: usize,
     /// Visited-tracking mode for the sender; `None` picks `Baddr` when the
     /// sender heap carries the word, `HashTable` otherwise.
@@ -101,16 +102,10 @@ pub struct PipelineConfig {
     /// Cost-model parameters for the simulated-time schedule.
     pub sim: SimConfig,
     /// Opt-in parallel mode: with `Some(par)` the engine runs
-    /// `par.workers` work-stealing sender workers, each feeding its own
+    /// `par.workers` work-stealing sender lanes, each feeding its own
     /// absorber, whenever `roots >= workers * min_roots_per_worker` (and
-    /// the graph is not a flat single chunk). `None` keeps the classic
-    /// single-sender pipeline.
+    /// the graph is not a flat single chunk). `None` keeps one lane.
     pub parallel: Option<ParallelConfig>,
-    /// Adapt `chunk_limit` between transfers from the observed stalls:
-    /// grow (×2, up to [`MAX_ADAPTIVE_CHUNK`]) while sender stalls
-    /// dominate, shrink (÷2, down to [`MIN_ADAPTIVE_CHUNK`]) while
-    /// receiver stalls dominate.
-    pub adaptive_chunking: bool,
 }
 
 impl Default for PipelineConfig {
@@ -121,7 +116,6 @@ impl Default for PipelineConfig {
             tracking: None,
             sim: SimConfig::default(),
             parallel: None,
-            adaptive_chunking: false,
         }
     }
 }
@@ -138,7 +132,6 @@ struct PipelineMetrics {
     mode_inline: Arc<obs::Counter>,
     mode_pipelined: Arc<obs::Counter>,
     mode_parallel: Arc<obs::Counter>,
-    chunk_limit: Arc<obs::Gauge>,
     steals: Arc<obs::Counter>,
 }
 
@@ -153,14 +146,13 @@ impl PipelineMetrics {
             mode_inline: registry.counter(obs::names::PIPELINE_MODE_INLINE),
             mode_pipelined: registry.counter(obs::names::PIPELINE_MODE_PIPELINED),
             mode_parallel: registry.counter(obs::names::PIPELINE_MODE_PARALLEL),
-            chunk_limit: registry.gauge(obs::names::PIPELINE_CHUNK_LIMIT),
             steals: registry.counter(obs::names::SENDER_STEALS),
             registry,
         }
     }
 }
 
-/// What one pipelined transfer did and what it would have cost.
+/// What one transfer did and what it would have cost.
 ///
 /// All `*_ns` figures are *simulated* nanoseconds on the [`SimConfig`]
 /// timeline: measured CPU time scaled by `sd_cpu_scale` (the same
@@ -172,7 +164,7 @@ pub struct PipelineReport {
     pub send_stats: SendStats,
     /// Receiver-side statistics (identical to the sequential path's).
     pub recv_stats: ReceiveStats,
-    /// Per-chunk wire sizes, in stream order.
+    /// Per-chunk wire sizes, in the order the modeled link carried them.
     pub chunk_bytes: Vec<u64>,
     /// End-to-end simulated time of the overlapped schedule.
     pub pipelined_ns: u64,
@@ -183,7 +175,8 @@ pub struct PipelineReport {
     pub produce_ns: u64,
     /// Wire-occupancy time of all chunks.
     pub wire_ns: u64,
-    /// Scaled receiver absolutization CPU time (including final fixups).
+    /// Scaled receiver absolutization CPU time (fixups and adoption
+    /// included).
     pub absorb_ns: u64,
     /// Real time the sender spent blocked on a full channel.
     pub sender_stall_ns: u64,
@@ -195,13 +188,13 @@ pub struct PipelineReport {
     pub pool_misses: u64,
     /// High-water mark of chunks in flight.
     pub max_in_flight: u64,
-    /// Which execution strategy the adaptive policy picked.
+    /// Which execution strategy the policy picked.
     pub mode: TransferMode,
-    /// Traversal workers (1 outside parallel mode).
+    /// Sender lanes (1 outside parallel mode).
     pub workers: u64,
     /// Successful inter-worker root steals (parallel mode only).
     pub steals: u64,
-    /// Share of the pipelined schedule the modeled link spent busy
+    /// Share of the overlapped schedule the modeled link spent busy
     /// (0–100; the wire is the shared resource parallel streams contend
     /// for, so high utilization means the transfer is link-bound).
     pub link_utilization_pct: f64,
@@ -238,25 +231,84 @@ impl PipelineReport {
     }
 }
 
-/// One chunk in flight: its bytes plus the sender's cumulative traversal
-/// CPU time (unscaled) at the moment the chunk was ready.
+/// One chunk in flight: its bytes plus its lane's cumulative traversal time
+/// (unscaled, on the lane clock) at the moment the chunk was ready.
 type InFlight = (Vec<u8>, u64);
 
-/// What the sender thread hands back at join: its send statistics plus
-/// raw (unscaled) produce and channel-stall nanoseconds.
-type SenderSide = (SendStats, u64, u64);
+/// What one sender lane hands back: what it sent, plus its raw produce and
+/// channel-stall nanoseconds.
+struct SenderSide {
+    sent: LaneSent,
+    produce_ns: u64,
+    stall_ns: u64,
+}
 
-/// The pipelined shuffle engine. Holds the shared [`ChunkPool`] so buffer
-/// backings survive across transfers — the second transfer of a similar
-/// shape allocates nothing.
+/// What one absorb lane hands back: `(ready_raw_ns, bytes, absorb_raw_ns)`
+/// per chunk in stream order, plus its raw fixup and channel-stall
+/// nanoseconds.
+struct AbsorbSide {
+    timeline: Vec<(u64, u64, u64)>,
+    fixup_ns: u64,
+    stall_ns: u64,
+}
+
+/// The trace lane of worker `t`: a lone lane records on its node's main lane
+/// (0), worker `t` of several on lane `t + 1`.
+fn trace_lane(lanes: usize, t: usize) -> u32 {
+    if lanes == 1 {
+        0
+    } else {
+        t as u32 + 1
+    }
+}
+
+/// The time base of one lane's share of the modeled schedule, read once per
+/// shipped or absorbed chunk. A lone lane has a core to itself, so the
+/// (vDSO) wall clock is its CPU time; N lanes on a host with fewer cores
+/// would each be charged for their siblings' timeslices, so they read the
+/// thread CPU clock — a syscall, affordable per chunk, never per root.
+fn lane_clock(thread_cpu: bool) -> impl Fn() -> u64 {
+    let epoch = Instant::now();
+    move || {
+        if thread_cpu {
+            obs::thread_cpu_ns()
+        } else {
+            epoch.elapsed().as_nanos() as u64
+        }
+    }
+}
+
+/// The sender-lane body: [`send_lane`]'s root loop with every flushed chunk
+/// stamped with the lane's cumulative produce time and handed to `put`,
+/// which returns how long the hand-off blocked, or `None` once the consumer
+/// is gone.
+fn sender_lane<'a>(
+    open: impl FnOnce() -> Result<GraphSender<'a>>,
+    feed: RootFeed<'_>,
+    thread_cpu: bool,
+    mut put: impl FnMut(InFlight) -> Option<u64>,
+) -> Result<SenderSide> {
+    let now = lane_clock(thread_cpu);
+    let mut mark = now();
+    let (mut produce_ns, mut stall_ns) = (0u64, 0u64);
+    let sent = send_lane(open, feed, |chunk| {
+        produce_ns += now().saturating_sub(mark);
+        let stalled = put((chunk, produce_ns));
+        stall_ns += stalled.unwrap_or(0);
+        mark = now();
+        stalled.is_some()
+    })?;
+    Ok(SenderSide { sent, produce_ns, stall_ns })
+}
+
+/// The transfer engine. Holds the shared [`ChunkPool`] so buffer backings
+/// survive across transfers — the second transfer of a similar shape
+/// allocates nothing.
 #[derive(Debug)]
 pub struct PipelineEngine {
     cfg: PipelineConfig,
     pool: Arc<ChunkPool>,
     metrics: PipelineMetrics,
-    /// Adaptive chunk-sizing state: the live flush threshold (0 = not yet
-    /// adapted, use `cfg.chunk_limit`).
-    live_chunk_limit: AtomicUsize,
 }
 
 impl PipelineEngine {
@@ -268,7 +320,6 @@ impl PipelineEngine {
             cfg,
             pool: Arc::clone(ChunkPool::global()),
             metrics: PipelineMetrics::new(Arc::clone(obs::global())),
-            live_chunk_limit: AtomicUsize::new(0),
         }
     }
 
@@ -279,36 +330,6 @@ impl PipelineEngine {
     pub fn with_pool(mut self, pool: Arc<ChunkPool>) -> Self {
         self.pool = pool;
         self
-    }
-
-    /// The flush threshold the next transfer will use: the configured
-    /// limit, or the adaptively tuned one once stall feedback moved it.
-    pub fn effective_chunk_limit(&self) -> usize {
-        let live = self.live_chunk_limit.load(Ordering::Relaxed);
-        if self.cfg.adaptive_chunking && live != 0 {
-            live
-        } else {
-            self.cfg.chunk_limit
-        }
-    }
-
-    /// Stall-feedback controller for the flush threshold: sender stalls
-    /// (channel full — per-chunk overhead downstream) grow the chunks,
-    /// receiver stalls (channel empty — first byte arrives too late)
-    /// shrink them. A 2× dominance band keeps the controller from
-    /// oscillating on balanced transfers.
-    fn adapt_chunk_limit(&self, sender_stall_ns: u64, receiver_stall_ns: u64) {
-        let cur = self.effective_chunk_limit();
-        let next = if sender_stall_ns > 2 * receiver_stall_ns {
-            (cur.saturating_mul(2)).min(MAX_ADAPTIVE_CHUNK)
-        } else if receiver_stall_ns > 2 * sender_stall_ns {
-            (cur / 2).max(MIN_ADAPTIVE_CHUNK)
-        } else {
-            cur
-        };
-        if next != cur {
-            self.live_chunk_limit.store(next, Ordering::Relaxed);
-        }
     }
 
     /// Reports into `registry` instead of the process-wide default
@@ -331,8 +352,8 @@ impl PipelineEngine {
 
     /// Moves the object graphs of `roots` from `sender_vm` to
     /// `receiver_vm`, overlapping traversal, transfer, and absolutization.
-    /// Returns the received roots (arrival order, same as the sequential
-    /// path) and the transfer report.
+    /// Returns the received roots (in `roots` order) and the transfer
+    /// report.
     ///
     /// Flat graphs that provably fit one chunk (see
     /// [`GraphSender::estimate_flat_bytes`]) skip the overlap machinery
@@ -341,11 +362,13 @@ impl PipelineEngine {
     /// the pipeline strictly slower than the sequential path.
     ///
     /// `src`/`dst` are the nodes the VMs live on; `sid`/`stream` identify
-    /// the shuffle stream exactly as on the sequential path.
+    /// the shuffle stream exactly as on the sequential path (lane `t` of a
+    /// parallel transfer sends as `stream + t`).
     ///
     /// # Errors
     /// Heap/registry/corrupt-stream errors from either side; sender-side
-    /// errors surface even when the receiver finished cleanly.
+    /// errors surface even when the receiver finished cleanly. A failed
+    /// transfer adopts nothing: its input buffers are left as filler.
     #[allow(clippy::too_many_arguments)]
     pub fn transfer(
         &self,
@@ -379,8 +402,8 @@ impl PipelineEngine {
     /// simulated link (occupancy spans on the sim clock), and the receiver
     /// (absorb, fixup, and card spans; GC pauses on the receiving VM are
     /// attributed to this transfer until the next one re-tags it). With
-    /// [`obs::TraceCtx::NONE`] — or tracing disabled — this is exactly
-    /// [`Self::transfer`]: the traced path adds one branch per call site.
+    /// [`obs::TraceCtx::NONE`] — or tracing disabled — the root span and
+    /// every span under it are inert.
     ///
     /// # Errors
     /// As for [`Self::transfer`].
@@ -398,14 +421,12 @@ impl PipelineEngine {
         hooks: Option<&UpdateRegistry>,
         parent: obs::TraceCtx,
     ) -> Result<(Vec<Addr>, PipelineReport)> {
-        let registry = Arc::clone(&self.metrics.registry);
-        let mut root_span = if parent.is_none() {
-            None
-        } else {
-            Some(registry.tracer().start(obs::names::TRACE_TRANSFER, parent, &sender_vm.name))
-        };
-        let ctx = root_span.as_ref().map_or(obs::TraceCtx::NONE, obs::ActiveSpan::ctx);
-        let r = self.transfer_inner(
+        let mut root_span = self.metrics.registry.tracer().start(
+            obs::names::TRACE_TRANSFER,
+            parent,
+            &sender_vm.name,
+        );
+        let r = self.run(
             sender_vm,
             receiver_vm,
             dir,
@@ -415,19 +436,24 @@ impl PipelineEngine {
             stream,
             roots,
             hooks,
-            ctx,
+            root_span.ctx(),
         );
-        if let (Some(span), Ok((_, report))) = (root_span.as_mut(), &r) {
-            span.annotate("bytes", report.send_stats.total_bytes);
-            span.annotate("chunks", report.chunk_bytes.len() as u64);
-            span.annotate("pipelined_sim_ns", report.pipelined_ns);
-            span.annotate("sequential_sim_ns", report.sequential_ns);
+        if let Ok((_, report)) = &r {
+            root_span.annotate("bytes", report.send_stats.total_bytes);
+            root_span.annotate("chunks", report.chunk_bytes.len() as u64);
+            root_span.annotate("pipelined_sim_ns", report.pipelined_ns);
+            root_span.annotate("sequential_sim_ns", report.sequential_ns);
         }
         r
     }
 
+    /// The one transfer path: picks the lane count N and queue depth D,
+    /// then runs N sender lanes into N absorb lanes over the receiving
+    /// heap's shared old-generation window and ends with one adoption
+    /// step on the calling thread (or, on any error, with the input
+    /// buffers abandoned as filler).
     #[allow(clippy::too_many_arguments)]
-    fn transfer_inner(
+    fn run(
         &self,
         sender_vm: &Vm,
         receiver_vm: &mut Vm,
@@ -440,717 +466,274 @@ impl PipelineEngine {
         hooks: Option<&UpdateRegistry>,
         ctx: obs::TraceCtx,
     ) -> Result<(Vec<Addr>, PipelineReport)> {
-        let chunk_limit = self.effective_chunk_limit();
-        self.metrics.chunk_limit.set(chunk_limit as i64);
+        let metrics = &self.metrics;
         let send_cfg = SendConfig {
-            chunk_limit,
+            chunk_limit: self.cfg.chunk_limit,
             receiver_spec: receiver_vm.spec(),
-            tracking: self.cfg.tracking.unwrap_or(if sender_vm.spec().with_baddr {
-                Tracking::Baddr
-            } else {
-                Tracking::HashTable
-            }),
+            tracking: self.cfg.tracking.unwrap_or(SendConfig::for_vm(sender_vm).tracking),
         };
-        let pool_hits0 = self.pool.hits();
-        let pool_misses0 = self.pool.misses();
-
-        // Mode policy, first gate — flat single-chunk fast path: when
-        // every root is reference-free the whole stream provably fits one
-        // chunk, so there is nothing to overlap — threads, channels, and
-        // per-chunk bookkeeping would be pure overhead (measurably
-        // negative on small flat payloads). Run the three phases inline
-        // instead; the estimate is an upper bound, so taking this branch
-        // guarantees a single chunk. This gate outranks parallel mode: a
-        // single chunk gives N workers nothing to share.
-        {
-            let mut gs = GraphSender::new(sender_vm, dir, src, sid, stream, send_cfg)?
-                .with_metrics(Arc::clone(&self.metrics.registry))
+        let (pool_hits0, pool_misses0) = (self.pool.hits(), self.pool.misses());
+        // Lane `t` sends as stream `stream + t`.
+        let open_sender = |t: usize| -> Result<GraphSender<'_>> {
+            Ok(GraphSender::new(sender_vm, dir, src, sid, stream.wrapping_add(t as u16), send_cfg)?
+                .with_metrics(Arc::clone(&metrics.registry))
                 .with_pool(Arc::clone(&self.pool))
-                .with_trace(ctx);
-            if gs.estimate_flat_bytes(roots, chunk_limit as u64)?.is_some() {
-                return self.transfer_single_chunk(
-                    gs,
-                    receiver_vm,
-                    dir,
-                    dst,
-                    roots,
-                    hooks,
-                    pool_hits0,
-                    pool_misses0,
-                    ctx,
-                );
-            }
-        }
+                .with_trace(ctx))
+        };
 
-        // Second gate — parallel mode: opt-in, and only when there are
-        // enough roots to amortize the per-worker setup (each worker owns
-        // a stream, a channel, and an absorber).
-        if let Some(par) = self.cfg.parallel {
-            if par.workers >= 2 && roots.len() >= par.workers * par.min_roots_per_worker.max(1) {
-                let r = self.transfer_parallel(
-                    sender_vm,
-                    receiver_vm,
-                    dir,
-                    src,
-                    dst,
-                    sid,
-                    stream,
-                    roots,
-                    hooks,
-                    ctx,
-                    send_cfg,
-                    par,
-                );
-                if let (true, Ok((_, report))) = (self.cfg.adaptive_chunking, &r) {
-                    self.adapt_chunk_limit(report.sender_stall_ns, report.receiver_stall_ns);
+        // Policy. First gate — flat single chunk: when every root is
+        // reference-free the whole stream provably fits one chunk (the
+        // estimate is an upper bound), so there is nothing to overlap and
+        // nothing for N lanes to share; threads, channels and per-chunk
+        // bookkeeping would be pure overhead (measurably negative on small
+        // flat payloads). Second gate — parallel mode is opt-in, and only
+        // pays with enough roots to amortize the per-lane setup (each lane
+        // owns a stream, a channel, and an absorber).
+        let mut lane0 = open_sender(0)?;
+        let depth = self.cfg.depth.max(1);
+        let (mode, lanes, depth) =
+            if lane0.estimate_flat_bytes(roots, self.cfg.chunk_limit as u64)?.is_some() {
+                (TransferMode::Inline, 1, 0)
+            } else {
+                match self.cfg.parallel {
+                    Some(p)
+                        if p.workers >= 2
+                            && roots.len() >= p.workers * p.min_roots_per_worker.max(1) =>
+                    {
+                        (TransferMode::Parallel, p.workers, depth)
+                    }
+                    _ => (TransferMode::Pipelined, 1, depth),
                 }
-                return r;
-            }
+            };
+        match mode {
+            TransferMode::Inline => metrics.mode_inline.inc(),
+            TransferMode::Parallel => metrics.mode_parallel.inc(),
+            _ => metrics.mode_pipelined.inc(),
         }
+        let thread_cpu = lanes > 1;
+        let steal_set = (lanes > 1).then(|| StealSet::new(roots, lanes));
+        let feed = |t: usize| match &steal_set {
+            Some(set) => RootFeed::stealing(set, t),
+            None => RootFeed::Slice(roots.iter()),
+        };
 
-        self.metrics.mode_pipelined.inc();
         let in_flight = AtomicI64::new(0);
         let max_in_flight = AtomicU64::new(0);
-        let (tx, rx) = mpsc::sync_channel::<InFlight>(self.cfg.depth.max(1));
-
-        // Timeline entries: (cumulative produce ns when ready, bytes,
-        // absorb ns for this chunk). Scaled and scheduled after the join.
-        let mut timeline: Vec<(u64, u64, u64)> = Vec::new();
-        let mut receiver_stall_ns = 0u64;
-        let mut absorb_raw_ns = 0u64;
-        let mut fixup_raw_ns = 0u64;
-
-        let (roots_out, recv_stats, send_side) =
-            std::thread::scope(|scope| -> Result<(Vec<Addr>, ReceiveStats, SenderSide)> {
-                // The sender thread owns `tx`: when it returns, the channel
-                // closes and the receive loop below terminates. Everything
-                // else crosses as shared references (`Vm`, the registry,
-                // and the pool are all `Sync`).
-                let in_flight = &in_flight;
-                let max_in_flight = &max_in_flight;
-                let metrics = &self.metrics;
-                let pool = &self.pool;
-                let sender_task = scope.spawn(move || -> Result<(SendStats, u64, u64)> {
-                    let mut gs = GraphSender::new(sender_vm, dir, src, sid, stream, send_cfg)?
-                        .with_metrics(Arc::clone(&metrics.registry))
-                        .with_pool(Arc::clone(pool))
-                        .with_trace(ctx);
-                    let mut produce_ns = 0u64;
-                    let mut stall_ns = 0u64;
-                    let ship = |chunks: Vec<Vec<u8>>, produce_ns: u64, stall: &mut u64| {
-                        for c in chunks {
-                            // The span covers the (possibly blocking) hand-
-                            // off, so backpressure stalls are visible as
-                            // long chunk-send spans in the trace.
-                            let mut span = if ctx.is_none() {
-                                None
-                            } else {
-                                Some(metrics.registry.tracer().start(
-                                    obs::names::TRACE_SENDER_CHUNK_SEND,
-                                    ctx,
-                                    &sender_vm.name,
-                                ))
-                            };
-                            if let Some(s) = span.as_mut() {
-                                s.annotate("bytes", c.len() as u64);
-                            }
-                            let t0 = Instant::now();
-                            // A closed channel means the receiver bailed
-                            // with an error; stop producing quietly — the
-                            // receiver's error wins.
-                            if tx.send((c, produce_ns)).is_err() {
-                                return false;
-                            }
-                            *stall += t0.elapsed().as_nanos() as u64;
-                            drop(span);
-                            let now = in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-                            metrics.chunks_in_flight.set(now);
-                            max_in_flight.fetch_max(now.max(0) as u64, Ordering::Relaxed);
-                        }
-                        true
-                    };
-                    for &root in roots {
-                        let t0 = Instant::now();
-                        gs.write_root(root)?;
-                        produce_ns += t0.elapsed().as_nanos() as u64;
-                        if !ship(gs.take_ready_chunks(), produce_ns, &mut stall_ns) {
-                            return Ok((gs.finish().stats, produce_ns, stall_ns));
-                        }
-                    }
-                    let t0 = Instant::now();
-                    let out = gs.finish();
-                    produce_ns += t0.elapsed().as_nanos() as u64;
-                    ship(out.chunks, produce_ns, &mut stall_ns);
-                    Ok((out.stats, produce_ns, stall_ns))
-                });
-
-                // Receiver runs on this thread: it owns `&mut Vm`.
-                let recv_result = (|| -> Result<(Vec<Addr>, ReceiveStats)> {
-                    let mut gr = GraphReceiver::new(receiver_vm, dir, dst)
-                        .with_metrics(Arc::clone(&self.metrics.registry));
-                    if !ctx.is_none() {
-                        gr = gr.with_trace(ctx);
-                    }
-                    loop {
-                        let t0 = Instant::now();
-                        let Ok((chunk, ready_ns)) = rx.recv() else { break };
-                        let waited = t0.elapsed().as_nanos() as u64;
-                        receiver_stall_ns += waited;
-                        self.metrics.chunk_stall_ns.record(waited);
-                        let now = in_flight.fetch_sub(1, Ordering::Relaxed) - 1;
-                        self.metrics.chunks_in_flight.set(now);
-                        let t1 = Instant::now();
-                        gr.push_chunk(&chunk)?;
-                        gr.absorb_ready(hooks)?;
-                        let absorb = t1.elapsed().as_nanos() as u64;
-                        absorb_raw_ns += absorb;
-                        timeline.push((ready_ns, chunk.len() as u64, absorb));
-                        self.pool.release(chunk);
-                    }
-                    let t0 = Instant::now();
-                    let out = gr.finish(hooks)?;
-                    fixup_raw_ns = t0.elapsed().as_nanos() as u64;
-                    Ok(out)
-                })();
-                // Receiver error: drop the channel end so a blocked sender
-                // unblocks, then surface whichever error came first.
-                drop(rx);
-                let send_side = match sender_task.join() {
-                    Ok(r) => r?,
-                    Err(p) => std::panic::resume_unwind(p),
-                };
-                let (roots_out, recv_stats) = recv_result?;
-                Ok((roots_out, recv_stats, send_side))
-            })?;
-        let (send_stats, produce_raw_ns, sender_stall_ns) = send_side;
-
-        self.metrics.chunks_in_flight.set(0);
-        self.metrics.stall_ns.add(sender_stall_ns + receiver_stall_ns);
-        let pool_hits = self.pool.hits() - pool_hits0;
-        let pool_misses = self.pool.misses() - pool_misses0;
-        self.metrics.pool_hits.add(pool_hits);
-        self.metrics.pool_misses.add(pool_misses);
-
-        let report = self.schedule(
-            &timeline,
-            produce_raw_ns,
-            absorb_raw_ns + fixup_raw_ns,
-            fixup_raw_ns,
-            send_stats,
-            recv_stats,
-            sender_stall_ns,
-            receiver_stall_ns,
-            pool_hits,
-            pool_misses,
-            max_in_flight.load(Ordering::Relaxed),
-            ctx,
-            &sender_vm.name,
-        );
-        if self.cfg.adaptive_chunking {
-            self.adapt_chunk_limit(report.sender_stall_ns, report.receiver_stall_ns);
-        }
-        Ok((roots_out, report))
-    }
-
-    /// The inline (no threads, no channel) variant of [`Self::transfer`]
-    /// for flat graphs whose whole stream fits one chunk: produce, move,
-    /// absorb, strictly in sequence. With a single chunk the pipelined
-    /// schedule *is* the three-phase barrier, so the report carries the
-    /// same figure for both timelines and a zero in-flight high-water mark.
-    #[allow(clippy::too_many_arguments)]
-    fn transfer_single_chunk(
-        &self,
-        mut gs: GraphSender<'_>,
-        receiver_vm: &mut Vm,
-        dir: &TypeDirectory,
-        dst: NodeId,
-        roots: &[Addr],
-        hooks: Option<&UpdateRegistry>,
-        pool_hits0: u64,
-        pool_misses0: u64,
-        ctx: obs::TraceCtx,
-    ) -> Result<(Vec<Addr>, PipelineReport)> {
-        self.metrics.mode_inline.inc();
-        let gs_node = gs.node_name().to_owned();
-        let t0 = Instant::now();
-        for &root in roots {
-            gs.write_root(root)?;
-        }
-        let out = gs.finish();
-        let produce_raw_ns = t0.elapsed().as_nanos() as u64;
-
-        let mut gr = GraphReceiver::new(receiver_vm, dir, dst)
-            .with_metrics(Arc::clone(&self.metrics.registry));
-        if !ctx.is_none() {
-            gr = gr.with_trace(ctx);
-        }
-        let t1 = Instant::now();
-        for c in &out.chunks {
-            gr.push_chunk(c)?;
-            gr.absorb_ready(hooks)?;
-        }
-        let (roots_out, recv_stats) = gr.finish(hooks)?;
-        let absorb_raw_ns = t1.elapsed().as_nanos() as u64;
-
-        let chunk_bytes: Vec<u64> = out.chunks.iter().map(|c| c.len() as u64).collect();
-        let total_bytes: u64 = chunk_bytes.iter().sum();
-        for c in out.chunks {
-            self.pool.release(c);
-        }
-        let pool_hits = self.pool.hits() - pool_hits0;
-        let pool_misses = self.pool.misses() - pool_misses0;
-        self.metrics.pool_hits.add(pool_hits);
-        self.metrics.pool_misses.add(pool_misses);
-
-        let scale = |ns: u64| -> u64 { (ns as f64 * self.cfg.sim.sd_cpu_scale) as u64 };
-        let wire_ns = self.cfg.sim.net_ns(total_bytes);
-        if !ctx.is_none() {
-            // One inline chunk, one occupancy interval on the sim clock.
-            let start = scale(produce_raw_ns);
-            self.metrics.registry.tracer().record_sim(
-                obs::names::TRACE_LINK_XMIT,
-                ctx,
-                &gs_node,
-                start,
-                start + wire_ns,
-                &[("bytes", total_bytes)],
-            );
-        }
-        let wall = scale(produce_raw_ns) + wire_ns + scale(absorb_raw_ns);
-        let report = PipelineReport {
-            send_stats: out.stats,
-            recv_stats,
-            chunk_bytes,
-            pipelined_ns: wall,
-            sequential_ns: wall,
-            produce_ns: scale(produce_raw_ns),
-            wire_ns,
-            absorb_ns: scale(absorb_raw_ns),
-            sender_stall_ns: 0,
-            receiver_stall_ns: 0,
-            pool_hits,
-            pool_misses,
-            max_in_flight: 0,
-            mode: TransferMode::Inline,
-            workers: 1,
-            steals: 0,
-            link_utilization_pct: if wall == 0 {
-                0.0
-            } else {
-                100.0 * wire_ns as f64 / wall as f64
-            },
-        };
-        Ok((roots_out, report))
-    }
-
-    /// The parallel strategy: `workers` work-stealing traversal workers
-    /// share the root set through a [`StealSet`] (roots start as
-    /// contiguous blocks, idle workers steal), each worker streams its
-    /// chunks through its own bounded channel to its own
-    /// [`StreamAbsorber`], and all absorbers place input buffers
-    /// concurrently through the receiving heap's shared old-generation
-    /// window. Cross-stream CAS races on `baddr` duplicate contended
-    /// objects per stream exactly as on the sequential parallel path.
-    /// Heap-mutating finish work — the batched card-table pass and update
-    /// hooks — runs once on the calling thread after every worker joined
-    /// and the shared window closed.
-    ///
-    /// Per-worker produce/absorb time is measured on the *thread* CPU
-    /// clock ([`obs::thread_cpu_ns`]), not wall time: on a host with
-    /// fewer cores than workers, wall time would charge every worker for
-    /// its timeslice waits and inflate the simulated cost N-fold.
-    #[allow(clippy::too_many_arguments)]
-    fn transfer_parallel(
-        &self,
-        sender_vm: &Vm,
-        receiver_vm: &mut Vm,
-        dir: &TypeDirectory,
-        src: NodeId,
-        dst: NodeId,
-        sid: u8,
-        stream_base: u16,
-        roots: &[Addr],
-        hooks: Option<&UpdateRegistry>,
-        ctx: obs::TraceCtx,
-        send_cfg: SendConfig,
-        par: ParallelConfig,
-    ) -> Result<(Vec<Addr>, PipelineReport)> {
-        struct SenderOut {
-            stats: SendStats,
-            order: Vec<u32>,
-            produce_raw_ns: u64,
-            stall_ns: u64,
-        }
-        struct AbsorbOut {
-            stream_in: StreamIn,
-            timeline: Vec<(u64, u64, u64)>,
-            stall_ns: u64,
-            fixup_raw_ns: u64,
-        }
-
-        let workers = par.workers.max(2);
-        self.metrics.mode_parallel.inc();
-        let pool_hits0 = self.pool.hits();
-        let pool_misses0 = self.pool.misses();
+        let mut cores: Vec<AbsorbCore<'_>> = (0..lanes)
+            .map(|t| {
+                AbsorbCore::new(dir, dst)
+                    .with_metrics(Arc::clone(&metrics.registry))
+                    .with_trace(ctx, trace_lane(lanes, t))
+            })
+            .collect();
         if !ctx.is_none() {
             receiver_vm.set_trace_ctx(ctx);
         }
-        let steal_set = StealSet::new(roots, workers, par.steal_batch);
-        let in_flight = AtomicI64::new(0);
-        let max_in_flight = AtomicU64::new(0);
-
-        // All absorbers allocate input buffers concurrently through the
-        // shared window; it must close again before any `&mut Vm` use.
+        // Every absorb lane allocates its input buffers through the shared
+        // window; `adopt` / `abandon` close it before any `&mut Vm` use.
         receiver_vm.heap_mut().begin_shared_old_alloc();
-        let joined = {
-            let rvm: &Vm = receiver_vm;
-            std::thread::scope(|scope| -> (Vec<Result<SenderOut>>, Vec<Result<AbsorbOut>>) {
-                let mut sender_tasks = Vec::with_capacity(workers);
-                let mut absorb_tasks = Vec::with_capacity(workers);
-                for t in 0..workers {
-                    let (tx, rx) = mpsc::sync_channel::<InFlight>(self.cfg.depth.max(1));
-                    let steal_set = &steal_set;
-                    let in_flight = &in_flight;
-                    let max_in_flight = &max_in_flight;
-                    let metrics = &self.metrics;
-                    let pool = &self.pool;
-                    sender_tasks.push(scope.spawn(move || -> Result<SenderOut> {
-                        let lane = t as u32 + 1;
-                        let mut gs: Option<GraphSender<'_>> = None;
-                        let mut order: Vec<u32> = Vec::new();
-                        let mut produce_ns = 0u64;
-                        let mut stall_ns = 0u64;
-                        let mut open = true;
-                        let ship = |chunks: Vec<Vec<u8>>, produce_ns: u64, stall: &mut u64| {
-                            for c in chunks {
-                                let mut span = if ctx.is_none() {
-                                    None
-                                } else {
-                                    Some(metrics.registry.tracer().start_on(
-                                        obs::names::TRACE_SENDER_CHUNK_SEND,
-                                        ctx,
-                                        &sender_vm.name,
-                                        lane,
-                                    ))
-                                };
-                                if let Some(s) = span.as_mut() {
-                                    s.annotate("bytes", c.len() as u64);
-                                }
+        let rvm: &Vm = receiver_vm;
+        let (sent, absorbed): (Vec<Result<SenderSide>>, Vec<Result<AbsorbSide>>) = if depth == 0 {
+            // No thread, no queue: the lane's chunks wait in a local list.
+            let mut produced: Vec<InFlight> = Vec::new();
+            let sent = sender_lane(
+                || Ok(lane0),
+                feed(0),
+                thread_cpu,
+                |item| {
+                    produced.push(item);
+                    Some(0)
+                },
+            );
+            let mut produced = produced.into_iter();
+            let absorbed = self.absorb_lane(&mut cores[0], rvm, hooks, thread_cpu, || {
+                produced.next().map(|item| (item, 0))
+            });
+            (vec![sent], vec![absorbed])
+        } else {
+            // The only place the engine spawns: one thread per sender lane
+            // and — unless the caller is the one absorber — per absorb
+            // lane. Everything crosses as shared references (`Vm`, the
+            // registry, and the pool are all `Sync`). Each sender owns its
+            // channel's `tx` and each absorber its `rx`: whichever side
+            // returns first closes the channel and so unblocks the other.
+            let mut lane0 = Some(lane0);
+            std::thread::scope(|scope| {
+                let mut senders = Vec::with_capacity(lanes);
+                let mut absorbers = Vec::with_capacity(lanes);
+                let mut on_caller = None;
+                for (t, core) in cores.iter_mut().enumerate() {
+                    let (tx, rx) = mpsc::sync_channel::<InFlight>(depth);
+                    let (in_flight, max_in_flight) = (&in_flight, &max_in_flight);
+                    let (open_sender, feed, lane) = (&open_sender, feed(t), trace_lane(lanes, t));
+                    let reuse = lane0.take();
+                    senders.push(scope.spawn(move || {
+                        sender_lane(
+                            || Ok(reuse.map_or_else(|| open_sender(t), Ok)?.with_lane(lane)),
+                            feed,
+                            thread_cpu,
+                            |item| {
+                                // The span covers the (possibly blocking)
+                                // hand-off, so backpressure stalls show as
+                                // long chunk-send spans in the trace.
+                                let mut span = metrics.registry.tracer().start_on(
+                                    obs::names::TRACE_SENDER_CHUNK_SEND,
+                                    ctx,
+                                    &sender_vm.name,
+                                    lane,
+                                );
+                                span.annotate("bytes", item.0.len() as u64);
                                 let t0 = Instant::now();
-                                // A closed channel means this worker's
-                                // absorber bailed with an error; stop
-                                // producing quietly — its error wins.
-                                if tx.send((c, produce_ns)).is_err() {
-                                    return false;
-                                }
-                                *stall += t0.elapsed().as_nanos() as u64;
+                                tx.send(item).ok()?;
+                                let stalled = t0.elapsed().as_nanos() as u64;
                                 drop(span);
                                 let now = in_flight.fetch_add(1, Ordering::Relaxed) + 1;
                                 metrics.chunks_in_flight.set(now);
                                 max_in_flight.fetch_max(now.max(0) as u64, Ordering::Relaxed);
-                            }
-                            true
-                        };
-                        loop {
-                            let (idx, root) = match steal_set.pop_local(t) {
-                                Some(item) => item,
-                                None => {
-                                    let t0 = Instant::now();
-                                    match steal_set.steal(t) {
-                                        Some((victim, batch)) => {
-                                            if let Some(s) = gs.as_ref() {
-                                                s.note_steal(
-                                                    victim,
-                                                    batch,
-                                                    t0.elapsed().as_nanos() as u64,
-                                                );
-                                            }
-                                            continue;
-                                        }
-                                        None => break,
-                                    }
-                                }
-                            };
-                            if gs.is_none() {
-                                gs = Some(
-                                    GraphSender::new(
-                                        sender_vm,
-                                        dir,
-                                        src,
-                                        sid,
-                                        stream_base.wrapping_add(t as u16),
-                                        send_cfg,
-                                    )?
-                                    .with_metrics(Arc::clone(&metrics.registry))
-                                    .with_pool(Arc::clone(pool))
-                                    .with_trace(ctx)
-                                    .with_lane(lane),
-                                );
-                            }
-                            if let Some(s) = gs.as_mut() {
-                                let c0 = obs::thread_cpu_ns();
-                                s.write_root(root)?;
-                                produce_ns += obs::thread_cpu_ns().saturating_sub(c0);
-                                order.push(idx);
-                                if !ship(s.take_ready_chunks(), produce_ns, &mut stall_ns) {
-                                    open = false;
-                                    break;
-                                }
-                            }
-                        }
-                        let stats = match gs {
-                            Some(s) => {
-                                let c0 = obs::thread_cpu_ns();
-                                let out = s.finish();
-                                produce_ns += obs::thread_cpu_ns().saturating_sub(c0);
-                                if open {
-                                    ship(out.chunks, produce_ns, &mut stall_ns);
-                                }
-                                out.stats
-                            }
-                            // Zero roots reached this worker (all stolen
-                            // away): no stream, no channel traffic.
-                            None => SendStats::default(),
-                        };
-                        Ok(SenderOut { stats, order, produce_raw_ns: produce_ns, stall_ns })
+                                Some(stalled)
+                            },
+                        )
                     }));
-                    absorb_tasks.push(scope.spawn(move || -> Result<AbsorbOut> {
-                        let mut sa = StreamAbsorber::new(rvm, dir, dst)
-                            .with_metrics(Arc::clone(&metrics.registry));
-                        if !ctx.is_none() {
-                            sa = sa.with_trace(ctx, t as u32 + 1);
-                        }
-                        let mut timeline: Vec<(u64, u64, u64)> = Vec::new();
-                        let mut stall_ns = 0u64;
-                        loop {
+                    let absorb = move || {
+                        // Owned here, so `rx` closes when this lane returns.
+                        let (core, rx) = (core, rx);
+                        self.absorb_lane(core, rvm, hooks, thread_cpu, || {
                             let t0 = Instant::now();
-                            let Ok((chunk, ready_ns)) = rx.recv() else { break };
+                            let item = rx.recv().ok()?;
                             let waited = t0.elapsed().as_nanos() as u64;
-                            stall_ns += waited;
                             metrics.chunk_stall_ns.record(waited);
                             let now = in_flight.fetch_sub(1, Ordering::Relaxed) - 1;
                             metrics.chunks_in_flight.set(now);
-                            let c0 = obs::thread_cpu_ns();
-                            sa.push_chunk(&chunk)?;
-                            sa.absorb_ready(hooks)?;
-                            timeline.push((
-                                ready_ns,
-                                chunk.len() as u64,
-                                obs::thread_cpu_ns().saturating_sub(c0),
-                            ));
-                            pool.release(chunk);
-                        }
-                        let c0 = obs::thread_cpu_ns();
-                        let stream_in = sa.finish_stream(hooks)?;
-                        let fixup_raw_ns = obs::thread_cpu_ns().saturating_sub(c0);
-                        Ok(AbsorbOut { stream_in, timeline, stall_ns, fixup_raw_ns })
-                    }));
-                }
-                fn join<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
-                    match h.join() {
-                        Ok(r) => r,
-                        Err(p) => std::panic::resume_unwind(p),
+                            Some((item, waited))
+                        })
+                    };
+                    if lanes == 1 {
+                        on_caller = Some(absorb());
+                    } else {
+                        absorbers.push(scope.spawn(absorb));
                     }
                 }
+                fn join<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
+                    h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
+                }
                 (
-                    sender_tasks.into_iter().map(join).collect(),
-                    absorb_tasks.into_iter().map(join).collect(),
+                    senders.into_iter().map(join).collect(),
+                    on_caller.into_iter().chain(absorbers.into_iter().map(join)).collect(),
                 )
             })
         };
-        receiver_vm.heap_mut().end_shared_old_alloc();
-        self.metrics.chunks_in_flight.set(0);
+        metrics.chunks_in_flight.set(0);
 
-        // Sender errors first: a sender failure closes its channel, which
+        // Sender errors first: a failed sender closes its channel, which
         // makes its absorber fail on the truncated stream — the sender's
-        // error is the root cause.
-        let souts = joined.0.into_iter().collect::<Result<Vec<SenderOut>>>()?;
-        let aouts = joined.1.into_iter().collect::<Result<Vec<AbsorbOut>>>()?;
+        // error is the root cause. Then reassemble the roots: a lane that
+        // walked the whole slice delivers them in order; stealing lanes
+        // scatter theirs back through their index tables.
+        let merge0 = Instant::now();
+        let gathered = sent.into_iter().collect::<Result<Vec<SenderSide>>>().and_then(|sent| {
+            let absorbed = absorbed.into_iter().collect::<Result<Vec<AbsorbSide>>>()?;
+            let mut roots_out = vec![Addr::NULL; if lanes == 1 { 0 } else { roots.len() }];
+            for (t, (s, core)) in sent.iter().zip(&mut cores).enumerate() {
+                let lane_roots = core.take_roots();
+                let emitted = if lanes == 1 { roots.len() } else { s.sent.order.len() };
+                if lane_roots.len() != emitted {
+                    return Err(Error::BadFrame(format!(
+                        "lane {t} absorbed {} roots but its sender emitted {emitted}",
+                        lane_roots.len()
+                    )));
+                }
+                if lanes == 1 {
+                    roots_out = lane_roots;
+                } else {
+                    for (&orig, root) in s.sent.order.iter().zip(lane_roots) {
+                        roots_out[orig as usize] = root;
+                    }
+                }
+            }
+            Ok((sent, absorbed, roots_out))
+        });
+        let (sent, absorbed, roots_out) = match gathered {
+            Ok(parts) => parts,
+            Err(e) => {
+                receiver::abandon(receiver_vm, &cores);
+                return Err(e);
+            }
+        };
+        let recv_stats = receiver::adopt(receiver_vm, &mut cores, hooks)?;
+        let merge_ns = merge0.elapsed().as_nanos() as u64;
 
-        // Merge on the calling thread, which owns `&mut Vm` again: roots
-        // back into original order, one batched card pass over every
-        // stream's input buffers, then update hooks.
-        let merge0 = obs::thread_cpu_ns();
-        let mut send_stats = SendStats::default();
-        let mut recv_stats = ReceiveStats::default();
-        let mut roots_out = vec![Addr::NULL; roots.len()];
-        let mut produce_raw_ns = 0u64;
-        let mut sender_stall_ns = 0u64;
-        let mut receiver_stall_ns = 0u64;
-        let mut card_spans: Vec<(Addr, u64)> = Vec::new();
-        let mut pending_hooks: Vec<(Addr, usize)> = Vec::new();
-        for (t, (so, ao)) in souts.iter().zip(&aouts).enumerate() {
-            if so.order.len() != ao.stream_in.roots.len() {
-                return Err(Error::BadFrame(format!(
-                    "parallel stream {t} absorbed {} roots but the sender emitted {}",
-                    ao.stream_in.roots.len(),
-                    so.order.len()
-                )));
-            }
-            for (j, &orig) in so.order.iter().enumerate() {
-                roots_out[orig as usize] = ao.stream_in.roots[j];
-            }
-            send_stats.merge(&so.stats);
-            recv_stats.merge(&ao.stream_in.stats);
-            produce_raw_ns += so.produce_raw_ns;
-            sender_stall_ns += so.stall_ns;
-            receiver_stall_ns += ao.stall_ns;
-            card_spans.extend(&ao.stream_in.card_spans);
-            pending_hooks.extend(&ao.stream_in.pending_hooks);
-        }
-        let cards = receiver_vm.heap_mut().dirty_card_batch(&card_spans);
-        recv_stats.cards_dirtied += cards;
-        self.metrics.registry.counter(obs::names::RECEIVER_CARDS_DIRTIED).add(cards);
-        if let Some(h) = hooks {
-            for (obj, idx) in pending_hooks {
-                h.apply(receiver_vm, obj, idx)?;
-            }
-        }
-        let merge_raw_ns = obs::thread_cpu_ns().saturating_sub(merge0);
-
-        let steals = steal_set.steals();
-        self.metrics.steals.add(steals);
-        self.metrics.stall_ns.add(sender_stall_ns + receiver_stall_ns);
+        let steals = steal_set.map_or(0, |s| s.steals());
+        metrics.steals.add(steals);
         let pool_hits = self.pool.hits() - pool_hits0;
         let pool_misses = self.pool.misses() - pool_misses0;
-        self.metrics.pool_hits.add(pool_hits);
-        self.metrics.pool_misses.add(pool_misses);
-
-        let per_stream: Vec<StreamTimeline<'_>> =
-            aouts.iter().map(|a| (a.timeline.as_slice(), a.fixup_raw_ns)).collect();
-        let absorb_raw_total_ns: u64 = aouts
-            .iter()
-            .map(|a| a.fixup_raw_ns + a.timeline.iter().map(|&(_, _, ns)| ns).sum::<u64>())
-            .sum::<u64>()
-            + merge_raw_ns;
-        let report = self.schedule_parallel(
-            &per_stream,
-            produce_raw_ns,
-            absorb_raw_total_ns,
-            merge_raw_ns,
-            send_stats,
+        metrics.pool_hits.add(pool_hits);
+        metrics.pool_misses.add(pool_misses);
+        let report = self.schedule(
+            &sent,
+            &absorbed,
+            merge_ns,
             recv_stats,
-            sender_stall_ns,
-            receiver_stall_ns,
+            mode,
+            steals,
             pool_hits,
             pool_misses,
             max_in_flight.load(Ordering::Relaxed),
-            workers as u64,
-            steals,
             ctx,
             &sender_vm.name,
         );
+        metrics.stall_ns.add(report.sender_stall_ns + report.receiver_stall_ns);
         Ok((roots_out, report))
     }
 
-    /// The parallel analogue of [`Self::schedule`]: every worker's chunks
-    /// contend for ONE shared link (sorted by scaled ready time, each on
-    /// its own trace lane), then chain through that worker's absorber;
-    /// the transfer ends when the slowest stream finishes its fixups plus
-    /// the coordinator's merge. The sequential comparison charges the sum
-    /// of all workers' CPU — the same work one thread would have done.
-    #[allow(clippy::too_many_arguments)]
-    fn schedule_parallel(
+    /// The absorber-lane body: places and absolutizes every chunk `take`
+    /// yields (with how long the lane waited for it) until the stream
+    /// ends, then drains the stream's own fixups. Chunk backings go back to
+    /// the pool as soon as their bytes are in the heap.
+    fn absorb_lane(
         &self,
-        per_stream: &[StreamTimeline<'_>],
-        produce_raw_ns: u64,
-        absorb_raw_total_ns: u64,
-        merge_raw_ns: u64,
-        send_stats: SendStats,
-        recv_stats: ReceiveStats,
-        sender_stall_ns: u64,
-        receiver_stall_ns: u64,
-        pool_hits: u64,
-        pool_misses: u64,
-        max_in_flight: u64,
-        workers: u64,
-        steals: u64,
-        ctx: obs::TraceCtx,
-        link_node: &str,
-    ) -> PipelineReport {
-        let scale = |ns: u64| -> u64 { (ns as f64 * self.cfg.sim.sd_cpu_scale) as u64 };
-        // (scaled ready, worker, bytes, scaled absorb) for every chunk of
-        // every stream; the greedy in-ready-order schedule through one
-        // LinkClock models the shared wire all streams contend for.
-        // Within a worker ready times are cumulative, so the global sort
-        // preserves each stream's chunk order.
-        let mut events: Vec<(u64, usize, u64, u64)> = Vec::new();
-        for (t, (timeline, _)) in per_stream.iter().enumerate() {
-            for &(ready_raw, bytes, absorb_raw) in *timeline {
-                events.push((scale(ready_raw), t, bytes, scale(absorb_raw)));
-            }
+        core: &mut AbsorbCore<'_>,
+        vm: &Vm,
+        hooks: Option<&UpdateRegistry>,
+        thread_cpu: bool,
+        mut take: impl FnMut() -> Option<(InFlight, u64)>,
+    ) -> Result<AbsorbSide> {
+        let now = lane_clock(thread_cpu);
+        let mut timeline = Vec::new();
+        let mut stall_ns = 0u64;
+        while let Some(((chunk, ready_ns), waited)) = take() {
+            stall_ns += waited;
+            let t0 = now();
+            core.push_chunk(vm, &chunk)?;
+            core.absorb_ready(vm, hooks)?;
+            timeline.push((ready_ns, chunk.len() as u64, now().saturating_sub(t0)));
+            self.pool.release(chunk);
         }
-        events.sort_by_key(|&(ready, t, _, _)| (ready, t));
-        let mut link = LinkClock::new(&self.cfg.sim);
-        let mut absorber_free = vec![0u64; per_stream.len()];
-        let mut total_bytes = 0u64;
-        let mut chunk_bytes = Vec::with_capacity(events.len());
-        for &(ready, t, bytes, absorb) in &events {
-            let xmit = link.send_traced_on(t, ready, bytes);
-            if !ctx.is_none() {
-                self.metrics.registry.tracer().record_sim_on(
-                    obs::names::TRACE_LINK_XMIT,
-                    ctx,
-                    link_node,
-                    t as u32 + 1,
-                    xmit.start_ns,
-                    xmit.end_ns,
-                    &[("bytes", bytes)],
-                );
-            }
-            absorber_free[t] = absorber_free[t].max(xmit.arrival_ns) + absorb;
-            total_bytes += bytes;
-            chunk_bytes.push(bytes);
-        }
-        let slowest_stream = per_stream
-            .iter()
-            .enumerate()
-            .map(|(t, &(_, fixup_raw))| absorber_free[t] + scale(fixup_raw))
-            .max()
-            .unwrap_or(0);
-        let pipelined_ns = slowest_stream + scale(merge_raw_ns);
-        let sequential_ns =
-            scale(produce_raw_ns) + self.cfg.sim.net_ns(total_bytes) + scale(absorb_raw_total_ns);
-        PipelineReport {
-            send_stats,
-            recv_stats,
-            chunk_bytes,
-            pipelined_ns,
-            sequential_ns,
-            produce_ns: scale(produce_raw_ns),
-            wire_ns: link.busy_ns(),
-            absorb_ns: scale(absorb_raw_total_ns),
-            sender_stall_ns,
-            receiver_stall_ns,
-            pool_hits,
-            pool_misses,
-            max_in_flight,
-            mode: TransferMode::Parallel,
-            workers,
-            steals,
-            link_utilization_pct: link.utilization_pct(pipelined_ns),
-        }
+        let t0 = now();
+        core.finish_stream(vm, hooks)?;
+        Ok(AbsorbSide { timeline, fixup_ns: now().saturating_sub(t0), stall_ns })
     }
 
-    /// Builds the simulated-time comparison from the measured timeline.
+    /// Builds the simulated-time comparison from the lanes' measured
+    /// timelines.
     ///
-    /// Pipelined: each chunk becomes ready at its (scaled) cumulative
-    /// produce time, crosses the wire under the [`LinkClock`] schedule,
-    /// and is absolutized as soon as both it and the absorber are free;
-    /// the final fixup drain runs after the last chunk. Sequential: all
-    /// produce, then the whole payload at `net_ns`, then all absorption —
-    /// the three-phase barrier the sequential path actually pays.
+    /// Overlapped: each chunk becomes ready at its lane's (scaled)
+    /// cumulative produce time; every lane's chunks contend for ONE shared
+    /// [`LinkClock`] in ready order (within a lane ready times are
+    /// cumulative, so the global sort keeps each stream's chunk order) and
+    /// chain through that lane's absorber; the transfer ends when the
+    /// slowest lane has drained its fixups, plus the adoption step.
+    /// Sequential: all produce, then the whole payload at `net_ns`, then
+    /// all absorption — the three-phase barrier one thread would pay. With
+    /// one chunk the two are the same figure.
     #[allow(clippy::too_many_arguments)]
     fn schedule(
         &self,
-        timeline: &[(u64, u64, u64)],
-        produce_raw_ns: u64,
-        absorb_raw_total_ns: u64,
-        fixup_raw_ns: u64,
-        send_stats: SendStats,
+        sent: &[SenderSide],
+        absorbed: &[AbsorbSide],
+        merge_ns: u64,
         recv_stats: ReceiveStats,
-        sender_stall_ns: u64,
-        receiver_stall_ns: u64,
+        mode: TransferMode,
+        steals: u64,
         pool_hits: u64,
         pool_misses: u64,
         max_in_flight: u64,
@@ -1158,54 +741,67 @@ impl PipelineEngine {
         link_node: &str,
     ) -> PipelineReport {
         let scale = |ns: u64| -> u64 { (ns as f64 * self.cfg.sim.sd_cpu_scale) as u64 };
+        // (scaled ready, lane, bytes, scaled absorb) for every chunk.
+        let mut events: Vec<(u64, usize, u64, u64)> = absorbed
+            .iter()
+            .enumerate()
+            .flat_map(|(t, a)| a.timeline.iter().map(move |&(r, b, ns)| (r, t, b, ns)))
+            .map(|(ready, t, bytes, ns)| (scale(ready), t, bytes, scale(ns)))
+            .collect();
+        events.sort_by_key(|&(ready, t, _, _)| (ready, t));
         let mut link = LinkClock::new(&self.cfg.sim);
-        let mut absorber_free = 0u64;
-        let mut total_bytes = 0u64;
-        let mut chunk_bytes = Vec::with_capacity(timeline.len());
-        for &(ready_raw, bytes, absorb_raw) in timeline {
-            let xmit = link.send_traced(scale(ready_raw), bytes);
-            if !ctx.is_none() {
-                self.metrics.registry.tracer().record_sim(
-                    obs::names::TRACE_LINK_XMIT,
-                    ctx,
-                    link_node,
-                    xmit.start_ns,
-                    xmit.end_ns,
-                    &[("bytes", bytes)],
-                );
-            }
-            absorber_free = absorber_free.max(xmit.arrival_ns) + scale(absorb_raw);
-            total_bytes += bytes;
+        let mut absorber_free = vec![0u64; absorbed.len()];
+        let mut absorb_ns = scale(merge_ns);
+        let mut chunk_bytes = Vec::with_capacity(events.len());
+        for &(ready, t, bytes, absorb) in &events {
+            let xmit = link.send_traced_on(t, ready, bytes);
+            self.metrics.registry.tracer().record_sim_on(
+                obs::names::TRACE_LINK_XMIT,
+                ctx,
+                link_node,
+                trace_lane(absorbed.len(), t),
+                xmit.start_ns,
+                xmit.end_ns,
+                &[("bytes", bytes)],
+            );
+            absorber_free[t] = absorber_free[t].max(xmit.arrival_ns) + absorb;
+            absorb_ns += absorb;
             chunk_bytes.push(bytes);
         }
-        let pipelined_ns = absorber_free + scale(fixup_raw_ns);
-        let sequential_ns =
-            scale(produce_raw_ns) + self.cfg.sim.net_ns(total_bytes) + scale(absorb_raw_total_ns);
+        let mut slowest_lane = 0;
+        for (a, free) in absorbed.iter().zip(&absorber_free) {
+            slowest_lane = slowest_lane.max(free + scale(a.fixup_ns));
+            absorb_ns += scale(a.fixup_ns);
+        }
+        let mut send_stats = SendStats::default();
+        sent.iter().for_each(|s| send_stats.merge(&s.sent.stats));
+        let produce_ns = scale(sent.iter().map(|s| s.produce_ns).sum());
+        let pipelined_ns = slowest_lane + scale(merge_ns);
         PipelineReport {
             send_stats,
             recv_stats,
-            chunk_bytes,
             pipelined_ns,
-            sequential_ns,
-            produce_ns: scale(produce_raw_ns),
+            sequential_ns: produce_ns + self.cfg.sim.net_ns(chunk_bytes.iter().sum()) + absorb_ns,
+            chunk_bytes,
+            produce_ns,
             wire_ns: link.busy_ns(),
-            absorb_ns: scale(absorb_raw_total_ns),
-            sender_stall_ns,
-            receiver_stall_ns,
+            absorb_ns,
+            sender_stall_ns: sent.iter().map(|s| s.stall_ns).sum(),
+            receiver_stall_ns: absorbed.iter().map(|a| a.stall_ns).sum(),
             pool_hits,
             pool_misses,
             max_in_flight,
-            mode: TransferMode::Pipelined,
-            workers: 1,
-            steals: 0,
+            mode,
+            workers: sent.len() as u64,
+            steals,
             link_utilization_pct: link.utilization_pct(pipelined_ns),
         }
     }
 }
 
 /// A sequential (three-phase) reference transfer over the same VM pair,
-/// for equivalence tests and benchmarks: send everything, then push every
-/// chunk, then absolutize in one pass.
+/// the baseline the equivalence tests compare the engine against: send
+/// everything, then push every chunk, then absolutize in one pass.
 ///
 /// # Errors
 /// Heap/registry/corrupt-stream errors.
@@ -1233,18 +829,6 @@ pub fn sequential_transfer(
     }
     let (roots_out, recv_stats) = gr.finish(hooks)?;
     Ok((roots_out, out.stats, recv_stats))
-}
-
-// Sanity: the sender half is moved into a scoped thread holding `&Vm`,
-// `&TypeDirectory`, and `&PipelineEngine`; this is only sound because all
-// three are `Sync` (the registry serves concurrent tID lookups, the pool
-// is lock-protected). The compiler enforces it — this note is for readers.
-#[allow(dead_code)]
-fn _assert_sync(v: &Vm, d: &TypeDirectory, p: &PipelineEngine) {
-    fn is_sync<T: Sync>(_: &T) {}
-    is_sync(v);
-    is_sync(d);
-    is_sync(p);
 }
 
 #[cfg(test)]
@@ -1392,7 +976,7 @@ mod tests {
         for i in 0..48 {
             addrs.push(s.new_string(&format!("parallel payload {i} {}", "y".repeat(i))).unwrap());
         }
-        let par = ParallelConfig { workers: 4, min_roots_per_worker: 1, ..Default::default() };
+        let par = ParallelConfig { workers: 4, min_roots_per_worker: 1 };
         let engine = PipelineEngine::new(PipelineConfig {
             chunk_limit: 256,
             parallel: Some(par),
@@ -1479,34 +1063,66 @@ mod tests {
         assert_eq!(flat_report.mode, TransferMode::Inline);
     }
 
+    /// The failure path of the one engine, for one lane and for two: a
+    /// receiver too small for the payload fails the transfer mid-stream,
+    /// every thread joins, nothing is adopted, the heap stays walkable, and
+    /// the same engine then serves a receiver that is large enough.
     #[test]
-    fn adaptive_chunking_moves_the_limit_with_stalls() {
-        let engine = PipelineEngine::new(PipelineConfig {
-            chunk_limit: 64 << 10,
-            adaptive_chunking: true,
-            ..PipelineConfig::default()
-        });
-        assert_eq!(engine.effective_chunk_limit(), 64 << 10);
-        // Sender-stall dominance grows the chunks…
-        engine.adapt_chunk_limit(10_000, 1_000);
-        assert_eq!(engine.effective_chunk_limit(), 128 << 10);
-        // …balanced stalls hold steady…
-        engine.adapt_chunk_limit(5_000, 4_000);
-        assert_eq!(engine.effective_chunk_limit(), 128 << 10);
-        // …receiver-stall dominance shrinks, and the floor holds.
-        for _ in 0..10 {
-            engine.adapt_chunk_limit(0, 10_000);
+    fn mid_stream_failure_unwinds_cleanly() {
+        for lanes in [1usize, 2] {
+            let cp = ClassPath::new();
+            define_core_classes(&cp);
+            let vm = |name: &str, capacity: usize| {
+                Vm::new(name, &HeapConfig::small().with_capacity(capacity), Arc::clone(&cp))
+                    .unwrap()
+            };
+            let (mut s, mut big, mut tiny) =
+                (vm("s", 8 << 20), vm("big", 8 << 20), vm("tiny", 256 << 10));
+            let dir = TypeDirectory::new(2, NodeId(0));
+            dir.bootstrap_driver(&s).unwrap();
+            dir.worker_startup(NodeId(1)).unwrap();
+            // ~400 KiB of strings (all in the sender's eden, so no address
+            // moves) against an old generation of ~180 KiB: the first
+            // chunks fit, a later one cannot.
+            let roots: Vec<Addr> = (0..128)
+                .map(|i| s.new_string(&format!("{i} {}", "z".repeat(1500))).unwrap())
+                .collect();
+            let reg = Arc::new(obs::Registry::new());
+            let engine = PipelineEngine::new(PipelineConfig {
+                chunk_limit: 8 << 10,
+                parallel: (lanes > 1)
+                    .then_some(ParallelConfig { workers: lanes, min_roots_per_worker: 1 }),
+                ..PipelineConfig::default()
+            })
+            .with_metrics(Arc::clone(&reg))
+            .with_pool(ChunkPool::new());
+
+            let err = engine
+                .transfer(&s, &mut tiny, &dir, NodeId(0), NodeId(1), 1, 1, &roots, None)
+                .unwrap_err();
+            assert!(
+                matches!(err, Error::Heap(mheap::Error::OldGenFull { .. })),
+                "{lanes} lane(s): {err}"
+            );
+            // Getting here at all means every lane thread unblocked and
+            // joined. The shared window is closed: opening it again must
+            // not trip its debug assertion.
+            tiny.heap_mut().begin_shared_old_alloc();
+            tiny.heap_mut().end_shared_old_alloc();
+            assert_eq!(reg.snapshot().gauge(obs::names::PIPELINE_CHUNKS_IN_FLIGHT), 0);
+            assert_eq!(tiny.verify_heap().unwrap(), vec![], "{lanes} lane(s)");
+
+            // A new sID, as any sender starting its next shuffle phase uses.
+            let (got, report) = engine
+                .transfer(&s, &mut big, &dir, NodeId(0), NodeId(1), 2, 1, &roots, None)
+                .unwrap();
+            assert_eq!(report.workers, lanes as u64);
+            assert_eq!(got.len(), roots.len());
+            for (i, a) in got.iter().enumerate() {
+                assert!(big.read_string(*a).unwrap().starts_with(&format!("{i} z")));
+            }
+            assert_eq!(big.verify_heap().unwrap(), vec![]);
         }
-        assert_eq!(engine.effective_chunk_limit(), MIN_ADAPTIVE_CHUNK);
-        // The ceiling holds too.
-        for _ in 0..10 {
-            engine.adapt_chunk_limit(10_000, 0);
-        }
-        assert_eq!(engine.effective_chunk_limit(), MAX_ADAPTIVE_CHUNK);
-        // Without the opt-in flag the configured limit is authoritative.
-        let fixed = PipelineEngine::new(PipelineConfig::default());
-        fixed.adapt_chunk_limit(10_000, 0);
-        assert_eq!(fixed.effective_chunk_limit(), DEFAULT_PIPELINE_CHUNK);
     }
 
     #[test]

@@ -14,13 +14,14 @@
 //! * card-table entries covering the buffers are dirtied so the collector
 //!   accounts for the new pointers.
 //!
-//! Two front ends share one absorption core: [`GraphReceiver`] owns a
-//! `&mut Vm` and completes a stream end to end (allocation, scan, card
-//! batch, hooks), while [`StreamAbsorber`] runs the same scan over a
-//! shared `&Vm` — N of them absorb concurrent streams of one parallel
-//! transfer, each allocating input buffers through the heap's shared
-//! old-generation window, and hand their heap-mutating leftovers (card
-//! spans, update hooks) back to the coordinator as a [`StreamIn`].
+//! One absorber does all of it: [`AbsorbCore`] scans over a shared `&Vm`,
+//! carving its input buffers out of the heap's shared old-generation window,
+//! so N of them can absorb the concurrent streams of one transfer. Whoever
+//! holds the `&mut Vm` opens that window, runs the absorbers, and ends with
+//! exactly one of [`adopt`] (close the window, one batched card pass, update
+//! hooks) or [`abandon`] (close it and hand the buffers back as filler).
+//! [`GraphReceiver`] is that owner for a single stream; the pipeline engine
+//! is the owner for N.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -111,11 +112,13 @@ impl ReceiverMetrics {
     }
 }
 
-/// The heap-independent absorption state of one stream: chunk map, caches,
-/// fixup lists, statistics. Every method takes `vm: &Vm` — the scan reads
-/// and rewrites input-buffer words through the arena's interior
-/// mutability, so concurrent absorbers over disjoint buffers never alias.
-struct AbsorbCore<'d> {
+/// The absorber of one stream: chunk map, caches, fixup lists, statistics.
+/// Every method takes `vm: &Vm` — input buffers come from the heap's shared
+/// old-generation window ([`mheap::Heap::begin_shared_old_alloc`] must be
+/// open) and the scan reads and rewrites their words through the arena's
+/// interior mutability, so concurrent absorbers over disjoint buffers never
+/// alias.
+pub(crate) struct AbsorbCore<'d> {
     dir: &'d TypeDirectory,
     node: NodeId,
     chunks: Vec<ChunkMap>,
@@ -149,7 +152,8 @@ struct AbsorbCore<'d> {
 }
 
 impl<'d> AbsorbCore<'d> {
-    fn new(dir: &'d TypeDirectory, node: NodeId) -> Self {
+    /// Starts absorbing one stream arriving at `node`.
+    pub(crate) fn new(dir: &'d TypeDirectory, node: NodeId) -> Self {
         AbsorbCore {
             dir,
             node,
@@ -169,6 +173,20 @@ impl<'d> AbsorbCore<'d> {
             trace_ctx: obs::TraceCtx::NONE,
             lane: 0,
         }
+    }
+
+    /// Reports into `registry` instead of the process-wide default.
+    pub(crate) fn with_metrics(mut self, registry: Arc<obs::Registry>) -> Self {
+        self.metrics = ReceiverMetrics::new(registry);
+        self
+    }
+
+    /// Attaches the transfer's trace context; spans record on `lane`
+    /// (worker *w* of a parallel transfer uses lane `w + 1`).
+    pub(crate) fn with_trace(mut self, ctx: obs::TraceCtx, lane: u32) -> Self {
+        self.trace_ctx = ctx;
+        self.lane = lane;
+        self
     }
 
     fn facts_for_tid(
@@ -201,8 +219,22 @@ impl<'d> AbsorbCore<'d> {
         Ok(&self.facts_cache[&tid])
     }
 
-    /// Records a chunk already written at `base` into the chunk map.
-    fn note_chunk(&mut self, base: Addr, len: u64) {
+    /// Places one received chunk into a fresh old-generation input buffer.
+    /// Chunks must arrive in stream order (they do: links are FIFO).
+    ///
+    /// # Errors
+    /// [`mheap::Error::OldGenFull`] (wrapped) when the heap cannot host the
+    /// buffer; [`Error::BadFrame`] for a chunk that is not word-aligned.
+    pub(crate) fn push_chunk(&mut self, vm: &Vm, bytes: &[u8]) -> Result<()> {
+        if !bytes.len().is_multiple_of(8) {
+            return Err(Error::BadFrame(format!("chunk length {} not 8-aligned", bytes.len())));
+        }
+        if bytes.is_empty() {
+            return Ok(());
+        }
+        let len = bytes.len() as u64;
+        let base = vm.heap().shared_alloc_raw_old(len).map_err(Error::Heap)?;
+        vm.heap().arena().write_bytes(base.0, bytes).map_err(Error::Heap)?;
         self.chunks.push(ChunkMap { logical_start: self.next_logical, base, len });
         self.next_logical += len;
         self.stats.chunks += 1;
@@ -210,6 +242,7 @@ impl<'d> AbsorbCore<'d> {
         self.metrics.chunks.inc();
         self.metrics.bytes.add(len);
         self.metrics.chunk_bytes.record(len);
+        Ok(())
     }
 
     /// Translates a logical stream offset to an absolute heap address.
@@ -275,42 +308,49 @@ impl<'d> AbsorbCore<'d> {
     }
 
     /// Absolutizes every chunk placed so far but not yet absorbed — the
-    /// pipelined receive path calls this after each arrival so absorption
-    /// overlaps with the transfer of later chunks. Intra-chunk and
-    /// backward references resolve immediately; forward references into
-    /// chunks that have not arrived yet are queued for the finish pass.
-    fn absorb_ready(&mut self, vm: &Vm, hooks: Option<&UpdateRegistry>) -> Result<()> {
+    /// engine calls this after each arrival so absorption overlaps with the
+    /// transfer of later chunks. Intra-chunk and backward references
+    /// resolve immediately; forward references into chunks that have not
+    /// arrived yet are queued for [`AbsorbCore::finish_stream`].
+    ///
+    /// # Errors
+    /// Corrupt-stream and heap errors.
+    pub(crate) fn absorb_ready(&mut self, vm: &Vm, hooks: Option<&UpdateRegistry>) -> Result<()> {
         let spec = vm.spec();
-        // Spans must not borrow `self` while the scan mutates it, so they
-        // are anchored to a cloned registry handle (only when traced).
-        let traced = if self.trace_ctx.is_none() {
-            None
-        } else {
-            Some((Arc::clone(&self.metrics.registry), vm.name.clone()))
-        };
+        let arena = vm.heap().arena();
+        // Spans must not borrow `self` while the scan mutates it.
+        let registry = Arc::clone(&self.metrics.registry);
         while self.absorbed < self.chunks.len() {
             let c = self.chunks[self.absorbed];
-            let mut span = traced.as_ref().map(|(reg, node)| {
-                reg.tracer().start_on(
-                    obs::names::TRACE_RECEIVER_CHUNK_ABSORB,
-                    self.trace_ctx,
-                    node,
-                    self.lane,
-                )
-            });
+            let mut span = registry.tracer().start_on(
+                obs::names::TRACE_RECEIVER_CHUNK_ABSORB,
+                self.trace_ctx,
+                &vm.name,
+                self.lane,
+            );
             let objects_before = self.stats.objects;
             let mut at = c.base.0;
             let end = c.base.0 + c.len;
+            // The stream is untrusted: nothing past `at` is read or written
+            // before it is known to lie inside this chunk — the bytes after
+            // `end` belong to the next chunk, or to another stream's buffer.
+            let within = |at: u64, len: u64, what: &str| -> Result<()> {
+                if at + len > end {
+                    return Err(Error::BadFrame(format!("{what} runs past the end of its chunk")));
+                }
+                Ok(())
+            };
             while at < end {
-                let w = vm.heap().arena().load_word(at).map_err(Error::Heap)?;
+                let w = arena.load_word(at).map_err(Error::Heap)?;
                 if w == TOP_MARK {
                     self.next_is_root = true;
-                    vm.heap().arena().store_word(at, FILLER_WORD).map_err(Error::Heap)?;
+                    arena.store_word(at, FILLER_WORD).map_err(Error::Heap)?;
                     at += 8;
                     continue;
                 }
                 if w == TOP_REF {
-                    let l = vm.heap().arena().load_word(at + 8).map_err(Error::Heap)?;
+                    within(at, 16, "top reference")?;
+                    let l = arena.load_word(at + 8).map_err(Error::Heap)?;
                     if l == 0 {
                         return Err(Error::BadFrame("null top reference".into()));
                     }
@@ -322,8 +362,8 @@ impl<'d> AbsorbCore<'d> {
                         let r = self.translate(l - 1)?;
                         self.roots.push(r);
                     }
-                    vm.heap().arena().store_word(at, FILLER_WORD).map_err(Error::Heap)?;
-                    vm.heap().arena().store_word(at + 8, FILLER_WORD).map_err(Error::Heap)?;
+                    arena.store_word(at, FILLER_WORD).map_err(Error::Heap)?;
+                    arena.store_word(at + 8, FILLER_WORD).map_err(Error::Heap)?;
                     at += 16;
                     continue;
                 }
@@ -332,21 +372,19 @@ impl<'d> AbsorbCore<'d> {
                     continue;
                 }
                 // An object: resolve its type, then absolutize.
+                within(at, spec.instance_header(), "object header")?;
                 let obj = Addr::from_raw(at);
-                let tid_word =
-                    vm.heap().arena().load_word(at + spec.klass_off()).map_err(Error::Heap)?;
+                let tid_word = arena.load_word(at + spec.klass_off()).map_err(Error::Heap)?;
                 if tid_word > u64::from(u32::MAX) {
                     return Err(Error::BadFrame(format!("implausible tID {tid_word:#x}")));
                 }
                 let facts = self.facts_for_tid(vm, tid_word as u32, hooks)?.clone();
-                vm.heap()
-                    .arena()
-                    .store_word(at + spec.klass_off(), facts.klass_word)
-                    .map_err(Error::Heap)?;
+                arena.store_word(at + spec.klass_off(), facts.klass_word).map_err(Error::Heap)?;
                 // Mark words arrive sanitized; a forwarding bit here means
                 // the stream is corrupt (this is untrusted input, so it is
                 // a validation error, not an assertion).
-                if mark::is_forwarded(vm.heap().arena().load_word(at).map_err(Error::Heap)?) {
+                // (`w` is the mark word: it sits at offset 0 in every format.)
+                if mark::is_forwarded(w) {
                     return Err(Error::BadFrame(format!(
                         "object at logical {at:#x} carries a forwarding mark"
                     )));
@@ -354,6 +392,7 @@ impl<'d> AbsorbCore<'d> {
                 let size = match facts.kind {
                     KlassKind::Instance => facts.instance_size,
                     _ => {
+                        within(at, spec.array_header(), "array header")?;
                         let len = vm.array_len(obj).map_err(Error::Heap)?;
                         // Checked arithmetic: a corrupted length must not
                         // overflow into a bogus small size.
@@ -380,12 +419,8 @@ impl<'d> AbsorbCore<'d> {
                         }
                     }
                     KlassKind::Instance => {
-                        for i in 0..facts.ref_offsets.len() {
-                            self.absolutize_slot(
-                                vm,
-                                obj,
-                                self.facts_cache[&(tid_word as u32)].ref_offsets[i],
-                            )?;
+                        for &off in &facts.ref_offsets {
+                            self.absolutize_slot(vm, obj, off)?;
                         }
                     }
                     KlassKind::PrimArray(_) => {}
@@ -402,51 +437,117 @@ impl<'d> AbsorbCore<'d> {
                 at += size;
             }
             // New pointers now live in the old generation; the card table
-            // is updated in one batch at the end (no allocation — and
+            // is updated in one batch at adoption (no allocation — and
             // therefore no GC — can happen before the roots are returned).
             self.card_spans.push((c.base, c.len));
-            self.metrics.registry.record(obs::Event::ChunkAbsorbed {
-                bytes: c.len,
-                objects: self.stats.objects - objects_before,
-            });
-            if let Some(s) = &mut span {
-                s.annotate("chunk", self.absorbed as u64);
-                s.annotate("bytes", c.len);
-                s.annotate("objects", self.stats.objects - objects_before);
-            }
+            let objects = self.stats.objects - objects_before;
+            self.metrics.registry.record(obs::Event::ChunkAbsorbed { bytes: c.len, objects });
+            span.annotate("chunk", self.absorbed as u64);
+            span.annotate("bytes", c.len);
+            span.annotate("objects", objects);
             self.absorbed += 1;
         }
         Ok(())
     }
 
-    /// Drains this stream's own cross-chunk fixups — every chunk of the
-    /// stream has arrived, so any still-unresolved target is genuinely
-    /// dangling. Streams are self-contained (relative addresses never
-    /// cross streams), so each parallel absorber drains its own list.
-    fn drain_fixups(&mut self, vm: &Vm) -> Result<u64> {
-        let n = (self.ref_fixups.len() + self.root_fixups.len()) as u64;
-        for (slot, logical) in std::mem::take(&mut self.ref_fixups) {
+    /// Completes this stream: absorbs what is left and drains its own
+    /// cross-chunk fixups — every chunk has arrived, so any still-unresolved
+    /// target is genuinely dangling. Streams are self-contained (relative
+    /// addresses never cross streams), so each absorber drains its own
+    /// list. What remains is heap-mutating and belongs to [`adopt`].
+    ///
+    /// # Errors
+    /// Corrupt-stream and heap errors.
+    pub(crate) fn finish_stream(&mut self, vm: &Vm, hooks: Option<&UpdateRegistry>) -> Result<()> {
+        self.absorb_ready(vm, hooks)?;
+        let mut span = self.metrics.registry.tracer().start_on(
+            obs::names::TRACE_RECEIVER_FIXUP,
+            self.trace_ctx,
+            &vm.name,
+            self.lane,
+        );
+        span.annotate("fixups", (self.ref_fixups.len() + self.root_fixups.len()) as u64);
+        for &(slot, logical) in &self.ref_fixups {
             let abs = self.translate(logical)?;
             vm.heap().arena().store_word(slot, abs.0).map_err(Error::Heap)?;
         }
-        for (idx, logical) in std::mem::take(&mut self.root_fixups) {
-            let abs = self.translate(logical)?;
-            self.roots[idx] = abs;
+        for &(idx, logical) in &self.root_fixups {
+            self.roots[idx] = self.translate(logical)?;
         }
-        Ok(n)
+        self.ref_fixups.clear();
+        self.root_fixups.clear();
+        Ok(())
+    }
+
+    /// The roots recovered from this stream, in emission order.
+    pub(crate) fn take_roots(&mut self) -> Vec<Addr> {
+        std::mem::take(&mut self.roots)
     }
 }
 
-/// The receiver side of one stream: accumulates chunks and absolutizes
-/// them — either in one pass at [`GraphReceiver::finish`] (the sequential
-/// path) or chunk by chunk as they arrive via
-/// [`GraphReceiver::absorb_ready`] (the pipelined path). Incremental
-/// absorption resolves every intra-chunk and backward reference on the
-/// spot; forward references into chunks that have not arrived yet go onto
-/// a short fixup list drained in `finish`.
+/// The adoption step, once per transfer on the thread that owns `&mut Vm`:
+/// closes the shared old-generation window the finished `streams` allocated
+/// through, dirties the cards under every input buffer in one batch, and
+/// applies the update hooks (§3.3 `registerUpdate`). Returns the merged
+/// statistics; the roots stay with their streams
+/// ([`AbsorbCore::take_roots`]).
+///
+/// # Errors
+/// Whatever an update hook returns.
+pub(crate) fn adopt(
+    vm: &mut Vm,
+    streams: &mut [AbsorbCore<'_>],
+    hooks: Option<&UpdateRegistry>,
+) -> Result<ReceiveStats> {
+    vm.heap_mut().end_shared_old_alloc();
+    let mut stats = ReceiveStats::default();
+    let Some(first) = streams.first() else { return Ok(stats) };
+    let mut span = first.metrics.registry.tracer().start(
+        obs::names::TRACE_RECEIVER_CARD_DIRTY,
+        first.trace_ctx,
+        &vm.name,
+    );
+    let mut cards = 0;
+    for s in streams.iter() {
+        cards += vm.heap_mut().dirty_card_batch(&s.card_spans);
+        stats.merge(&s.stats);
+    }
+    stats.cards_dirtied += cards;
+    first.metrics.cards_dirtied.add(cards);
+    span.annotate("cards", cards);
+    drop(span);
+    if let Some(h) = hooks {
+        for (obj, idx) in streams.iter_mut().flat_map(|s| std::mem::take(&mut s.pending_hooks)) {
+            h.apply(vm, obj, idx)?;
+        }
+    }
+    Ok(stats)
+}
+
+/// The other way a transfer ends: closes the shared window and turns every
+/// input buffer `streams` placed back into filler. A stream that failed
+/// midway leaves type ids in klass slots and relative addresses in reference
+/// slots; as filler the space stays walkable, and nothing of it is adopted.
+pub(crate) fn abandon(vm: &mut Vm, streams: &[AbsorbCore<'_>]) {
+    vm.heap_mut().end_shared_old_alloc();
+    for c in streams.iter().flat_map(|s| &s.chunks) {
+        // Cannot fail: the heap carved this aligned range out itself.
+        let _ = vm.heap().fill_filler(c.base, c.len);
+    }
+}
+
+/// The receiver side of one stream for callers that hold the `&mut Vm`
+/// themselves: accumulates chunks and absolutizes them — either in one pass
+/// at [`GraphReceiver::finish`] or chunk by chunk as they arrive via
+/// [`GraphReceiver::absorb_ready`]. A thin owner over one [`AbsorbCore`]:
+/// it opens the heap's shared allocation window, and closes it again by
+/// adopting the stream in `finish` or by abandoning it when dropped
+/// unfinished.
 pub struct GraphReceiver<'a> {
     vm: &'a mut Vm,
     core: AbsorbCore<'a>,
+    /// Cleared once `finish` hands the stream to [`adopt`].
+    open: bool,
 }
 
 impl<'a> std::fmt::Debug for GraphReceiver<'a> {
@@ -459,10 +560,19 @@ impl<'a> std::fmt::Debug for GraphReceiver<'a> {
     }
 }
 
+impl Drop for GraphReceiver<'_> {
+    fn drop(&mut self) {
+        if self.open {
+            abandon(self.vm, std::slice::from_ref(&self.core));
+        }
+    }
+}
+
 impl<'a> GraphReceiver<'a> {
     /// Starts receiving a stream into `vm` on `node`.
     pub fn new(vm: &'a mut Vm, dir: &'a TypeDirectory, node: NodeId) -> Self {
-        GraphReceiver { vm, core: AbsorbCore::new(dir, node) }
+        vm.heap_mut().begin_shared_old_alloc();
+        GraphReceiver { vm, core: AbsorbCore::new(dir, node), open: true }
     }
 
     /// Reports into `registry` instead of the process-wide default
@@ -499,37 +609,16 @@ impl<'a> GraphReceiver<'a> {
     /// [`mheap::Error::OldGenFull`] (wrapped) when the heap cannot host the
     /// buffer; alignment errors for corrupt chunks.
     pub fn push_chunk(&mut self, bytes: &[u8]) -> Result<()> {
-        if !bytes.len().is_multiple_of(8) {
-            return Err(Error::BadFrame(format!("chunk length {} not 8-aligned", bytes.len())));
-        }
-        if bytes.is_empty() {
-            return Ok(());
-        }
-        let base = self.vm.heap_mut().alloc_raw_old(bytes.len() as u64).map_err(Error::Heap)?;
-        self.vm.heap().arena().write_bytes(base.0, bytes).map_err(Error::Heap)?;
-        self.core.note_chunk(base, bytes.len() as u64);
-        Ok(())
-    }
-
-    #[cfg(test)]
-    fn translate(&self, logical: u64) -> Result<Addr> {
-        self.core.translate(logical)
+        self.core.push_chunk(self.vm, bytes)
     }
 
     /// Absolutizes every chunk placed so far but not yet absorbed (see
-    /// [`AbsorbCore::absorb_ready`] semantics described on
-    /// [`GraphReceiver`]).
+    /// [`AbsorbCore::absorb_ready`]).
     ///
     /// # Errors
     /// Corrupt-stream and heap errors.
     pub fn absorb_ready(&mut self, hooks: Option<&UpdateRegistry>) -> Result<()> {
         self.core.absorb_ready(self.vm, hooks)
-    }
-
-    /// Number of forward references still awaiting their target chunk
-    /// (pipeline diagnostics).
-    pub fn pending_fixups(&self) -> usize {
-        self.core.ref_fixups.len() + self.core.root_fixups.len()
     }
 
     /// Completes the receive: absolutizes any chunks not yet absorbed,
@@ -543,183 +632,39 @@ impl<'a> GraphReceiver<'a> {
     /// # Errors
     /// Corrupt-stream and heap errors.
     pub fn finish(mut self, hooks: Option<&UpdateRegistry>) -> Result<(Vec<Addr>, ReceiveStats)> {
-        self.core.absorb_ready(self.vm, hooks)?;
-        let traced = if self.core.trace_ctx.is_none() {
-            None
-        } else {
-            Some((Arc::clone(&self.core.metrics.registry), self.vm.name.clone()))
-        };
-        // Cross-chunk forward references: every chunk has arrived now, so
-        // any still-unresolved target is genuinely dangling.
-        let mut fixup_span = traced.as_ref().map(|(reg, node)| {
-            reg.tracer().start(obs::names::TRACE_RECEIVER_FIXUP, self.core.trace_ctx, node)
-        });
-        let n_fixups = self.core.drain_fixups(self.vm)?;
-        if let Some(s) = &mut fixup_span {
-            s.annotate("fixups", n_fixups);
-        }
-        drop(fixup_span);
-        // One batched card-table pass over all absorbed ranges: tell the GC.
-        let mut card_span = traced.as_ref().map(|(reg, node)| {
-            reg.tracer().start(obs::names::TRACE_RECEIVER_CARD_DIRTY, self.core.trace_ctx, node)
-        });
-        let cards = self.vm.heap_mut().dirty_card_batch(&self.core.card_spans);
-        self.core.stats.cards_dirtied += cards;
-        self.core.metrics.cards_dirtied.add(cards);
-        if let Some(s) = &mut card_span {
-            s.annotate("cards", cards);
-        }
-        drop(card_span);
-        // Post-transfer field updates (§3.3 registerUpdate).
-        if let Some(h) = hooks {
-            for (obj, idx) in std::mem::take(&mut self.core.pending_hooks) {
-                h.apply(self.vm, obj, idx)?;
-            }
-        }
-        Ok((std::mem::take(&mut self.core.roots), self.core.stats))
-    }
-}
-
-/// A finished parallel stream's receiver-side output: its roots (in
-/// emission order), statistics, and the heap-mutating leftovers the
-/// coordinator applies once it regains `&mut Vm` — card-table spans and
-/// pending update hooks.
-#[derive(Debug)]
-pub struct StreamIn {
-    /// Roots recovered from this stream, in emission order.
-    pub roots: Vec<Addr>,
-    /// This stream's receive statistics.
-    pub stats: ReceiveStats,
-    /// Absorbed input-buffer ranges awaiting one batched card-dirty pass.
-    pub card_spans: Vec<(Addr, u64)>,
-    /// `(object, hook index)` pairs awaiting post-transfer update hooks.
-    pub pending_hooks: Vec<(Addr, usize)>,
-}
-
-/// One stream's absorber in a parallel transfer: the same scan as
-/// [`GraphReceiver`] but over a shared `&Vm`, allocating input buffers
-/// through the heap's shared old-generation window
-/// ([`mheap::Heap::begin_shared_old_alloc`] must be open). Heap-mutating
-/// finish work (card batch, hooks) is returned as a [`StreamIn`] for the
-/// coordinator instead of being applied here.
-pub struct StreamAbsorber<'a> {
-    vm: &'a Vm,
-    core: AbsorbCore<'a>,
-}
-
-impl<'a> std::fmt::Debug for StreamAbsorber<'a> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamAbsorber")
-            .field("node", &self.core.node)
-            .field("chunks", &self.core.chunks.len())
-            .field("bytes", &self.core.next_logical)
-            .finish()
-    }
-}
-
-impl<'a> StreamAbsorber<'a> {
-    /// Starts absorbing one parallel stream into `vm` on `node`.
-    pub fn new(vm: &'a Vm, dir: &'a TypeDirectory, node: NodeId) -> Self {
-        StreamAbsorber { vm, core: AbsorbCore::new(dir, node) }
-    }
-
-    /// Reports into `registry` instead of the process-wide default.
-    #[must_use]
-    pub fn with_metrics(mut self, registry: Arc<obs::Registry>) -> Self {
-        self.core.metrics = ReceiverMetrics::new(registry);
-        self
-    }
-
-    /// Attaches the transfer's trace context; spans record on `lane`
-    /// (worker *w* of a parallel transfer uses lane `w + 1`).
-    #[must_use]
-    pub fn with_trace(mut self, ctx: obs::TraceCtx, lane: u32) -> Self {
-        self.core.trace_ctx = ctx;
-        self.core.lane = lane;
-        self
-    }
-
-    /// Places one received chunk into a fresh old-generation input buffer
-    /// claimed through the heap's shared allocation window.
-    ///
-    /// # Errors
-    /// [`mheap::Error::OldGenFull`] (wrapped) when the heap cannot host
-    /// the buffer; alignment errors for corrupt chunks.
-    pub fn push_chunk(&mut self, bytes: &[u8]) -> Result<()> {
-        if !bytes.len().is_multiple_of(8) {
-            return Err(Error::BadFrame(format!("chunk length {} not 8-aligned", bytes.len())));
-        }
-        if bytes.is_empty() {
-            return Ok(());
-        }
-        let base = self.vm.heap().shared_alloc_raw_old(bytes.len() as u64).map_err(Error::Heap)?;
-        self.vm.heap().arena().write_bytes(base.0, bytes).map_err(Error::Heap)?;
-        self.core.note_chunk(base, bytes.len() as u64);
-        Ok(())
-    }
-
-    /// Absolutizes every chunk placed so far but not yet absorbed.
-    ///
-    /// # Errors
-    /// Corrupt-stream and heap errors.
-    pub fn absorb_ready(&mut self, hooks: Option<&UpdateRegistry>) -> Result<()> {
-        self.core.absorb_ready(self.vm, hooks)
-    }
-
-    /// Completes this stream: absorbs remaining chunks and drains its own
-    /// cross-chunk fixups (streams are self-contained — relative
-    /// addresses never cross streams), returning the roots plus the
-    /// heap-mutating leftovers for the coordinator.
-    ///
-    /// # Errors
-    /// Corrupt-stream and heap errors.
-    pub fn finish_stream(mut self, hooks: Option<&UpdateRegistry>) -> Result<StreamIn> {
-        self.core.absorb_ready(self.vm, hooks)?;
-        let traced = if self.core.trace_ctx.is_none() {
-            None
-        } else {
-            Some((Arc::clone(&self.core.metrics.registry), self.vm.name.clone()))
-        };
-        let mut fixup_span = traced.as_ref().map(|(reg, node)| {
-            reg.tracer().start_on(
-                obs::names::TRACE_RECEIVER_FIXUP,
-                self.core.trace_ctx,
-                node,
-                self.core.lane,
-            )
-        });
-        let n_fixups = self.core.drain_fixups(self.vm)?;
-        if let Some(s) = &mut fixup_span {
-            s.annotate("fixups", n_fixups);
-        }
-        drop(fixup_span);
-        Ok(StreamIn {
-            roots: std::mem::take(&mut self.core.roots),
-            stats: self.core.stats,
-            card_spans: std::mem::take(&mut self.core.card_spans),
-            pending_hooks: std::mem::take(&mut self.core.pending_hooks),
-        })
+        self.core.finish_stream(self.vm, hooks)?;
+        self.open = false;
+        let stats = adopt(self.vm, std::slice::from_mut(&mut self.core), hooks)?;
+        Ok((self.core.take_roots(), stats))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mheap::{stdlib::define_core_classes, ClassPath, HeapConfig};
+    use mheap::{stdlib::define_core_classes, ClassPath, HeapConfig, LayoutSpec};
 
-    fn env() -> (Vm, TypeDirectory) {
+    fn env_with(spec: LayoutSpec) -> (Vm, TypeDirectory) {
         let cp = ClassPath::new();
         define_core_classes(&cp);
-        let vm = Vm::new("recv", &HeapConfig::small(), cp).unwrap();
+        let vm = Vm::new("recv", &HeapConfig { spec, ..HeapConfig::small() }, cp).unwrap();
         (vm, TypeDirectory::new(1, NodeId(0)))
+    }
+
+    fn env() -> (Vm, TypeDirectory) {
+        env_with(LayoutSpec::SKYWAY)
+    }
+
+    fn words(ws: &[u64]) -> Vec<u8> {
+        ws.iter().flat_map(|w| w.to_le_bytes()).collect()
     }
 
     #[test]
     fn translate_empty_chunk_list_is_dangling() {
         let (mut vm, dir) = env();
         let r = GraphReceiver::new(&mut vm, &dir, NodeId(0));
-        assert!(matches!(r.translate(0), Err(Error::DanglingRelativeAddr(0))));
-        assert!(matches!(r.translate(64), Err(Error::DanglingRelativeAddr(64))));
+        assert!(matches!(r.core.translate(0), Err(Error::DanglingRelativeAddr(0))));
+        assert!(matches!(r.core.translate(64), Err(Error::DanglingRelativeAddr(64))));
     }
 
     #[test]
@@ -729,13 +674,58 @@ mod tests {
         r.push_chunk(&[0u8; 32]).unwrap();
         r.push_chunk(&[0u8; 16]).unwrap();
         // In-range logicals resolve, and stay contiguous across chunks.
-        let a0 = r.translate(0).unwrap();
-        let a31 = r.translate(31).unwrap();
+        let a0 = r.core.translate(0).unwrap();
+        let a31 = r.core.translate(31).unwrap();
         assert_eq!(a31.0 - a0.0, 31);
-        assert!(r.translate(32).is_ok());
-        assert!(r.translate(47).is_ok());
+        assert!(r.core.translate(32).is_ok());
+        assert!(r.core.translate(47).is_ok());
         // One past the end of the last chunk must not clamp to it.
-        assert!(matches!(r.translate(48), Err(Error::DanglingRelativeAddr(48))));
-        assert!(matches!(r.translate(u64::MAX - 1), Err(Error::DanglingRelativeAddr(_))));
+        assert!(matches!(r.core.translate(48), Err(Error::DanglingRelativeAddr(48))));
+        assert!(matches!(r.core.translate(u64::MAX - 1), Err(Error::DanglingRelativeAddr(_))));
+    }
+
+    /// A marker or an object header cut off by the end of its chunk is a
+    /// bad frame, and the scan neither reads its operand from nor writes
+    /// filler into whatever follows the buffer.
+    #[test]
+    fn scan_never_reads_or_writes_past_its_chunk() {
+        for spec in [LayoutSpec::SKYWAY, LayoutSpec::STOCK] {
+            // Last word of the chunk is a top reference missing its operand;
+            // last word of the chunk starts an object whose klass slot
+            // would be the neighbour's first word.
+            for tail in [TOP_REF, 0x1] {
+                let (mut vm, dir) = env_with(spec);
+                let mut r = GraphReceiver::new(&mut vm, &dir, NodeId(0));
+                r.push_chunk(&words(&[FILLER_WORD, tail])).unwrap();
+                // A neighbouring buffer (the next chunk, or in parallel mode
+                // another stream's) directly behind the first one.
+                let mut next = AbsorbCore::new(&dir, NodeId(0));
+                next.push_chunk(r.vm, &words(&[1])).unwrap();
+                let neighbour = next.chunks[0].base;
+                assert_eq!(neighbour.0, r.core.chunks[0].base.0 + 16, "buffers are adjacent");
+
+                let err = r.absorb_ready(None).unwrap_err();
+                assert!(matches!(err, Error::BadFrame(_)), "{spec:?} {tail:#x}: {err}");
+                assert!(r.core.roots.is_empty(), "a cut-off marker yields no root");
+                let after = r.vm.heap().arena().load_word(neighbour.0).unwrap();
+                assert_eq!(after, 1, "{spec:?} {tail:#x}: word after the chunk was clobbered");
+            }
+        }
+    }
+
+    /// Dropping a receiver mid-stream hands its buffers back as filler and
+    /// closes the allocation window: the heap verifies, and the next
+    /// receiver on the same VM opens its own window.
+    #[test]
+    fn dropped_receiver_leaves_a_walkable_heap() {
+        let (mut vm, dir) = env();
+        let mut r = GraphReceiver::new(&mut vm, &dir, NodeId(0));
+        // An "object" whose klass slot holds a type id nobody registered.
+        r.push_chunk(&words(&[0x1, 0xdead, 0, 0])).unwrap();
+        assert!(r.absorb_ready(None).is_err());
+        drop(r);
+        assert_eq!(vm.verify_heap().unwrap(), vec![]);
+        let r = GraphReceiver::new(&mut vm, &dir, NodeId(0));
+        assert!(r.finish(None).unwrap().0.is_empty());
     }
 }

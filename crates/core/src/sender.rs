@@ -705,14 +705,10 @@ impl<'a> GraphSender<'a> {
         self.close_traverse_burst();
         self.stats.total_bytes = self.out.total_bytes();
         self.metrics.bytes_cloned.add(self.stats.total_bytes);
-        let chunks = self.out.finish();
+        self.out.flush();
+        let chunks = self.out.take_ready_chunks();
         for c in &chunks {
-            // Inlined note_chunk_sent: `self.out` is consumed above, so only
-            // field accesses (not whole-`self` methods) are allowed here.
-            self.metrics.chunk_bytes.record(c.len() as u64);
-            self.metrics
-                .registry
-                .record(obs::Event::ChunkSent { sid: u32::from(self.sid), bytes: c.len() as u64 });
+            self.note_chunk_sent(c.len());
         }
         StreamOut { stream: self.stream, chunks, stats: self.stats }
     }
@@ -738,11 +734,6 @@ impl<'a> GraphSender<'a> {
         }
         let bytes = out.chunks.pop().unwrap_or_default();
         Ok(SegmentImage { bytes, roots, tid_names, stats: out.stats })
-    }
-
-    /// Bytes produced so far (streaming diagnostics).
-    pub fn bytes_so_far(&self) -> u64 {
-        self.out.total_bytes()
     }
 
     /// Upper-bound estimate of the wire bytes `roots` will produce, or
@@ -832,15 +823,12 @@ impl<'a> GraphSender<'a> {
     }
 }
 
-/// Worker-count and stealing knobs for parallel traversal.
+/// Worker count and engagement floor for parallel traversal.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelConfig {
     /// Traversal workers (= streams). Defaults to the host's available
     /// parallelism; never clamped to a magic ceiling.
     pub workers: usize,
-    /// Upper bound on roots moved per steal (half the victim's queue is
-    /// taken, capped here so one steal cannot empty a large victim).
-    pub steal_batch: usize,
     /// Pipeline policy knob: parallel mode engages only when
     /// `roots >= workers * min_roots_per_worker` — below that the
     /// per-worker setup outweighs the traversal it parallelizes.
@@ -851,7 +839,6 @@ impl Default for ParallelConfig {
     fn default() -> Self {
         ParallelConfig {
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            steal_batch: 32,
             min_roots_per_worker: 8,
         }
     }
@@ -865,6 +852,10 @@ impl ParallelConfig {
     }
 }
 
+/// Upper bound on roots moved per steal (half the victim's queue is taken,
+/// capped here so one steal cannot empty a large victim).
+const STEAL_BATCH: usize = 32;
+
 /// Shared work-stealing root queues for one parallel traversal: one deque
 /// per worker seeded with a contiguous block of `(original index, root)`
 /// pairs; an idle worker steals the back half of a victim's queue.
@@ -874,7 +865,6 @@ impl ParallelConfig {
 /// locks the thief's own queue.
 pub(crate) struct StealSet {
     queues: Vec<Mutex<VecDeque<(u32, Addr)>>>,
-    steal_batch: usize,
     steals: AtomicU64,
 }
 
@@ -882,7 +872,7 @@ impl StealSet {
     /// Partitions `roots` into contiguous per-worker blocks (contiguity
     /// keeps a steal's batch adjacent in the original root order, which
     /// the receiver's index table reassembles anyway).
-    pub(crate) fn new(roots: &[Addr], workers: usize, steal_batch: usize) -> Self {
+    pub(crate) fn new(roots: &[Addr], workers: usize) -> Self {
         let workers = workers.max(1);
         let per = roots.len().div_ceil(workers).max(1);
         let mut queues: Vec<Mutex<VecDeque<(u32, Addr)>>> = Vec::with_capacity(workers);
@@ -893,7 +883,7 @@ impl StealSet {
                 roots[lo..hi].iter().enumerate().map(|(i, &r)| ((lo + i) as u32, r)).collect(),
             ));
         }
-        StealSet { queues, steal_batch: steal_batch.max(1), steals: AtomicU64::new(0) }
+        StealSet { queues, steals: AtomicU64::new(0) }
     }
 
     /// Pops the next root from `me`'s own queue.
@@ -912,7 +902,7 @@ impl StealSet {
             let victim = (me + i) % n;
             let grabbed: VecDeque<(u32, Addr)> = {
                 let mut q = self.queues[victim].lock();
-                let take = q.len().div_ceil(2).min(self.steal_batch);
+                let take = q.len().div_ceil(2).min(STEAL_BATCH);
                 if take == 0 {
                     continue;
                 }
@@ -932,6 +922,96 @@ impl StealSet {
     pub(crate) fn steals(&self) -> u64 {
         self.steals.load(Ordering::Relaxed)
     }
+}
+
+/// Where a sender lane draws its roots from.
+pub(crate) enum RootFeed<'r> {
+    /// The lane owns the whole root set and walks it in order: no lock,
+    /// no copy, no index table (arrival order *is* root order).
+    Slice(std::slice::Iter<'r, Addr>),
+    /// Worker `me` of a shared [`StealSet`]; `order` collects the original
+    /// index of every root this lane emitted, in emission order.
+    Steal { set: &'r StealSet, me: usize, order: Vec<u32> },
+}
+
+impl<'r> RootFeed<'r> {
+    /// The feed of worker `me` of `set`.
+    pub(crate) fn stealing(set: &'r StealSet, me: usize) -> Self {
+        RootFeed::Steal { set, me, order: Vec::new() }
+    }
+
+    /// The next root for this lane; `None` once no root can ever reach it
+    /// again. A successful steal is recorded as a span on `sender`'s lane.
+    fn next(&mut self, sender: Option<&GraphSender<'_>>) -> Option<Addr> {
+        match self {
+            RootFeed::Slice(it) => it.next().copied(),
+            RootFeed::Steal { set, me, order } => loop {
+                if let Some((idx, root)) = set.pop_local(*me) {
+                    order.push(idx);
+                    return Some(root);
+                }
+                let t0 = std::time::Instant::now();
+                let (victim, batch) = set.steal(*me)?;
+                if let Some(s) = sender {
+                    s.note_steal(victim, batch, t0.elapsed().as_nanos() as u64);
+                }
+            },
+        }
+    }
+
+    fn into_order(self) -> Vec<u32> {
+        match self {
+            RootFeed::Slice(_) => Vec::new(),
+            RootFeed::Steal { order, .. } => order,
+        }
+    }
+}
+
+/// What one sender lane did: its stream's statistics (all zero when no root
+/// ever reached the lane, so no stream was opened) and the original index
+/// of every root it emitted (empty for a [`RootFeed::Slice`] lane).
+#[derive(Default)]
+pub(crate) struct LaneSent {
+    pub(crate) stats: SendStats,
+    pub(crate) order: Vec<u32>,
+}
+
+/// The sender-lane body, shared by every transfer path: draw roots from
+/// `feed`, traverse each into the stream `open` creates once the first root
+/// arrives, and hand every flushed chunk to `sink` as soon as it is cut. A
+/// `false` from `sink` means the consumer is gone (its error wins): the
+/// lane stops producing and only closes its stream.
+///
+/// # Errors
+/// The first sender error.
+pub(crate) fn send_lane<'a>(
+    open: impl FnOnce() -> Result<GraphSender<'a>>,
+    mut feed: RootFeed<'_>,
+    mut sink: impl FnMut(Vec<u8>) -> bool,
+) -> Result<LaneSent> {
+    let mut next = feed.next(None);
+    if next.is_none() {
+        return Ok(LaneSent::default());
+    }
+    let mut sender = open()?;
+    let mut consumer_alive = true;
+    while let Some(root) = next {
+        let flushed = sender.out.flushed_bytes;
+        sender.write_root(root)?;
+        // Most roots cut no chunk; only a moved flush mark is worth a drain.
+        if sender.out.flushed_bytes != flushed {
+            consumer_alive = sender.take_ready_chunks().into_iter().all(&mut sink);
+            if !consumer_alive {
+                break;
+            }
+        }
+        next = feed.next(Some(&sender));
+    }
+    let out = sender.finish();
+    if consumer_alive {
+        out.chunks.into_iter().all(&mut sink);
+    }
+    Ok(LaneSent { stats: out.stats, order: feed.into_order() })
 }
 
 /// Result of a work-stealing parallel send: the non-empty streams, the
@@ -970,50 +1050,26 @@ pub fn send_roots_parallel(
     cfg: SendConfig,
 ) -> Result<ParallelSend> {
     let workers = par.workers.max(1);
-    // A worker's output: its finished stream plus the original root
-    // indices it emitted, or `None` when every root was stolen away.
-    type WorkerStream = Option<(StreamOut, Vec<u32>)>;
-    let steal_set = StealSet::new(roots, workers, par.steal_batch);
-    let results: Vec<Result<WorkerStream>> = std::thread::scope(|scope| {
+    let steal_set = StealSet::new(roots, workers);
+    let results: Vec<Result<(LaneSent, Vec<Vec<u8>>)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|t| {
                 let steal_set = &steal_set;
-                scope.spawn(move || -> Result<WorkerStream> {
-                    let mut sender: Option<GraphSender<'_>> = None;
-                    let mut order: Vec<u32> = Vec::new();
-                    loop {
-                        let (idx, root) = match steal_set.pop_local(t) {
-                            Some(item) => item,
-                            None => {
-                                let t0 = std::time::Instant::now();
-                                match steal_set.steal(t) {
-                                    Some((victim, batch)) => {
-                                        if let Some(s) = sender.as_ref() {
-                                            s.note_steal(
-                                                victim,
-                                                batch,
-                                                t0.elapsed().as_nanos() as u64,
-                                            );
-                                        }
-                                        continue;
-                                    }
-                                    None => break,
-                                }
-                            }
-                        };
-                        if sender.is_none() {
-                            let stream = stream_base.wrapping_add(t as u16);
-                            sender = Some(
-                                GraphSender::new(vm, dir, node, sid, stream, cfg)?
-                                    .with_lane(t as u32 + 1),
-                            );
-                        }
-                        if let Some(s) = sender.as_mut() {
-                            s.write_root(root)?;
-                            order.push(idx);
-                        }
-                    }
-                    Ok(sender.map(|s| (s.finish(), order)))
+                scope.spawn(move || {
+                    let mut chunks = Vec::new();
+                    let stream = stream_base.wrapping_add(t as u16);
+                    let sent = send_lane(
+                        || {
+                            Ok(GraphSender::new(vm, dir, node, sid, stream, cfg)?
+                                .with_lane(t as u32 + 1))
+                        },
+                        RootFeed::stealing(steal_set, t),
+                        |c| {
+                            chunks.push(c);
+                            true
+                        },
+                    )?;
+                    Ok((sent, chunks))
                 })
             })
             .collect();
@@ -1024,10 +1080,11 @@ pub fn send_roots_parallel(
     });
     let mut streams = Vec::new();
     let mut root_order = Vec::new();
-    for r in results {
-        if let Some((st, ord)) = r? {
-            streams.push(st);
-            root_order.push(ord);
+    for (t, r) in results.into_iter().enumerate() {
+        let (LaneSent { stats, order }, chunks) = r?;
+        if !order.is_empty() {
+            streams.push(StreamOut { stream: stream_base.wrapping_add(t as u16), chunks, stats });
+            root_order.push(order);
         }
     }
     obs::global().counter(obs::names::SENDER_STEALS).add(steal_set.steals());

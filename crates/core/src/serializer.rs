@@ -22,12 +22,29 @@ use crate::{Error, Result};
 
 const FLAG_COMPRESSED: u8 = 0b100;
 
-fn spec_flags(spec: LayoutSpec) -> u8 {
+/// The frame-header flag bits naming an object format.
+pub(crate) fn spec_flags(spec: LayoutSpec) -> u8 {
     (u8::from(spec.with_baddr)) | (u8::from(spec.array_len_size == 4) << 1)
 }
 
 fn flags_spec(flags: u8) -> LayoutSpec {
     LayoutSpec { with_baddr: flags & 1 != 0, array_len_size: if flags & 2 != 0 { 4 } else { 8 } }
+}
+
+/// Rejects a stream whose header declares another object format than the
+/// receiving heap's.
+///
+/// # Errors
+/// [`Error::SpecMismatch`].
+pub(crate) fn check_wire_spec(flags: u8, vm: &Vm) -> Result<()> {
+    let wire = flags_spec(flags);
+    if wire != vm.spec() {
+        return Err(Error::SpecMismatch {
+            wire: format!("{wire:?}"),
+            local: format!("{:?}", vm.spec()),
+        });
+    }
+    Ok(())
 }
 
 /// Skyway as a pluggable serializer for one cluster node.
@@ -122,25 +139,20 @@ impl SkywaySerializer {
     /// Receives one framed single-stream blob into `vm`.
     fn receive_blob(&self, vm: &mut Vm, blob: &[u8]) -> Result<Vec<Addr>> {
         let (flags, chunks) = parse_frames(blob)?;
-        let declared_spec = flags_spec(flags);
-        if declared_spec != vm.spec() {
-            return Err(Error::SpecMismatch {
-                wire: format!("{declared_spec:?}"),
-                local: format!("{:?}", vm.spec()),
-            });
-        }
-        if flags & FLAG_COMPRESSED != 0 {
+        check_wire_spec(flags, vm)?;
+        // Compressed wire: expand to the local format first, then receive
+        // the expanded stream normally — as one chunk, which trivially
+        // keeps objects from spanning a chunk boundary.
+        let expanded = if flags & FLAG_COMPRESSED != 0 {
             let local_spec = vm.spec();
-            let expanded =
-                crate::compress::expand_stream(vm, &self.dir, self.node, &chunks, local_spec)?;
-            let mut rx = crate::receiver::GraphReceiver::new(vm, &self.dir, self.node);
-            rx.push_chunk(&expanded)?;
-            let (roots, _stats) = rx.finish(self.hooks.as_deref())?;
-            return Ok(roots);
-        }
+            Some(crate::compress::expand_stream(vm, &self.dir, self.node, &chunks, local_spec)?)
+        } else {
+            None
+        };
         let mut rx = crate::receiver::GraphReceiver::new(vm, &self.dir, self.node);
-        for c in chunks {
-            rx.push_chunk(c)?;
+        match &expanded {
+            Some(stream) => rx.push_chunk(stream)?,
+            None => chunks.into_iter().try_for_each(|c| rx.push_chunk(c))?,
         }
         let (roots, _stats) = rx.finish(self.hooks.as_deref())?;
         Ok(roots)
@@ -195,7 +207,7 @@ impl serlab::Serializer for SkywaySerializer {
                 out.extend_from_slice(&(send.streams.len() as u16).to_le_bytes());
                 for (st, order) in send.streams.iter().zip(&send.root_order) {
                     profile.objects_transferred += st.stats.objects;
-                    merge_stats(&mut merged, &st.stats);
+                    merged.merge(&st.stats);
                     // Root-index table: which original roots this stream
                     // carries, in emission order — work stealing makes the
                     // assignment dynamic, so the wire must say.
@@ -309,60 +321,12 @@ impl serlab::Serializer for SkywaySerializer {
             };
             return run().map_err(to_serlab);
         }
-        let mut run = || -> Result<Vec<Addr>> {
-            let (flags, chunks) = parse_frames(bytes)?;
-            let declared_spec = flags_spec(flags);
-            if flags & FLAG_COMPRESSED != 0 {
-                // Compressed wire: expand to the local format first, then
-                // receive the expanded stream normally.
-                if declared_spec != vm.spec() {
-                    return Err(Error::SpecMismatch {
-                        wire: format!("{declared_spec:?}"),
-                        local: format!("{:?}", vm.spec()),
-                    });
-                }
-                let local_spec = vm.spec();
-                let expanded =
-                    crate::compress::expand_stream(vm, &self.dir, self.node, &chunks, local_spec)?;
-                let mut rx = crate::receiver::GraphReceiver::new(vm, &self.dir, self.node);
-                // Re-chunk the expanded stream at the configured size; the
-                // receiver requires objects not to span chunks, which one
-                // single chunk trivially satisfies.
-                rx.push_chunk(&expanded)?;
-                let (roots, _stats) = rx.finish(self.hooks.as_deref())?;
-                return Ok(roots);
-            }
-            if declared_spec != vm.spec() {
-                return Err(Error::SpecMismatch {
-                    wire: format!("{declared_spec:?}"),
-                    local: format!("{:?}", vm.spec()),
-                });
-            }
-            let mut rx = crate::receiver::GraphReceiver::new(vm, &self.dir, self.node);
-            for c in chunks {
-                rx.push_chunk(c)?;
-            }
-            let (roots, _stats) = rx.finish(self.hooks.as_deref())?;
-            Ok(roots)
-        };
-        run().map_err(to_serlab)
+        self.receive_blob(vm, bytes).map_err(to_serlab)
     }
 
     fn preserves_sharing(&self) -> bool {
         true
     }
-}
-
-fn merge_stats(into: &mut SendStats, s: &SendStats) {
-    into.objects += s.objects;
-    into.total_bytes += s.total_bytes;
-    into.header_bytes += s.header_bytes;
-    into.padding_bytes += s.padding_bytes;
-    into.pointer_bytes += s.pointer_bytes;
-    into.data_bytes += s.data_bytes;
-    into.marker_bytes += s.marker_bytes;
-    into.fallback_hits += s.fallback_hits;
-    into.cas_conflicts += s.cas_conflicts;
 }
 
 fn to_serlab(e: Error) -> serlab::Error {

@@ -61,8 +61,6 @@ pub mod names {
     /// Counter: transfers that took the same-node zero-copy shared-segment
     /// path instead of any cloning mode.
     pub const PIPELINE_MODE_SHARED: &str = "skyway.pipeline.mode_shared";
-    /// Gauge: the engine's current adaptive chunk limit in bytes.
-    pub const PIPELINE_CHUNK_LIMIT: &str = "skyway.pipeline.chunk_limit";
 
     /// Counter: objects visited by the sender's closure traversal.
     pub const SENDER_OBJECTS_VISITED: &str = "skyway.sender.objects_visited";
