@@ -190,7 +190,7 @@ pub fn run_cell_with_gc(
     let profile = sc.aggregate_profile();
     // Mirror the cell's aggregate into the observability registry so a
     // `--metrics-out` snapshot carries the Fig. 3 breakdown alongside the
-    // counters and the flight recorder.
+    // counters.
     obs::global().put_profile(
         &format!("bench.{}.{g:?}.{kind:?}", wl.label()),
         obs::ProfileSection::from(&profile),

@@ -210,21 +210,21 @@ impl PipelineReport {
     }
 
     /// Charges this transfer into a [`Cluster`]'s per-node profiles using
-    /// the chunk-granularity accounting: scaled traversal CPU as `Ser` on
-    /// `src`, scaled absolutization CPU as `Deser` on `dst`, and each chunk
-    /// through [`Cluster::net_send_chunk`] / [`Cluster::net_recv_chunk`]
-    /// so the stream pays wire time per chunk but latency once.
+    /// the chunk-granularity accounting: scaled traversal CPU as `Ser` and
+    /// the objects sent on `src`, scaled absolutization CPU as `Deser` on
+    /// `dst`, and each chunk's size through [`Cluster::charge_chunk`] so
+    /// the stream pays wire time per chunk but latency once.
     ///
     /// # Errors
     /// [`simnet::Error::UnknownNode`].
     pub fn charge(&self, cluster: &mut Cluster, src: NodeId, dst: NodeId) -> simnet::Result<()> {
         use simnet::Category;
-        cluster.profile_mut(src).add_ns(Category::Ser, self.produce_ns);
+        let sent = cluster.profile_mut(src);
+        sent.add_ns(Category::Ser, self.produce_ns);
+        sent.objects_transferred += self.send_stats.objects;
         cluster.profile_mut(dst).add_ns(Category::Deser, self.absorb_ns);
         for &len in &self.chunk_bytes {
-            // Replay sizes only: the payload already moved in-process.
-            cluster.net_send_chunk(src, dst, vec![0u8; len as usize])?;
-            cluster.net_recv_chunk(dst, src)?;
+            cluster.charge_chunk(src, dst, len)?;
         }
         cluster.net_stream_done(src, dst);
         Ok(())
@@ -1065,8 +1065,9 @@ mod tests {
 
     /// The failure path of the one engine, for one lane and for two: a
     /// receiver too small for the payload fails the transfer mid-stream,
-    /// every thread joins, nothing is adopted, the heap stays walkable, and
-    /// the same engine then serves a receiver that is large enough.
+    /// every thread joins, nothing is adopted or published, the heap stays
+    /// walkable, and the same engine then serves a receiver that is large
+    /// enough.
     #[test]
     fn mid_stream_failure_unwinds_cleanly() {
         for lanes in [1usize, 2] {
@@ -1096,6 +1097,19 @@ mod tests {
             })
             .with_metrics(Arc::clone(&reg))
             .with_pool(ChunkPool::new());
+            let receiver_counters = || {
+                use obs::names as n;
+                let snap = reg.snapshot();
+                [
+                    n::RECEIVER_OBJECTS_ABSORBED,
+                    n::RECEIVER_BYTES_ABSORBED,
+                    n::RECEIVER_CHUNKS_ABSORBED,
+                    n::RECEIVER_REF_FIXUPS,
+                    n::RECEIVER_CLASSES_LOADED,
+                    n::RECEIVER_CARDS_DIRTIED,
+                ]
+                .map(|name| snap.counter(name))
+            };
 
             let err = engine
                 .transfer(&s, &mut tiny, &dir, NodeId(0), NodeId(1), 1, 1, &roots, None)
@@ -1111,6 +1125,7 @@ mod tests {
             tiny.heap_mut().end_shared_old_alloc();
             assert_eq!(reg.snapshot().gauge(obs::names::PIPELINE_CHUNKS_IN_FLIGHT), 0);
             assert_eq!(tiny.verify_heap().unwrap(), vec![], "{lanes} lane(s)");
+            assert_eq!(receiver_counters(), [0; 6], "an abandoned stream publishes nothing");
 
             // A new sID, as any sender starting its next shuffle phase uses.
             let (got, report) = engine
@@ -1122,6 +1137,19 @@ mod tests {
                 assert!(big.read_string(*a).unwrap().starts_with(&format!("{i} z")));
             }
             assert_eq!(big.verify_heap().unwrap(), vec![]);
+            let rs = report.recv_stats;
+            assert_eq!(
+                receiver_counters(),
+                [
+                    rs.objects,
+                    rs.bytes,
+                    rs.chunks,
+                    rs.ref_fixups,
+                    rs.classes_loaded,
+                    rs.cards_dirtied
+                ],
+                "{lanes} lane(s): the adopted transfer publishes exactly its ReceiveStats"
+            );
         }
     }
 
@@ -1138,5 +1166,6 @@ mod tests {
         assert_eq!(p.bytes_remote, report.send_stats.total_bytes);
         assert_eq!(cluster.profile(NodeId(0)).ns(simnet::Category::Ser), report.produce_ns);
         assert_eq!(cluster.profile(NodeId(1)).ns(simnet::Category::Deser), report.absorb_ns);
+        assert_eq!(cluster.profile(NodeId(0)).objects_transferred, report.send_stats.objects);
     }
 }

@@ -84,34 +84,6 @@ impl ReceiveStats {
     }
 }
 
-/// Cached observability handles for the receiver's linear scan.
-#[derive(Debug)]
-struct ReceiverMetrics {
-    registry: Arc<obs::Registry>,
-    objects: Arc<obs::Counter>,
-    bytes: Arc<obs::Counter>,
-    chunks: Arc<obs::Counter>,
-    ref_fixups: Arc<obs::Counter>,
-    classes_loaded: Arc<obs::Counter>,
-    cards_dirtied: Arc<obs::Counter>,
-    chunk_bytes: Arc<obs::Histogram>,
-}
-
-impl ReceiverMetrics {
-    fn new(registry: Arc<obs::Registry>) -> Self {
-        ReceiverMetrics {
-            objects: registry.counter(obs::names::RECEIVER_OBJECTS_ABSORBED),
-            bytes: registry.counter(obs::names::RECEIVER_BYTES_ABSORBED),
-            chunks: registry.counter(obs::names::RECEIVER_CHUNKS_ABSORBED),
-            ref_fixups: registry.counter(obs::names::RECEIVER_REF_FIXUPS),
-            classes_loaded: registry.counter(obs::names::RECEIVER_CLASSES_LOADED),
-            cards_dirtied: registry.counter(obs::names::RECEIVER_CARDS_DIRTIED),
-            chunk_bytes: registry.histogram(obs::names::RECEIVER_CHUNK_BYTES),
-            registry,
-        }
-    }
-}
-
 /// The absorber of one stream: chunk map, caches, fixup lists, statistics.
 /// Every method takes `vm: &Vm` — input buffers come from the heap's shared
 /// old-generation window ([`mheap::Heap::begin_shared_old_alloc`] must be
@@ -126,7 +98,9 @@ pub(crate) struct AbsorbCore<'d> {
     tid_cache: HashMap<u32, KlassId>,
     facts_cache: HashMap<u32, TidFacts>,
     stats: ReceiveStats,
-    metrics: ReceiverMetrics,
+    /// Where [`adopt`] publishes `stats`, and whose tracer records this
+    /// stream's spans. The scan itself counts into `stats` only.
+    registry: Arc<obs::Registry>,
     /// Chunks absolutized so far (prefix of `chunks`).
     absorbed: usize,
     /// Roots recovered so far, in arrival order.
@@ -162,7 +136,7 @@ impl<'d> AbsorbCore<'d> {
             tid_cache: HashMap::new(),
             facts_cache: HashMap::new(),
             stats: ReceiveStats::default(),
-            metrics: ReceiverMetrics::new(Arc::clone(obs::global())),
+            registry: Arc::clone(obs::global()),
             absorbed: 0,
             roots: Vec::new(),
             ref_fixups: Vec::new(),
@@ -177,7 +151,7 @@ impl<'d> AbsorbCore<'d> {
 
     /// Reports into `registry` instead of the process-wide default.
     pub(crate) fn with_metrics(mut self, registry: Arc<obs::Registry>) -> Self {
-        self.metrics = ReceiverMetrics::new(registry);
+        self.registry = registry;
         self
     }
 
@@ -239,9 +213,7 @@ impl<'d> AbsorbCore<'d> {
         self.next_logical += len;
         self.stats.chunks += 1;
         self.stats.bytes += len;
-        self.metrics.chunks.inc();
-        self.metrics.bytes.add(len);
-        self.metrics.chunk_bytes.record(len);
+        self.registry.histogram(obs::names::RECEIVER_CHUNK_BYTES).record(len);
         Ok(())
     }
 
@@ -266,7 +238,6 @@ impl<'d> AbsorbCore<'d> {
         let slot = obj.0 + off;
         let v = vm.heap().arena().load_word(slot).map_err(Error::Heap)?;
         self.stats.ref_fixups += 1;
-        self.metrics.ref_fixups.inc();
         if v == 0 {
             return vm.heap().arena().store_word(slot, Addr::NULL.0).map_err(Error::Heap);
         }
@@ -286,7 +257,7 @@ impl<'d> AbsorbCore<'d> {
         let name = self.dir.name_for_tid_traced(
             self.node,
             tid,
-            self.metrics.registry.tracer(),
+            self.registry.tracer(),
             self.trace_ctx,
             &vm.name,
         )?;
@@ -294,10 +265,6 @@ impl<'d> AbsorbCore<'d> {
         let kid = vm.load_class(&name).map_err(Error::Heap)?;
         if vm.klasses().len() > loaded_before {
             self.stats.classes_loaded += 1;
-            self.metrics.classes_loaded.inc();
-            self.metrics
-                .registry
-                .record(obs::Event::ClassLoaded { class: name.clone(), tid: u64::from(tid) });
         }
         // Make sure the local klass knows its tid too (it may serve as a
         // sender later).
@@ -319,7 +286,7 @@ impl<'d> AbsorbCore<'d> {
         let spec = vm.spec();
         let arena = vm.heap().arena();
         // Spans must not borrow `self` while the scan mutates it.
-        let registry = Arc::clone(&self.metrics.registry);
+        let registry = Arc::clone(&self.registry);
         while self.absorbed < self.chunks.len() {
             let c = self.chunks[self.absorbed];
             let mut span = registry.tracer().start_on(
@@ -433,18 +400,15 @@ impl<'d> AbsorbCore<'d> {
                     self.pending_hooks.push((obj, hook_idx));
                 }
                 self.stats.objects += 1;
-                self.metrics.objects.inc();
                 at += size;
             }
             // New pointers now live in the old generation; the card table
             // is updated in one batch at adoption (no allocation — and
             // therefore no GC — can happen before the roots are returned).
             self.card_spans.push((c.base, c.len));
-            let objects = self.stats.objects - objects_before;
-            self.metrics.registry.record(obs::Event::ChunkAbsorbed { bytes: c.len, objects });
             span.annotate("chunk", self.absorbed as u64);
             span.annotate("bytes", c.len);
-            span.annotate("objects", objects);
+            span.annotate("objects", self.stats.objects - objects_before);
             self.absorbed += 1;
         }
         Ok(())
@@ -460,7 +424,7 @@ impl<'d> AbsorbCore<'d> {
     /// Corrupt-stream and heap errors.
     pub(crate) fn finish_stream(&mut self, vm: &Vm, hooks: Option<&UpdateRegistry>) -> Result<()> {
         self.absorb_ready(vm, hooks)?;
-        let mut span = self.metrics.registry.tracer().start_on(
+        let mut span = self.registry.tracer().start_on(
             obs::names::TRACE_RECEIVER_FIXUP,
             self.trace_ctx,
             &vm.name,
@@ -487,8 +451,10 @@ impl<'d> AbsorbCore<'d> {
 
 /// The adoption step, once per transfer on the thread that owns `&mut Vm`:
 /// closes the shared old-generation window the finished `streams` allocated
-/// through, dirties the cards under every input buffer in one batch, and
-/// applies the update hooks (§3.3 `registerUpdate`). Returns the merged
+/// through, dirties the cards under every input buffer in one batch,
+/// publishes the merged statistics — the one place a receiver feeds the
+/// `skyway.receiver.*` counters, so an abandoned stream publishes nothing —
+/// and applies the update hooks (§3.3 `registerUpdate`). Returns the merged
 /// statistics; the roots stay with their streams
 /// ([`AbsorbCore::take_roots`]).
 ///
@@ -502,20 +468,23 @@ pub(crate) fn adopt(
     vm.heap_mut().end_shared_old_alloc();
     let mut stats = ReceiveStats::default();
     let Some(first) = streams.first() else { return Ok(stats) };
-    let mut span = first.metrics.registry.tracer().start(
-        obs::names::TRACE_RECEIVER_CARD_DIRTY,
-        first.trace_ctx,
-        &vm.name,
-    );
+    let reg = &first.registry;
+    let mut span =
+        reg.tracer().start(obs::names::TRACE_RECEIVER_CARD_DIRTY, first.trace_ctx, &vm.name);
     let mut cards = 0;
     for s in streams.iter() {
         cards += vm.heap_mut().dirty_card_batch(&s.card_spans);
         stats.merge(&s.stats);
     }
     stats.cards_dirtied += cards;
-    first.metrics.cards_dirtied.add(cards);
     span.annotate("cards", cards);
     drop(span);
+    reg.counter(obs::names::RECEIVER_OBJECTS_ABSORBED).add(stats.objects);
+    reg.counter(obs::names::RECEIVER_BYTES_ABSORBED).add(stats.bytes);
+    reg.counter(obs::names::RECEIVER_CHUNKS_ABSORBED).add(stats.chunks);
+    reg.counter(obs::names::RECEIVER_REF_FIXUPS).add(stats.ref_fixups);
+    reg.counter(obs::names::RECEIVER_CLASSES_LOADED).add(stats.classes_loaded);
+    reg.counter(obs::names::RECEIVER_CARDS_DIRTIED).add(stats.cards_dirtied);
     if let Some(h) = hooks {
         for (obj, idx) in streams.iter_mut().flat_map(|s| std::mem::take(&mut s.pending_hooks)) {
             h.apply(vm, obj, idx)?;
@@ -579,7 +548,7 @@ impl<'a> GraphReceiver<'a> {
     /// (scoped registries keep test assertions exact).
     #[must_use]
     pub fn with_metrics(mut self, registry: Arc<obs::Registry>) -> Self {
-        self.core.metrics = ReceiverMetrics::new(registry);
+        self.core.registry = registry;
         self
     }
 

@@ -173,31 +173,6 @@ struct KlassFacts {
     ref_offsets: Vec<u64>,
 }
 
-/// Cached observability handles for the sender hot loop: resolved once at
-/// construction so per-object updates are single relaxed atomics.
-#[derive(Debug)]
-struct SenderMetrics {
-    registry: Arc<obs::Registry>,
-    objects: Arc<obs::Counter>,
-    bytes_cloned: Arc<obs::Counter>,
-    cas_conflicts: Arc<obs::Counter>,
-    fallback_hits: Arc<obs::Counter>,
-    chunk_bytes: Arc<obs::Histogram>,
-}
-
-impl SenderMetrics {
-    fn new(registry: Arc<obs::Registry>) -> Self {
-        SenderMetrics {
-            objects: registry.counter(obs::names::SENDER_OBJECTS_VISITED),
-            bytes_cloned: registry.counter(obs::names::SENDER_BYTES_CLONED),
-            cas_conflicts: registry.counter(obs::names::SENDER_CAS_CONFLICTS),
-            fallback_hits: registry.counter(obs::names::SENDER_FALLBACK_HITS),
-            chunk_bytes: registry.histogram(obs::names::SENDER_CHUNK_BYTES),
-            registry,
-        }
-    }
-}
-
 /// Multiply-mix hasher for heap-address keys (fxhash-style). The visited
 /// fallback table sits on the traversal's hottest path — one lookup per
 /// reference slot plus one insert per object — where SipHash costs more
@@ -246,7 +221,10 @@ pub struct GraphSender<'a> {
     /// Keyed by klass word; bit 31 set for segment residents, whose klass
     /// word is a global tID rather than a local klass id.
     klass_facts: HashMap<u32, KlassFacts>,
-    metrics: SenderMetrics,
+    /// Where [`GraphSender::finish`] publishes `stats`, and whose tracer
+    /// records this stream's spans. The traversal itself counts into
+    /// `stats` only.
+    registry: Arc<obs::Registry>,
     /// Trace context of the transfer this stream belongs to
     /// ([`obs::TraceCtx::NONE`] keeps every span inert).
     trace_ctx: obs::TraceCtx,
@@ -313,7 +291,7 @@ impl<'a> GraphSender<'a> {
             gray: VecDeque::new(),
             stats: SendStats::default(),
             klass_facts: HashMap::new(),
-            metrics: SenderMetrics::new(Arc::clone(obs::global())),
+            registry: Arc::clone(obs::global()),
             trace_ctx: obs::TraceCtx::NONE,
             lane: 0,
             traverse: None,
@@ -324,7 +302,7 @@ impl<'a> GraphSender<'a> {
     /// (scoped registries keep test assertions exact).
     #[must_use]
     pub fn with_metrics(mut self, registry: Arc<obs::Registry>) -> Self {
-        self.metrics = SenderMetrics::new(registry);
+        self.registry = registry;
         self
     }
 
@@ -436,7 +414,6 @@ impl<'a> GraphSender<'a> {
                 // the thread-local table (or doesn't exist yet).
                 if let Some(&rel) = self.fallback.get(&obj.0) {
                     self.stats.fallback_hits += 1;
-                    self.metrics.fallback_hits.inc();
                     return Ok(Some(rel));
                 }
                 Ok(None)
@@ -464,7 +441,7 @@ impl<'a> GraphSender<'a> {
                 let old = arena.load_word_atomic(off).map_err(Error::Heap)?;
                 if baddr::sid_of(old) == self.sid {
                     // Another stream claimed it between lookup and claim.
-                    self.note_cas_conflict();
+                    self.stats.cas_conflicts += 1;
                     self.fallback.insert(obj.0, logical);
                     return Ok(());
                 }
@@ -472,21 +449,13 @@ impl<'a> GraphSender<'a> {
                 match arena.cas_word(off, old, new).map_err(Error::Heap)? {
                     Ok(_) => Ok(()),
                     Err(_) => {
-                        self.note_cas_conflict();
+                        self.stats.cas_conflicts += 1;
                         self.fallback.insert(obj.0, logical);
                         Ok(())
                     }
                 }
             }
         }
-    }
-
-    /// Records one lost `baddr` CAS race in both the per-stream stats and
-    /// the flight recorder.
-    fn note_cas_conflict(&mut self) {
-        self.stats.cas_conflicts += 1;
-        self.metrics.cas_conflicts.inc();
-        self.metrics.registry.record(obs::Event::CasConflict { sid: u32::from(self.sid) });
     }
 
     /// Object size *in the receiver's format* (facts precomputed).
@@ -522,7 +491,6 @@ impl<'a> GraphSender<'a> {
     fn clone_object(&mut self, obj: Addr, logical: u64, size: u64) -> Result<()> {
         self.out.place(logical, size)?;
         self.stats.objects += 1;
-        self.metrics.objects.inc();
         let facts = self.facts_for(obj)?.clone();
         let sspec = self.vm.spec();
         let rspec = self.cfg.receiver_spec;
@@ -627,7 +595,7 @@ impl<'a> GraphSender<'a> {
         }
         if self.traverse.is_none() {
             self.traverse = Some(TraverseBurst {
-                start_ns: self.metrics.registry.tracer().now_ns(),
+                start_ns: self.registry.tracer().now_ns(),
                 roots: 0,
                 objects_before: self.stats.objects,
                 bytes_before: self.out.total_bytes(),
@@ -645,7 +613,7 @@ impl<'a> GraphSender<'a> {
         let Some(b) = self.traverse.take() else {
             return;
         };
-        let tracer = self.metrics.registry.tracer();
+        let tracer = self.registry.tracer();
         let dur = tracer.now_ns().saturating_sub(b.start_ns);
         tracer.record_closed_on(
             obs::names::TRACE_SENDER_TRAVERSE,
@@ -658,6 +626,7 @@ impl<'a> GraphSender<'a> {
                 ("objects", self.stats.objects - b.objects_before),
                 ("bytes", self.out.total_bytes() - b.bytes_before),
                 ("cas_conflicts", self.stats.cas_conflicts - b.cas_before),
+                ("sid", u64::from(self.sid)),
             ],
         );
     }
@@ -700,17 +669,23 @@ impl<'a> GraphSender<'a> {
         Ok(())
     }
 
-    /// Completes the stream.
+    /// Completes the stream and publishes its [`SendStats`] — the one
+    /// place a sender feeds the `skyway.sender.*` counters, so a sender
+    /// dropped unfinished publishes nothing.
     pub fn finish(mut self) -> StreamOut {
         self.close_traverse_burst();
         self.stats.total_bytes = self.out.total_bytes();
-        self.metrics.bytes_cloned.add(self.stats.total_bytes);
         self.out.flush();
         let chunks = self.out.take_ready_chunks();
         for c in &chunks {
             self.note_chunk_sent(c.len());
         }
-        StreamOut { stream: self.stream, chunks, stats: self.stats }
+        let (reg, stats) = (&self.registry, self.stats);
+        reg.counter(obs::names::SENDER_OBJECTS_VISITED).add(stats.objects);
+        reg.counter(obs::names::SENDER_BYTES_CLONED).add(stats.total_bytes);
+        reg.counter(obs::names::SENDER_CAS_CONFLICTS).add(stats.cas_conflicts);
+        reg.counter(obs::names::SENDER_FALLBACK_HITS).add(stats.fallback_hits);
+        StreamOut { stream: self.stream, chunks, stats }
     }
 
     /// Completes a sender started with [`GraphSender::with_segment_base`],
@@ -785,12 +760,9 @@ impl<'a> GraphSender<'a> {
         chunks
     }
 
-    /// Records one emitted chunk in the histogram and the flight recorder.
+    /// Records one cut chunk in the chunk-size histogram.
     fn note_chunk_sent(&self, bytes: usize) {
-        self.metrics.chunk_bytes.record(bytes as u64);
-        self.metrics
-            .registry
-            .record(obs::Event::ChunkSent { sid: u32::from(self.sid), bytes: bytes as u64 });
+        self.registry.histogram(obs::names::SENDER_CHUNK_BYTES).record(bytes as u64);
     }
 
     /// The receiver object format this sender is writing for.
@@ -801,7 +773,7 @@ impl<'a> GraphSender<'a> {
     /// The registry this sender reports into (carriers emit their
     /// chunk-send spans through the same tracer).
     pub(crate) fn registry(&self) -> &Arc<obs::Registry> {
-        &self.metrics.registry
+        &self.registry
     }
 
     /// The sending VM's node name (span labeling).
@@ -812,7 +784,7 @@ impl<'a> GraphSender<'a> {
     /// Records one successful steal by this worker: a lane-attributed
     /// trace span annotated with the victim worker and batch size.
     pub(crate) fn note_steal(&self, victim: usize, batch: usize, dur_ns: u64) {
-        self.metrics.registry.tracer().record_closed_on(
+        self.registry.tracer().record_closed_on(
             obs::names::TRACE_SENDER_STEAL,
             self.trace_ctx,
             &self.vm.name,

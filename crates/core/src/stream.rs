@@ -72,7 +72,6 @@ impl ShuffleController {
         if wrapped {
             reg.counter(obs::names::SHUFFLE_SID_WRAPS).inc();
         }
-        reg.record(obs::Event::ShuffleStarted { sid: u32::from(self.sid()), phase: p });
         wrapped
     }
 

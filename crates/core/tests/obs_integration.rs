@@ -1,8 +1,8 @@
 //! End-to-end observability: a known three-object graph goes through a full
 //! `SkywayObjectOutputStream` → `SkywayObjectInputStream` transfer plus a
-//! receiver-side GC, all reporting into one private `obs::Registry`, and the
-//! resulting snapshot carries exact counter values, flight-recorder events,
-//! and survives a JSON round-trip.
+//! receiver-side GC, all reporting into one private `obs::Registry`: the
+//! resulting snapshot carries exact counter values and survives a JSON
+//! round-trip, and the registry's tracer holds the transfer's event log.
 
 use std::sync::Arc;
 
@@ -50,6 +50,8 @@ fn build_graph(vm: &mut Vm) -> mheap::Addr {
 #[test]
 fn full_transfer_reports_exact_metrics_and_roundtrips_as_json() {
     let reg = Arc::new(obs::Registry::new());
+    reg.tracer().set_enabled(true);
+    let ctx = reg.tracer().new_trace();
     let cp = classpath();
     let svm = Vm::new("tx", &HeapConfig::small().with_capacity(8 << 20), Arc::clone(&cp))
         .unwrap()
@@ -69,14 +71,16 @@ fn full_transfer_reports_exact_metrics_and_roundtrips_as_json() {
     let mut out =
         SkywayObjectOutputStream::new(&svm, &dir, NodeId(0), &controller, SendConfig::for_vm(&svm))
             .unwrap()
-            .with_metrics(Arc::clone(&reg));
+            .with_metrics(Arc::clone(&reg))
+            .with_trace(ctx);
     out.write_object(root).unwrap();
     let stream_out = out.finish();
     assert!(stream_out.stats.total_bytes > 0);
 
     // --- receive ---
-    let mut input =
-        SkywayObjectInputStream::new(&mut rvm, &dir, NodeId(1)).with_metrics(Arc::clone(&reg));
+    let mut input = SkywayObjectInputStream::new(&mut rvm, &dir, NodeId(1))
+        .with_metrics(Arc::clone(&reg))
+        .with_trace(ctx);
     for chunk in &stream_out.chunks {
         input.push_chunk(chunk).unwrap();
     }
@@ -120,12 +124,22 @@ fn full_transfer_reports_exact_metrics_and_roundtrips_as_json() {
     let pause = snap.histograms.get(obs::names::GC_PAUSE_NS).expect("gc pause histogram");
     assert_eq!(pause.count, 1);
 
-    // Flight recorder saw the phases of the transfer.
-    let kinds: Vec<&str> = snap.events.iter().map(|e| e.event.kind()).collect();
-    assert!(kinds.contains(&"chunk_sent"), "events: {kinds:?}");
-    assert!(kinds.contains(&"chunk_absorbed"), "events: {kinds:?}");
-    assert!(kinds.contains(&"class_loaded"), "events: {kinds:?}");
-    assert!(kinds.contains(&"gc_pause"), "events: {kinds:?}");
+    // Spans are the event log: the traversal, the absorbed chunk, the
+    // on-demand class load and the receiver's GC pause (attributed through
+    // the VM's trace cell) all recorded under the one trace id.
+    let spans = reg.tracer().spans();
+    for name in [
+        obs::names::TRACE_SENDER_TRAVERSE,
+        obs::names::TRACE_RECEIVER_CHUNK_ABSORB,
+        obs::names::TRACE_REGISTRY_CLASS_LOAD,
+        obs::names::TRACE_GC_PAUSE,
+    ] {
+        assert!(
+            spans.iter().any(|s| s.name == name && s.trace_id == ctx.trace_id),
+            "no {name} span under trace {}: {spans:?}",
+            ctx.trace_id
+        );
+    }
 
     // Profile bridge made it into the snapshot.
     let sect = snap.profiles.get("test.transfer").expect("profile section");
@@ -135,6 +149,7 @@ fn full_transfer_reports_exact_metrics_and_roundtrips_as_json() {
     // --- JSON round-trip ---
     let json = serde_json::to_string_pretty(&snap).unwrap();
     assert!(json.contains(obs::names::SENDER_OBJECTS_VISITED));
+    assert!(!json.contains("\"events\""), "spans are the only event stream");
     let back: obs::Snapshot = serde_json::from_str(&json).unwrap();
     assert_eq!(back, snap);
 }

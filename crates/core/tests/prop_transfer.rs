@@ -141,6 +141,23 @@ fn transfer_env() -> (Arc<TypeDirectory>, Vm, Vm) {
     (dir, sender, receiver)
 }
 
+/// The conservation laws a registry snapshot obeys once one engine transfer
+/// (and nothing else) has reported into it: every count has one producer,
+/// so what the sender published, what the receiver published and what the
+/// report says are the same numbers.
+fn check_conservation(snap: &obs::Snapshot, report: &skyway::PipelineReport) -> TestCaseResult {
+    use obs::names as n;
+    let absorbed = snap.counter(n::RECEIVER_OBJECTS_ABSORBED);
+    prop_assert_eq!(snap.counter(n::SENDER_OBJECTS_VISITED), absorbed);
+    prop_assert_eq!(absorbed, report.recv_stats.objects);
+    let bytes = snap.counter(n::RECEIVER_BYTES_ABSORBED);
+    prop_assert_eq!(snap.counter(n::SENDER_BYTES_CLONED), bytes);
+    prop_assert_eq!(bytes, report.chunk_bytes.iter().sum::<u64>());
+    prop_assert_eq!(snap.counter(n::RECEIVER_CHUNKS_ABSORBED), report.chunk_bytes.len() as u64);
+    prop_assert_eq!(snap.counter(n::RECEIVER_CARDS_DIRTIED), report.recv_stats.cards_dirtied);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -290,11 +307,13 @@ proptest! {
             .map(|&i| sender2.resolve(handles2[i]).unwrap())
             .collect();
 
+        let reg = Arc::new(obs::Registry::new());
         let engine = PipelineEngine::new(PipelineConfig {
             chunk_limit: chunk,
             depth,
             ..PipelineConfig::default()
-        });
+        })
+        .with_metrics(Arc::clone(&reg));
         let (pr, report) = engine
             .transfer(&sender, &mut receiver, &dir, NodeId(0), NodeId(1), 1, 1, &roots, None)
             .unwrap();
@@ -315,6 +334,7 @@ proptest! {
         prop_assert_eq!(report.recv_stats.ref_fixups, rstats.ref_fixups);
         prop_assert_eq!(report.recv_stats.chunks, rstats.chunks);
         prop_assert_eq!(report.send_stats.total_bytes, sstats.total_bytes);
+        check_conservation(&reg.snapshot(), &report)?;
     }
 
     // Parallel transfer (N work-stealing senders, N concurrent absorbers
@@ -343,6 +363,7 @@ proptest! {
         let handles2 = build(&mut sender2, &spec);
         let roots2: Vec<Addr> = handles2.iter().map(|h| sender2.resolve(*h).unwrap()).collect();
 
+        let reg = Arc::new(obs::Registry::new());
         let engine = PipelineEngine::new(PipelineConfig {
             chunk_limit: chunk,
             parallel: Some(ParallelConfig {
@@ -351,7 +372,8 @@ proptest! {
                 ..Default::default()
             }),
             ..PipelineConfig::default()
-        });
+        })
+        .with_metrics(Arc::clone(&reg));
         let (pr, report) = engine
             .transfer(&sender, &mut receiver, &dir, NodeId(0), NodeId(1), 1, 1, &roots, None)
             .unwrap();
@@ -374,5 +396,6 @@ proptest! {
         // sequential one, and everything cloned out was absorbed.
         prop_assert!(report.recv_stats.objects >= rstats.objects);
         prop_assert_eq!(report.send_stats.objects, report.recv_stats.objects);
+        check_conservation(&reg.snapshot(), &report)?;
     }
 }

@@ -130,12 +130,6 @@ impl Vm {
         reg.histogram(obs::names::GC_PAUSE_NS).record(pause_ns);
         reg.counter(obs::names::GC_PROMOTED_BYTES).add(promoted_bytes);
         reg.counter(obs::names::GC_CARDS_SCANNED).add(cards_scanned);
-        reg.record(obs::Event::GcPause {
-            vm: self.name.clone(),
-            full,
-            ns: pause_ns,
-            promoted_bytes,
-        });
         // Attribute the pause to the transfer that last touched this
         // heap (inert unless tracing is on and a context was attached).
         reg.tracer().record_closed(

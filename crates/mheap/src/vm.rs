@@ -85,7 +85,7 @@ pub struct Vm {
     pub(crate) temp_roots: Vec<Addr>,
     /// Statistics (public for reporting).
     pub stats: VmStats,
-    /// Where GC metrics and flight-recorder events are reported.
+    /// Where GC metrics and pause spans are reported.
     pub(crate) metrics: Arc<obs::Registry>,
     /// Trace context of the transfer that last touched this heap, so GC
     /// pauses can be attributed to the task that caused the allocation

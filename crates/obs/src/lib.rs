@@ -2,11 +2,15 @@
 //!
 //! Every shuffle, GC, and transfer path in the workspace reports into this
 //! crate: lock-free [`Counter`]s/[`Gauge`]s/[`Histogram`]s keyed by dotted
-//! names in a [`Registry`], and a bounded [`FlightRecorder`] ring of
-//! structured [`Event`]s (shuffle phases, chunks, on-demand class loads,
-//! GC pauses, baddr-CAS conflicts). A [`Registry::snapshot`] is an owned
+//! names in a [`Registry`], and a [`Tracer`] whose spans are the one event
+//! log (chunks, on-demand class loads, GC pauses and baddr-CAS conflicts
+//! are spans or span annotations). A [`Registry::snapshot`] is an owned
 //! [`Snapshot`] document that serializes to JSON and renders as a
 //! human-readable table.
+//!
+//! Hot loops count into the stats struct their layer already owns
+//! (`SendStats`, `ReceiveStats`, `VmStats`) and feed the registry from it
+//! once per stream end or collection, never per object, slot or root.
 //!
 //! Instrumented components default to the process-wide [`global`]
 //! registry but accept an explicit `Arc<Registry>` so tests can assert
@@ -19,12 +23,10 @@
 #![warn(missing_docs)]
 
 mod metrics;
-mod recorder;
 mod snapshot;
 mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, ScopedTimer, HISTOGRAM_BUCKETS};
-pub use recorder::{Event, FlightRecorder, TimedEvent};
 pub use snapshot::{HistogramSnapshot, ProfileSection, Snapshot};
 pub use trace::{
     chrome_trace_json, critical_path_summary, ActiveSpan, Span, SpanBuffer, TraceCtx, TraceCtxCell,
@@ -134,9 +136,6 @@ pub mod names {
     /// Counter: card-table cards scanned by minor collections.
     pub const GC_CARDS_SCANNED: &str = "mheap.gc.cards_scanned";
 
-    /// Counter: flight-recorder events evicted before capture (ring
-    /// full). Injected into every snapshot's counter section.
-    pub const OBS_EVENTS_DROPPED: &str = "skyway.obs.events_dropped";
     /// Counter: trace spans discarded because the span buffer's lifetime
     /// budget ran out. Injected into every snapshot's counter section.
     pub const OBS_SPANS_DROPPED: &str = "skyway.obs.spans_dropped";
@@ -180,49 +179,25 @@ pub mod names {
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock, RwLock};
 
-/// Default flight-recorder capacity for registries created with
-/// [`Registry::new`].
-pub const DEFAULT_EVENT_CAPACITY: usize = 4096;
-
 type MetricMap<T> = RwLock<BTreeMap<String, Arc<T>>>;
 
-/// A named collection of metrics plus a flight recorder.
+/// A named collection of metrics plus a span tracer.
 ///
-/// Metric handles are `Arc`s: call sites on hot paths look a metric up
-/// once (read lock, or one write lock on first use) and then update it
-/// with plain relaxed atomics.
-#[derive(Debug)]
+/// Metric handles are `Arc`s: a lookup is a read lock (one write lock on
+/// first use), an update a plain relaxed atomic.
+#[derive(Debug, Default)]
 pub struct Registry {
     counters: MetricMap<Counter>,
     gauges: MetricMap<Gauge>,
     histograms: MetricMap<Histogram>,
     profiles: RwLock<BTreeMap<String, ProfileSection>>,
-    recorder: FlightRecorder,
     tracer: Tracer,
 }
 
-impl Default for Registry {
-    fn default() -> Self {
-        Registry::new()
-    }
-}
-
 impl Registry {
-    /// A registry with the default event capacity.
+    /// An empty registry with tracing disabled.
     pub fn new() -> Self {
-        Registry::with_event_capacity(DEFAULT_EVENT_CAPACITY)
-    }
-
-    /// A registry whose flight recorder retains `capacity` events.
-    pub fn with_event_capacity(capacity: usize) -> Self {
-        Registry {
-            counters: RwLock::new(BTreeMap::new()),
-            gauges: RwLock::new(BTreeMap::new()),
-            histograms: RwLock::new(BTreeMap::new()),
-            profiles: RwLock::new(BTreeMap::new()),
-            recorder: FlightRecorder::new(capacity),
-            tracer: Tracer::default(),
-        }
+        Registry::default()
     }
 
     fn get_or_insert<T: Default>(map: &MetricMap<T>, name: &str) -> Arc<T> {
@@ -254,17 +229,6 @@ impl Registry {
         ScopedTimer::new(self.histogram(name))
     }
 
-    /// Pushes an event into the flight recorder; returns its sequence
-    /// number.
-    pub fn record(&self, event: Event) -> u64 {
-        self.recorder.record(event)
-    }
-
-    /// The flight recorder itself.
-    pub fn recorder(&self) -> &FlightRecorder {
-        &self.recorder
-    }
-
     /// The span tracer (disabled until [`Tracer::set_enabled`]).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
@@ -278,10 +242,9 @@ impl Registry {
 
     /// Captures everything into an owned, serializable [`Snapshot`].
     ///
-    /// The loss counters [`names::OBS_EVENTS_DROPPED`] and
-    /// [`names::OBS_SPANS_DROPPED`] are injected into the counter
-    /// section, so "did we silently lose telemetry?" is answerable from
-    /// every snapshot (JSON and text table alike).
+    /// The loss counter [`names::OBS_SPANS_DROPPED`] is injected into the
+    /// counter section, so "did we silently lose telemetry?" is answerable
+    /// from every snapshot (JSON and text table alike).
     pub fn snapshot(&self) -> Snapshot {
         let mut counters: BTreeMap<String, u64> = self
             .counters
@@ -290,7 +253,6 @@ impl Registry {
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect();
-        counters.insert(names::OBS_EVENTS_DROPPED.to_owned(), self.recorder.dropped());
         counters.insert(names::OBS_SPANS_DROPPED.to_owned(), self.tracer.dropped());
         let gauges = self
             .gauges
@@ -307,17 +269,10 @@ impl Registry {
             .map(|(k, v)| (k.clone(), HistogramSnapshot::capture(v)))
             .collect();
         let profiles = self.profiles.read().unwrap_or_else(|e| e.into_inner()).clone();
-        Snapshot {
-            counters,
-            gauges,
-            histograms,
-            profiles,
-            events: self.recorder.events(),
-            events_dropped: self.recorder.dropped(),
-        }
+        Snapshot { counters, gauges, histograms, profiles }
     }
 
-    /// Zeroes every metric and clears the event ring. Metric handles
+    /// Zeroes every metric and clears the span buffer. Metric handles
     /// stay valid. Intended for tests and between bench repetitions.
     pub fn reset(&self) {
         for c in self.counters.read().unwrap_or_else(|e| e.into_inner()).values() {
@@ -330,7 +285,6 @@ impl Registry {
             h.reset();
         }
         self.profiles.write().unwrap_or_else(|e| e.into_inner()).clear();
-        self.recorder.clear();
         self.tracer.clear();
     }
 }
@@ -413,31 +367,23 @@ mod tests {
 
     #[test]
     fn snapshot_captures_all_sections() {
-        let r = Registry::with_event_capacity(8);
+        let r = Registry::new();
         r.counter("c").add(7);
         r.gauge("g").set(1);
         r.histogram("h").record(100);
-        r.record(Event::Marker { label: "m".into() });
         r.put_profile("run", ProfileSection { ser_ns: 5, ..Default::default() });
         let s = r.snapshot();
         assert_eq!(s.counter("c"), 7);
         assert_eq!(s.gauge("g"), 1);
         assert_eq!(s.histograms["h"].count, 1);
         assert_eq!(s.profiles["run"].ser_ns, 5);
-        assert_eq!(s.events.len(), 1);
-        assert_eq!(s.events_dropped, 0);
     }
 
     #[test]
     fn snapshot_injects_loss_counters() {
-        let r = Registry::with_event_capacity(1);
-        r.record(Event::Marker { label: "a".into() });
-        r.record(Event::Marker { label: "b".into() });
-        let s = r.snapshot();
-        assert_eq!(s.counter(names::OBS_EVENTS_DROPPED), 1, "ring of 1 evicted one event");
-        assert_eq!(s.counter(names::OBS_SPANS_DROPPED), 0);
-        assert_eq!(s.events_dropped, 1);
-        assert!(s.to_string().contains(names::OBS_EVENTS_DROPPED), "text table shows the loss");
+        let s = Registry::new().snapshot();
+        assert_eq!(s.counters.get(names::OBS_SPANS_DROPPED), Some(&0));
+        assert!(s.to_string().contains(names::OBS_SPANS_DROPPED), "text table shows the loss");
     }
 
     #[test]
@@ -456,10 +402,8 @@ mod tests {
         let r = Registry::new();
         let c = r.counter("c");
         c.add(10);
-        r.record(Event::Marker { label: "m".into() });
         r.reset();
         assert_eq!(c.get(), 0);
-        assert!(r.recorder().events().is_empty());
         c.inc();
         assert_eq!(r.snapshot().counter("c"), 1);
     }

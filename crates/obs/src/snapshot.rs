@@ -6,7 +6,6 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::recorder::TimedEvent;
 use crate::Histogram;
 
 /// Summary of one histogram at snapshot time.
@@ -99,10 +98,6 @@ pub struct Snapshot {
     pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// Attached profile ledgers by label.
     pub profiles: BTreeMap<String, ProfileSection>,
-    /// Retained flight-recorder events, oldest first.
-    pub events: Vec<TimedEvent>,
-    /// Events the ring buffer evicted before this capture.
-    pub events_dropped: u64,
 }
 
 impl Snapshot {
@@ -159,16 +154,6 @@ impl fmt::Display for Snapshot {
                 )?;
             }
         }
-        writeln!(
-            f,
-            "-- events ({} retained, {} dropped) {:-<24}",
-            self.events.len(),
-            self.events_dropped,
-            ""
-        )?;
-        for ev in &self.events {
-            writeln!(f, "[{:>6}] {:>12} ns  {:?}", ev.seq, ev.ts_ns, ev.event)?;
-        }
         Ok(())
     }
 }
@@ -176,7 +161,6 @@ impl fmt::Display for Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::Event;
 
     #[test]
     fn snapshot_lookup_defaults_to_zero() {
@@ -195,9 +179,8 @@ mod tests {
             HistogramSnapshot { count: 1, sum: 5, min: 5, max: 5, p50: 5, p95: 5, p99: 5, p999: 5 },
         );
         s.profiles.insert("run".into(), ProfileSection::default());
-        s.events.push(TimedEvent { seq: 0, ts_ns: 1, event: Event::Marker { label: "x".into() } });
         let t = s.to_string();
-        for needle in ["counters", "gauges", "histograms", "profiles", "events", "a.b", "Marker"] {
+        for needle in ["counters", "gauges", "histograms", "profiles", "a.b", "run"] {
             assert!(t.contains(needle), "table missing {needle}: {t}");
         }
     }

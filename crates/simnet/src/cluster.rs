@@ -304,36 +304,21 @@ impl Cluster {
 
     // ----- chunk-granularity streaming -------------------------------------
 
-    /// Sends one chunk of an open stream from `src` to `dst`. Like
-    /// [`Cluster::net_send`], the sender is charged nothing at transport
-    /// level; the difference is on the receive side, where chunks of one
-    /// stream pay latency once, not per message.
-    ///
-    /// # Errors
-    /// [`Error::UnknownNode`].
-    pub fn net_send_chunk(&mut self, src: NodeId, dst: NodeId, payload: Vec<u8>) -> Result<()> {
-        self.net_send(src, dst, payload)
-    }
-
-    /// Receives the next chunk of a stream from `src` at `dst`. The first
-    /// chunk of a stream charges `latency + wire`, every later chunk only
-    /// its wire time — a cut-through model where consecutive chunks pipeline
-    /// on the link. Same-node transfers are charged as local reads.
+    /// Charges one `len`-byte chunk of a stream from `src` at `dst`, sizes
+    /// only — the payload itself moves in-process. The first chunk of a
+    /// stream charges `latency + wire`, every later chunk only its wire
+    /// time — a cut-through model where consecutive chunks pipeline on the
+    /// link. Same-node transfers are charged as local reads. As with
+    /// [`Cluster::net_send`], the sender pays nothing at transport level.
     ///
     /// Call [`Cluster::net_stream_done`] when the stream completes so the
     /// next stream on this link pays latency again.
     ///
     /// # Errors
-    /// [`Error::UnknownNode`] / [`Error::NothingToReceive`].
-    pub fn net_recv_chunk(&mut self, dst: NodeId, src: NodeId) -> Result<Vec<u8>> {
+    /// [`Error::UnknownNode`].
+    pub fn charge_chunk(&mut self, src: NodeId, dst: NodeId, len: u64) -> Result<()> {
         self.check(src)?;
         self.check(dst)?;
-        let payload = self
-            .queues
-            .get_mut(&(src, dst))
-            .and_then(|q| q.pop_front())
-            .ok_or(Error::NothingToReceive { src: src.0, dst: dst.0 })?;
-        let len = payload.len() as u64;
         let p = &mut self.profiles[dst.0];
         if src == dst {
             p.add_ns(Category::ReadIo, self.cfg.disk_read_ns(len));
@@ -345,11 +330,11 @@ impl Cluster {
             p.net_ns += ns;
             p.bytes_remote += len;
         }
-        Ok(payload)
+        Ok(())
     }
 
     /// Closes the chunk stream on the `src → dst` link (if one is open);
-    /// the next [`Cluster::net_recv_chunk`] on this link is a first chunk
+    /// the next [`Cluster::charge_chunk`] on this link is a first chunk
     /// again.
     pub fn net_stream_done(&mut self, src: NodeId, dst: NodeId) {
         self.open_streams.remove(&(src, dst));
@@ -379,36 +364,6 @@ impl Cluster {
         p.rpc_bytes += req_bytes + resp_bytes;
         let q = &mut self.profiles[responder.0];
         q.rpc_messages += 1;
-        q.rpc_bytes += req_bytes + resp_bytes;
-        Ok(())
-    }
-
-    /// Accounts one *streamed* RPC: a request/response exchange whose
-    /// response arrives as `resp_chunks` pipelined chunks. Unlike issuing
-    /// `resp_chunks` separate [`Cluster::rpc`]s, the requester pays the
-    /// round-trip latency once; wire time still covers every byte.
-    ///
-    /// # Errors
-    /// [`Error::UnknownNode`].
-    pub fn rpc_streamed(
-        &mut self,
-        requester: NodeId,
-        responder: NodeId,
-        req_bytes: u64,
-        resp_bytes: u64,
-        resp_chunks: u64,
-    ) -> Result<()> {
-        self.check(requester)?;
-        self.check(responder)?;
-        let rtt = 2 * self.cfg.net_latency_ns
-            + self.cfg.wire_ns(req_bytes)
-            + self.cfg.wire_ns(resp_bytes);
-        let p = &mut self.profiles[requester.0];
-        p.add_ns(Category::Compute, rtt);
-        p.rpc_messages += 1 + resp_chunks.max(1);
-        p.rpc_bytes += req_bytes + resp_bytes;
-        let q = &mut self.profiles[responder.0];
-        q.rpc_messages += 1 + resp_chunks.max(1);
         q.rpc_bytes += req_bytes + resp_bytes;
         Ok(())
     }
@@ -489,42 +444,24 @@ mod tests {
         let mut c = cluster();
         // Two 125 kB chunks: whole-payload charging would cost
         // 2 × (100_000 + 1_000_000) ns; the stream pays latency once.
-        c.net_send_chunk(NodeId(0), NodeId(2), vec![1u8; 125_000]).unwrap();
-        c.net_send_chunk(NodeId(0), NodeId(2), vec![2u8; 125_000]).unwrap();
-        let a = c.net_recv_chunk(NodeId(2), NodeId(0)).unwrap();
-        let b = c.net_recv_chunk(NodeId(2), NodeId(0)).unwrap();
-        assert_eq!((a[0], b[0]), (1, 2));
+        c.charge_chunk(NodeId(0), NodeId(2), 125_000).unwrap();
+        c.charge_chunk(NodeId(0), NodeId(2), 125_000).unwrap();
         let p = c.profile(NodeId(2));
         assert_eq!(p.net_ns, 100_000 + 2 * 1_000_000);
         assert_eq!(p.bytes_remote, 250_000);
         // Closing the stream makes the next chunk a first chunk again.
         c.net_stream_done(NodeId(0), NodeId(2));
-        c.net_send_chunk(NodeId(0), NodeId(2), vec![3u8; 125_000]).unwrap();
-        c.net_recv_chunk(NodeId(2), NodeId(0)).unwrap();
+        c.charge_chunk(NodeId(0), NodeId(2), 125_000).unwrap();
         assert_eq!(c.profile(NodeId(2)).net_ns, 2 * 100_000 + 3 * 1_000_000);
     }
 
     #[test]
     fn local_chunk_stream_charges_disk_not_net() {
         let mut c = cluster();
-        c.net_send_chunk(NodeId(1), NodeId(1), vec![0u8; 4096]).unwrap();
-        c.net_recv_chunk(NodeId(1), NodeId(1)).unwrap();
+        c.charge_chunk(NodeId(1), NodeId(1), 4096).unwrap();
         let p = c.profile(NodeId(1));
         assert_eq!(p.net_ns, 0);
         assert_eq!(p.bytes_local, 4096);
-    }
-
-    #[test]
-    fn streamed_rpc_pays_one_round_trip() {
-        let mut c = cluster();
-        c.rpc_streamed(NodeId(1), NodeId(0), 64, 1_000_000, 8).unwrap();
-        let p = c.profile(NodeId(1));
-        // One RTT (2 × 100_000) + wire time for both directions — far less
-        // than eight separate rpc() calls, each with its own latency pair.
-        let wire = 64 * 1_000_000_000 / 125_000_000 + 1_000_000 * 8;
-        assert_eq!(p.ns(Category::Compute), 200_000 + wire);
-        assert_eq!(p.rpc_messages, 9);
-        assert_eq!(p.rpc_bytes, 1_000_064);
     }
 
     #[test]

@@ -631,7 +631,9 @@ impl SparkCluster {
                             .seg_store
                             .seal_traced(&self.vms[node.0], &self.dir, node, &roots, stage_ctx)
                             .map_err(Error::Store)?;
-                        self.cluster.profile_mut(node).add_ns(Category::Ser, seal.seal_ns);
+                        let prof = self.cluster.profile_mut(node);
+                        prof.add_ns(Category::Ser, seal.seal_ns);
+                        prof.objects_transferred += seal.stats.objects;
                         sealed_spills.push((dst_idx, seal.base));
                     }
                     continue;

@@ -224,6 +224,11 @@ fn pipelined_shuffle_matches_sequential_results() {
     let seq_counts = run_wordcount(&mut seq, sample_lines()).unwrap();
     let pipe_counts = run_wordcount(&mut pipe, sample_lines()).unwrap();
     assert_eq!(seq_counts, pipe_counts);
+    assert_eq!(
+        seq.aggregate_profile().objects_transferred,
+        pipe.aggregate_profile().objects_transferred,
+        "the engine route charges the objects it moves"
+    );
 
     let g = generate(GraphKind::LiveJournal, 20_000, 7);
     let mut seq = mk(false);
@@ -254,6 +259,11 @@ fn shared_segment_shuffle_matches_spill_results() {
     let a = run_wordcount(&mut spill, sample_lines()).unwrap();
     let b = run_wordcount(&mut shared, sample_lines()).unwrap();
     assert_eq!(a, b);
+    assert_eq!(
+        spill.aggregate_profile().objects_transferred,
+        shared.aggregate_profile().objects_transferred,
+        "the seal route charges the objects it moves"
+    );
 
     // The same-node buckets really took the seal/attach path…
     assert!(shared.shared_spill_count() > 0, "no same-node bucket was sealed");
