@@ -192,34 +192,6 @@ fn ablation_kryo_comparison(cp: &Arc<ClassPath>) {
     }
 }
 
-fn ablation_wire_compression(cp: &Arc<ClassPath>) {
-    println!("\n--- Ablation 5: compressed wire format (paper's future work) ---");
-    println!("  {:>12} {:>12} {:>10} {:>10}", "bytes", "vs plain", "ser ms", "deser ms");
-    for compressed in [false, true] {
-        let (mut sender, mut receiver, dir) = fresh_pair(cp);
-        let handles = build_dataset(&mut sender, 5_000).expect("dataset");
-        let roots: Vec<_> = handles.iter().map(|h| sender.resolve(*h).unwrap()).collect();
-        let tx = skyway_for(&dir, 0).with_wire_compression(compressed);
-        let rx = skyway_for(&dir, 1).with_wire_compression(compressed);
-        let mut p = Profile::new();
-        let bytes = serialize_profiled(&tx, &mut sender, &roots, &mut p).expect("ser");
-        deserialize_profiled(&rx, &mut receiver, &bytes, &mut p).expect("deser");
-        println!(
-            "  {:>12} {:>11} {:>10.2} {:>10.2}   ({})",
-            bytes.len(),
-            if compressed { "smaller" } else { "baseline" },
-            p.ns(simnet::Category::Ser) as f64 / 1e6,
-            p.ns(simnet::Category::Deser) as f64 / 1e6,
-            if compressed {
-                "compressed: no baddr word / 4-byte array lengths on the wire"
-            } else {
-                "plain: heap format as-is"
-            },
-        );
-    }
-    println!("  trade-off: smaller streams vs a per-object expansion copy on receive");
-}
-
 fn main() {
     let cp = ClassPath::new();
     define_jsbs_classes(&cp);
@@ -228,7 +200,6 @@ fn main() {
     ablation_chunk_size(&cp);
     ablation_registry(&cp);
     ablation_tracking(&cp);
-    ablation_wire_compression(&cp);
     ablation_kryo_comparison(&cp);
     skyway_bench::dump_metrics();
 }

@@ -271,32 +271,25 @@ impl OutputBuffer {
     }
 }
 
-/// Frames a finished stream of chunks into one self-describing byte blob
-/// (what a Spark shuffle file or a socket payload carries).
-///
-/// Layout v1: `magic "SKYW" | version u8 | flags u8 | chunk_count u32 |`
-/// then per chunk `len u32 | bytes`. Version 2 (emitted only when a live
-/// trace context is attached — see [`frame_chunks_traced`]) inserts
-/// `trace_id u64 | parent_span u64` between the count and the chunks, so
-/// the receiver re-attaches the sender's transfer trace.
-pub fn frame_chunks(chunks: &[Vec<u8>], flags: u8) -> Vec<u8> {
-    frame_chunks_traced(chunks, flags, obs::TraceCtx::NONE)
-}
+/// The only frame version there is.
+const FRAME_VERSION: u8 = 1;
 
-/// [`frame_chunks`] with a trace context propagated in the header.
-/// [`obs::TraceCtx::NONE`] produces a plain v1 frame, so untraced blobs
-/// stay byte-identical to older writers.
-pub fn frame_chunks_traced(chunks: &[Vec<u8>], flags: u8, ctx: obs::TraceCtx) -> Vec<u8> {
+/// Bytes before the first chunk: magic, version, flags, chunk count.
+const FRAME_HEADER: usize = 10;
+
+/// Frames a finished stream of chunks into one self-describing byte blob
+/// (what a Spark shuffle file or a socket payload carries) — the one
+/// container a Skyway stream travels in.
+///
+/// Layout: `magic "SKYW" | version u8 = 1 | flags u8 | chunk_count u32 |`
+/// then per chunk `len u32 | bytes`, integers little-endian.
+pub fn frame_chunks(chunks: &[Vec<u8>], flags: u8) -> Vec<u8> {
     let total: usize = chunks.iter().map(|c| c.len() + 4).sum();
-    let mut out = Vec::with_capacity(total + 26);
+    let mut out = Vec::with_capacity(total + FRAME_HEADER);
     out.extend_from_slice(b"SKYW");
-    out.push(if ctx.is_none() { 1 } else { 2 }); // version
+    out.push(FRAME_VERSION);
     out.push(flags);
     out.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
-    if !ctx.is_none() {
-        out.extend_from_slice(&ctx.trace_id.to_le_bytes());
-        out.extend_from_slice(&ctx.parent.to_le_bytes());
-    }
     for c in chunks {
         out.extend_from_slice(&(c.len() as u32).to_le_bytes());
         out.extend_from_slice(c);
@@ -304,66 +297,40 @@ pub fn frame_chunks_traced(chunks: &[Vec<u8>], flags: u8, ctx: obs::TraceCtx) ->
     out
 }
 
-/// Reads a little-endian `u32` at `pos`, bounds-checked.
-fn read_u32_le(blob: &[u8], pos: usize) -> Result<u32> {
-    let s =
-        blob.get(pos..pos + 4).ok_or_else(|| Error::BadFrame("truncated chunk header".into()))?;
-    let mut a = [0u8; 4];
-    a.copy_from_slice(s);
-    Ok(u32::from_le_bytes(a))
-}
-
-/// Reads a little-endian `u64` at `pos`, bounds-checked.
-fn read_u64_le(blob: &[u8], pos: usize) -> Result<u64> {
-    let s =
-        blob.get(pos..pos + 8).ok_or_else(|| Error::BadFrame("truncated trace header".into()))?;
-    let mut a = [0u8; 8];
-    a.copy_from_slice(s);
-    Ok(u64::from_le_bytes(a))
-}
-
-/// Parses a framed blob back into chunks (borrowed slices), discarding
-/// any propagated trace context.
+/// Parses a framed blob back into its flags and chunks (borrowed slices).
+/// Every count and length in the blob is untrusted: the blob is only ever
+/// split at positions its own remaining length has bounded, and nothing is
+/// allocated for a count the blob could not hold.
 ///
 /// # Errors
-/// [`Error::BadFrame`] for wrong magic/version/truncation.
+/// [`Error::BadFrame`] for a wrong magic or version, a chunk count the blob
+/// cannot hold, or truncation.
 pub fn parse_frames(blob: &[u8]) -> Result<(u8, Vec<&[u8]>)> {
-    let (flags, _, chunks) = parse_frames_traced(blob)?;
-    Ok((flags, chunks))
-}
-
-/// Parses a framed blob back into chunks plus the trace context
-/// propagated in a v2 header ([`obs::TraceCtx::NONE`] for v1 frames).
-///
-/// # Errors
-/// [`Error::BadFrame`] for wrong magic/version/truncation.
-pub fn parse_frames_traced(blob: &[u8]) -> Result<(u8, obs::TraceCtx, Vec<&[u8]>)> {
-    if blob.len() < 10 || &blob[0..4] != b"SKYW" {
+    let Some((&[b'S', b'K', b'Y', b'W', version, flags, n @ ..], mut rest)) =
+        blob.split_first_chunk::<FRAME_HEADER>()
+    else {
         return Err(Error::BadFrame("missing SKYW magic".into()));
-    }
-    if blob[4] != 1 && blob[4] != 2 {
-        return Err(Error::BadFrame(format!("unsupported version {}", blob[4])));
-    }
-    let flags = blob[5];
-    let n = read_u32_le(blob, 6)? as usize;
-    let (ctx, mut pos) = if blob[4] == 2 {
-        let ctx =
-            obs::TraceCtx { trace_id: read_u64_le(blob, 10)?, parent: read_u64_le(blob, 18)? };
-        (ctx, 26)
-    } else {
-        (obs::TraceCtx::NONE, 10)
     };
+    if version != FRAME_VERSION {
+        return Err(Error::BadFrame(format!("unsupported version {version}")));
+    }
+    let n = u32::from_le_bytes(n) as usize;
+    // Every chunk costs at least its length word.
+    if n > rest.len() / 4 {
+        return Err(Error::BadFrame(format!("{n} chunks cannot fit {} bytes", rest.len())));
+    }
     let mut chunks = Vec::with_capacity(n);
     for _ in 0..n {
-        let len = read_u32_le(blob, pos)? as usize;
-        pos += 4;
-        if pos + len > blob.len() {
-            return Err(Error::BadFrame("truncated chunk body".into()));
-        }
-        chunks.push(&blob[pos..pos + len]);
-        pos += len;
+        let (len, body) = rest
+            .split_first_chunk::<4>()
+            .ok_or_else(|| Error::BadFrame("truncated chunk header".into()))?;
+        let (chunk, tail) = body
+            .split_at_checked(u32::from_le_bytes(*len) as usize)
+            .ok_or_else(|| Error::BadFrame("truncated chunk body".into()))?;
+        chunks.push(chunk);
+        rest = tail;
     }
-    Ok((flags, ctx, chunks))
+    Ok((flags, chunks))
 }
 
 #[cfg(test)]
@@ -446,35 +413,38 @@ mod tests {
         assert!(parse_frames(b"nope").is_err());
         // Version 3 does not exist.
         assert!(parse_frames(b"SKYW\x03\x00\x00\x00\x00\x00").is_err());
-        // Version 2 without its 16-byte trace header is truncated.
+        // Version 2 is rejected for its version, not for truncation.
         assert!(parse_frames(b"SKYW\x02\x00\x01\x00\x00\x00").is_err());
         let blob = frame_chunks(&[vec![1, 2, 3]], 0);
         assert!(parse_frames(&blob[..blob.len() - 1]).is_err());
     }
 
     #[test]
-    fn traced_frames_roundtrip_the_context() {
-        let ctx = obs::TraceCtx { trace_id: 0xdead_beef, parent: 42 };
-        let blob = frame_chunks_traced(&[vec![0u8; 8], vec![1u8; 16]], 5, ctx);
-        assert_eq!(blob[4], 2, "live context promotes the frame to v2");
-        let (flags, got, chunks) = parse_frames_traced(&blob).unwrap();
-        assert_eq!(flags, 5);
-        assert_eq!(got, ctx);
-        assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[1].len(), 16);
-        // The trace-blind parser still reads v2 frames.
-        let (flags, chunks) = parse_frames(&blob).unwrap();
-        assert_eq!(flags, 5);
-        assert_eq!(chunks.len(), 2);
+    fn frame_header_bytes_are_pinned() {
+        let blob = frame_chunks(&[vec![0xaa, 0xbb, 0xcc], vec![]], 0b11);
+        assert_eq!(blob, b"SKYW\x01\x03\x02\0\0\0\x03\0\0\0\xaa\xbb\xcc\0\0\0\0");
+        assert_eq!(frame_chunks(&[], 0), b"SKYW\x01\0\0\0\0\0");
     }
 
     #[test]
-    fn untraced_frames_stay_v1() {
-        let blob = frame_chunks_traced(&[vec![0u8; 8]], 0, obs::TraceCtx::NONE);
-        assert_eq!(blob[4], 1);
-        assert_eq!(blob, frame_chunks(&[vec![0u8; 8]], 0));
-        let (_, ctx, _) = parse_frames_traced(&blob).unwrap();
-        assert!(ctx.is_none());
+    fn chunk_count_is_bounded_by_the_blob_before_allocating() {
+        // Ten bytes claiming u32::MAX chunks: sizing a Vec by that count
+        // would abort the process.
+        let e = parse_frames(b"SKYW\x01\x00\xff\xff\xff\xff").unwrap_err();
+        assert!(matches!(e, Error::BadFrame(_)), "{e}");
+        // One more chunk than the body's length words can account for.
+        let mut blob = frame_chunks(&[vec![], vec![]], 0);
+        blob[6] = 3;
+        assert!(matches!(parse_frames(&blob), Err(Error::BadFrame(_))));
+    }
+
+    #[test]
+    fn only_version_one_parses() {
+        for v in [0u8, 2, 3, 0xff] {
+            let mut blob = frame_chunks(&[vec![7u8; 8]], 0);
+            blob[4] = v;
+            assert!(matches!(parse_frames(&blob), Err(Error::BadFrame(_))), "version {v}");
+        }
     }
 
     #[test]

@@ -9,12 +9,19 @@
 //!   registry plus per-worker views, so one integer identifies a class
 //!   cluster-wide;
 //! * [`sender`] — the GC-like traversal (§4.2, Algorithm 2): clone objects
-//!   into per-destination output buffers, sanitize headers, relativize
-//!   references through the `baddr` word, stream chunks, support parallel
-//!   sender threads via CAS;
+//!   into per-destination output buffers — already in the *receiver's*
+//!   object format, the one place formats are adjusted (§3.1) — sanitize
+//!   headers, relativize references through the `baddr` word, stream
+//!   chunks, settle objects shared between sending threads via CAS;
+//! * [`buffer`] — the output buffer and the one container its chunks
+//!   travel in: `SKYW | version 1 | spec flags | chunk_count | (len |
+//!   bytes)*`, written by [`buffer::frame_chunks`] and read by
+//!   [`buffer::parse_frames`];
 //! * [`receiver`] — input buffers allocated in the old generation, one
 //!   linear absolutization pass, on-demand class loading, card-table
 //!   updates (§4.3);
+//! * [`pipeline`] — the transfer engine: N sender lanes (the sending
+//!   threads of §4.2) streaming chunks to N absorbers, overlapped;
 //! * [`stream`] — the developer-facing API (§3.3): output/input streams,
 //!   `shuffle_start`, `register_update` hooks;
 //! * [`serializer`] — the [`serlab::Serializer`] adapter that lets Skyway
@@ -61,8 +68,6 @@
 #![warn(missing_docs)]
 
 pub mod buffer;
-pub mod compress;
-pub mod io;
 pub mod pipeline;
 pub mod receiver;
 pub mod registry;
@@ -71,18 +76,13 @@ pub mod serializer;
 pub mod stream;
 
 pub use buffer::ChunkPool;
-pub use io::{
-    SkywayFileInputStream, SkywayFileOutputStream, SkywaySocketInputStream,
-    SkywaySocketOutputStream,
-};
 pub use pipeline::{
     sequential_transfer, PipelineConfig, PipelineEngine, PipelineReport, TransferMode,
 };
 pub use receiver::{GraphReceiver, ReceiveStats};
 pub use registry::{RegistryStats, TypeDirectory};
 pub use sender::{
-    send_roots_parallel, GraphSender, ParallelConfig, ParallelSend, SegmentImage, SendConfig,
-    SendStats, StreamOut, Tracking,
+    GraphSender, ParallelConfig, SegmentImage, SendConfig, SendStats, StreamOut, Tracking,
 };
 pub use serializer::SkywaySerializer;
 pub use stream::{
@@ -130,8 +130,6 @@ pub enum Error {
     NullRoot,
     /// Internal: an update hook index went stale.
     NoSuchHook(usize),
-    /// Cluster-fabric error from a carrier stream (file/socket).
-    Cluster(simnet::Error),
 }
 
 impl std::fmt::Display for Error {
@@ -158,7 +156,6 @@ impl std::fmt::Display for Error {
             }
             Error::NullRoot => write!(f, "cannot transfer a null root"),
             Error::NoSuchHook(i) => write!(f, "no update hook at index {i}"),
-            Error::Cluster(e) => write!(f, "cluster error: {e}"),
         }
     }
 }
@@ -167,7 +164,6 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::Heap(e) => Some(e),
-            Error::Cluster(e) => Some(e),
             _ => None,
         }
     }

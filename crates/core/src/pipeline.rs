@@ -362,8 +362,11 @@ impl PipelineEngine {
     /// the pipeline strictly slower than the sequential path.
     ///
     /// `src`/`dst` are the nodes the VMs live on; `sid`/`stream` identify
-    /// the shuffle stream exactly as on the sequential path (lane `t` of a
-    /// parallel transfer sends as `stream + t`).
+    /// the shuffle stream exactly as on the sequential path. Lane `t` sends
+    /// as `stream + t`, so the caller owns the ids `stream .. stream + lanes`
+    /// (`lanes` = the configured `parallel` workers, else 1) and must not
+    /// hand any of them to another stream of the same phase — reserve them
+    /// with [`crate::ShuffleController::next_stream_block`].
     ///
     /// # Errors
     /// Heap/registry/corrupt-stream errors from either side; sender-side

@@ -14,12 +14,12 @@
 //! * card-table entries covering the buffers are dirtied so the collector
 //!   accounts for the new pointers.
 //!
-//! One absorber does all of it: [`AbsorbCore`] scans over a shared `&Vm`,
+//! One absorber does all of it: `AbsorbCore` scans over a shared `&Vm`,
 //! carving its input buffers out of the heap's shared old-generation window,
 //! so N of them can absorb the concurrent streams of one transfer. Whoever
 //! holds the `&mut Vm` opens that window, runs the absorbers, and ends with
-//! exactly one of [`adopt`] (close the window, one batched card pass, update
-//! hooks) or [`abandon`] (close it and hand the buffers back as filler).
+//! exactly one of `adopt` (close the window, one batched card pass, update
+//! hooks) or `abandon` (close it and hand the buffers back as filler).
 //! [`GraphReceiver`] is that owner for a single stream; the pipeline engine
 //! is the owner for N.
 
@@ -508,7 +508,7 @@ pub(crate) fn abandon(vm: &mut Vm, streams: &[AbsorbCore<'_>]) {
 /// The receiver side of one stream for callers that hold the `&mut Vm`
 /// themselves: accumulates chunks and absolutizes them — either in one pass
 /// at [`GraphReceiver::finish`] or chunk by chunk as they arrive via
-/// [`GraphReceiver::absorb_ready`]. A thin owner over one [`AbsorbCore`]:
+/// [`GraphReceiver::absorb_ready`]. A thin owner over one `AbsorbCore`:
 /// it opens the heap's shared allocation window, and closes it again by
 /// adopting the stream in `finish` or by abandoning it when dropped
 /// unfinished.
@@ -562,15 +562,6 @@ impl<'a> GraphReceiver<'a> {
         self
     }
 
-    /// Re-attaches a trace context mid-stream (wire carriers learn the
-    /// context from the first traced frame, after construction).
-    pub fn attach_trace(&mut self, ctx: obs::TraceCtx) {
-        if !ctx.is_none() {
-            self.core.trace_ctx = ctx;
-            self.vm.set_trace_ctx(ctx);
-        }
-    }
-
     /// Places one received chunk into a fresh old-generation input buffer.
     /// Chunks must arrive in stream order (they do: links are FIFO).
     ///
@@ -582,7 +573,7 @@ impl<'a> GraphReceiver<'a> {
     }
 
     /// Absolutizes every chunk placed so far but not yet absorbed (see
-    /// [`AbsorbCore::absorb_ready`]).
+    /// `AbsorbCore::absorb_ready`).
     ///
     /// # Errors
     /// Corrupt-stream and heap errors.

@@ -314,12 +314,6 @@ impl<'a> GraphSender<'a> {
         self
     }
 
-    /// The trace context this stream's spans attach to (for carriers
-    /// that propagate it on the wire).
-    pub fn trace_ctx(&self) -> obs::TraceCtx {
-        self.trace_ctx
-    }
-
     /// Records this stream's spans on worker lane `lane` (its own Perfetto
     /// thread row) instead of the node's main lane.
     #[must_use]
@@ -746,7 +740,7 @@ impl<'a> GraphSender<'a> {
         Ok(Some(total))
     }
 
-    /// Chunks that have already flushed (streaming carriers drain these so
+    /// Chunks that have already flushed (the engine's lanes drain these so
     /// transfer overlaps with the traversal, §3.2).
     pub fn take_ready_chunks(&mut self) -> Vec<Vec<u8>> {
         let chunks = self.out.take_ready_chunks();
@@ -763,22 +757,6 @@ impl<'a> GraphSender<'a> {
     /// Records one cut chunk in the chunk-size histogram.
     fn note_chunk_sent(&self, bytes: usize) {
         self.registry.histogram(obs::names::SENDER_CHUNK_BYTES).record(bytes as u64);
-    }
-
-    /// The receiver object format this sender is writing for.
-    pub fn receiver_spec(&self) -> LayoutSpec {
-        self.cfg.receiver_spec
-    }
-
-    /// The registry this sender reports into (carriers emit their
-    /// chunk-send spans through the same tracer).
-    pub(crate) fn registry(&self) -> &Arc<obs::Registry> {
-        &self.registry
-    }
-
-    /// The sending VM's node name (span labeling).
-    pub(crate) fn node_name(&self) -> &str {
-        &self.vm.name
     }
 
     /// Records one successful steal by this worker: a lane-attributed
@@ -843,7 +821,7 @@ pub(crate) struct StealSet {
 impl StealSet {
     /// Partitions `roots` into contiguous per-worker blocks (contiguity
     /// keeps a steal's batch adjacent in the original root order, which
-    /// the receiver's index table reassembles anyway).
+    /// the engine's per-lane index tables reassemble anyway).
     pub(crate) fn new(roots: &[Addr], workers: usize) -> Self {
         let workers = workers.max(1);
         let per = roots.len().div_ceil(workers).max(1);
@@ -984,81 +962,4 @@ pub(crate) fn send_lane<'a>(
         out.chunks.into_iter().all(&mut sink);
     }
     Ok(LaneSent { stats: out.stats, order: feed.into_order() })
-}
-
-/// Result of a work-stealing parallel send: the non-empty streams, the
-/// original root index of every emitted root (per stream, in emission
-/// order — the receiver's reassembly table), and the steal count.
-#[derive(Debug)]
-pub struct ParallelSend {
-    /// Finished streams (workers that never claimed a root produce none).
-    pub streams: Vec<StreamOut>,
-    /// `root_order[i][j]` = original index in `roots` of the `j`-th root
-    /// emitted by `streams[i]`.
-    pub root_order: Vec<Vec<u32>>,
-    /// Successful inter-worker steals during the traversal.
-    pub steals: u64,
-}
-
-/// Sends `roots` using work-stealing parallel streams over one shared heap
-/// (§4.2 "Support for Threads"): roots start as contiguous per-worker
-/// blocks, idle workers steal from victims, each worker claims objects via
-/// CAS on `baddr`, and objects reached by several workers are duplicated
-/// per stream. Worker `t` sends as stream `stream_base + t`; workers that
-/// end up with zero roots (all stolen away, or more workers than roots)
-/// exit without allocating a stream.
-///
-/// # Errors
-/// Propagates the first sender error from any worker.
-#[allow(clippy::too_many_arguments)]
-pub fn send_roots_parallel(
-    vm: &Vm,
-    dir: &TypeDirectory,
-    node: NodeId,
-    sid: u8,
-    stream_base: u16,
-    roots: &[Addr],
-    par: &ParallelConfig,
-    cfg: SendConfig,
-) -> Result<ParallelSend> {
-    let workers = par.workers.max(1);
-    let steal_set = StealSet::new(roots, workers);
-    let results: Vec<Result<(LaneSent, Vec<Vec<u8>>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|t| {
-                let steal_set = &steal_set;
-                scope.spawn(move || {
-                    let mut chunks = Vec::new();
-                    let stream = stream_base.wrapping_add(t as u16);
-                    let sent = send_lane(
-                        || {
-                            Ok(GraphSender::new(vm, dir, node, sid, stream, cfg)?
-                                .with_lane(t as u32 + 1))
-                        },
-                        RootFeed::stealing(steal_set, t),
-                        |c| {
-                            chunks.push(c);
-                            true
-                        },
-                    )?;
-                    Ok((sent, chunks))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    });
-    let mut streams = Vec::new();
-    let mut root_order = Vec::new();
-    for (t, r) in results.into_iter().enumerate() {
-        let (LaneSent { stats, order }, chunks) = r?;
-        if !order.is_empty() {
-            streams.push(StreamOut { stream: stream_base.wrapping_add(t as u16), chunks, stats });
-            root_order.push(order);
-        }
-    }
-    obs::global().counter(obs::names::SENDER_STEALS).add(steal_set.steals());
-    Ok(ParallelSend { streams, root_order, steals: steal_set.steals() })
 }

@@ -87,8 +87,8 @@ impl ShuffleController {
     }
 
     /// Allocates `n` *contiguous* stream ids within the current phase and
-    /// returns the first — parallel transfer gives worker `t` stream
-    /// `base + t`, so one reservation covers the whole worker fleet.
+    /// returns the first — the engine's lane `t` sends as stream
+    /// `base + t`, so one reservation covers every lane of a transfer.
     pub fn next_stream_block(&self, n: u16) -> u16 {
         let n = n.max(1);
         obs::global().counter(obs::names::SHUFFLE_STREAMS_ALLOCATED).add(u64::from(n));
@@ -188,8 +188,8 @@ impl UpdateRegistry {
 }
 
 /// The analogue of `SkywayObjectOutputStream`: `write_object(root)` calls
-/// transfer whole object graphs; `finish()` yields the stream chunks for
-/// whatever carrier (file, socket) the caller wraps this in.
+/// transfer whole object graphs; `finish()` yields the stream chunks, which
+/// [`crate::buffer::frame_chunks`] turns into the blob a carrier moves.
 pub struct SkywayObjectOutputStream<'a> {
     sender: GraphSender<'a>,
     roots_written: usize,
@@ -229,8 +229,7 @@ impl<'a> SkywayObjectOutputStream<'a> {
     }
 
     /// Attaches the stream to a transfer trace context (see
-    /// [`ShuffleController::begin_transfer`]); wire carriers propagate it
-    /// in the frame header.
+    /// [`ShuffleController::begin_transfer`]).
     #[must_use]
     pub fn with_trace(mut self, ctx: obs::TraceCtx) -> Self {
         self.sender = self.sender.with_trace(ctx);
@@ -285,8 +284,8 @@ impl<'a> SkywayObjectInputStream<'a> {
         self
     }
 
-    /// Re-attaches a transfer trace context on the receiving side (wire
-    /// carriers do this automatically from traced frame headers).
+    /// Attaches the receiving side to the sender's transfer trace context
+    /// (the frame does not carry it; the caller hands it over in-process).
     #[must_use]
     pub fn with_trace(mut self, ctx: obs::TraceCtx) -> Self {
         self.receiver = self.receiver.with_trace(ctx);
@@ -338,5 +337,13 @@ mod tests {
         assert_ne!(a, 0);
         c.start_phase();
         assert_eq!(c.next_stream(), a, "stream counter resets each phase");
+    }
+
+    #[test]
+    fn a_block_reserves_every_id_in_it() {
+        let c = ShuffleController::new();
+        c.next_stream();
+        let base = c.next_stream_block(4);
+        assert_eq!(c.next_stream(), base + 4, "ids base..base+4 belong to the block's owner");
     }
 }

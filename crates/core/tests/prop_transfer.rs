@@ -238,14 +238,24 @@ proptest! {
             LayoutSpec::SKYWAY,
         );
         let mut p = Profile::new();
-        let mut bytes = sky_tx.serialize(&mut sender, &roots, &mut p).unwrap();
-        for (pos, val) in &flips {
-            let i = *pos as usize % bytes.len();
-            bytes[i] ^= *val | 1;
+        let pristine = sky_tx.serialize(&mut sender, &roots, &mut p).unwrap();
+        // Once anywhere in the blob, once confined to the 10-byte frame
+        // header (magic, version, flags, chunk count).
+        for span in [pristine.len(), 10] {
+            let mut bytes = pristine.clone();
+            for (pos, val) in &flips {
+                bytes[*pos as usize % span] ^= *val | 1;
+            }
+            // Corruption must never panic. (An Ok result is possible when
+            // the flips only hit primitive payload or dead padding, or
+            // cancel each other out.)
+            let _ = sky_rx.deserialize(&mut receiver, &bytes, &mut p);
+            if span == 10 {
+                // With the chunks intact, whatever a damaged header lets
+                // through is whole chunks of a valid stream.
+                prop_assert_eq!(receiver.verify_heap().unwrap(), vec![]);
+            }
         }
-        // Corruption must never panic. (An Ok result is possible when the
-        // flips only hit primitive payload or dead padding.)
-        let _ = sky_rx.deserialize(&mut receiver, &bytes, &mut p);
     }
 
     #[test]

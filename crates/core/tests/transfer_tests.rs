@@ -4,14 +4,15 @@
 
 use std::sync::Arc;
 
+use mheap::layout::baddr;
 use mheap::{Addr, ClassPath, HeapConfig, LayoutSpec, Vm};
 use serlab::jsbs::{build_dataset, define_jsbs_classes, verify_media_content};
 use serlab::Serializer;
 use simnet::{NodeId, Profile};
 use skyway::{
-    scrub_baddrs, send_roots_parallel, ParallelConfig, SendConfig, ShuffleController,
-    SkywayObjectInputStream, SkywayObjectOutputStream, SkywaySerializer, Tracking, TypeDirectory,
-    UpdateRegistry,
+    scrub_baddrs, ParallelConfig, PipelineConfig, PipelineEngine, SendConfig, ShuffleController,
+    SkywayObjectInputStream, SkywayObjectOutputStream, SkywaySerializer, Tracking, TransferMode,
+    TypeDirectory, UpdateRegistry,
 };
 
 fn classpath() -> Arc<ClassPath> {
@@ -219,6 +220,15 @@ fn streaming_small_chunks_roundtrip() {
     }
 }
 
+/// An engine with four work-stealing sender lanes that engage from four
+/// roots up.
+fn four_lane_engine() -> PipelineEngine {
+    PipelineEngine::new(PipelineConfig {
+        parallel: Some(ParallelConfig { workers: 4, min_roots_per_worker: 1 }),
+        ..PipelineConfig::default()
+    })
+}
+
 #[test]
 fn parallel_send_with_shared_objects() {
     let (dir, mut sender, mut receiver) = setup_pair();
@@ -226,45 +236,95 @@ fn parallel_send_with_shared_objects() {
     let s = sender.new_string("contended").unwrap();
     let sh = sender.handle(s);
     let mut pair_handles = Vec::new();
-    for _ in 0..64 {
+    for i in 0..64 {
+        let n = sender.new_integer(i).unwrap();
         let s = sender.resolve(sh).unwrap();
-        let pr = sender.new_pair(s, Addr::NULL).unwrap();
+        let pr = sender.new_pair(s, n).unwrap();
         pair_handles.push(sender.handle(pr));
     }
     let roots: Vec<Addr> = pair_handles.iter().map(|h| sender.resolve(*h).unwrap()).collect();
-    let par = ParallelConfig::with_workers(4);
-    let sent = send_roots_parallel(
-        &sender,
-        &dir,
-        NodeId(0),
-        7,
-        100,
-        &roots,
-        &par,
-        SendConfig::for_vm(&sender),
-    )
-    .unwrap();
-    // Work stealing means the 64 roots may end up on fewer than 4 workers
-    // (a fast worker can drain its victims), but never more.
-    assert!(!sent.streams.is_empty() && sent.streams.len() <= 4);
-    assert_eq!(sent.streams.len(), sent.root_order.len());
-    assert_eq!(sent.root_order.iter().map(Vec::len).sum::<usize>(), 64);
-
-    // Each stream is independent; receive them all.
-    let mut total_roots = 0;
-    for st in &sent.streams {
-        let mut input = SkywayObjectInputStream::new(&mut receiver, &dir, NodeId(1));
-        for c in &st.chunks {
-            input.push_chunk(c).unwrap();
-        }
-        let (roots, _) = input.read_objects(None).unwrap();
-        for &r in &roots {
-            let first = receiver.get_ref(r, "first").unwrap();
-            assert_eq!(receiver.read_string(first).unwrap(), "contended");
-        }
-        total_roots += roots.len();
+    let (got, report) = four_lane_engine()
+        .transfer(&sender, &mut receiver, &dir, NodeId(0), NodeId(1), 7, 100, &roots, None)
+        .unwrap();
+    assert_eq!(report.mode, TransferMode::Parallel);
+    assert_eq!(report.send_stats.objects, report.recv_stats.objects);
+    // Whichever lane sent a root, it arrives at its original position.
+    assert_eq!(got.len(), 64);
+    let mut copies = std::collections::HashSet::new();
+    for (i, &r) in got.iter().enumerate() {
+        let second = receiver.get_ref(r, "second").unwrap();
+        assert_eq!(receiver.get_int(second, "value").unwrap(), i as i32, "root {i} out of order");
+        let first = receiver.get_ref(r, "first").unwrap();
+        assert_eq!(receiver.read_string(first).unwrap(), "contended");
+        copies.insert(first);
     }
-    assert_eq!(total_roots, 64);
+    // Each lane that reached the string sends its own copy (one claims it
+    // through baddr, the others through their private tables) and aliases
+    // every later use to that copy.
+    assert!((1..=report.workers as usize).contains(&copies.len()), "{} copies", copies.len());
+    assert_eq!(receiver.verify_heap().unwrap(), vec![]);
+}
+
+// Lane `t` of an engine transfer sends as `stream + t`, so the caller must
+// own all of `stream .. stream + lanes`: an id a lane used and the controller
+// then hands to the next stream of the phase makes an object that lane
+// claimed look already-sent to the new stream, which emits a back-reference
+// into a stream the receiver is not reading.
+#[test]
+fn engine_lanes_send_under_a_reserved_stream_id_block() {
+    let engine = four_lane_engine();
+    for _ in 0..200 {
+        let (dir, mut sender, mut receiver) = setup_pair();
+        let controller = ShuffleController::new();
+        let s = sender.new_string("shared").unwrap();
+        let sh = sender.handle(s);
+        // Only lane 1's initial block (roots 4..8) references the string;
+        // lane 0's block is heavy, so it is still copying when lane 1 gets
+        // there instead of done and stealing lane 1's roots.
+        let ballast = "b".repeat(1 << 17);
+        let mut pair_handles = Vec::new();
+        for i in 0..17 {
+            let second = if i < 4 { sender.new_string(&ballast).unwrap() } else { Addr::NULL };
+            let first = if (4..8).contains(&i) || i == 16 {
+                sender.resolve(sh).unwrap()
+            } else {
+                Addr::NULL
+            };
+            let pr = sender.new_pair(first, second).unwrap();
+            pair_handles.push(sender.handle(pr));
+        }
+        let roots: Vec<Addr> = pair_handles.iter().map(|h| sender.resolve(*h).unwrap()).collect();
+        let (first_set, second_set) = roots.split_at(16);
+
+        let sid = controller.sid();
+        let send = |receiver: &mut Vm, stream: u16, roots: &[Addr]| {
+            engine.transfer(&sender, receiver, &dir, NodeId(0), NodeId(1), sid, stream, roots, None)
+        };
+        let base = controller.next_stream_block(4);
+        send(&mut receiver, base, first_set).unwrap();
+        let s = sender.resolve(sh).unwrap();
+        let word = sender.heap().arena().load_word(s.0 + sender.spec().baddr_off().unwrap());
+        let owner = baddr::stream_of(word.unwrap());
+        if owner == base {
+            continue; // lane 0 stole the claim this round
+        }
+        assert!((base + 1..base + 4).contains(&owner), "claimed by stream {owner}");
+
+        // The owner's id again in the same phase — what a one-id
+        // reservation would have the controller hand out next.
+        let err = send(&mut receiver, owner, second_set).unwrap_err();
+        assert!(matches!(err, skyway::Error::DanglingRelativeAddr(_)), "{err}");
+        assert_eq!(receiver.verify_heap().unwrap(), vec![]);
+
+        // The controller's next id is past the whole block.
+        let next = controller.next_stream();
+        assert_eq!(next, base + 4);
+        let (got, _) = send(&mut receiver, next, second_set).unwrap();
+        let first = receiver.get_ref(got[0], "first").unwrap();
+        assert_eq!(receiver.read_string(first).unwrap(), "shared");
+        return;
+    }
+    panic!("no lane >= 1 claimed the shared string in 200 rounds");
 }
 
 #[test]
@@ -317,6 +377,30 @@ fn spec_mismatch_is_rejected() {
     let mut p = Profile::new();
     let bytes = sky_tx.serialize(&mut sender, &[s], &mut p).unwrap();
     assert!(sky_rx.deserialize(&mut receiver, &bytes, &mut p).is_err());
+}
+
+#[test]
+fn retired_containers_are_typed_errors() {
+    let (dir, mut sender, mut receiver) = setup_pair();
+    let s = sender.new_string("x").unwrap();
+    let sky_tx = skyway_for(&dir, 0);
+    let sky_rx = skyway_for(&dir, 1);
+    let mut p = Profile::new();
+    let frame = sky_tx.serialize(&mut sender, &[s], &mut p).unwrap();
+    // The multi-stream container older senders wrapped frames in.
+    let multi = [b"MSKY\x02\0".as_slice(), &frame].concat();
+    // Flag bit 2 marked the compressed wire: absorbed as plain, its bytes
+    // would be read as objects they are not.
+    let mut compressed = frame.clone();
+    compressed[5] |= 0b100;
+    for bytes in [multi, compressed] {
+        let err = sky_rx.deserialize(&mut receiver, &bytes, &mut p).unwrap_err();
+        assert!(matches!(err, serlab::Error::Malformed(_)), "{err}");
+        assert_eq!(receiver.verify_heap().unwrap(), vec![]);
+    }
+    // The untouched frame still reads.
+    let roots = sky_rx.deserialize(&mut receiver, &frame, &mut p).unwrap();
+    assert_eq!(receiver.read_string(roots[0]).unwrap(), "x");
 }
 
 #[test]

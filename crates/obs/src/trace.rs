@@ -28,8 +28,8 @@ use std::time::Instant;
 pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 16;
 
 /// A propagated trace context: which trace a span belongs to and which
-/// span is its parent. `Copy` and 16 bytes, so it travels in frame
-/// headers and socket messages unchanged.
+/// span is its parent. `Copy` and 16 bytes, so it is handed by value to
+/// every lane and thread of a transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceCtx {
     /// Trace identifier shared by every span of one transfer. 0 = none.

@@ -66,9 +66,6 @@ pub struct SparkConfig {
     /// the baseline of the §5.2 memory-overhead experiment; Skyway as a
     /// serializer then requires the default SKYWAY format).
     pub spec: LayoutSpec,
-    /// Parallel sender threads per Skyway serialize call (§4.2 "Support
-    /// for Threads"); 1 = single-stream.
-    pub skyway_send_threads: usize,
     /// Pipelined Skyway shuffle: cross-node transfers overlap traversal,
     /// transfer, and absolutization at chunk granularity instead of the
     /// serialize → spill → fetch → deserialize barrier. Only applies when
@@ -100,7 +97,6 @@ impl Default for SparkConfig {
             sim: SimConfig::default(),
             chunk_limit: 1 << 20,
             spec: LayoutSpec::SKYWAY,
-            skyway_send_threads: 1,
             pipeline: false,
             pipeline_workers: 1,
             shared_segments: false,
@@ -251,8 +247,7 @@ impl SparkCluster {
                             Arc::clone(&controller),
                             LayoutSpec::SKYWAY,
                         )
-                        .with_chunk_limit(cfg.chunk_limit)
-                        .with_parallel_streams(cfg.skyway_send_threads),
+                        .with_chunk_limit(cfg.chunk_limit),
                     ),
                 },
             };
@@ -644,7 +639,9 @@ impl SparkCluster {
                         // blob, no spill; simulated cost charged from the
                         // overlap-aware stream schedule.
                         let sid = self.controllers[node.0].sid();
-                        let stream = self.controllers[node.0].next_stream();
+                        // Lane `t` sends as `stream + t`: reserve them all.
+                        let lanes = engine.config().parallel.map_or(1, |p| p.workers);
+                        let stream = self.controllers[node.0].next_stream_block(lanes as u16);
                         let ctx = self.controllers[node.0].begin_transfer(stage_ctx);
                         let (s_vm, d_vm) = Self::vm_pair(&mut self.vms, node.0, dst.0);
                         let (got, report) = engine

@@ -126,23 +126,3 @@ fn workload_classes_survive_many_shuffle_phases() {
     }
     sc.release(ds).unwrap();
 }
-
-#[test]
-fn multithreaded_skyway_shuffle_matches_single_threaded() {
-    use sparklite::graphgen::{generate, GraphKind};
-    use sparklite::workloads::run_pagerank;
-    let g = generate(GraphKind::LiveJournal, 50_000, 21);
-    let mut answers = Vec::new();
-    for threads in [1usize, 4] {
-        let mut sc = SparkCluster::new(&SparkConfig {
-            n_workers: 3,
-            serializer: SerializerKind::Skyway,
-            heap_bytes: 48 << 20,
-            skyway_send_threads: threads,
-            ..SparkConfig::default()
-        })
-        .unwrap();
-        answers.push(run_pagerank(&mut sc, &g, 3, 5).unwrap());
-    }
-    assert_eq!(answers[0], answers[1], "threaded send changed the answer");
-}
