@@ -1,5 +1,5 @@
 //! **Trace validator** — structural checks over a Chrome trace-event JSON
-//! file produced by `--trace-out` (CI's trace-smoke gate).
+//! file produced by `--trace-out` (CI's figure-smoke gate).
 //!
 //! Checks: the document is an object with a `traceEvents` array; every
 //! complete (`ph == "X"`) event carries `name`/`ts`/`dur`/`pid`/`tid` and

@@ -353,14 +353,11 @@ pub fn trace_out_from_args() -> Option<std::path::PathBuf> {
 }
 
 /// Enables the process-wide tracer when `--trace-out <path>` was given.
-/// Call at the top of a harness `main`, before any transfers run; returns
-/// whether tracing is on so harnesses can report overhead mode.
-pub fn init_tracing() -> bool {
-    let on = trace_out_from_args().is_some();
-    if on {
+/// Call at the top of a harness `main`, before any transfers run.
+pub fn init_tracing() {
+    if trace_out_from_args().is_some() {
         obs::global().tracer().set_enabled(true);
     }
-    on
 }
 
 /// When `--trace-out <path>` was given, exports every span recorded so far

@@ -27,9 +27,7 @@
 //! steady-state transfer performs zero per-chunk heap allocations.
 //!
 //! Simulated time is charged with the overlap-aware [`LinkClock`] schedule
-//! rather than the whole-payload `net_ns` formula, and both the overlapped
-//! schedule and the sequential sum are reported so benchmarks can compare
-//! like for like.
+//! rather than the whole-payload `net_ns` formula.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -74,18 +72,6 @@ pub enum TransferMode {
     /// metadata-only — no bytes cloned, no wire time. Produced by the
     /// `segstore` crate's shared path, never by this engine directly.
     Shared,
-}
-
-impl TransferMode {
-    /// Stable lowercase name (used in benchmark JSON).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TransferMode::Inline => "inline",
-            TransferMode::Pipelined => "pipelined",
-            TransferMode::Parallel => "parallel",
-            TransferMode::Shared => "shared",
-        }
-    }
 }
 
 /// Configuration of the transfer engine.
@@ -152,7 +138,7 @@ impl PipelineMetrics {
     }
 }
 
-/// What one transfer did and what it would have cost.
+/// What one transfer did and what its modeled schedule cost.
 ///
 /// All `*_ns` figures are *simulated* nanoseconds on the [`SimConfig`]
 /// timeline: measured CPU time scaled by `sd_cpu_scale` (the same
@@ -168,13 +154,8 @@ pub struct PipelineReport {
     pub chunk_bytes: Vec<u64>,
     /// End-to-end simulated time of the overlapped schedule.
     pub pipelined_ns: u64,
-    /// Simulated time the sequential three-phase barrier would have paid
-    /// for the same work: produce + whole-payload transfer + absolutize.
-    pub sequential_ns: u64,
     /// Scaled sender traversal CPU time.
     pub produce_ns: u64,
-    /// Wire-occupancy time of all chunks.
-    pub wire_ns: u64,
     /// Scaled receiver absolutization CPU time (fixups and adoption
     /// included).
     pub absorb_ns: u64,
@@ -192,23 +173,9 @@ pub struct PipelineReport {
     pub mode: TransferMode,
     /// Sender lanes (1 outside parallel mode).
     pub workers: u64,
-    /// Successful inter-worker root steals (parallel mode only).
-    pub steals: u64,
-    /// Share of the overlapped schedule the modeled link spent busy
-    /// (0–100; the wire is the shared resource parallel streams contend
-    /// for, so high utilization means the transfer is link-bound).
-    pub link_utilization_pct: f64,
 }
 
 impl PipelineReport {
-    /// Fraction of sequential time the pipeline saved (0..1).
-    pub fn speedup(&self) -> f64 {
-        if self.sequential_ns == 0 {
-            return 0.0;
-        }
-        1.0 - self.pipelined_ns as f64 / self.sequential_ns as f64
-    }
-
     /// Charges this transfer into a [`Cluster`]'s per-node profiles using
     /// the chunk-granularity accounting: scaled traversal CPU as `Ser` and
     /// the objects sent on `src`, scaled absolutization CPU as `Deser` on
@@ -445,7 +412,6 @@ impl PipelineEngine {
             root_span.annotate("bytes", report.send_stats.total_bytes);
             root_span.annotate("chunks", report.chunk_bytes.len() as u64);
             root_span.annotate("pipelined_sim_ns", report.pipelined_ns);
-            root_span.annotate("sequential_sim_ns", report.sequential_ns);
         }
         r
     }
@@ -665,8 +631,7 @@ impl PipelineEngine {
         let recv_stats = receiver::adopt(receiver_vm, &mut cores, hooks)?;
         let merge_ns = merge0.elapsed().as_nanos() as u64;
 
-        let steals = steal_set.map_or(0, |s| s.steals());
-        metrics.steals.add(steals);
+        metrics.steals.add(steal_set.map_or(0, |s| s.steals()));
         let pool_hits = self.pool.hits() - pool_hits0;
         let pool_misses = self.pool.misses() - pool_misses0;
         metrics.pool_hits.add(pool_hits);
@@ -677,7 +642,6 @@ impl PipelineEngine {
             merge_ns,
             recv_stats,
             mode,
-            steals,
             pool_hits,
             pool_misses,
             max_in_flight.load(Ordering::Relaxed),
@@ -716,18 +680,13 @@ impl PipelineEngine {
         Ok(AbsorbSide { timeline, fixup_ns: now().saturating_sub(t0), stall_ns })
     }
 
-    /// Builds the simulated-time comparison from the lanes' measured
-    /// timelines.
-    ///
-    /// Overlapped: each chunk becomes ready at its lane's (scaled)
+    /// Builds the simulated-time schedule from the lanes' measured
+    /// timelines: each chunk becomes ready at its lane's (scaled)
     /// cumulative produce time; every lane's chunks contend for ONE shared
     /// [`LinkClock`] in ready order (within a lane ready times are
     /// cumulative, so the global sort keeps each stream's chunk order) and
     /// chain through that lane's absorber; the transfer ends when the
     /// slowest lane has drained its fixups, plus the adoption step.
-    /// Sequential: all produce, then the whole payload at `net_ns`, then
-    /// all absorption — the three-phase barrier one thread would pay. With
-    /// one chunk the two are the same figure.
     #[allow(clippy::too_many_arguments)]
     fn schedule(
         &self,
@@ -736,7 +695,6 @@ impl PipelineEngine {
         merge_ns: u64,
         recv_stats: ReceiveStats,
         mode: TransferMode,
-        steals: u64,
         pool_hits: u64,
         pool_misses: u64,
         max_in_flight: u64,
@@ -757,7 +715,7 @@ impl PipelineEngine {
         let mut absorb_ns = scale(merge_ns);
         let mut chunk_bytes = Vec::with_capacity(events.len());
         for &(ready, t, bytes, absorb) in &events {
-            let xmit = link.send_traced_on(t, ready, bytes);
+            let xmit = link.send_traced(ready, bytes);
             self.metrics.registry.tracer().record_sim_on(
                 obs::names::TRACE_LINK_XMIT,
                 ctx,
@@ -778,16 +736,12 @@ impl PipelineEngine {
         }
         let mut send_stats = SendStats::default();
         sent.iter().for_each(|s| send_stats.merge(&s.sent.stats));
-        let produce_ns = scale(sent.iter().map(|s| s.produce_ns).sum());
-        let pipelined_ns = slowest_lane + scale(merge_ns);
         PipelineReport {
             send_stats,
             recv_stats,
-            pipelined_ns,
-            sequential_ns: produce_ns + self.cfg.sim.net_ns(chunk_bytes.iter().sum()) + absorb_ns,
             chunk_bytes,
-            produce_ns,
-            wire_ns: link.busy_ns(),
+            pipelined_ns: slowest_lane + scale(merge_ns),
+            produce_ns: scale(sent.iter().map(|s| s.produce_ns).sum()),
             absorb_ns,
             sender_stall_ns: sent.iter().map(|s| s.stall_ns).sum(),
             receiver_stall_ns: absorbed.iter().map(|a| a.stall_ns).sum(),
@@ -796,8 +750,6 @@ impl PipelineEngine {
             max_in_flight,
             mode,
             workers: sent.len() as u64,
-            steals,
-            link_utilization_pct: link.utilization_pct(pipelined_ns),
         }
     }
 }
@@ -953,7 +905,6 @@ mod tests {
         assert_eq!(report.mode, TransferMode::Inline);
         assert_eq!(report.chunk_bytes.len(), 1, "flat graph travels as one chunk");
         assert_eq!(report.max_in_flight, 0, "fallback never opens the channel");
-        assert_eq!(report.pipelined_ns, report.sequential_ns, "nothing overlaps");
         assert_eq!(report.sender_stall_ns + report.receiver_stall_ns, 0);
         assert_eq!(report.chunk_bytes[0], report.send_stats.total_bytes);
         // The pool serves the fallback too: an identical second transfer
@@ -980,15 +931,24 @@ mod tests {
             addrs.push(s.new_string(&format!("parallel payload {i} {}", "y".repeat(i))).unwrap());
         }
         let par = ParallelConfig { workers: 4, min_roots_per_worker: 1 };
+        let reg = Arc::new(obs::Registry::new());
         let engine = PipelineEngine::new(PipelineConfig {
             chunk_limit: 256,
             parallel: Some(par),
             ..PipelineConfig::default()
-        });
+        })
+        .with_metrics(Arc::clone(&reg));
         let (got, report) =
             engine.transfer(&s, &mut r, &dir, NodeId(0), NodeId(1), 1, 1, &addrs, None).unwrap();
         assert_eq!(report.mode, TransferMode::Parallel);
         assert_eq!(report.workers, 4);
+        // The mode census and the work-stealing counters reach the registry
+        // (their values depend on scheduling; their presence does not).
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter(obs::names::PIPELINE_MODE_PARALLEL), 1);
+        for key in [obs::names::SENDER_STEALS, obs::names::SENDER_CAS_CONFLICTS] {
+            assert!(snap.counters.contains_key(key), "{key} missing from the snapshot");
+        }
         assert_eq!(got.len(), addrs.len());
         // Root order is restored from the per-stream index tables even
         // though workers interleave and steal.
@@ -1045,11 +1005,13 @@ mod tests {
             addrs.push(s.new_string(&format!("few {i}")).unwrap());
         }
         // 6 roots < 4 workers × 8 roots/worker → pipelined, not parallel.
+        let reg = Arc::new(obs::Registry::new());
         let engine = PipelineEngine::new(PipelineConfig {
             chunk_limit: 128,
             parallel: Some(ParallelConfig { workers: 4, ..Default::default() }),
             ..PipelineConfig::default()
-        });
+        })
+        .with_metrics(Arc::clone(&reg));
         let (_, report) =
             engine.transfer(&s, &mut r, &dir, NodeId(0), NodeId(1), 1, 1, &addrs, None).unwrap();
         assert_eq!(report.mode, TransferMode::Pipelined);
@@ -1059,11 +1021,17 @@ mod tests {
         let roomy = PipelineEngine::new(PipelineConfig {
             parallel: Some(ParallelConfig { workers: 4, ..Default::default() }),
             ..PipelineConfig::default()
-        });
+        })
+        .with_metrics(Arc::clone(&reg));
         let flat: Vec<Addr> = (0..64).map(|i| s.new_integer(i).unwrap()).collect();
         let (_, flat_report) =
             roomy.transfer(&s, &mut r, &dir, NodeId(0), NodeId(1), 1, 2, &flat, None).unwrap();
         assert_eq!(flat_report.mode, TransferMode::Inline);
+        // The registry's mode census saw exactly those two decisions.
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter(obs::names::PIPELINE_MODE_PIPELINED), 1);
+        assert_eq!(snap.counter(obs::names::PIPELINE_MODE_INLINE), 1);
+        assert_eq!(snap.counter(obs::names::PIPELINE_MODE_PARALLEL), 0);
     }
 
     /// The failure path of the one engine, for one lane and for two: a

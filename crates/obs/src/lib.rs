@@ -119,7 +119,7 @@ pub mod names {
     /// Counter: bytes written into store-owned memory by seals.
     pub const SEGSTORE_BYTES_SEALED: &str = "skyway.segstore.bytes_sealed";
     /// Counter: bytes a same-node transfer would have cloned but shared
-    /// instead (the zero-copy win; gated by the segstore-smoke CI job).
+    /// instead (the zero-copy win).
     pub const SEGSTORE_BYTES_NOT_COPIED: &str = "skyway.segstore.bytes_not_copied";
     /// Gauge: sealed segments currently live in the store (attached,
     /// attachable, or awaiting epoch reclamation).

@@ -565,45 +565,43 @@ pub fn chrome_trace_json(spans: &[Span]) -> String {
 }
 
 /// One line summarizing where transfer time went, e.g.
-/// `critical path: traverse 41% / link 22% / absorb 30% / gc 7%`.
+/// `critical path (wall): traverse 48% / absorb 25% / gc 0% / other 27% · link 12.3 ms modeled`.
 ///
 /// Root spans (`trace.transfer`, `trace.stage`) envelop their children
-/// and are excluded; remaining leaf time is bucketed by subsystem. Link
-/// time is simulated-clock and the rest wall-clock, so the shares are a
-/// diagnostic mix, not a strict timeline decomposition.
+/// and are excluded; remaining wall-clock leaf time is bucketed by
+/// subsystem and the shares are of that wall-clock total only.
+/// [`Span::sim_clock`] spans (the modeled link occupancy) are on another
+/// clock, so they are summed apart and reported in their own unit, never
+/// as a share.
 pub fn critical_path_summary(spans: &[Span]) -> String {
-    let mut traverse = 0u64;
-    let mut link = 0u64;
-    let mut absorb = 0u64;
-    let mut gc = 0u64;
-    let mut other = 0u64;
+    let (mut traverse, mut absorb, mut gc, mut other, mut modeled) = (0u64, 0u64, 0u64, 0u64, 0u64);
     for s in spans {
         let d = s.duration_ns();
+        if s.sim_clock {
+            modeled += d;
+            continue;
+        }
         match s.name {
             n if n == crate::names::TRACE_TRANSFER || n == crate::names::TRACE_STAGE => {}
             crate::names::TRACE_SENDER_TRAVERSE => traverse += d,
-            crate::names::TRACE_LINK_XMIT => link += d,
             crate::names::TRACE_RECEIVER_CHUNK_ABSORB => absorb += d,
             n if n.starts_with("trace.gc.") => gc += d,
             _ => other += d,
         }
     }
-    let total = traverse + link + absorb + gc + other;
-    if total == 0 {
+    let wall = traverse + absorb + gc + other;
+    if wall + modeled == 0 {
         return "critical path: (no spans)".to_owned();
     }
-    let pct = |v: u64| (v as f64 * 100.0 / total as f64).round() as u64;
-    let mut s = format!(
-        "critical path: traverse {}% / link {}% / absorb {}% / gc {}%",
+    let pct = |v: u64| (v as f64 * 100.0 / wall.max(1) as f64).round() as u64;
+    format!(
+        "critical path (wall): traverse {}% / absorb {}% / gc {}% / other {}% · link {:.1} ms modeled",
         pct(traverse),
-        pct(link),
         pct(absorb),
-        pct(gc)
-    );
-    if other > 0 {
-        s.push_str(&format!(" / other {}%", pct(other)));
-    }
-    s
+        pct(gc),
+        pct(other),
+        modeled as f64 / 1e6
+    )
 }
 
 #[cfg(test)]
@@ -737,18 +735,25 @@ mod tests {
             node: "n".into(),
             start_ns: 0,
             end_ns: dur,
-            sim_clock: false,
+            sim_clock: name == crate::names::TRACE_LINK_XMIT,
             lane: 0,
             args: vec![],
         };
         let spans = vec![
             mk(crate::names::TRACE_TRANSFER, 100),
             mk(crate::names::TRACE_SENDER_TRAVERSE, 41),
-            mk(crate::names::TRACE_LINK_XMIT, 22),
+            mk(crate::names::TRACE_LINK_XMIT, 2_200_000),
             mk(crate::names::TRACE_RECEIVER_CHUNK_ABSORB, 30),
             mk(crate::names::TRACE_GC_PAUSE, 7),
+            mk(crate::names::TRACE_RECEIVER_FIXUP, 22),
         ];
+        // Shares are over the 100 wall-clock ns; the modeled link time,
+        // however large, moves none of them.
         let s = critical_path_summary(&spans);
-        assert_eq!(s, "critical path: traverse 41% / link 22% / absorb 30% / gc 7%");
+        assert_eq!(
+            s,
+            "critical path (wall): traverse 41% / absorb 30% / gc 7% / other 22% \
+             · link 2.2 ms modeled"
+        );
     }
 }

@@ -542,9 +542,7 @@ pub fn shared_transfer_with_trace(
         recv_stats,
         chunk_bytes: Vec::new(),
         pipelined_ns: wall_ns,
-        sequential_ns: wall_ns,
         produce_ns: seal.seal_ns,
-        wire_ns: 0,
         absorb_ns: 0,
         sender_stall_ns: 0,
         receiver_stall_ns: 0,
@@ -553,8 +551,6 @@ pub fn shared_transfer_with_trace(
         max_in_flight: 0,
         mode: TransferMode::Shared,
         workers: 1,
-        steals: 0,
-        link_utilization_pct: 0.0,
     };
     Ok((roots_out, report))
 }

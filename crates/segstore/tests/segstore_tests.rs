@@ -667,3 +667,57 @@ fn seal_traversal_counters_follow_the_store_registry() {
     store.seal(&sender, &dir, NodeId(0), &roots).unwrap();
     assert_eq!(registry.counter(obs::names::SENDER_OBJECTS_VISITED).get(), 6);
 }
+
+// Stats-level parity of the shared mode with the cloning reference: the
+// same graph counts the same objects on both sides of both paths, the bytes
+// the attach did not copy are exactly the bytes the seal wrote, and one
+// shared transfer is one seal, one attach and one `mode_shared` tick.
+#[test]
+fn shared_transfer_stats_match_the_cloning_reference() {
+    let spec = GraphSpec {
+        tags: vec![1, 2, 3, 4],
+        lefts: vec![None, Some(0), Some(1), Some(1)],
+        rights: vec![None, None, Some(0), Some(2)],
+        roots: vec![3, 2, 3],
+    };
+    let (dir, mut sender, mut receiver) = same_node_env();
+    let handles = build(&mut sender, &spec);
+    let roots = resolve_roots(&sender, &handles, &spec.roots);
+    let registry = Arc::new(obs::Registry::new());
+    let store = SegStore::new().with_metrics(Arc::clone(&registry));
+    let (attached, report) =
+        shared_transfer(&store, &sender, &mut receiver, &dir, NodeId(0), &roots).unwrap();
+
+    let (dir2, mut sender2, mut receiver2) = same_node_env();
+    let handles2 = build(&mut sender2, &spec);
+    let roots2 = resolve_roots(&sender2, &handles2, &spec.roots);
+    let cfg = SendConfig::for_vm(&sender2);
+    let (cloned, send_stats, recv_stats) = sequential_transfer(
+        &sender2,
+        &mut receiver2,
+        &dir2,
+        NodeId(0),
+        NodeId(1),
+        1,
+        1,
+        &roots2,
+        None,
+        cfg,
+    )
+    .unwrap();
+
+    assert_eq!(attached.len(), cloned.len());
+    assert_eq!(report.send_stats.objects, send_stats.objects);
+    assert_eq!(report.recv_stats.objects, recv_stats.objects);
+    assert_eq!(report.recv_stats.objects, report.send_stats.objects);
+    assert_eq!(report.recv_stats.bytes, report.send_stats.total_bytes);
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter(obs::names::SEGSTORE_BYTES_NOT_COPIED), report.send_stats.total_bytes);
+    for key in [
+        obs::names::SEGSTORE_SEALS,
+        obs::names::SEGSTORE_ATTACHES,
+        obs::names::PIPELINE_MODE_SHARED,
+    ] {
+        assert_eq!(snap.counter(key), 1, "{key}");
+    }
+}

@@ -26,9 +26,6 @@ pub struct LinkClock {
     latency_ns: u64,
     free_at_ns: u64,
     busy_ns: u64,
-    /// Wire-occupancy per stream lane (parallel transfer: one lane per
-    /// worker stream sharing this physical link). Lane 0 is the default.
-    lane_busy_ns: Vec<u64>,
 }
 
 impl LinkClock {
@@ -39,7 +36,6 @@ impl LinkClock {
             latency_ns: cfg.net_latency_ns,
             free_at_ns: 0,
             busy_ns: 0,
-            lane_busy_ns: Vec::new(),
         }
     }
 
@@ -53,22 +49,10 @@ impl LinkClock {
     /// interval so callers can emit a simulated-clock trace span for the
     /// transmission.
     pub fn send_traced(&mut self, ready_ns: u64, bytes: u64) -> LinkXmit {
-        self.send_traced_on(0, ready_ns, bytes)
-    }
-
-    /// [`LinkClock::send_traced`] attributed to stream `lane`: the chunk
-    /// still serializes with every other lane's chunks on the shared
-    /// physical wire, but its occupancy is charged to that lane's bucket
-    /// so a parallel transfer can report per-stream wire shares.
-    pub fn send_traced_on(&mut self, lane: usize, ready_ns: u64, bytes: u64) -> LinkXmit {
         let start = self.free_at_ns.max(ready_ns);
         let tx = bytes.saturating_mul(1_000_000_000) / self.bandwidth_bps;
         self.free_at_ns = start.saturating_add(tx);
         self.busy_ns += tx;
-        if self.lane_busy_ns.len() <= lane {
-            self.lane_busy_ns.resize(lane + 1, 0);
-        }
-        self.lane_busy_ns[lane] += tx;
         LinkXmit {
             start_ns: start,
             end_ns: self.free_at_ns,
@@ -76,31 +60,9 @@ impl LinkClock {
         }
     }
 
-    /// When the link next becomes free.
-    pub fn free_at(&self) -> u64 {
-        self.free_at_ns
-    }
-
     /// Total wire-occupancy time charged so far (excludes latency).
     pub fn busy_ns(&self) -> u64 {
         self.busy_ns
-    }
-
-    /// Wire-occupancy time charged to stream `lane` (0 when the lane never
-    /// transmitted).
-    pub fn lane_busy_ns(&self, lane: usize) -> u64 {
-        self.lane_busy_ns.get(lane).copied().unwrap_or(0)
-    }
-
-    /// Link utilization over `[0, horizon_ns]` as a percentage: the share
-    /// of the timeline the wire spent occupied. The pipelined/parallel
-    /// engines pass their schedule's finish time to answer "how far below
-    /// the modeled 10/40GbE ceiling did this transfer run?".
-    pub fn utilization_pct(&self, horizon_ns: u64) -> f64 {
-        if horizon_ns == 0 {
-            return 0.0;
-        }
-        100.0 * self.busy_ns as f64 / horizon_ns as f64
     }
 }
 
@@ -143,7 +105,8 @@ mod tests {
         assert_eq!(l.send(0, 100), 150);
         // Ready only at t=500, link free since t=100: starts at 500.
         assert_eq!(l.send(500, 100), 650);
-        assert_eq!(l.free_at(), 600);
+        // The link is free again at t=600: an empty send starts there.
+        assert_eq!(l.send_traced(0, 0).start_ns, 600);
     }
 
     #[test]
@@ -159,19 +122,12 @@ mod tests {
     #[test]
     fn lane_accounting_splits_shared_wire_time() {
         let mut l = LinkClock::new(&cfg());
-        l.send_traced_on(0, 0, 100);
-        l.send_traced_on(1, 0, 300);
-        let x = l.send_traced_on(0, 0, 100);
-        // Lanes share one wire: the last chunk queued behind both others.
+        l.send_traced(0, 100);
+        l.send_traced(0, 300);
+        let x = l.send_traced(0, 100);
+        // Every stream's chunks share one wire: the last queues behind both others.
         assert_eq!(x.start_ns, 400);
         assert_eq!(l.busy_ns(), 500);
-        assert_eq!(l.lane_busy_ns(0), 200);
-        assert_eq!(l.lane_busy_ns(1), 300);
-        assert_eq!(l.lane_busy_ns(7), 0);
-        // Fully back-to-back: 500 busy ns over a 500 ns horizon = 100%.
-        assert!((l.utilization_pct(500) - 100.0).abs() < 1e-9);
-        assert!((l.utilization_pct(1000) - 50.0).abs() < 1e-9);
-        assert_eq!(l.utilization_pct(0), 0.0);
     }
 
     #[test]
