@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use mheap::layout::mark;
-use mheap::{Addr, KlassId, KlassKind, Vm, FILLER_WORD};
+use mheap::{Addr, Klass, KlassId, KlassKind, Vm, FILLER_WORD};
 use simnet::NodeId;
 
 use crate::buffer::{TOP_MARK, TOP_REF};
@@ -42,16 +42,13 @@ struct ChunkMap {
     len: u64,
 }
 
-/// Per-tID facts precomputed once per class so the linear absolutization
-/// scan runs at memory speed.
-#[derive(Debug, Clone)]
+/// What one stream knows about a tID beyond the class's layout: which local
+/// klass it names and which update hook, if any, waits on its objects. Kind,
+/// sizes and the reference map are read off the klass where it lies in the
+/// receiving VM's table.
+#[derive(Debug, Clone, Copy)]
 struct TidFacts {
-    klass_word: u64,
-    kind: KlassKind,
-    instance_size: u64,
-    elem_size: u64,
-    /// Reference-field offsets (instances).
-    ref_offsets: Vec<u64>,
+    klass: KlassId,
     hooked: Option<usize>,
 }
 
@@ -95,8 +92,7 @@ pub(crate) struct AbsorbCore<'d> {
     node: NodeId,
     chunks: Vec<ChunkMap>,
     next_logical: u64,
-    tid_cache: HashMap<u32, KlassId>,
-    facts_cache: HashMap<u32, TidFacts>,
+    tids: HashMap<u32, TidFacts>,
     stats: ReceiveStats,
     /// Where [`adopt`] publishes `stats`, and whose tracer records this
     /// stream's spans. The scan itself counts into `stats` only.
@@ -133,8 +129,7 @@ impl<'d> AbsorbCore<'d> {
             node,
             chunks: Vec::new(),
             next_logical: 0,
-            tid_cache: HashMap::new(),
-            facts_cache: HashMap::new(),
+            tids: HashMap::new(),
             stats: ReceiveStats::default(),
             registry: Arc::clone(obs::global()),
             absorbed: 0,
@@ -163,34 +158,36 @@ impl<'d> AbsorbCore<'d> {
         self
     }
 
-    fn facts_for_tid(
+    /// Resolves `tid` to its local klass (borrowed from `vm`'s table) and
+    /// hook index, loading the class on first sight of the tID.
+    fn facts_for_tid<'v>(
         &mut self,
-        vm: &Vm,
+        vm: &'v Vm,
         tid: u32,
         hooks: Option<&UpdateRegistry>,
-    ) -> Result<&TidFacts> {
-        if !self.facts_cache.contains_key(&tid) {
-            let kid = self.klass_for_tid(vm, tid)?;
-            let k = vm.klasses().get(kid).map_err(Error::Heap)?;
-            let facts = TidFacts {
-                klass_word: u64::from(kid.0),
-                kind: k.kind,
-                instance_size: k.instance_size,
-                elem_size: match k.kind {
-                    KlassKind::Instance => 0,
-                    _ => u64::from(k.elem_size().map_err(Error::Heap)?),
-                },
-                ref_offsets: k
-                    .fields
-                    .iter()
-                    .filter(|f| matches!(f.ty, mheap::FieldType::Ref))
-                    .map(|f| f.offset)
-                    .collect(),
-                hooked: hooks.and_then(|h| h.hook_index(&k.name)),
-            };
-            self.facts_cache.insert(tid, facts);
+    ) -> Result<(&'v Klass, Option<usize>)> {
+        if let Some(f) = self.tids.get(&tid) {
+            return Ok((vm.klasses().get(f.klass).map_err(Error::Heap)?, f.hooked));
         }
-        Ok(&self.facts_cache[&tid])
+        let name = self.dir.name_for_tid_traced(
+            self.node,
+            tid,
+            self.registry.tracer(),
+            self.trace_ctx,
+            &vm.name,
+        )?;
+        let loaded_before = vm.klasses().len();
+        let kid = vm.load_class(&name).map_err(Error::Heap)?;
+        if vm.klasses().len() > loaded_before {
+            self.stats.classes_loaded += 1;
+        }
+        // Make sure the local klass knows its tid too (it may serve as a
+        // sender later).
+        let k = vm.klasses().get(kid).map_err(Error::Heap)?;
+        self.dir.tid_for(self.node, k)?;
+        let hooked = hooks.and_then(|h| h.hook_index(&k.name));
+        self.tids.insert(tid, TidFacts { klass: kid, hooked });
+        Ok((k, hooked))
     }
 
     /// Places one received chunk into a fresh old-generation input buffer.
@@ -248,30 +245,6 @@ impl<'d> AbsorbCore<'d> {
         }
         let abs = self.translate(logical)?;
         vm.heap().arena().store_word(slot, abs.0).map_err(Error::Heap)
-    }
-
-    fn klass_for_tid(&mut self, vm: &Vm, tid: u32) -> Result<KlassId> {
-        if let Some(&k) = self.tid_cache.get(&tid) {
-            return Ok(k);
-        }
-        let name = self.dir.name_for_tid_traced(
-            self.node,
-            tid,
-            self.registry.tracer(),
-            self.trace_ctx,
-            &vm.name,
-        )?;
-        let loaded_before = vm.klasses().len();
-        let kid = vm.load_class(&name).map_err(Error::Heap)?;
-        if vm.klasses().len() > loaded_before {
-            self.stats.classes_loaded += 1;
-        }
-        // Make sure the local klass knows its tid too (it may serve as a
-        // sender later).
-        let k = vm.klasses().get(kid).map_err(Error::Heap)?;
-        self.dir.tid_for(self.node, &k)?;
-        self.tid_cache.insert(tid, kid);
-        Ok(kid)
     }
 
     /// Absolutizes every chunk placed so far but not yet absorbed — the
@@ -345,8 +318,8 @@ impl<'d> AbsorbCore<'d> {
                 if tid_word > u64::from(u32::MAX) {
                     return Err(Error::BadFrame(format!("implausible tID {tid_word:#x}")));
                 }
-                let facts = self.facts_for_tid(vm, tid_word as u32, hooks)?.clone();
-                arena.store_word(at + spec.klass_off(), facts.klass_word).map_err(Error::Heap)?;
+                let (k, hooked) = self.facts_for_tid(vm, tid_word as u32, hooks)?;
+                arena.store_word(at + spec.klass_off(), u64::from(k.id.0)).map_err(Error::Heap)?;
                 // Mark words arrive sanitized; a forwarding bit here means
                 // the stream is corrupt (this is untrusted input, so it is
                 // a validation error, not an assertion).
@@ -356,15 +329,15 @@ impl<'d> AbsorbCore<'d> {
                         "object at logical {at:#x} carries a forwarding mark"
                     )));
                 }
-                let size = match facts.kind {
-                    KlassKind::Instance => facts.instance_size,
+                let size = match k.kind {
+                    KlassKind::Instance => k.instance_size,
                     _ => {
                         within(at, spec.array_header(), "array header")?;
                         let len = vm.array_len(obj).map_err(Error::Heap)?;
                         // Checked arithmetic: a corrupted length must not
                         // overflow into a bogus small size.
                         let body = len
-                            .checked_mul(facts.elem_size)
+                            .checked_mul(u64::from(k.elem_size))
                             .and_then(|b| b.checked_add(spec.array_header()))
                             .filter(|&b| b <= c.len)
                             .ok_or_else(|| {
@@ -377,7 +350,7 @@ impl<'d> AbsorbCore<'d> {
                     return Err(Error::BadFrame("object spans chunk boundary".into()));
                 }
                 // Absolutize reference slots.
-                match facts.kind {
+                match k.kind {
                     KlassKind::RefArray => {
                         let len = vm.array_len(obj).map_err(Error::Heap)?;
                         let base = spec.array_header();
@@ -386,7 +359,7 @@ impl<'d> AbsorbCore<'d> {
                         }
                     }
                     KlassKind::Instance => {
-                        for &off in &facts.ref_offsets {
+                        for &off in &*k.ref_offsets {
                             self.absolutize_slot(vm, obj, off)?;
                         }
                     }
@@ -396,7 +369,7 @@ impl<'d> AbsorbCore<'d> {
                     self.roots.push(obj);
                     self.next_is_root = false;
                 }
-                if let Some(hook_idx) = facts.hooked {
+                if let Some(hook_idx) = hooked {
                     self.pending_hooks.push((obj, hook_idx));
                 }
                 self.stats.objects += 1;

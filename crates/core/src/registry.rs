@@ -290,7 +290,7 @@ mod tests {
         dir.worker_startup(NodeId(1)).unwrap();
         worker_vm.load_class("java.lang.String").unwrap();
         let k = worker_vm.klasses().by_name("java.lang.String").unwrap();
-        let tid = dir.tid_for(NodeId(1), &k).unwrap();
+        let tid = dir.tid_for(NodeId(1), k).unwrap();
 
         // Same id as the driver's.
         let dk = driver_vm.klasses().by_name("java.lang.String").unwrap();
@@ -307,7 +307,7 @@ mod tests {
         dir.worker_startup(NodeId(1)).unwrap();
         worker_vm.load_class("util.Pair").unwrap();
         let k = worker_vm.klasses().by_name("util.Pair").unwrap();
-        let tid = dir.tid_for(NodeId(1), &k).unwrap();
+        let tid = dir.tid_for(NodeId(1), k).unwrap();
         assert_eq!(dir.stats().lookups, 1);
         // A second worker finds it without defining it.
         assert_eq!(dir.name_for_tid(NodeId(0), tid).unwrap(), "util.Pair");
@@ -322,8 +322,8 @@ mod tests {
         b.load_class("util.Pair").unwrap();
         let ka = a.klasses().by_name("util.Pair").unwrap();
         let kb = b.klasses().by_name("util.Pair").unwrap();
-        let ta = dir.tid_for(NodeId(1), &ka).unwrap();
-        let tb = dir.tid_for(NodeId(2), &kb).unwrap();
+        let ta = dir.tid_for(NodeId(1), ka).unwrap();
+        let tb = dir.tid_for(NodeId(2), kb).unwrap();
         assert_eq!(ta, tb);
     }
 
@@ -333,9 +333,9 @@ mod tests {
         let a = vm("a");
         a.load_class("util.Pair").unwrap();
         let k = a.klasses().by_name("util.Pair").unwrap();
-        let t1 = dir.tid_for(NodeId(0), &k).unwrap();
+        let t1 = dir.tid_for(NodeId(0), k).unwrap();
         let msgs = dir.stats().messages;
-        let t2 = dir.tid_for(NodeId(0), &k).unwrap();
+        let t2 = dir.tid_for(NodeId(0), k).unwrap();
         assert_eq!(t1, t2);
         assert_eq!(dir.stats().messages, msgs, "cached tid must cost no messages");
     }
@@ -366,8 +366,8 @@ mod tests {
             (0..8)
                 .map(|_| {
                     let dir = std::sync::Arc::clone(&dir);
-                    let pair = std::sync::Arc::clone(&pair);
-                    let string = std::sync::Arc::clone(&string);
+                    let pair = std::sync::Arc::clone(pair);
+                    let string = std::sync::Arc::clone(string);
                     s.spawn(move || {
                         (
                             dir.tid_for(NodeId(0), &pair).unwrap(),
@@ -394,7 +394,7 @@ mod tests {
         a.load_class("util.Pair").unwrap();
         let k = a.klasses().by_name("util.Pair").unwrap();
         for _ in 0..1000 {
-            dir.tid_for(NodeId(1), &k).unwrap();
+            dir.tid_for(NodeId(1), k).unwrap();
         }
         assert_eq!(dir.stats().string_bytes, "util.Pair".len() as u64);
     }

@@ -32,7 +32,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use mheap::layout::{baddr, mark};
-use mheap::{Addr, KlassKind, LayoutSpec, Vm, FILLER_WORD, SEGMENT_BASE};
+use mheap::{Addr, Klass, KlassKind, LayoutSpec, Vm, FILLER_WORD, SEGMENT_BASE};
 use simnet::NodeId;
 
 use crate::buffer::{OutputBuffer, TOP_MARK, TOP_REF};
@@ -157,20 +157,17 @@ pub struct SegmentImage {
     pub stats: SendStats,
 }
 
-/// Precomputed per-klass facts the per-object hot path needs; resolving
-/// them once per class (instead of per object) is what keeps the traversal
-/// at copy speed, as the real Skyway's VM-internal send loop is.
-#[derive(Debug, Clone)]
-struct KlassFacts {
-    kind: KlassKind,
+/// What one stream knows about a class beyond its layout: the type id the
+/// directory issued and the instance size in the *receiver's* format. The
+/// layout itself — kind, reference map, payload end, element size — is read
+/// off the klass where it lies in the sender VM's table, as the real
+/// Skyway's VM-internal send loop reads its klass meta-objects.
+#[derive(Debug, Clone, Copy)]
+struct KlassFacts<'a> {
+    klass: &'a Klass,
     tid: u64,
-    elem_size: u64,
-    /// Exact payload length (instances).
-    payload_exact: u64,
     /// Receiver-format object size (instances).
     recv_size: u64,
-    /// Sender-format reference-field offsets (instances).
-    ref_offsets: Vec<u64>,
 }
 
 /// Multiply-mix hasher for heap-address keys (fxhash-style). The visited
@@ -220,7 +217,7 @@ pub struct GraphSender<'a> {
     stats: SendStats,
     /// Keyed by klass word; bit 31 set for segment residents, whose klass
     /// word is a global tID rather than a local klass id.
-    klass_facts: HashMap<u32, KlassFacts>,
+    klass_facts: HashMap<u32, KlassFacts<'a>>,
     /// Where [`GraphSender::finish`] publishes `stats`, and whose tracer
     /// records this stream's spans. The traversal itself counts into
     /// `stats` only.
@@ -343,45 +340,31 @@ impl<'a> GraphSender<'a> {
 
     /// Resolves (and caches) the per-klass facts for the klass word of
     /// `obj`.
-    fn facts_for(&mut self, obj: Addr) -> Result<&KlassFacts> {
-        let kw = self
-            .vm
-            .heap()
-            .arena()
-            .load_word(obj.0 + self.vm.spec().klass_off())
-            .map_err(Error::Heap)? as u32;
+    fn facts_for(&mut self, obj: Addr) -> Result<KlassFacts<'a>> {
+        let sspec = self.vm.spec();
+        let kw = self.vm.heap().arena().load_word(obj.0 + sspec.klass_off()).map_err(Error::Heap)?
+            as u32;
         let key = kw | u32::from(obj.raw() >= SEGMENT_BASE) << 31;
-        if !self.klass_facts.contains_key(&key) {
-            let k = self.vm.klass_of(obj).map_err(Error::Heap)?;
-            let hdr = self.vm.spec().instance_header();
-            let payload_exact =
-                k.fields.iter().map(|f| f.offset + u64::from(f.ty.size())).max().unwrap_or(hdr)
-                    - hdr;
-            let tid = self.dir.tid_for(self.node, &k)?;
-            if let Encoding::Image { tid_names, .. } = &mut self.encoding {
-                tid_names.entry(tid).or_insert_with(|| k.name.clone());
-            }
-            let facts = KlassFacts {
-                kind: k.kind,
-                tid: u64::from(tid),
-                elem_size: match k.kind {
-                    KlassKind::Instance => 0,
-                    _ => u64::from(k.elem_size().map_err(Error::Heap)?),
-                },
-                payload_exact,
-                recv_size: mheap::layout::align8(
-                    self.cfg.receiver_spec.instance_header() + payload_exact,
-                ),
-                ref_offsets: k
-                    .fields
-                    .iter()
-                    .filter(|f| matches!(f.ty, mheap::FieldType::Ref))
-                    .map(|f| f.offset)
-                    .collect(),
-            };
-            self.klass_facts.insert(key, facts);
+        if let Some(&facts) = self.klass_facts.get(&key) {
+            return Ok(facts);
         }
-        Ok(&self.klass_facts[&key])
+        let klass = self.vm.klass_of(obj).map_err(Error::Heap)?;
+        let tid = self.dir.tid_for(self.node, klass)?;
+        if let Encoding::Image { tid_names, .. } = &mut self.encoding {
+            tid_names.entry(tid).or_insert_with(|| klass.name.clone());
+        }
+        // Same payload behind the receiver's header; arrays are sized per
+        // object from their length.
+        let recv_size = match klass.kind {
+            KlassKind::Instance => mheap::layout::align8(
+                self.cfg.receiver_spec.instance_header() + klass.payload_end
+                    - sspec.instance_header(),
+            ),
+            _ => 0,
+        };
+        let facts = KlassFacts { klass, tid: u64::from(tid), recv_size };
+        self.klass_facts.insert(key, facts);
+        Ok(facts)
     }
 
     /// The logical position already assigned to `obj` in this phase, if
@@ -455,10 +438,10 @@ impl<'a> GraphSender<'a> {
     /// Object size *in the receiver's format* (facts precomputed).
     fn size_recv(&mut self, obj: Addr) -> Result<u64> {
         let facts = self.facts_for(obj)?;
-        match facts.kind {
+        match facts.klass.kind {
             KlassKind::Instance => Ok(facts.recv_size),
             _ => {
-                let es = facts.elem_size;
+                let es = u64::from(facts.klass.elem_size);
                 let hdr = self.cfg.receiver_spec.array_header();
                 let len = self.vm.array_len(obj).map_err(Error::Heap)?;
                 Ok(mheap::layout::align8(hdr + len * es))
@@ -485,7 +468,7 @@ impl<'a> GraphSender<'a> {
     fn clone_object(&mut self, obj: Addr, logical: u64, size: u64) -> Result<()> {
         self.out.place(logical, size)?;
         self.stats.objects += 1;
-        let facts = self.facts_for(obj)?.clone();
+        let facts = self.facts_for(obj)?;
         let sspec = self.vm.spec();
         let rspec = self.cfg.receiver_spec;
         let arena = self.vm.heap().arena();
@@ -498,9 +481,9 @@ impl<'a> GraphSender<'a> {
             self.out.write_word(logical + rspec.baddr_off().map_err(Error::Heap)?, 0)?;
         }
 
-        match facts.kind {
+        match facts.klass.kind {
             KlassKind::Instance => {
-                let payload = facts.payload_exact;
+                let payload = facts.klass.payload_end - sspec.instance_header();
                 let hdr = rspec.instance_header();
                 self.stats.header_bytes += hdr;
                 self.stats.padding_bytes += size - hdr - payload;
@@ -512,7 +495,7 @@ impl<'a> GraphSender<'a> {
                 }
                 // Relativize reference slots within the clone.
                 let shdr = sspec.instance_header();
-                for &off in &facts.ref_offsets {
+                for &off in &*facts.klass.ref_offsets {
                     self.stats.pointer_bytes += 8;
                     let tgt = Addr::from_raw(
                         self.vm.heap().arena().load_word(obj.raw() + off).map_err(Error::Heap)?,
@@ -525,7 +508,7 @@ impl<'a> GraphSender<'a> {
                         self.out.write_word(slot, rel + self.ref_bias)?;
                     }
                 }
-                self.stats.data_bytes += payload - 8 * facts.ref_offsets.len() as u64;
+                self.stats.data_bytes += payload - 8 * facts.klass.ref_offsets.len() as u64;
             }
             KlassKind::PrimArray(p) => {
                 let len = self.vm.array_len(obj).map_err(Error::Heap)?;
@@ -725,11 +708,8 @@ impl<'a> GraphSender<'a> {
             if root.is_null() {
                 return Ok(None);
             }
-            let flat = {
-                let facts = self.facts_for(root)?;
-                facts.ref_offsets.is_empty() && !matches!(facts.kind, KlassKind::RefArray)
-            };
-            if !flat {
+            let k = self.facts_for(root)?.klass;
+            if !k.ref_offsets.is_empty() || k.kind == KlassKind::RefArray {
                 return Ok(None);
             }
             total += 8 + self.size_recv(root)?;

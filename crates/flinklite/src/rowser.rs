@@ -128,7 +128,7 @@ impl FlinkRowSerializer {
             .copied()
             .ok_or_else(|| FlinkError::UnknownRowClass(k.name.clone()))?;
         w.varint(u64::from(tid) + 1);
-        let plan = self.plan(&k);
+        let plan = self.plan(k);
         for f in plan.iter() {
             match f.ty {
                 FieldType::Prim(p) => {
@@ -172,7 +172,8 @@ impl FlinkRowSerializer {
             .cloned()
             .ok_or_else(|| FlinkError::UnknownRowClass(format!("row tag {tag}")))?;
         let klass = vm.load_class(&cname).map_err(FlinkError::Heap)?;
-        let k = vm.klasses().get(klass).map_err(FlinkError::Heap)?;
+        // Held across the allocating `&mut Vm` calls below.
+        let k = Arc::clone(vm.klasses().get(klass).map_err(FlinkError::Heap)?);
         if k.kind != KlassKind::Instance {
             return Err(FlinkError::UnknownRowClass(cname));
         }

@@ -18,7 +18,6 @@
 use std::collections::HashMap;
 
 use crate::heap::Gen;
-use crate::klass::KlassKind;
 use crate::layout::{mark, Addr};
 use crate::vm::Vm;
 use crate::{Error, Result};
@@ -83,8 +82,13 @@ impl Vm {
             Ok(())
         })?;
         self.heap.clear_cards();
+        // One buffer for the whole collection: the slot walk borrows the
+        // klass out of `self`, and evacuating a target needs `&mut self`.
+        let mut slots: Vec<u64> = Vec::new();
         for obj in dirty_objs {
-            for off in self.ref_slots(obj)? {
+            slots.clear();
+            slots.extend(self.ref_slots(obj)?);
+            for &off in &slots {
                 let tgt = self.read_ref_at(obj, off)?;
                 if !tgt.is_null() && self.heap.in_young(tgt) {
                     let n = self.evacuate(tgt, &mut copied)?;
@@ -102,7 +106,9 @@ impl Vm {
         while i < copied.len() {
             let obj = copied[i];
             i += 1;
-            for off in self.ref_slots(obj)? {
+            slots.clear();
+            slots.extend(self.ref_slots(obj)?);
+            for &off in &slots {
                 let tgt = self.read_ref_at(obj, off)?;
                 if !tgt.is_null() && self.heap.in_young(tgt) {
                     let n = self.evacuate(tgt, &mut copied)?;
@@ -160,8 +166,7 @@ impl Vm {
         if mark::is_forwarded(m) {
             return Ok(Addr(mark::forwarded_addr(m)));
         }
-        let k = self.klass_of(obj)?;
-        let size = self.obj_size_with(&k, obj)?;
+        let size = self.obj_size(obj)?;
         let age = mark::age_of(m).saturating_add(1);
         let tenure = age >= self.tenure_threshold();
         let dest = if tenure { None } else { self.heap.bump_to_space(size) };
@@ -200,13 +205,7 @@ impl Vm {
         let gc_start = std::time::Instant::now();
         // ---- mark ----
         let mut live: HashMap<u64, u64> = HashMap::new(); // addr -> size
-        let mut stack: Vec<Addr> = Vec::new();
-        for slot in self.handles.slots.iter().flatten() {
-            if !slot.is_null() {
-                stack.push(*slot);
-            }
-        }
-        stack.extend(self.temp_roots.iter().copied().filter(|a| !a.is_null()));
+        let mut stack = self.roots();
         while let Some(obj) = stack.pop() {
             if live.contains_key(&obj.0) {
                 continue;
@@ -323,24 +322,23 @@ impl Vm {
         }
     }
 
-    /// Counts live objects reachable from the roots (diagnostic; used by
-    /// tests to assert collection behaviour).
-    ///
-    /// # Errors
-    /// Propagates heap access errors.
-    pub fn live_object_count(&self) -> Result<usize> {
+    /// The non-null handle and temp roots.
+    fn roots(&self) -> Vec<Addr> {
+        let roots = self.handles.slots.iter().flatten().chain(&self.temp_roots);
+        roots.copied().filter(|a| !a.is_null()).collect()
+    }
+
+    /// Count and total bytes of the objects reachable from the roots.
+    fn live_census(&self) -> Result<(usize, u64)> {
         let mut seen = std::collections::HashSet::new();
-        let mut stack: Vec<Addr> = Vec::new();
-        for slot in self.handles.slots.iter().flatten() {
-            if !slot.is_null() {
-                stack.push(*slot);
-            }
-        }
-        stack.extend(self.temp_roots.iter().copied().filter(|a| !a.is_null()));
+        let mut stack = self.roots();
+        let (mut count, mut bytes) = (0, 0);
         while let Some(obj) = stack.pop() {
             if !seen.insert(obj.0) || self.heap.in_segment(obj) {
                 continue; // segment residents are store-owned, not heap-live
             }
+            count += 1;
+            bytes += self.obj_size(obj)?;
             for off in self.ref_slots(obj)? {
                 let tgt = self.read_ref_at(obj, off)?;
                 if !tgt.is_null() && !seen.contains(&tgt.0) {
@@ -348,7 +346,16 @@ impl Vm {
                 }
             }
         }
-        Ok(seen.iter().filter(|&&a| !self.heap.in_segment(Addr(a))).count())
+        Ok((count, bytes))
+    }
+
+    /// Counts live objects reachable from the roots (diagnostic; used by
+    /// tests to assert collection behaviour).
+    ///
+    /// # Errors
+    /// Propagates heap access errors.
+    pub fn live_object_count(&self) -> Result<usize> {
+        Ok(self.live_census()?.0)
     }
 
     /// Total bytes of live data reachable from the roots (diagnostic).
@@ -356,32 +363,6 @@ impl Vm {
     /// # Errors
     /// Propagates heap access errors.
     pub fn live_bytes(&self) -> Result<u64> {
-        let mut seen = std::collections::HashSet::new();
-        let mut stack: Vec<Addr> = Vec::new();
-        let mut total = 0;
-        for slot in self.handles.slots.iter().flatten() {
-            if !slot.is_null() {
-                stack.push(*slot);
-            }
-        }
-        stack.extend(self.temp_roots.iter().copied().filter(|a| !a.is_null()));
-        while let Some(obj) = stack.pop() {
-            if !seen.insert(obj.0) || self.heap.in_segment(obj) {
-                continue; // segment residents are store-owned, not heap-live
-            }
-            total += self.obj_size(obj)?;
-            for off in self.ref_slots(obj)? {
-                let tgt = self.read_ref_at(obj, off)?;
-                if !tgt.is_null() && !seen.contains(&tgt.0) {
-                    stack.push(tgt);
-                }
-            }
-        }
-        Ok(total)
+        Ok(self.live_census()?.1)
     }
-}
-
-/// True if a klass kind holds references the collector must trace.
-pub fn traces_refs(kind: KlassKind) -> bool {
-    !matches!(kind, KlassKind::PrimArray(_))
 }

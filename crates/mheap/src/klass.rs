@@ -9,10 +9,21 @@
 //! Klasses also carry the Skyway global type id (`tID`, §4.1) once the
 //! distributed type registry has assigned one — the paper adds "an extra
 //! field in each klass to accommodate its ID".
+//!
+//! **Layout lives on [`Klass`]; walkers borrow.** Which slots of an object
+//! hold references, where its payload ends and how wide an array element is
+//! are derived from `fields` exactly once, at class load, and stored on the
+//! record ([`Klass::ref_offsets`], [`Klass::payload_end`],
+//! [`Klass::elem_size`]). The collector, the verifier, the Skyway sender
+//! and the receiver all read them where they lie: the table is append-only,
+//! so [`KlassTable::get`] hands out a borrow that takes no lock and touches
+//! no reference count. Per-stream caches elsewhere hold only what is
+//! per-stream (tID, receiver-format size, hook index) — never a second copy
+//! of the layout.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 
@@ -182,6 +193,16 @@ pub struct Klass {
     /// Total object size in bytes for instances (8-aligned). Zero for
     /// arrays, whose size depends on the length.
     pub instance_size: u64,
+    /// Object-relative offsets of an instance's reference fields, ascending,
+    /// inherited fields included — the reference map every walker borrows.
+    /// Empty for arrays (a reference array's slots are its elements).
+    pub ref_offsets: Box<[u64]>,
+    /// Object-relative end of an instance's last field (unaligned; the
+    /// header size for a fieldless class): where a bulk payload copy stops.
+    /// Zero for arrays.
+    pub payload_end: u64,
+    /// Array element size in bytes. Zero for instances.
+    pub elem_size: u8,
     /// Names of this class and all super classes, most-derived first —
     /// what the Java serializer writes out per object (§2.1).
     pub descriptor_chain: Vec<String>,
@@ -239,18 +260,6 @@ impl Klass {
     #[inline]
     pub fn is_array(&self) -> bool {
         !matches!(self.kind, KlassKind::Instance)
-    }
-
-    /// Array element size in bytes.
-    ///
-    /// # Errors
-    /// [`Error::NotAnArray`] for instance klasses.
-    pub fn elem_size(&self) -> Result<u8> {
-        match self.kind {
-            KlassKind::PrimArray(p) => Ok(p.size()),
-            KlassKind::RefArray => Ok(8),
-            KlassKind::Instance => Err(Error::NotAnArray(self.name.clone())),
-        }
     }
 }
 
@@ -320,20 +329,37 @@ impl ClassPath {
     }
 }
 
-/// Per-VM table of loaded klasses.
-///
-/// Append-only under a read-write lock so that concurrent Skyway sender
-/// threads can resolve klass metadata while the VM occasionally loads a new
-/// class.
-#[derive(Debug, Default)]
-pub struct KlassTable {
-    inner: RwLock<TableInner>,
+/// Slots in the first page of a [`KlassTable`]; page `p` holds
+/// `PAGE0_SLOTS << p`, so 27 pages cover every `u32` klass id.
+const PAGE0_SLOTS: u64 = 64;
+const PAGES: usize = 27;
+
+/// One page of write-once klass slots.
+type Page = Box<[OnceLock<Arc<Klass>>]>;
+
+/// Page and slot of klass id `id` (page `p` starts at id
+/// `PAGE0_SLOTS * (2^p - 1)`).
+fn locate(id: u32) -> (usize, usize) {
+    let page = (u64::from(id) / PAGE0_SLOTS + 1).ilog2();
+    let start = PAGE0_SLOTS * ((1 << page) - 1);
+    (page as usize, (u64::from(id) - start) as usize)
 }
 
+/// Per-VM table of loaded klasses.
+///
+/// Append-only: a published klass never moves and is never replaced, so
+/// [`KlassTable::get`] returns a borrow good for as long as the table is —
+/// the id → class path of every heap walker takes no lock and touches no
+/// reference count. Klasses sit in write-once slots on pages allocated when
+/// the first id on them is issued (nothing is reserved up front). Class
+/// *load* serializes on the name index's lock, which also makes the index
+/// the count of what is published. The table is built from `OnceLock` and
+/// that lock alone — no hand-written atomics, hence no `// ORDER:` notes
+/// and no interleaving model of its own.
 #[derive(Debug, Default)]
-struct TableInner {
-    klasses: Vec<Arc<Klass>>,
-    by_name: HashMap<String, KlassId>,
+pub struct KlassTable {
+    pages: [OnceLock<Page>; PAGES],
+    by_name: RwLock<HashMap<String, KlassId>>,
 }
 
 impl KlassTable {
@@ -344,7 +370,7 @@ impl KlassTable {
 
     /// Number of loaded klasses.
     pub fn len(&self) -> usize {
-        self.inner.read().klasses.len()
+        self.by_name.read().len()
     }
 
     /// True if no klass is loaded.
@@ -356,19 +382,21 @@ impl KlassTable {
     ///
     /// # Errors
     /// [`Error::UnknownKlass`] for ids never issued by this table.
-    pub fn get(&self, id: KlassId) -> Result<Arc<Klass>> {
-        self.inner.read().klasses.get(id.0 as usize).cloned().ok_or(Error::UnknownKlass(id.0))
+    #[inline]
+    pub fn get(&self, id: KlassId) -> Result<&Arc<Klass>> {
+        let (page, slot) = locate(id.0);
+        self.pages[page].get().and_then(|p| p[slot].get()).ok_or(Error::UnknownKlass(id.0))
     }
 
     /// Resolves a klass by name, if loaded.
-    pub fn by_name(&self, name: &str) -> Option<Arc<Klass>> {
-        let inner = self.inner.read();
-        inner.by_name.get(name).map(|&id| Arc::clone(&inner.klasses[id.0 as usize]))
+    pub fn by_name(&self, name: &str) -> Option<&Arc<Klass>> {
+        let id = *self.by_name.read().get(name)?;
+        self.get(id).ok()
     }
 
     /// All loaded klasses in load order.
     pub fn all(&self) -> Vec<Arc<Klass>> {
-        self.inner.read().klasses.clone()
+        (0..self.len() as u32).filter_map(|i| self.get(KlassId(i)).ok()).cloned().collect()
     }
 
     /// Loads `name` (and, recursively, its supers) from `classpath` with the
@@ -405,7 +433,25 @@ impl KlassTable {
                 }
             }
             let object_id = self.ensure_object(classpath, spec)?;
-            return self.insert(name.to_owned(), Some(object_id), kind, Vec::new(), spec);
+            let elem_size = match kind {
+                KlassKind::PrimArray(p) => p.size(),
+                _ => 8,
+            };
+            return Ok(self.publish(name, |id| Klass {
+                id,
+                name: name.to_owned(),
+                super_id: Some(object_id),
+                kind,
+                fields: Vec::new(),
+                field_index: HashMap::new(),
+                instance_size: 0,
+                ref_offsets: Box::default(),
+                payload_end: 0,
+                elem_size,
+                descriptor_chain: vec![name.to_owned(), OBJECT.to_owned()],
+                tid: AtomicU32::new(TID_UNSET),
+                uid: NEXT_UID.fetch_add(1, Ordering::Relaxed),
+            }));
         }
 
         let def = classpath.lookup(name).ok_or_else(|| Error::ClassNotFound(name.to_owned()))?;
@@ -445,13 +491,7 @@ impl KlassTable {
         let (mut fields, mut cursor, mut chain) = match super_id {
             Some(sid) => {
                 let sk = self.get(sid)?;
-                let end = sk
-                    .fields
-                    .iter()
-                    .map(|f| f.offset + u64::from(f.ty.size()))
-                    .max()
-                    .unwrap_or(spec.instance_header());
-                (sk.fields.clone(), end, sk.descriptor_chain.clone())
+                (sk.fields.clone(), sk.payload_end, sk.descriptor_chain.clone())
             }
             None => (Vec::new(), spec.instance_header(), Vec::new()),
         };
@@ -465,7 +505,6 @@ impl KlassTable {
             fields.push(Field { name: fname, ty, offset: cursor, declared_in: name.clone() });
             cursor += size;
         }
-        let instance_size = align8(cursor);
 
         let mut field_index = HashMap::with_capacity(fields.len());
         for (i, f) in fields.iter().enumerate() {
@@ -473,56 +512,44 @@ impl KlassTable {
                 return Err(Error::DuplicateField { class: name, field: f.name.clone() });
             }
         }
+        // The one place the reference map is derived: offsets only grow
+        // along `fields`, so the filter keeps them ascending.
+        let ref_offsets =
+            fields.iter().filter(|f| f.ty == FieldType::Ref).map(|f| f.offset).collect();
 
-        let mut inner = self.inner.write();
-        if let Some(&id) = inner.by_name.get(&name) {
-            return Ok(id); // lost a benign race
-        }
-        let id = KlassId(inner.klasses.len() as u32);
-        inner.klasses.push(Arc::new(Klass {
+        Ok(self.publish(&name, |id| Klass {
             id,
             name: name.clone(),
             super_id,
             kind: KlassKind::Instance,
             fields,
             field_index,
-            instance_size,
+            instance_size: align8(cursor),
+            ref_offsets,
+            payload_end: cursor,
+            elem_size: 0,
             descriptor_chain: chain,
             tid: AtomicU32::new(TID_UNSET),
             uid: NEXT_UID.fetch_add(1, Ordering::Relaxed),
-        }));
-        inner.by_name.insert(name, id);
-        Ok(id)
+        }))
     }
 
-    fn insert(
-        &self,
-        name: String,
-        super_id: Option<KlassId>,
-        kind: KlassKind,
-        fields: Vec<Field>,
-        _spec: LayoutSpec,
-    ) -> Result<KlassId> {
-        let mut inner = self.inner.write();
-        if let Some(&id) = inner.by_name.get(&name) {
-            return Ok(id);
+    /// Publishes the klass `build` makes for the next free id under `name`,
+    /// unless a concurrent loader already published that name. Holding the
+    /// index's write lock across the slot write is what keeps ids dense and
+    /// every id in the index resolvable.
+    fn publish(&self, name: &str, build: impl FnOnce(KlassId) -> Klass) -> KlassId {
+        let mut by_name = self.by_name.write();
+        if let Some(&id) = by_name.get(name) {
+            return id; // lost a benign race
         }
-        let id = KlassId(inner.klasses.len() as u32);
-        let chain = vec![name.clone(), OBJECT.to_owned()];
-        inner.klasses.push(Arc::new(Klass {
-            id,
-            name: name.clone(),
-            super_id,
-            kind,
-            fields,
-            field_index: HashMap::new(),
-            instance_size: 0,
-            descriptor_chain: chain,
-            tid: AtomicU32::new(TID_UNSET),
-            uid: NEXT_UID.fetch_add(1, Ordering::Relaxed),
-        }));
-        inner.by_name.insert(name, id);
-        Ok(id)
+        let id = KlassId(by_name.len() as u32);
+        let (page, slot) = locate(id.0);
+        let slots = self.pages[page]
+            .get_or_init(|| (0..PAGE0_SLOTS << page).map(|_| OnceLock::new()).collect());
+        slots[slot].get_or_init(|| Arc::new(build(id)));
+        by_name.insert(name.to_owned(), id);
+        id
     }
 }
 
@@ -615,7 +642,7 @@ mod tests {
         let t = KlassTable::new();
         let ia = t.load("[I", &cp, LayoutSpec::SKYWAY).unwrap();
         assert_eq!(t.get(ia).unwrap().kind, KlassKind::PrimArray(PrimType::Int));
-        assert_eq!(t.get(ia).unwrap().elem_size().unwrap(), 4);
+        assert_eq!(t.get(ia).unwrap().elem_size, 4);
         let ra = t.load("[LPoint;", &cp, LayoutSpec::SKYWAY).unwrap();
         assert_eq!(t.get(ra).unwrap().kind, KlassKind::RefArray);
         // Element class got loaded too.
@@ -638,6 +665,69 @@ mod tests {
         assert_eq!(k.tid(), None);
         k.set_tid(42);
         assert_eq!(k.tid(), Some(42));
+    }
+
+    #[test]
+    fn every_id_has_a_slot() {
+        // Dense across page seams, and the largest klass word a corrupt
+        // heap can hold still lands inside the page directory.
+        let at: Vec<_> = [0, 63, 64, 191, 192, u32::MAX].into_iter().map(locate).collect();
+        assert_eq!(at, [(0, 0), (0, 63), (1, 0), (1, 127), (2, 0), (PAGES - 1, 63)]);
+        let t = KlassTable::new();
+        assert!(matches!(t.get(KlassId(u32::MAX)), Err(Error::UnknownKlass(u32::MAX))));
+    }
+
+    /// Loaders publish while readers resolve: every id a loader is handed,
+    /// and every id below `len()`, resolves through the borrow path to a
+    /// fully built klass.
+    #[test]
+    fn concurrent_loads_publish_whole_klasses() {
+        const LOADERS: usize = 4;
+        const PER_LOADER: usize = 64;
+        const TOTAL: usize = LOADERS * PER_LOADER + 1; // + java.lang.Object
+        let cp = ClassPath::new();
+        for l in 0..LOADERS {
+            for i in 0..PER_LOADER {
+                let fields = vec![("x", FieldType::Prim(PrimType::Int)), ("r", FieldType::Ref)];
+                cp.define(KlassDef::new(format!("L{l}_{i}"), None, fields));
+            }
+        }
+        let t = KlassTable::new();
+        let whole = |k: &Klass| k.name == OBJECT || *k.ref_offsets == [24];
+        let start = std::sync::Barrier::new(LOADERS + 2);
+        std::thread::scope(|s| {
+            for l in 0..LOADERS {
+                let (t, cp, start) = (&t, &cp, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_LOADER {
+                        let name = format!("L{l}_{i}");
+                        let id = t.load(&name, cp, LayoutSpec::SKYWAY).unwrap();
+                        let k = t.get(id).unwrap();
+                        assert_eq!((k.id, &k.name), (id, &name));
+                        assert!(whole(k), "{name} published without its reference map");
+                    }
+                });
+            }
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    loop {
+                        let n = t.len();
+                        for id in 0..n as u32 {
+                            let k = t.get(KlassId(id)).unwrap();
+                            assert_eq!(k.id, KlassId(id));
+                            assert!(whole(k), "{} read half-built", k.name);
+                        }
+                        if n == TOTAL {
+                            break;
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(t.len(), TOTAL);
+        assert!(matches!(t.get(KlassId(TOTAL as u32)), Err(Error::UnknownKlass(_))));
     }
 
     #[test]

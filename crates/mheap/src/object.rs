@@ -3,13 +3,11 @@
 //! These wrap the raw offset-based primitives on [`Vm`] with the
 //! by-field-name API application code (workloads, serializers) uses. The
 //! name-based lookups intentionally go through the klass field index —
-//! applications in the engines use cached [`Field`] offsets instead, just as
-//! compiled Java bytecode uses resolved field offsets while *reflection*
-//! resolves names at run time.
+//! applications in the engines use cached [`crate::Field`] offsets instead,
+//! just as compiled Java bytecode uses resolved field offsets while
+//! *reflection* resolves names at run time.
 
-use std::sync::Arc;
-
-use crate::klass::{Field, FieldType, Klass, PrimType};
+use crate::klass::{FieldType, PrimType};
 use crate::layout::Addr;
 use crate::vm::Vm;
 use crate::{Error, Result};
@@ -80,13 +78,21 @@ impl Value {
 }
 
 impl Vm {
-    fn named_field(&self, obj: Addr, name: &str) -> Result<(Arc<Klass>, Field)> {
+    /// Offset and declared type of field `name` of `obj` — the two `Copy`
+    /// facts an access needs; names are only built on the error paths.
+    fn named_field(&self, obj: Addr, name: &str) -> Result<(u64, FieldType)> {
         let k = self.klass_of(obj)?;
-        let f = k
-            .field_by_name(name)
-            .cloned()
-            .ok_or_else(|| Error::NoSuchField { class: k.name.clone(), field: name.to_owned() })?;
-        Ok((k, f))
+        match k.field_by_name(name) {
+            Some(f) => Ok((f.offset, f.ty)),
+            None => Err(Error::NoSuchField { class: k.name.clone(), field: name.to_owned() }),
+        }
+    }
+
+    fn type_mismatch(&self, obj: Addr, field: &str) -> Error {
+        match self.klass_of(obj) {
+            Ok(k) => Error::FieldTypeMismatch { class: k.name.clone(), field: field.to_owned() },
+            Err(e) => e,
+        }
     }
 
     /// Reads a primitive field by name.
@@ -94,15 +100,12 @@ impl Vm {
     /// # Errors
     /// [`Error::NoSuchField`]; [`Error::FieldTypeMismatch`] for ref fields.
     pub fn get_prim(&self, obj: Addr, name: &str) -> Result<Value> {
-        let (k, f) = self.named_field(obj, name)?;
-        match f.ty {
-            FieldType::Prim(p) => {
-                let bits = self.read_prim_raw(obj, f.offset, p.size())?;
+        match self.named_field(obj, name)? {
+            (offset, FieldType::Prim(p)) => {
+                let bits = self.read_prim_raw(obj, offset, p.size())?;
                 Ok(Value::from_bits(p, bits))
             }
-            FieldType::Ref => {
-                Err(Error::FieldTypeMismatch { class: k.name.clone(), field: f.name })
-            }
+            (_, FieldType::Ref) => Err(self.type_mismatch(obj, name)),
         }
     }
 
@@ -112,12 +115,11 @@ impl Vm {
     /// [`Error::NoSuchField`]; [`Error::FieldTypeMismatch`] when the value
     /// type does not match the declared field type.
     pub fn set_prim(&mut self, obj: Addr, name: &str, val: Value) -> Result<()> {
-        let (k, f) = self.named_field(obj, name)?;
-        match f.ty {
-            FieldType::Prim(p) if p == val.prim_type() => {
-                self.write_prim_raw(obj, f.offset, p.size(), val.to_bits())
+        match self.named_field(obj, name)? {
+            (offset, FieldType::Prim(p)) if p == val.prim_type() => {
+                self.write_prim_raw(obj, offset, p.size(), val.to_bits())
             }
-            _ => Err(Error::FieldTypeMismatch { class: k.name.clone(), field: f.name }),
+            _ => Err(self.type_mismatch(obj, name)),
         }
     }
 
@@ -128,10 +130,7 @@ impl Vm {
     pub fn get_int(&self, obj: Addr, name: &str) -> Result<i32> {
         match self.get_prim(obj, name)? {
             Value::Int(v) => Ok(v),
-            _ => {
-                let k = self.klass_of(obj)?;
-                Err(Error::FieldTypeMismatch { class: k.name.clone(), field: name.to_owned() })
-            }
+            _ => Err(self.type_mismatch(obj, name)),
         }
     }
 
@@ -150,10 +149,7 @@ impl Vm {
     pub fn get_long(&self, obj: Addr, name: &str) -> Result<i64> {
         match self.get_prim(obj, name)? {
             Value::Long(v) => Ok(v),
-            _ => {
-                let k = self.klass_of(obj)?;
-                Err(Error::FieldTypeMismatch { class: k.name.clone(), field: name.to_owned() })
-            }
+            _ => Err(self.type_mismatch(obj, name)),
         }
     }
 
@@ -172,10 +168,7 @@ impl Vm {
     pub fn get_double(&self, obj: Addr, name: &str) -> Result<f64> {
         match self.get_prim(obj, name)? {
             Value::Double(v) => Ok(v),
-            _ => {
-                let k = self.klass_of(obj)?;
-                Err(Error::FieldTypeMismatch { class: k.name.clone(), field: name.to_owned() })
-            }
+            _ => Err(self.type_mismatch(obj, name)),
         }
     }
 
@@ -192,12 +185,9 @@ impl Vm {
     /// # Errors
     /// [`Error::NoSuchField`]; [`Error::FieldTypeMismatch`] for prim fields.
     pub fn get_ref(&self, obj: Addr, name: &str) -> Result<Addr> {
-        let (k, f) = self.named_field(obj, name)?;
-        match f.ty {
-            FieldType::Ref => self.read_ref_at(obj, f.offset),
-            FieldType::Prim(_) => {
-                Err(Error::FieldTypeMismatch { class: k.name.clone(), field: f.name })
-            }
+        match self.named_field(obj, name)? {
+            (offset, FieldType::Ref) => self.read_ref_at(obj, offset),
+            (_, FieldType::Prim(_)) => Err(self.type_mismatch(obj, name)),
         }
     }
 
@@ -206,12 +196,9 @@ impl Vm {
     /// # Errors
     /// [`Error::NoSuchField`]; [`Error::FieldTypeMismatch`] for prim fields.
     pub fn set_ref(&mut self, obj: Addr, name: &str, val: Addr) -> Result<()> {
-        let (k, f) = self.named_field(obj, name)?;
-        match f.ty {
-            FieldType::Ref => self.write_ref_at(obj, f.offset, val),
-            FieldType::Prim(_) => {
-                Err(Error::FieldTypeMismatch { class: k.name.clone(), field: f.name })
-            }
+        match self.named_field(obj, name)? {
+            (offset, FieldType::Ref) => self.write_ref_at(obj, offset, val),
+            (_, FieldType::Prim(_)) => Err(self.type_mismatch(obj, name)),
         }
     }
 

@@ -140,50 +140,26 @@ impl Vm {
     /// so tests can assert on them.
     pub fn verify_heap(&self) -> Result<Vec<HeapFault>> {
         let mut faults = Vec::new();
-        // First pass: collect every valid object start.
+        // First pass: collect every valid object start. A space whose walk
+        // stops early has a klass word nothing can size the object behind;
+        // that object is reported and the rest of its space skipped.
         let mut starts: std::collections::HashSet<u64> = std::collections::HashSet::new();
         let mut objs: Vec<Addr> = Vec::new();
-        let walk = self.walk_heap(|_, a, _| {
-            starts.insert(a.0);
-            objs.push(a);
+        let mut scan = |faults: &mut Vec<HeapFault>, start: u64, end: u64| -> Result<()> {
+            let stopped = self.walk_parsed(start, end, |_, a, _| {
+                starts.insert(a.0);
+                objs.push(a);
+                Ok(())
+            })?;
+            if let Some((at, _)) = stopped {
+                let kw = self.heap().arena().load_word(at + self.spec().klass_off())?;
+                faults.push(HeapFault::BadKlassWord { obj: at, word: kw });
+            }
             Ok(())
-        });
-        if walk.is_err() {
-            // A parse failure means a corrupt klass word somewhere; report
-            // the first object whose klass fails to resolve below.
-            objs.clear();
-            starts.clear();
-            let mut spaces = Vec::new();
-            {
-                let (eden, from, _, old) = self.heap().spaces();
-                spaces.push((eden.start, eden.top));
-                spaces.push((from.start, from.top));
-                spaces.push((old.start, old.top));
-            }
-            for (start, top) in spaces {
-                let mut at = start;
-                while at < top {
-                    let w = self.heap().arena().load_word(at)?;
-                    if w == crate::heap::FILLER_WORD {
-                        at += 8;
-                        continue;
-                    }
-                    match self.klass_of(Addr(at)) {
-                        Ok(_) => {
-                            let size = self.obj_size(Addr(at))?;
-                            starts.insert(at);
-                            objs.push(Addr(at));
-                            at += size;
-                        }
-                        Err(_) => {
-                            let kw = self.heap().arena().load_word(at + self.spec().klass_off())?;
-                            faults.push(HeapFault::BadKlassWord { obj: at, word: kw });
-                            // Cannot size an unknown object; stop this space.
-                            break;
-                        }
-                    }
-                }
-            }
+        };
+        let (eden, from, _, old) = self.heap().spaces();
+        for space in [eden, from, old] {
+            scan(&mut faults, space.start, space.top)?;
         }
         // Attached segments: walk each linearly so references into them
         // resolve to valid headers, and check the first sharing invariant
@@ -193,28 +169,7 @@ impl Vm {
             if !seg.verify_checksum() {
                 faults.push(HeapFault::TamperedSegment { base: seg.base() });
             }
-            let end = seg.base() + seg.len();
-            let mut at = seg.base();
-            while at < end {
-                let w = self.heap().arena().load_word(at)?;
-                if w == crate::heap::FILLER_WORD {
-                    at += 8;
-                    continue;
-                }
-                match self.klass_of(Addr(at)).and_then(|_| self.obj_size(Addr(at))) {
-                    Ok(size) => {
-                        starts.insert(at);
-                        objs.push(Addr(at));
-                        at += size;
-                    }
-                    Err(_) => {
-                        let kw = self.heap().arena().load_word(at + self.spec().klass_off())?;
-                        faults.push(HeapFault::BadKlassWord { obj: at, word: kw });
-                        // Cannot size an unknown object; stop this segment.
-                        break;
-                    }
-                }
-            }
+            scan(&mut faults, seg.base(), seg.base() + seg.len())?;
         }
         // Second pass: check marks and references.
         for &obj in &objs {
@@ -291,17 +246,22 @@ impl Vm {
     /// # Errors
     /// Heap walking errors.
     pub fn class_histogram(&self) -> Result<Vec<ClassStat>> {
-        let mut m: HashMap<String, (u64, u64)> = HashMap::new();
-        self.walk_heap(|vm, a, size| {
-            let k = vm.klass_of(a)?;
-            let e = m.entry(k.name.clone()).or_insert((0, 0));
+        // Keyed by the name where it lies on the klass: one `String` per
+        // class in the result, none per object.
+        let mut m: HashMap<&str, (u64, u64)> = HashMap::new();
+        self.walk_heap(|_, a, size| {
+            let e = m.entry(&self.klass_of(a)?.name).or_insert((0, 0));
             e.0 += 1;
             e.1 += size;
             Ok(())
         })?;
         let mut out: Vec<ClassStat> = m
             .into_iter()
-            .map(|(class, (instances, bytes))| ClassStat { class, instances, bytes })
+            .map(|(class, (instances, bytes))| ClassStat {
+                class: class.to_owned(),
+                instances,
+                bytes,
+            })
             .collect();
         out.sort_by(|a, b| b.bytes.cmp(&a.bytes).then_with(|| a.class.cmp(&b.class)));
         Ok(out)

@@ -201,9 +201,14 @@ impl Vm {
     /// meaningless here); it is resolved through the segment's seal-time
     /// name map and loaded into this VM's klass table on first touch.
     ///
+    /// The klass is borrowed from the table, where it lives as long as this
+    /// VM does; a caller that must keep it across a `&mut Vm` call clones
+    /// the `Arc` explicitly.
+    ///
     /// # Errors
     /// [`Error::BadAddress`] for null/invalid addresses.
-    pub fn klass_of(&self, obj: Addr) -> Result<Arc<Klass>> {
+    #[inline]
+    pub fn klass_of(&self, obj: Addr) -> Result<&Arc<Klass>> {
         if obj.is_null() {
             return Err(Error::BadAddress(0));
         }
@@ -211,11 +216,7 @@ impl Vm {
         if let Some(seg) = self.heap.segment_for(obj) {
             let tid = kw as u32;
             let name = seg.name_for_tid(tid).ok_or(Error::UnknownKlass(tid))?;
-            if let Some(k) = self.klasses.by_name(name) {
-                return Ok(k);
-            }
-            let id = self.klasses.load(name, &self.classpath, self.heap.spec())?;
-            return self.klasses.get(id);
+            return self.klasses.get(self.load_class(name)?);
         }
         self.klasses.get(KlassId(kw as u32))
     }
@@ -300,16 +301,11 @@ impl Vm {
     /// [`Error::BadAddress`] / [`Error::UnknownKlass`] for invalid objects.
     pub fn obj_size(&self, obj: Addr) -> Result<u64> {
         let k = self.klass_of(obj)?;
-        self.obj_size_with(&k, obj)
-    }
-
-    pub(crate) fn obj_size_with(&self, k: &Klass, obj: Addr) -> Result<u64> {
         match k.kind {
             KlassKind::Instance => Ok(k.instance_size),
             _ => {
                 let len = self.array_len(obj)?;
-                let es = u64::from(k.elem_size()?);
-                Ok(align8(self.spec().array_header() + len * es))
+                Ok(align8(self.spec().array_header() + len * u64::from(k.elem_size)))
             }
         }
     }
@@ -354,8 +350,10 @@ impl Vm {
     /// instance klass.
     pub fn alloc_array(&mut self, klass: KlassId, len: u64) -> Result<Addr> {
         let k = self.klasses.get(klass)?;
-        let es = u64::from(k.elem_size()?);
-        let size = align8(self.spec().array_header() + len * es);
+        if !k.is_array() {
+            return Err(Error::NotAnArray(k.name.clone()));
+        }
+        let size = align8(self.spec().array_header() + len * u64::from(k.elem_size));
         let addr = self.alloc_raw(size)?;
         let spec = self.spec();
         self.heap.arena().store_word(addr.0 + spec.klass_off(), u64::from(klass.0))?;
@@ -422,11 +420,14 @@ impl Vm {
     }
 
     fn elem_off(&self, obj: Addr, k: &Klass, idx: u64) -> Result<u64> {
+        if !k.is_array() {
+            return Err(Error::NotAnArray(k.name.clone()));
+        }
         let len = self.array_len(obj)?;
         if idx >= len {
             return Err(Error::IndexOutOfBounds { index: idx, len });
         }
-        Ok(obj.0 + self.spec().array_header() + idx * u64::from(k.elem_size()?))
+        Ok(obj.0 + self.spec().array_header() + idx * u64::from(k.elem_size))
     }
 
     /// Reads a primitive field as raw 64-bit payload (sign-extended for
@@ -487,8 +488,8 @@ impl Vm {
     /// [`Error::IndexOutOfBounds`], address errors.
     pub fn array_get_raw(&self, obj: Addr, idx: u64) -> Result<u64> {
         let k = self.klass_of(obj)?;
-        let off = self.elem_off(obj, &k, idx)?;
-        self.read_prim_raw(Addr(0), off, k.elem_size()?)
+        let off = self.elem_off(obj, k, idx)?;
+        self.read_prim_raw(Addr(0), off, k.elem_size)
     }
 
     /// Writes a primitive array element (raw bits, truncating).
@@ -497,8 +498,8 @@ impl Vm {
     /// [`Error::IndexOutOfBounds`], address errors.
     pub fn array_set_raw(&mut self, obj: Addr, idx: u64, val: u64) -> Result<()> {
         let k = self.klass_of(obj)?;
-        let off = self.elem_off(obj, &k, idx)?;
-        self.write_prim_raw(Addr(0), off, k.elem_size()?, val)
+        let (off, size) = (self.elem_off(obj, k, idx)?, k.elem_size);
+        self.write_prim_raw(Addr(0), off, size, val)
     }
 
     /// Reads a reference array element.
@@ -510,7 +511,7 @@ impl Vm {
         if k.kind != KlassKind::RefArray {
             return Err(Error::NotAnArray(k.name.clone()));
         }
-        let off = self.elem_off(obj, &k, idx)?;
+        let off = self.elem_off(obj, k, idx)?;
         Ok(Addr(self.heap.arena().load_word(off)?))
     }
 
@@ -523,7 +524,7 @@ impl Vm {
         if k.kind != KlassKind::RefArray {
             return Err(Error::NotAnArray(k.name.clone()));
         }
-        let off = self.elem_off(obj, &k, idx)?;
+        let off = self.elem_off(obj, k, idx)?;
         self.heap.arena().store_word(off, val.0)?;
         if self.heap.in_old(obj) {
             self.heap.dirty_card(obj);
@@ -559,33 +560,55 @@ impl Vm {
 
     // ----- ref-slot iteration (used by GC and Skyway) ---------------------
 
-    /// Byte offsets (object-relative) of every reference slot in `obj`.
+    /// Byte offsets (object-relative) of every reference slot in `obj`,
+    /// ascending: the klass's reference map for an instance, the element
+    /// range for a reference array. Borrows the klass; allocates nothing.
     ///
     /// # Errors
     /// Address errors.
-    pub fn ref_slots(&self, obj: Addr) -> Result<Vec<u64>> {
+    pub fn ref_slots(&self, obj: Addr) -> Result<impl Iterator<Item = u64> + '_> {
         let k = self.klass_of(obj)?;
-        self.ref_slots_with(&k, obj)
-    }
-
-    pub(crate) fn ref_slots_with(&self, k: &Klass, obj: Addr) -> Result<Vec<u64>> {
-        match k.kind {
-            KlassKind::Instance => Ok(k
-                .fields
-                .iter()
-                .filter(|f| matches!(f.ty, crate::klass::FieldType::Ref))
-                .map(|f| f.offset)
-                .collect()),
-            KlassKind::RefArray => {
-                let len = self.array_len(obj)?;
-                let base = self.spec().array_header();
-                Ok((0..len).map(|i| base + i * 8).collect())
-            }
-            KlassKind::PrimArray(_) => Ok(Vec::new()),
-        }
+        let elems = match k.kind {
+            KlassKind::RefArray => self.array_len(obj)?,
+            _ => 0,
+        };
+        let base = self.spec().array_header();
+        Ok(k.ref_offsets.iter().copied().chain((0..elems).map(move |i| base + i * 8)))
     }
 
     // ----- space walking ---------------------------------------------------
+
+    /// Walks objects in `[start, end)` in address order, skipping filler
+    /// words, invoking `f(addr, size)` — until the range ends (`Ok(None)`)
+    /// or an object's class or size cannot be resolved: `Ok(Some((at, why)))`
+    /// says where parsing stopped. [`Vm::walk_range`] turns that into an
+    /// error; the verifier records it as a fault and moves on.
+    ///
+    /// # Errors
+    /// Arena access failures and the first error from `f`.
+    pub(crate) fn walk_parsed(
+        &self,
+        start: u64,
+        end: u64,
+        mut f: impl FnMut(&Vm, Addr, u64) -> Result<()>,
+    ) -> Result<Option<(u64, Error)>> {
+        let mut at = start;
+        while at < end {
+            let w = self.heap.arena().load_word(at)?;
+            if w == FILLER_WORD {
+                at += 8;
+                continue;
+            }
+            let addr = Addr(at);
+            let size = match self.obj_size(addr) {
+                Ok(size) => size,
+                Err(why) => return Ok(Some((at, why))),
+            };
+            f(self, addr, size)?;
+            at += size;
+        }
+        Ok(None)
+    }
 
     /// Walks objects in `[start, end)` in address order, skipping filler
     /// words, invoking `f(addr, size)`.
@@ -596,21 +619,9 @@ impl Vm {
         &self,
         start: u64,
         end: u64,
-        mut f: impl FnMut(&Vm, Addr, u64) -> Result<()>,
+        f: impl FnMut(&Vm, Addr, u64) -> Result<()>,
     ) -> Result<()> {
-        let mut at = start;
-        while at < end {
-            let w = self.heap.arena().load_word(at)?;
-            if w == FILLER_WORD {
-                at += 8;
-                continue;
-            }
-            let addr = Addr(at);
-            let size = self.obj_size(addr)?;
-            f(self, addr, size)?;
-            at += size;
-        }
-        Ok(())
+        self.walk_parsed(start, end, f)?.map_or(Ok(()), |(_, why)| Err(why))
     }
 
     /// Walks every live-allocated region (eden, from-survivor, old).

@@ -177,4 +177,44 @@ proptest! {
             prop_assert_eq!(vm.get_long(v, "value").unwrap(), (i as i64) * 7);
         }
     }
+
+    /// The reference map every walker borrows is exactly the `Ref` entries
+    /// of `fields`, whatever the class hierarchy looks like; a reference
+    /// array's map is its element range.
+    #[test]
+    fn ref_map_matches_fields(
+        levels in proptest::collection::vec(proptest::collection::vec(0usize..12, 0..6), 1..5),
+        len in 0u64..40,
+    ) {
+        // Level i is class "C{i}" extending "C{i-1}"; codes 0..8 pick a
+        // primitive type, the rest a reference.
+        let cp = classpath();
+        for (i, codes) in levels.iter().enumerate() {
+            let names: Vec<String> = (0..codes.len()).map(|j| format!("f{i}_{j}")).collect();
+            let fields = names.iter().zip(codes).map(|(n, &c)| {
+                (n.as_str(), PrimType::ALL.get(c).map_or(FieldType::Ref, |&p| FieldType::Prim(p)))
+            });
+            let sup = i.checked_sub(1).map(|s| format!("C{s}"));
+            cp.define(KlassDef::new(format!("C{i}"), sup.as_deref(), fields.collect()));
+        }
+        let mut vm = Vm::new("p", &HeapConfig::small(), cp).unwrap();
+        vm.load_class(&format!("C{}", levels.len() - 1)).unwrap();
+        for i in 0..levels.len() {
+            let k = vm.klasses().by_name(&format!("C{i}")).unwrap();
+            let mut want: Vec<u64> =
+                k.fields.iter().filter(|f| f.ty == FieldType::Ref).map(|f| f.offset).collect();
+            want.sort_unstable();
+            prop_assert_eq!(&*k.ref_offsets, &*want);
+            let ends = k.fields.iter().map(|f| f.offset + u64::from(f.ty.size()));
+            prop_assert_eq!(k.payload_end, ends.max().unwrap_or(vm.spec().instance_header()));
+            let obj = vm.alloc_instance(k.id).unwrap();
+            prop_assert_eq!(vm.ref_slots(obj).unwrap().collect::<Vec<_>>(), want);
+        }
+        let ak = vm.load_class("[LC0;").unwrap();
+        let arr = vm.alloc_array(ak, len).unwrap();
+        let base = vm.spec().array_header();
+        let want: Vec<u64> = (0..len).map(|i| base + i * 8).collect();
+        prop_assert_eq!(vm.array_len(arr).unwrap(), len);
+        prop_assert_eq!(vm.ref_slots(arr).unwrap().collect::<Vec<_>>(), want);
+    }
 }

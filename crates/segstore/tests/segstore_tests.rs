@@ -299,7 +299,7 @@ fn shape(vm: &Vm, root: Addr) -> Vec<ObjShape> {
         }
         index.insert(a.0, order.len());
         order.push(a);
-        for off in vm.ref_slots(a).unwrap().into_iter().rev() {
+        for off in vm.ref_slots(a).unwrap().collect::<Vec<_>>().into_iter().rev() {
             stack.push(vm.read_ref_at(a, off).unwrap());
         }
     }
@@ -311,7 +311,7 @@ fn shape(vm: &Vm, root: Addr) -> Vec<ObjShape> {
                 KlassKind::Instance => (vm.spec().instance_header(), 0),
                 _ => (vm.spec().array_header(), vm.array_len(a).unwrap()),
             };
-            let slots = vm.ref_slots(a).unwrap();
+            let slots = vm.ref_slots(a).unwrap().collect::<Vec<_>>();
             let payload = (hdr..vm.obj_size(a).unwrap())
                 .step_by(8)
                 .filter(|off| !slots.contains(off))

@@ -526,7 +526,7 @@ mod tests {
         let vm = Vm::new("plans", &HeapConfig::small(), cp).unwrap();
         let kid = vm.load_class("Planned").unwrap();
         let k = vm.klasses().get(kid).unwrap();
-        let plan = field_plans(&k);
+        let plan = field_plans(k);
         assert_eq!(plan.len(), 3);
         // Layout order = size-descending: big/r (8) before tiny (1).
         assert_eq!(plan[0].name, "big");

@@ -17,6 +17,7 @@
 //!   makes Java-serializer output so much larger on the wire (Fig. 3(b)).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use mheap::{Addr, FieldType, KlassKind, PrimType, Vm};
 use simnet::Profile;
@@ -167,7 +168,8 @@ fn write_object(
     }
     profile.ser_invocations += 1;
     profile.objects_transferred += 1;
-    let k = vm.klass_of(obj).map_err(Error::Heap)?;
+    // Held across the recursive `&mut Vm` calls below.
+    let k = Arc::clone(vm.klass_of(obj).map_err(Error::Heap)?);
     match k.kind {
         KlassKind::Instance => {
             w.u8(TC_OBJECT);
@@ -343,12 +345,12 @@ fn read_object(
             let ch = read_class_desc(r, st)?;
             let (cname, _) = st.classes[ch].clone();
             let klass = vm.load_class(&cname).map_err(Error::Heap)?;
-            let k = vm.klasses().get(klass).map_err(Error::Heap)?;
+            let kind = vm.klasses().get(klass).map_err(Error::Heap)?.kind;
             let len = r.varint()?;
             let obj = vm.alloc_array(klass, len).map_err(Error::Heap)?;
             let id = arena.push(vm, obj);
             st.handles.push(id);
-            match k.kind {
+            match kind {
                 KlassKind::PrimArray(p) => {
                     for i in 0..len {
                         let bits = read_prim_fixed(r, p)?;

@@ -224,7 +224,7 @@ impl KryoSerializer {
         match k.kind {
             KlassKind::Instance => {
                 // "Generated" serializer: compiled plan, direct offsets.
-                let plan = self.plan(&k)?;
+                let plan = self.plan(k)?;
                 for f in plan.iter() {
                     match f.ty {
                         FieldType::Prim(p) => {
@@ -287,7 +287,8 @@ impl KryoSerializer {
                 // No reflection: the registry gives the class directly (the
                 // generated `case id: return new T()` switch of §2.1).
                 let klass = vm.load_class(&cname).map_err(Error::Heap)?;
-                let k = vm.klasses().get(klass).map_err(Error::Heap)?;
+                // Held across the allocating `&mut Vm` calls below.
+                let k = Arc::clone(vm.klasses().get(klass).map_err(Error::Heap)?);
                 match k.kind {
                     KlassKind::Instance => {
                         let obj = vm.alloc_instance(klass).map_err(Error::Heap)?;

@@ -276,7 +276,7 @@ impl SchemaSerializer {
                         }
                     }
                 } else {
-                    let plan = self.plan(&k)?;
+                    let plan = self.plan(k)?;
                     for (i, f) in plan.iter().enumerate() {
                         self.write_tag(w, i, &f.name);
                         match f.ty {
@@ -335,7 +335,8 @@ impl SchemaSerializer {
         profile.deser_invocations += 1;
         let cname = self.registry.name_of((tag - 1) as u32)?.to_owned();
         let klass = vm.load_class(&cname).map_err(Error::Heap)?;
-        let k = vm.klasses().get(klass).map_err(Error::Heap)?;
+        // Held across the allocating `&mut Vm` calls below.
+        let k = Arc::clone(vm.klasses().get(klass).map_err(Error::Heap)?);
         match k.kind {
             KlassKind::Instance => {
                 let obj = vm.alloc_instance(klass).map_err(Error::Heap)?;
