@@ -14,6 +14,11 @@
 //! * card-table entries covering the buffers are dirtied so the collector
 //!   accounts for the new pointers.
 //!
+//! Per object the scan resolves the tID once, with one indexed load from
+//! the stream's tID-indexed table, and per reference it tries the chunk
+//! being absorbed — where almost every reference lands — before searching
+//! the chunk list.
+//!
 //! One absorber does all of it: `AbsorbCore` scans over a shared `&Vm`,
 //! carving its input buffers out of the heap's shared old-generation window,
 //! so N of them can absorb the concurrent streams of one transfer. Whoever
@@ -23,7 +28,6 @@
 //! [`GraphReceiver`] is that owner for a single stream; the pipeline engine
 //! is the owner for N.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use mheap::layout::mark;
@@ -92,7 +96,10 @@ pub(crate) struct AbsorbCore<'d> {
     node: NodeId,
     chunks: Vec<ChunkMap>,
     next_logical: u64,
-    tids: HashMap<u32, TidFacts>,
+    /// Indexed by tID. The wire names the index, but the table grows only
+    /// to a tID the directory resolved, and the directory issues them
+    /// densely from 0.
+    tids: Vec<Option<TidFacts>>,
     stats: ReceiveStats,
     /// Where [`adopt`] publishes `stats`, and whose tracer records this
     /// stream's spans. The scan itself counts into `stats` only.
@@ -129,7 +136,7 @@ impl<'d> AbsorbCore<'d> {
             node,
             chunks: Vec::new(),
             next_logical: 0,
-            tids: HashMap::new(),
+            tids: Vec::new(),
             stats: ReceiveStats::default(),
             registry: Arc::clone(obs::global()),
             absorbed: 0,
@@ -158,16 +165,19 @@ impl<'d> AbsorbCore<'d> {
         self
     }
 
-    /// Resolves `tid` to its local klass (borrowed from `vm`'s table) and
-    /// hook index, loading the class on first sight of the tID.
+    /// Resolves the tID word of a klass slot to its local klass (borrowed
+    /// from `vm`'s table) and hook index, loading the class on first sight
+    /// of the tID.
     fn facts_for_tid<'v>(
         &mut self,
         vm: &'v Vm,
-        tid: u32,
+        word: u64,
         hooks: Option<&UpdateRegistry>,
     ) -> Result<(&'v Klass, Option<usize>)> {
-        if let Some(f) = self.tids.get(&tid) {
-            return Ok((vm.klasses().get(f.klass).map_err(Error::Heap)?, f.hooked));
+        let tid = u32::try_from(word)
+            .map_err(|_| Error::BadFrame(format!("implausible tID {word:#x}")))?;
+        if let Some(&Some(f)) = self.tids.get(tid as usize) {
+            return Ok((vm.klasses().get(f.klass)?, f.hooked));
         }
         let name = self.dir.name_for_tid_traced(
             self.node,
@@ -186,7 +196,11 @@ impl<'d> AbsorbCore<'d> {
         let k = vm.klasses().get(kid).map_err(Error::Heap)?;
         self.dir.tid_for(self.node, k)?;
         let hooked = hooks.and_then(|h| h.hook_index(&k.name));
-        self.tids.insert(tid, TidFacts { klass: kid, hooked });
+        let slot = tid as usize;
+        if self.tids.len() <= slot {
+            self.tids.resize(slot + 1, None);
+        }
+        self.tids[slot] = Some(TidFacts { klass: kid, hooked });
         Ok((k, hooked))
     }
 
@@ -222,8 +236,16 @@ impl<'d> AbsorbCore<'d> {
     /// offset against an empty chunk list) is dangling, never clamped to
     /// the last chunk.
     fn translate(&self, logical: u64) -> Result<Addr> {
-        let idx = self.chunks.partition_point(|c| c.logical_start + c.len <= logical);
-        let c = self.chunks.get(idx).ok_or(Error::DanglingRelativeAddr(logical))?;
+        // Almost every reference lands in the chunk being absorbed: try it
+        // before the search.
+        let holds = |c: &&ChunkMap| logical >= c.logical_start && logical - c.logical_start < c.len;
+        let c = match self.chunks.get(self.absorbed).filter(holds) {
+            Some(c) => c,
+            None => {
+                let idx = self.chunks.partition_point(|c| c.logical_start + c.len <= logical);
+                self.chunks.get(idx).ok_or(Error::DanglingRelativeAddr(logical))?
+            }
+        };
         debug_assert!(logical >= c.logical_start, "chunk ranges are gapless from 0");
         Ok(c.base.byte_add(logical - c.logical_start))
     }
@@ -314,12 +336,9 @@ impl<'d> AbsorbCore<'d> {
                 // An object: resolve its type, then absolutize.
                 within(at, spec.instance_header(), "object header")?;
                 let obj = Addr::from_raw(at);
-                let tid_word = arena.load_word(at + spec.klass_off()).map_err(Error::Heap)?;
-                if tid_word > u64::from(u32::MAX) {
-                    return Err(Error::BadFrame(format!("implausible tID {tid_word:#x}")));
-                }
-                let (k, hooked) = self.facts_for_tid(vm, tid_word as u32, hooks)?;
-                arena.store_word(at + spec.klass_off(), u64::from(k.id.0)).map_err(Error::Heap)?;
+                let tid = arena.load_word(at + spec.klass_off())?;
+                let (k, hooked) = self.facts_for_tid(vm, tid, hooks)?;
+                arena.store_word(at + spec.klass_off(), u64::from(k.id.0))?;
                 // Mark words arrive sanitized; a forwarding bit here means
                 // the stream is corrupt (this is untrusted input, so it is
                 // a validation error, not an assertion).
@@ -644,6 +663,49 @@ mod tests {
                 assert_eq!(after, 1, "{spec:?} {tail:#x}: word after the chunk was clobbered");
             }
         }
+    }
+
+    /// The tID-indexed table and the absorbed-chunk shortcut in `translate`
+    /// only skip lookups; they trust nothing. Objects alternating two
+    /// registered tIDs each get their own class, the unregistered tID after
+    /// them is a typed error rather than a class resolved earlier, and a
+    /// reference to the first byte past the stream fails the finish pass.
+    #[test]
+    fn fast_paths_still_reject_hostile_input() {
+        use mheap::stdlib::{INTEGER, LONG, PAIR};
+        let (mut vm, dir) = env();
+        let ids = [INTEGER, LONG, PAIR].map(|name| vm.load_class(name).unwrap());
+        dir.bootstrap_driver(&vm).unwrap();
+        let [int_t, long_t, pair_t] =
+            ids.map(|id| u64::from(vm.klasses().get(id).unwrap().tid().unwrap()));
+        let unknown = dir.len() as u64 + 3;
+
+        // Four 4-word boxes alternating Integer / Long, then a box whose
+        // tID nobody registered.
+        let mut r = GraphReceiver::new(&mut vm, &dir, NodeId(0));
+        let mut chunk = Vec::new();
+        for (i, t) in [int_t, long_t, int_t, long_t, unknown].into_iter().enumerate() {
+            chunk.extend([0, t, 0, i as u64]);
+        }
+        r.push_chunk(&words(&chunk)).unwrap();
+        let err = r.absorb_ready(None).unwrap_err();
+        assert!(matches!(err, Error::UnknownTypeId(t) if u64::from(t) == unknown), "{err}");
+        let base = r.core.chunks[0].base.0;
+        for (i, id) in [ids[0], ids[1], ids[0], ids[1]].into_iter().enumerate() {
+            let kw = r.vm.heap().arena().load_word(base + 32 * i as u64 + 8).unwrap();
+            assert_eq!(kw, u64::from(id.0), "object {i} took another object's class");
+        }
+        drop(r);
+        assert_eq!(vm.verify_heap().unwrap(), vec![]);
+
+        // A root pair whose `first` names logical 48: exactly the bytes
+        // received, so past every chunk.
+        let mut r = GraphReceiver::new(&mut vm, &dir, NodeId(0));
+        r.push_chunk(&words(&[TOP_MARK, 0, pair_t, 0, 48 + 1, 0])).unwrap();
+        r.absorb_ready(None).unwrap();
+        let err = r.finish(None).unwrap_err();
+        assert!(matches!(err, Error::DanglingRelativeAddr(48)), "{err}");
+        assert_eq!(vm.verify_heap().unwrap(), vec![]);
     }
 
     /// Dropping a receiver mid-stream hands its buffers back as filler and

@@ -15,7 +15,21 @@
 //! Visited-tracking normally rides in the `baddr` word (one atomic CAS per
 //! object); when the heap has no `baddr` word, or another thread already
 //! claimed the object, a thread-local hash table takes over (§4.2 "Support
-//! for Threads"). Heterogeneous clusters are handled here too: if the
+//! for Threads").
+//!
+//! The per-object budget is what a GC copy pays:
+//!
+//! * **one class resolution**, at the visit — the klass word indexes a
+//!   per-stream table, the object's shape in both formats (headers, array
+//!   length, payload, size) is worked out there too, and the gray queue
+//!   carries both to the clone;
+//! * **one atomic load and one CAS** per new object — the visited check's
+//!   load of the `baddr` word is the CAS's expected value;
+//! * **one output slice** — header written into it, payload bulk-copied
+//!   into it, and the reference slots relativized there in place, never
+//!   re-read from the heap.
+//!
+//! Heterogeneous clusters are handled here too: if the
 //! receiver's object format differs, the clone is written *in the
 //! receiver's format*, so only the sender pays (§3.1).
 //!
@@ -158,16 +172,41 @@ pub struct SegmentImage {
 }
 
 /// What one stream knows about a class beyond its layout: the type id the
-/// directory issued and the instance size in the *receiver's* format. The
-/// layout itself — kind, reference map, payload end, element size — is read
-/// off the klass where it lies in the sender VM's table, as the real
-/// Skyway's VM-internal send loop reads its klass meta-objects.
+/// directory issued. The layout itself — kind, reference map, payload end,
+/// element size — is read off the klass where it lies in the sender VM's
+/// table, as the real Skyway's VM-internal send loop reads its klass
+/// meta-objects.
 #[derive(Debug, Clone, Copy)]
 struct KlassFacts<'a> {
     klass: &'a Klass,
     tid: u64,
-    /// Receiver-format object size (instances).
-    recv_size: u64,
+}
+
+/// Where one object's bytes sit in both formats, worked out once at its
+/// visit ([`GraphSender::shape_of`]) and carried to the clone.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    /// Header bytes in the sender's format (where the payload starts).
+    src_hdr: u64,
+    /// Header bytes in the receiver's format.
+    hdr: u64,
+    /// Array length; 0 for instances.
+    len: u64,
+    /// Payload bytes, identical in both formats.
+    payload: u64,
+    /// Receiver-format object size: `hdr + payload`, 8-aligned.
+    size: u64,
+}
+
+/// What the visited check found for an object.
+#[derive(Debug, Clone, Copy)]
+enum Seen {
+    /// Already sent by this stream, at this logical position.
+    At(u64),
+    /// New to this stream. [`GraphSender::claim`] records it through the
+    /// `baddr` word the check loaded — the CAS's expected value — or, for
+    /// `None`, in the thread-local table.
+    New(Option<u64>),
 }
 
 /// Multiply-mix hasher for heap-address keys (fxhash-style). The visited
@@ -213,11 +252,14 @@ pub struct GraphSender<'a> {
     ref_bias: u64,
     /// Thread-local fallback: heap address → logical buffer address.
     fallback: AddrMap,
-    gray: VecDeque<(Addr, u64, u64)>,
+    /// Objects assigned a logical address but not yet cloned, with the
+    /// facts and shape their visit resolved.
+    gray: VecDeque<(Addr, u64, KlassFacts<'a>, Shape)>,
     stats: SendStats,
-    /// Keyed by klass word; bit 31 set for segment residents, whose klass
-    /// word is a global tID rather than a local klass id.
-    klass_facts: HashMap<u32, KlassFacts<'a>>,
+    /// Indexed by klass word: `[0]` for owned objects (a local klass id),
+    /// `[1]` for segment residents (a global tID). Each grows only to a
+    /// word `klass_of` has resolved, so a hit is one indexed load.
+    klass_facts: [Vec<Option<KlassFacts<'a>>>; 2],
     /// Where [`GraphSender::finish`] publishes `stats`, and whose tracer
     /// records this stream's spans. The traversal itself counts into
     /// `stats` only.
@@ -287,7 +329,7 @@ impl<'a> GraphSender<'a> {
             fallback: AddrMap::default(),
             gray: VecDeque::new(),
             stats: SendStats::default(),
-            klass_facts: HashMap::new(),
+            klass_facts: Default::default(),
             registry: Arc::clone(obs::global()),
             trace_ctx: obs::TraceCtx::NONE,
             lane: 0,
@@ -339,220 +381,180 @@ impl<'a> GraphSender<'a> {
     }
 
     /// Resolves (and caches) the per-klass facts for the klass word of
-    /// `obj`.
+    /// `obj` — once per object, at its visit; the gray queue carries them
+    /// to the clone.
     fn facts_for(&mut self, obj: Addr) -> Result<KlassFacts<'a>> {
         let sspec = self.vm.spec();
-        let kw = self.vm.heap().arena().load_word(obj.0 + sspec.klass_off()).map_err(Error::Heap)?
-            as u32;
-        let key = kw | u32::from(obj.raw() >= SEGMENT_BASE) << 31;
-        if let Some(&facts) = self.klass_facts.get(&key) {
+        let kw = self.vm.heap().arena().load_word(obj.0 + sspec.klass_off())? as u32 as usize;
+        let table = usize::from(obj.raw() >= SEGMENT_BASE);
+        if let Some(&Some(facts)) = self.klass_facts[table].get(kw) {
             return Ok(facts);
         }
-        let klass = self.vm.klass_of(obj).map_err(Error::Heap)?;
+        let klass = self.vm.klass_of(obj)?;
         let tid = self.dir.tid_for(self.node, klass)?;
         if let Encoding::Image { tid_names, .. } = &mut self.encoding {
             tid_names.entry(tid).or_insert_with(|| klass.name.clone());
         }
-        // Same payload behind the receiver's header; arrays are sized per
-        // object from their length.
-        let recv_size = match klass.kind {
-            KlassKind::Instance => mheap::layout::align8(
-                self.cfg.receiver_spec.instance_header() + klass.payload_end
-                    - sspec.instance_header(),
-            ),
-            _ => 0,
-        };
-        let facts = KlassFacts { klass, tid: u64::from(tid), recv_size };
-        self.klass_facts.insert(key, facts);
+        let facts = KlassFacts { klass, tid: u64::from(tid) };
+        let slots = &mut self.klass_facts[table];
+        if slots.len() <= kw {
+            slots.resize(kw + 1, None);
+        }
+        slots[kw] = Some(facts);
         Ok(facts)
     }
 
-    /// The logical position already assigned to `obj` in this phase, if
-    /// any (Algorithm 2 lines 18–26 visited check).
-    fn lookup_visited(&mut self, obj: Addr) -> Result<Option<u64>> {
-        match self.cfg.tracking {
-            Tracking::HashTable => Ok(self.fallback.get(&obj.0).copied()),
-            Tracking::Baddr => {
-                // Segment residents have no writable baddr word (sealed
-                // memory is read-only, and a stale sealed baddr could
-                // falsely match): track them in the thread-local table.
-                if self.vm.heap().in_segment(obj) {
-                    return Ok(self.fallback.get(&obj.0).copied());
-                }
-                let off = obj.0 + self.vm.spec().baddr_off().map_err(Error::Heap)?;
-                let w = self.vm.heap().arena().load_word_atomic(off).map_err(Error::Heap)?;
-                if baddr::sid_of(w) != self.sid {
-                    return Ok(None);
-                }
-                if baddr::stream_of(w) == self.stream {
-                    return Ok(Some(baddr::rel_of(w)));
-                }
-                // Claimed by another stream/thread: our own copy lives in
-                // the thread-local table (or doesn't exist yet).
-                if let Some(&rel) = self.fallback.get(&obj.0) {
-                    self.stats.fallback_hits += 1;
-                    return Ok(Some(rel));
-                }
-                Ok(None)
+    /// The visited check (Algorithm 2 lines 18–26).
+    fn lookup_visited(&mut self, obj: Addr) -> Result<Seen> {
+        // Segment residents have no writable baddr word (sealed memory is
+        // read-only, and a stale sealed baddr could falsely match): track
+        // them in the thread-local table.
+        if self.cfg.tracking == Tracking::HashTable || self.vm.heap().in_segment(obj) {
+            return Ok(self.fallback.get(&obj.0).map_or(Seen::New(None), |&rel| Seen::At(rel)));
+        }
+        let off = obj.0 + self.vm.spec().baddr_off()?;
+        let w = self.vm.heap().arena().load_word_atomic(off)?;
+        if baddr::sid_of(w) == self.sid {
+            if baddr::stream_of(w) == self.stream {
+                return Ok(Seen::At(baddr::rel_of(w)));
+            }
+            // Claimed by another stream/thread: our own copy lives in the
+            // thread-local table (or doesn't exist yet).
+            if let Some(&rel) = self.fallback.get(&obj.0) {
+                self.stats.fallback_hits += 1;
+                return Ok(Seen::At(rel));
             }
         }
+        Ok(Seen::New(Some(w)))
     }
 
-    /// Records `obj → logical` for this phase (CAS on `baddr`, falling back
-    /// to the hash table when another thread wins or already owns it).
-    fn claim(&mut self, obj: Addr, logical: u64) -> Result<()> {
-        match self.cfg.tracking {
-            Tracking::HashTable => {
-                self.fallback.insert(obj.0, logical);
-                Ok(())
-            }
-            Tracking::Baddr => {
-                // Sealed segment memory rejects the baddr CAS; keep the
-                // mapping in the thread-local table instead.
-                if self.vm.heap().in_segment(obj) {
-                    self.fallback.insert(obj.0, logical);
-                    return Ok(());
-                }
-                let off = obj.0 + self.vm.spec().baddr_off().map_err(Error::Heap)?;
-                let arena = self.vm.heap().arena();
-                let old = arena.load_word_atomic(off).map_err(Error::Heap)?;
-                if baddr::sid_of(old) == self.sid {
-                    // Another stream claimed it between lookup and claim.
-                    self.stats.cas_conflicts += 1;
-                    self.fallback.insert(obj.0, logical);
-                    return Ok(());
-                }
+    /// Records `obj → logical` for this phase: a CAS on `baddr` expecting
+    /// the `seen` word the visited check loaded, falling back to the hash
+    /// table when that word already belongs to this phase or the CAS loses
+    /// (another stream claimed the object since).
+    fn claim(&mut self, obj: Addr, seen: Option<u64>, logical: u64) -> Result<()> {
+        if let Some(old) = seen {
+            if baddr::sid_of(old) != self.sid {
+                let off = obj.0 + self.vm.spec().baddr_off()?;
                 let new = baddr::compose(self.sid, self.stream, logical);
-                match arena.cas_word(off, old, new).map_err(Error::Heap)? {
-                    Ok(_) => Ok(()),
-                    Err(_) => {
-                        self.stats.cas_conflicts += 1;
-                        self.fallback.insert(obj.0, logical);
-                        Ok(())
-                    }
+                if self.vm.heap().arena().cas_word(off, old, new)?.is_ok() {
+                    return Ok(());
                 }
             }
+            self.stats.cas_conflicts += 1;
         }
+        self.fallback.insert(obj.0, logical);
+        Ok(())
     }
 
-    /// Object size *in the receiver's format* (facts precomputed).
-    fn size_recv(&mut self, obj: Addr) -> Result<u64> {
-        let facts = self.facts_for(obj)?;
-        match facts.klass.kind {
-            KlassKind::Instance => Ok(facts.recv_size),
+    /// Where `obj`'s bytes sit in the sender's and the receiver's format:
+    /// the same payload behind each format's header, arrays sized from
+    /// their length.
+    fn shape_of(&self, obj: Addr, k: &Klass) -> Result<Shape> {
+        let (sspec, rspec) = (self.vm.spec(), self.cfg.receiver_spec);
+        let (src_hdr, hdr, len, payload) = match k.kind {
+            KlassKind::Instance => (
+                sspec.instance_header(),
+                rspec.instance_header(),
+                0,
+                k.payload_end - sspec.instance_header(),
+            ),
             _ => {
-                let es = u64::from(facts.klass.elem_size);
-                let hdr = self.cfg.receiver_spec.array_header();
-                let len = self.vm.array_len(obj).map_err(Error::Heap)?;
-                Ok(mheap::layout::align8(hdr + len * es))
+                let len = self.vm.array_len(obj)?;
+                (sspec.array_header(), rspec.array_header(), len, len * u64::from(k.elem_size))
             }
-        }
+        };
+        Ok(Shape { src_hdr, hdr, len, payload, size: mheap::layout::align8(hdr + payload) })
     }
 
     /// Visits a referee: returns its logical address, enqueuing it for
     /// cloning if unseen (Algorithm 2 lines 15–27).
     fn visit(&mut self, obj: Addr) -> Result<u64> {
-        if let Some(rel) = self.lookup_visited(obj)? {
-            return Ok(rel);
+        match self.lookup_visited(obj)? {
+            Seen::At(rel) => Ok(rel),
+            Seen::New(seen) => self.enqueue(obj, seen),
         }
-        let size = self.size_recv(obj)?;
-        let logical = self.out.assign(size);
-        self.claim(obj, logical)?;
-        self.gray.push_back((obj, logical, size));
+    }
+
+    /// Assigns an unseen object its logical address, claims it and queues
+    /// it for cloning — its class resolved here, once.
+    fn enqueue(&mut self, obj: Addr, seen: Option<u64>) -> Result<u64> {
+        let facts = self.facts_for(obj)?;
+        let shape = self.shape_of(obj, facts.klass)?;
+        let logical = self.out.assign(shape.size);
+        self.claim(obj, seen, logical)?;
+        self.gray.push_back((obj, logical, facts, shape));
         Ok(logical)
     }
 
     /// Clones one object into the buffer at its assigned logical address,
     /// adjusting headers and relativizing references (Algorithm 2 lines
     /// 10–27).
-    fn clone_object(&mut self, obj: Addr, logical: u64, size: u64) -> Result<()> {
+    fn clone_object(
+        &mut self,
+        obj: Addr,
+        logical: u64,
+        facts: KlassFacts<'a>,
+        shape: Shape,
+    ) -> Result<()> {
+        let Shape { src_hdr, hdr, len, payload, size } = shape;
         self.out.place(logical, size)?;
         self.stats.objects += 1;
-        let facts = self.facts_for(obj)?;
-        let sspec = self.vm.spec();
-        let rspec = self.cfg.receiver_spec;
+        let (rspec, k) = (self.cfg.receiver_spec, facts.klass);
         let arena = self.vm.heap().arena();
-
-        // Header: sanitized mark (hashcode preserved), tID, zero baddr.
-        let m = arena.load_word(obj.0 + sspec.mark_off()).map_err(Error::Heap)?;
-        self.out.write_word(logical, mark::sanitized_for_transfer(m))?;
-        self.out.write_word(logical + 8, facts.tid)?;
-        if rspec.with_baddr {
-            self.out.write_word(logical + rspec.baddr_off().map_err(Error::Heap)?, 0)?;
+        let m = arena.load_word(obj.0 + self.vm.spec().mark_off())?;
+        // The object's one output slice, zero-filled by `place` (so the
+        // `baddr` word and the padding need no write): header — sanitized
+        // mark (hashcode preserved), tID, array length — then the whole
+        // payload in one bulk copy, the "transfers every object as a
+        // whole" fast path, references included.
+        let (head, body) = self.out.slice_mut(logical, size as usize)?.split_at_mut(hdr as usize);
+        head[..8].copy_from_slice(&mark::sanitized_for_transfer(m).to_le_bytes());
+        head[8..16].copy_from_slice(&facts.tid.to_le_bytes());
+        if k.kind != KlassKind::Instance {
+            let at = rspec.array_len_off() as usize;
+            match rspec.array_len_size {
+                8 => head[at..at + 8].copy_from_slice(&len.to_le_bytes()),
+                4 => head[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes()),
+                n => return Err(Error::BadFrame(format!("array_len_size {n}"))),
+            }
         }
-
-        match facts.klass.kind {
+        arena.read_bytes(obj.0 + src_hdr, &mut body[..payload as usize])?;
+        self.stats.header_bytes += hdr;
+        self.stats.padding_bytes += size - hdr - payload;
+        // Relativize the copied reference slots in place.
+        match k.kind {
             KlassKind::Instance => {
-                let payload = facts.klass.payload_end - sspec.instance_header();
-                let hdr = rspec.instance_header();
-                self.stats.header_bytes += hdr;
-                self.stats.padding_bytes += size - hdr - payload;
-                // Bulk copy of the entire payload — this is the "transfers
-                // every object as a whole" fast path; no per-field access.
-                if payload > 0 {
-                    let dst = self.out.slice_mut(logical + hdr, payload as usize)?;
-                    arena.read_bytes(obj.0 + sspec.instance_header(), dst).map_err(Error::Heap)?;
-                }
-                // Relativize reference slots within the clone.
-                let shdr = sspec.instance_header();
-                for &off in &*facts.klass.ref_offsets {
-                    self.stats.pointer_bytes += 8;
-                    let tgt = Addr::from_raw(
-                        self.vm.heap().arena().load_word(obj.raw() + off).map_err(Error::Heap)?,
-                    );
-                    let slot = logical + hdr + (off - shdr);
-                    if tgt.is_null() {
-                        self.out.write_word(slot, 0)?;
-                    } else {
-                        let rel = self.visit(tgt)?;
-                        self.out.write_word(slot, rel + self.ref_bias)?;
-                    }
-                }
-                self.stats.data_bytes += payload - 8 * facts.klass.ref_offsets.len() as u64;
-            }
-            KlassKind::PrimArray(p) => {
-                let len = self.vm.array_len(obj).map_err(Error::Heap)?;
-                let hdr = rspec.array_header();
-                self.stats.header_bytes += hdr;
-                self.write_array_len(logical, len)?;
-                let bytes = len * u64::from(p.size());
-                self.stats.data_bytes += bytes;
-                self.stats.padding_bytes += size - hdr - bytes;
-                if bytes > 0 {
-                    let dst = self.out.slice_mut(logical + hdr, bytes as usize)?;
-                    arena.read_bytes(obj.0 + sspec.array_header(), dst).map_err(Error::Heap)?;
+                let pointers = 8 * k.ref_offsets.len() as u64;
+                self.stats.pointer_bytes += pointers;
+                self.stats.data_bytes += payload - pointers;
+                for &off in &*k.ref_offsets {
+                    self.relativize(logical + hdr + (off - src_hdr))?;
                 }
             }
+            KlassKind::PrimArray(_) => self.stats.data_bytes += payload,
             KlassKind::RefArray => {
-                let len = self.vm.array_len(obj).map_err(Error::Heap)?;
-                let hdr = rspec.array_header();
-                self.stats.header_bytes += hdr;
-                self.write_array_len(logical, len)?;
-                self.stats.pointer_bytes += len * 8;
-                self.stats.padding_bytes += size - hdr - len * 8;
-                let sbase = obj.0 + sspec.array_header();
+                self.stats.pointer_bytes += payload;
                 for i in 0..len {
-                    let tgt = Addr(arena.load_word(sbase + i * 8).map_err(Error::Heap)?);
-                    let slot = logical + hdr + i * 8;
-                    if tgt.is_null() {
-                        self.out.write_word(slot, 0)?;
-                    } else {
-                        let rel = self.visit(tgt)?;
-                        self.out.write_word(slot, rel + self.ref_bias)?;
-                    }
+                    self.relativize(logical + hdr + i * 8)?;
                 }
             }
         }
         Ok(())
     }
 
-    fn write_array_len(&mut self, logical: u64, len: u64) -> Result<()> {
-        let rspec = self.cfg.receiver_spec;
-        match rspec.array_len_size {
-            8 => self.out.write_word(logical + rspec.array_len_off(), len),
-            4 => self.out.write_u32(logical + rspec.array_len_off(), len as u32),
-            n => Err(Error::BadFrame(format!("array_len_size {n}"))),
+    /// Rewrites the sender-heap reference the bulk copy left at logical
+    /// `slot` into its target's logical address plus `ref_bias`; a null
+    /// stays the zero it was copied as.
+    fn relativize(&mut self, slot: u64) -> Result<()> {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(self.out.slice_mut(slot, 8)?);
+        let tgt = Addr(u64::from_le_bytes(word));
+        if tgt.is_null() {
+            return Ok(());
         }
+        let rel = self.visit(tgt)?;
+        self.out.write_word(slot, rel + self.ref_bias)
     }
 
     /// Transfers the object graph of one root (`writeObject(root)`): emits
@@ -612,24 +614,26 @@ impl<'a> GraphSender<'a> {
         if root.is_null() {
             return Err(Error::NullRoot);
         }
-        if let Some(rel) = self.lookup_visited(root)? {
-            let words = match &mut self.encoding {
-                Encoding::Wire => [TOP_REF, rel + 1],
-                Encoding::Image { roots, .. } => {
-                    roots.push(Addr::from_raw(self.ref_bias + rel));
-                    [FILLER_WORD; 2]
-                }
-            };
-            let at = self.out.emit(16)?;
-            self.out.write_word(at, words[0])?;
-            self.out.write_word(at + 8, words[1])?;
-            self.stats.marker_bytes += 16;
-            return Ok(());
-        }
+        let seen = match self.lookup_visited(root)? {
+            Seen::At(rel) => {
+                let words = match &mut self.encoding {
+                    Encoding::Wire => [TOP_REF, rel + 1],
+                    Encoding::Image { roots, .. } => {
+                        roots.push(Addr::from_raw(self.ref_bias + rel));
+                        [FILLER_WORD; 2]
+                    }
+                };
+                let at = self.out.emit(16)?;
+                self.out.write_word(at, words[0])?;
+                self.out.write_word(at + 8, words[1])?;
+                self.stats.marker_bytes += 16;
+                return Ok(());
+            }
+            Seen::New(seen) => seen,
+        };
         let at = self.out.emit(8)?;
         self.stats.marker_bytes += 8;
-        let size = self.size_recv(root)?;
-        let logical = self.out.assign(size);
+        let logical = self.enqueue(root, seen)?;
         let marker = match &mut self.encoding {
             Encoding::Wire => TOP_MARK,
             Encoding::Image { roots, .. } => {
@@ -638,10 +642,8 @@ impl<'a> GraphSender<'a> {
             }
         };
         self.out.write_word(at, marker)?;
-        self.claim(root, logical)?;
-        self.gray.push_back((root, logical, size));
-        while let Some((obj, logical, size)) = self.gray.pop_front() {
-            self.clone_object(obj, logical, size)?;
+        while let Some((obj, logical, facts, shape)) = self.gray.pop_front() {
+            self.clone_object(obj, logical, facts, shape)?;
         }
         Ok(())
     }
@@ -712,7 +714,7 @@ impl<'a> GraphSender<'a> {
             if !k.ref_offsets.is_empty() || k.kind == KlassKind::RefArray {
                 return Ok(None);
             }
-            total += 8 + self.size_recv(root)?;
+            total += 8 + self.shape_of(root, k)?.size;
             if total > cap {
                 return Ok(None);
             }

@@ -6,14 +6,14 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use mheap::stdlib::define_core_classes;
+use mheap::stdlib::{define_core_classes, PAIR};
 use mheap::{
     Addr, ClassPath, FieldType, Gen, HeapConfig, KlassDef, KlassKind, LayoutSpec, PrimType, Vm,
     FILLER_WORD,
 };
 use segstore::{shared_transfer, SegStore};
 use simnet::NodeId;
-use skyway::{sequential_transfer, SendConfig, TransferMode, TypeDirectory};
+use skyway::{sequential_transfer, SendConfig, Tracking, TransferMode, TypeDirectory};
 
 fn classpath() -> Arc<ClassPath> {
     let cp = ClassPath::new();
@@ -559,6 +559,74 @@ fn reseal_from_an_attached_segment() {
     store.advance_epoch();
     store.advance_epoch();
     assert_eq!(shape(&third, out[1]), shape(&sender, roots[0]));
+}
+
+// A graph of owned objects pointing into an attached segment goes over the
+// wire. The attacher's local klass id of `util.Pair` is numerically the tID
+// the segment's `SNode`s carry in their klass words, and the owned objects
+// alternate Pair / SNode, so the sender's class lookup flips between an
+// owned klass id and a resident tID of the same value from object to object.
+#[test]
+fn mixed_owned_and_resident_graph_crosses_the_wire() {
+    let (dir, mut sender, mut attacher) = same_node_env();
+    let pair = attacher.load_class(PAIR).unwrap();
+    let spec = GraphSpec {
+        tags: vec![7, 11, 13, 17],
+        lefts: vec![None, Some(0), Some(1), Some(2)],
+        rights: vec![None, None, Some(0), Some(1)],
+        roots: vec![3, 1],
+    };
+    let handles = build(&mut sender, &spec);
+    // tIDs in load order: `java.lang.Object` 0, `SNode` 1 — and in the
+    // attacher, `util.Pair` is klass 1.
+    dir.register_loaded(NodeId(0), &sender).unwrap();
+    let roots = resolve_roots(&sender, &handles, &spec.roots);
+    let store = SegStore::new().with_metrics(Arc::new(obs::Registry::new()));
+    let seal = store.seal(&sender, &dir, NodeId(0), &roots).unwrap();
+    let resident = store.attach(&mut attacher, seal.base).unwrap();
+    let snode_tid = sender.klasses().by_name("SNode").unwrap().tid().unwrap();
+    assert_eq!(pair.0, snode_tid, "precondition: an owned klass id equals a resident tID");
+
+    // Owned chain o0 → o1 → … → o5, built tail first; every link also
+    // points into the segment.
+    let snode = attacher.load_class("SNode").unwrap();
+    let mut next: Option<mheap::Handle> = None;
+    for i in (0..6).rev() {
+        let obj = attacher.alloc_instance(if i % 2 == 0 { pair } else { snode }).unwrap();
+        let to = next.map_or(Addr::NULL, |h| attacher.resolve(h).unwrap());
+        let (into, onward) = if i % 2 == 0 { ("first", "second") } else { ("left", "right") };
+        attacher.set_ref(obj, into, resident[i % 2]).unwrap();
+        attacher.set_ref(obj, onward, to).unwrap();
+        if i % 2 == 1 {
+            attacher.set_long(obj, "tag", 100 + i as i64).unwrap();
+        }
+        next = Some(attacher.handle(obj));
+    }
+    let sent = [attacher.resolve(next.unwrap()).unwrap(), resident[0]];
+
+    let mut third = Vm::new("t", &HeapConfig::small(), classpath()).unwrap();
+    let cfg = SendConfig::for_vm(&attacher);
+    assert_eq!(cfg.tracking, Tracking::Baddr);
+    let (out, stats, _) = sequential_transfer(
+        &attacher,
+        &mut third,
+        &dir,
+        NodeId(0),
+        NodeId(1),
+        1,
+        1,
+        &sent,
+        None,
+        cfg,
+    )
+    .unwrap();
+    assert_eq!(stats.objects, 6 + seal.stats.objects);
+    for (a, &orig) in out.iter().zip(&sent) {
+        assert_eq!(shape(&third, *a), shape(&attacher, orig));
+    }
+    for vm in [&sender, &attacher, &third] {
+        assert_eq!(vm.verify_heap().unwrap(), vec![], "{}", vm.name);
+    }
 }
 
 // A VM in the compact format (no `baddr` word, 4-byte array length sharing
