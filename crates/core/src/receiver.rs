@@ -465,6 +465,11 @@ pub(crate) fn adopt(
         reg.tracer().start(obs::names::TRACE_RECEIVER_CARD_DIRTY, first.trace_ctx, &vm.name);
     let mut cards = 0;
     for s in streams.iter() {
+        // Each chunk parses from its base: a minor GC's card walk may
+        // start there.
+        for &(base, _) in &s.card_spans {
+            vm.heap_mut().note_object_start(base);
+        }
         cards += vm.heap_mut().dirty_card_batch(&s.card_spans);
         stats.merge(&s.stats);
     }

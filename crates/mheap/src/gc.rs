@@ -14,6 +14,18 @@
 //!    skip, and
 //! 2. the receiver dirties cards for transferred buffers so a minor GC
 //!    discovers any young objects they come to reference.
+//!
+//! A minor collection costs the dirty cards, not the old generation. The
+//! heap's *object-start record* keeps, per card, the lowest object start
+//! noted there: by promotion and large-object allocation, by
+//! [`Heap::alloc_raw_old`](crate::heap::Heap::alloc_raw_old), and by the
+//! receiver for each input-buffer chunk it adopts (a chunk parses from its
+//! base). A record is always a true object start; a card without one only
+//! makes the walk reach further back. The card walk visits each maximal
+//! run of dirty cards, parses forward from the nearest recorded start at
+//! or before the run, and cleans the run as it goes. The full collection
+//! drops every record before it slides objects and re-notes each one where
+//! it lands.
 
 use std::collections::HashMap;
 
@@ -37,6 +49,14 @@ impl Vm {
     /// Live young objects move to the to-survivor space, or are promoted to
     /// the old generation once their age reaches the tenuring threshold (or
     /// when the survivor space overflows).
+    ///
+    /// Roots are the handles, the temp roots and every old object that
+    /// overlaps a dirty card. Those are found through the dirty cards
+    /// alone: each maximal run is cleaned and parsed from the nearest
+    /// recorded object start at or before it, so the work follows the
+    /// number of dirty cards, not the size of the old generation. A scanned
+    /// object's card is dirtied again only while it still references a
+    /// young (survivor) object.
     ///
     /// # Errors
     /// [`Error::PromotionFailed`] when the old generation cannot absorb
@@ -64,24 +84,10 @@ impl Vm {
             }
         }
 
-        // 2. Old→young references found through dirty cards.
-        let (_, _, _, old) = self.heap.spaces();
-        let mut dirty_objs: Vec<Addr> = Vec::new();
-        self.walk_range(old.start, old.top, |vm, addr, size| {
-            // An object is relevant if any card it overlaps is dirty.
-            let mut a = addr.0 & !(crate::heap::CARD_SIZE - 1);
-            let end = addr.0 + size;
-            while a < end {
-                cards_scanned += 1;
-                if vm.heap().is_card_dirty(Addr(a.max(addr.0))) {
-                    dirty_objs.push(addr);
-                    break;
-                }
-                a += crate::heap::CARD_SIZE;
-            }
-            Ok(())
-        })?;
-        self.heap.clear_cards();
+        // 2. Old→young references found through dirty cards. One read per
+        // slot: a young target is evacuated, and the object stays
+        // remembered only while the new address is still young.
+        let dirty_objs = self.dirty_card_objects(&mut cards_scanned)?;
         // One buffer for the whole collection: the slot walk borrows the
         // klass out of `self`, and evacuating a target needs `&mut self`.
         let mut slots: Vec<u64> = Vec::new();
@@ -93,10 +99,9 @@ impl Vm {
                 if !tgt.is_null() && self.heap.in_young(tgt) {
                     let n = self.evacuate(tgt, &mut copied)?;
                     self.write_ref_raw(obj, off, n)?;
-                }
-                let tgt = self.read_ref_at(obj, off)?;
-                if !tgt.is_null() && self.heap.in_young(tgt) {
-                    self.heap.dirty_card(obj); // survivor target: keep remembered
+                    if self.heap.in_young(n) {
+                        self.heap.dirty_card(obj); // survivor target: keep remembered
+                    }
                 }
             }
         }
@@ -127,6 +132,32 @@ impl Vm {
         self.stats.gc_ns += pause_ns;
         self.note_gc(false, pause_ns, self.stats.bytes_promoted - promoted_before, cards_scanned);
         Ok(())
+    }
+
+    /// Step 2's card walk: every old object overlapping a dirty card, each
+    /// once, in address order. Each maximal run of dirty cards below
+    /// `old.top` is cleaned, then parsed forward from the nearest recorded
+    /// object start at or before its first byte; `cards_scanned` grows by
+    /// the run's length. Work follows the dirty cards, not the old
+    /// generation's size.
+    fn dirty_card_objects(&mut self, cards_scanned: &mut u64) -> Result<Vec<Addr>> {
+        let mut objs: Vec<Addr> = Vec::new();
+        let mut next = 0;
+        while let Some(run) = self.heap.take_dirty_run(next) {
+            *cards_scanned += run.len() as u64;
+            let lo = self.heap.card_start(run.start);
+            let hi = self.heap.card_start(run.end).min(self.heap.old.top);
+            let from = self.heap.parse_point(run.start);
+            self.walk_range(from, hi, |_, addr, size| {
+                // An object spanning two runs is collected by the first.
+                if addr.0 + size > lo && objs.last().is_none_or(|l| l.0 < addr.0) {
+                    objs.push(addr);
+                }
+                Ok(())
+            })?;
+            next = run.end;
+        }
+        Ok(objs)
     }
 
     /// Reports one completed collection to the metrics registry.
@@ -270,11 +301,15 @@ impl Vm {
         }
 
         // ---- move (slide down, address order keeps copies safe) ----
+        // Every object-start record goes stale here; each is re-recorded
+        // as its object lands.
+        self.heap.drop_object_starts();
         for &(a, s) in &old_live {
             let dest = fwd[&a];
             if dest != a {
                 self.heap.arena().copy_within(a, dest, s as usize)?;
             }
+            self.heap.note_object_start(Addr(dest));
         }
         self.heap.set_old_top(cursor)?;
 
@@ -364,5 +399,249 @@ impl Vm {
     /// Propagates heap access errors.
     pub fn live_bytes(&self) -> Result<u64> {
         Ok(self.live_census()?.1)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::{BTreeSet, HashMap};
+
+    use proptest::prelude::*;
+
+    use crate::heap::HeapConfig;
+    use crate::layout::Addr;
+    use crate::stdlib::define_core_classes;
+    use crate::vm::{Handle, Vm};
+    use crate::{ClassPath, FieldType, KlassDef, PrimType};
+
+    /// One step of building a random old generation.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// `n` rooted, chained nodes tenured by one minor GC.
+        Promote(usize),
+        /// A rooted reference array of `len` slots (up to 40 cards) pointing
+        /// at earlier roots, tenured by one minor GC.
+        RefArray(u64),
+        /// A received-style input buffer: `n` nodes and `pad` filler words
+        /// in one shared-window chunk, recorded and dirtied at adoption only.
+        Chunk(usize, u64),
+        /// An abandoned shared window: `words` of filler with no record.
+        Abandoned(u64),
+        /// A full collection: every record dropped and rebuilt.
+        FullGc,
+    }
+
+    fn vm() -> Vm {
+        let cp = ClassPath::new();
+        define_core_classes(&cp);
+        cp.define(KlassDef::new(
+            "Node",
+            None,
+            vec![("id", FieldType::Prim(PrimType::Int)), ("next", FieldType::Ref)],
+        ));
+        // Tenure on the first survival: each minor GC promotes what lives.
+        let config = HeapConfig { tenure_threshold: 1, ..HeapConfig::small() };
+        Vm::new("cards", &config, cp).unwrap()
+    }
+
+    fn apply(vm: &mut Vm, roots: &mut Vec<Handle>, step: &Step) {
+        let node = vm.load_class("Node").unwrap();
+        let id = roots.len() as i32;
+        match *step {
+            Step::Promote(n) => {
+                for i in 0..n {
+                    let a = vm.alloc_instance(node).unwrap();
+                    vm.set_int(a, "id", id + i as i32).unwrap();
+                    let prev = roots.last().map_or(Addr::NULL, |&h| vm.resolve(h).unwrap());
+                    vm.set_ref(a, "next", prev).unwrap();
+                    roots.push(vm.handle(a));
+                }
+                vm.minor_gc().unwrap();
+            }
+            Step::RefArray(len) => {
+                let objs = vm.load_class("[Ljava.lang.Object;").unwrap();
+                let arr = vm.alloc_array(objs, len).unwrap();
+                for (i, &h) in roots.iter().enumerate().take(len as usize) {
+                    let tgt = vm.resolve(h).unwrap();
+                    vm.array_set_ref(arr, (i as u64 * 13) % len, tgt).unwrap();
+                }
+                roots.push(vm.handle(arr));
+                vm.minor_gc().unwrap();
+            }
+            Step::Chunk(n, pad) => {
+                // A young node is the template for the received ones.
+                let t = vm.alloc_instance(node).unwrap();
+                let size = vm.obj_size(t).unwrap();
+                let len = n as u64 * size + pad * 8;
+                vm.heap_mut().begin_shared_old_alloc();
+                let base = vm.heap().shared_alloc_raw_old(len).unwrap();
+                vm.heap_mut().end_shared_old_alloc();
+                let next = vm.klasses().get(node).unwrap().field_by_name("next").unwrap().offset;
+                for i in 0..n as u64 {
+                    let at = Addr(base.0 + i * size);
+                    vm.heap().arena().copy_within(t.0, at.0, size as usize).unwrap();
+                    vm.set_int(at, "id", id + i as i32).unwrap();
+                    let prev = if i == 0 { Addr::NULL } else { Addr(at.0 - size) };
+                    vm.heap().arena().store_word(at.0 + next, prev.0).unwrap();
+                    roots.push(vm.handle(at));
+                }
+                vm.heap_mut().note_object_start(base);
+                vm.heap_mut().dirty_card_batch(&[(base, len)]);
+            }
+            Step::Abandoned(words) => {
+                vm.heap_mut().begin_shared_old_alloc();
+                vm.heap().shared_alloc_raw_old(words * 8).unwrap();
+                vm.heap_mut().end_shared_old_alloc();
+            }
+            Step::FullGc => vm.full_gc().unwrap(),
+        }
+    }
+
+    /// The graph reachable from `roots`, numbered in breadth-first order:
+    /// per object its class, its `id` if a node, and its references.
+    type Shape = Vec<(String, Option<i32>, Vec<Option<usize>>)>;
+
+    fn shape(vm: &Vm, roots: &[Handle]) -> Shape {
+        let mut index: HashMap<u64, usize> = HashMap::new();
+        let mut order: Vec<Addr> = Vec::new();
+        let mut number = |a: Addr, order: &mut Vec<Addr>| {
+            (!a.is_null()).then(|| {
+                *index.entry(a.0).or_insert_with(|| {
+                    order.push(a);
+                    order.len() - 1
+                })
+            })
+        };
+        for &h in roots {
+            number(vm.resolve(h).unwrap(), &mut order);
+        }
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < order.len() {
+            let obj = order[i];
+            i += 1;
+            let name = vm.klass_of(obj).unwrap().name.clone();
+            let id = (name == "Node").then(|| vm.get_int(obj, "id").unwrap());
+            let slots: Vec<u64> = vm.ref_slots(obj).unwrap().collect();
+            let refs = slots
+                .iter()
+                .map(|&o| number(vm.read_ref_at(obj, o).unwrap(), &mut order))
+                .collect();
+            out.push((name, id, refs));
+        }
+        out
+    }
+
+    /// Indices of the dirty cards.
+    fn dirty_cards(vm: &Vm) -> BTreeSet<usize> {
+        let h = vm.heap();
+        h.card_range(h.old.start, h.old.size())
+            .filter(|&i| h.is_card_dirty(Addr(h.card_start(i))))
+            .collect()
+    }
+
+    /// Five to ten steps, each kind at least once, in random order.
+    fn layout() -> impl Strategy<Value = Vec<Step>> {
+        let sizes = (1usize..200, 1u64..2_500, 0u64..64, 1u64..1_500, any::<u64>());
+        proptest::collection::vec(sizes, 5..11).prop_map(|drawn| {
+            let mut keyed: Vec<(u64, Step)> = drawn
+                .into_iter()
+                .enumerate()
+                .map(|(i, (n, len, pad, words, key))| {
+                    let step = match i % 5 {
+                        0 => Step::Promote(n),
+                        1 => Step::RefArray(len),
+                        2 => Step::Chunk(n.min(150), pad),
+                        3 => Step::Abandoned(words),
+                        _ => Step::FullGc,
+                    };
+                    (key, step)
+                })
+                .collect();
+            keyed.sort_by_key(|&(key, _)| key);
+            keyed.into_iter().map(|(_, step)| step).collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Step 2's card walk collects exactly the old objects that overlap
+        /// a dirty card — the predicate a whole-generation walk applies —
+        /// and the minor GC built on it keeps the graph and the remembered
+        /// set intact.
+        #[test]
+        fn card_walk_collects_what_the_overlap_predicate_selects(
+            steps in layout(),
+            links in proptest::collection::vec((any::<usize>(), any::<u64>()), 0..24),
+            extra in proptest::collection::vec(any::<usize>(), 0..24),
+        ) {
+            let mut vm = vm();
+            let mut roots = Vec::new();
+            for s in &steps {
+                apply(&mut vm, &mut roots, s);
+            }
+            // Old→young edges through the write barrier.
+            let node = vm.load_class("Node").unwrap();
+            for (r, slot) in links {
+                let young = vm.alloc_instance(node).unwrap();
+                vm.set_int(young, "id", -1).unwrap();
+                let obj = vm.resolve(roots[r % roots.len()]).unwrap();
+                if !vm.heap().in_old(obj) {
+                    continue;
+                }
+                if vm.klass_of(obj).unwrap().name == "Node" {
+                    vm.set_ref(obj, "next", young).unwrap();
+                } else {
+                    let len = vm.array_len(obj).unwrap();
+                    vm.array_set_ref(obj, slot % len, young).unwrap();
+                }
+            }
+            // Random extra dirty cards below the old generation's top.
+            let used = vm.heap().card_range(vm.heap().old.start, vm.heap().old.used());
+            for e in extra {
+                let card = vm.heap().card_start(e % used.len());
+                vm.heap_mut().dirty_card(Addr(card));
+            }
+
+            let old = vm.heap().old;
+            let mut want = Vec::new();
+            vm.walk_range(old.start, old.top, |vm, a, size| {
+                if vm.heap().overlaps_dirty_card(a, size) {
+                    want.push(a);
+                }
+                Ok(())
+            }).unwrap();
+            let dirty = dirty_cards(&vm);
+            let mut scanned = 0;
+            let got = vm.dirty_card_objects(&mut scanned).unwrap();
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(scanned, dirty.len() as u64);
+            prop_assert!(dirty_cards(&vm).is_empty(), "the walk cleans what it visits");
+
+            // The same dirty set through a real minor GC.
+            for &i in &dirty {
+                let card = vm.heap().card_start(i);
+                vm.heap_mut().dirty_card(Addr(card));
+            }
+            let before = shape(&vm, &roots);
+            vm.minor_gc().unwrap();
+            let faults = vm.verify_heap().unwrap();
+            prop_assert!(faults.is_empty(), "{:?}", faults);
+            prop_assert_eq!(shape(&vm, &roots), before);
+            // Only the cards of old objects still holding a young reference
+            // stay dirty.
+            let mut remembered = BTreeSet::new();
+            let old = vm.heap().old;
+            vm.walk_range(old.start, old.top, |vm, a, _| {
+                for off in vm.ref_slots(a)? {
+                    if vm.heap().in_young(vm.read_ref_at(a, off)?) {
+                        remembered.insert(vm.heap().card_range(a.0, 1).start);
+                    }
+                }
+                Ok(())
+            }).unwrap();
+            prop_assert_eq!(dirty_cards(&vm), remembered);
+        }
     }
 }

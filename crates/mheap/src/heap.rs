@@ -10,6 +10,7 @@
 //! parseable old space; gaps are filled with [`FILLER_WORD`]s, which the
 //! space walkers skip (the moral equivalent of HotSpot's filler arrays).
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -146,6 +147,11 @@ pub struct Heap {
     pub(crate) from_is_s0: bool,
     pub(crate) old: Space,
     cards: Vec<u8>,
+    /// The object-start record, one byte per card: 1 + the word offset of
+    /// the lowest object start recorded in that card, 0 for none. Grown
+    /// lazily to the highest card noted; every record is a true object
+    /// start (a missing one only lengthens a minor GC's walk back).
+    starts: Vec<u8>,
     hash_state: u64,
     peak_used: u64,
     pub(crate) tenure_threshold: u8,
@@ -195,6 +201,7 @@ impl Heap {
             from_is_s0: true,
             old,
             cards: vec![0; n_cards as usize],
+            starts: Vec::new(),
             hash_state: 0x9e37_79b9_7f4a_7c15,
             peak_used: 0,
             tenure_threshold: config.tenure_threshold,
@@ -358,9 +365,10 @@ impl Heap {
 
     /// Bump-allocates `size` bytes in the old generation.
     pub(crate) fn bump_old(&mut self, size: u64) -> Option<Addr> {
-        let at = self.old.bump(size)?;
+        let at = Addr(self.old.bump(size)?);
+        self.note_object_start(at);
         self.note_usage();
-        Some(Addr(at))
+        Some(at)
     }
 
     /// Allocates a raw, contiguous old-generation region for a Skyway input
@@ -376,6 +384,7 @@ impl Heap {
         self.arena.zero(addr.0, len as usize)?;
         // Until the caller writes real objects, keep the region parseable.
         self.fill_filler(addr, len)?;
+        self.note_object_start(addr);
         self.note_usage();
         Ok(addr)
     }
@@ -485,21 +494,30 @@ impl Heap {
 
     // ----- card table -------------------------------------------------
 
-    fn card_index(&self, addr: Addr) -> Option<usize> {
-        if self.old.contains(addr) {
-            Some(((addr.0 - self.old.start) / CARD_SIZE) as usize)
-        } else {
-            None
+    /// The indices of the cards overlapping `[addr, addr + len)` (one byte
+    /// at least), clipped to the old generation. Cards are counted from
+    /// `old.start`; this and its inverse, [`Heap::card_start`], are the only
+    /// code that maps between addresses and cards.
+    pub(crate) fn card_range(&self, addr: u64, len: u64) -> Range<usize> {
+        let (lo, hi) = (addr.max(self.old.start), (addr + len.max(1)).min(self.old.end));
+        if lo >= hi {
+            return 0..0;
         }
+        let card = |a: u64| ((a - self.old.start) / CARD_SIZE) as usize;
+        card(lo)..card(hi - 1) + 1
+    }
+
+    /// First byte of card `i`.
+    pub(crate) fn card_start(&self, i: usize) -> u64 {
+        self.old.start + i as u64 * CARD_SIZE
     }
 
     /// Dirties the card covering `addr` (no-op outside the old generation).
     /// This is the write barrier, also invoked by Skyway's receiver after
     /// absolutizing an input buffer.
     pub fn dirty_card(&mut self, addr: Addr) {
-        if let Some(i) = self.card_index(addr) {
-            self.cards[i] = 1;
-        }
+        let r = self.card_range(addr.0, 1);
+        self.cards[r].fill(1);
     }
 
     /// Dirties every card overlapping `[addr, addr+len)`.
@@ -508,26 +526,11 @@ impl Heap {
     }
 
     /// Dirties every card overlapping `[addr, addr+len)` in one slice fill,
-    /// returning how many of those cards were *newly* dirtied. The index
-    /// range is computed once instead of re-checking old-generation bounds
-    /// per card, so absorbing a chunk costs one memset-like pass.
+    /// returning how many of those cards were *newly* dirtied, so absorbing
+    /// a chunk costs one memset-like pass.
     fn dirty_card_span(&mut self, addr: Addr, len: u64) -> u64 {
-        let end = Addr(addr.0 + len.max(1) - 1);
-        let (Some(first), Some(last)) = (self.card_index(addr), self.card_index(end)) else {
-            // Partially outside the old generation: fall back to the
-            // per-card barrier for whatever part is covered.
-            let mut newly = 0;
-            let mut a = addr.0;
-            while a < addr.0 + len.max(1) {
-                if let Some(i) = self.card_index(Addr(a)) {
-                    newly += u64::from(self.cards[i] == 0);
-                    self.cards[i] = 1;
-                }
-                a += CARD_SIZE;
-            }
-            return newly;
-        };
-        let span = &mut self.cards[first..=last];
+        let r = self.card_range(addr.0, len);
+        let span = &mut self.cards[r];
         let newly = span.iter().filter(|&&c| c == 0).count() as u64;
         span.fill(1);
         newly
@@ -543,7 +546,13 @@ impl Heap {
 
     /// True if the card covering `addr` is dirty.
     pub fn is_card_dirty(&self, addr: Addr) -> bool {
-        self.card_index(addr).map(|i| self.cards[i] == 1).unwrap_or(false)
+        self.overlaps_dirty_card(addr, 1)
+    }
+
+    /// True if any card overlapping `[addr, addr + len)` is dirty: the
+    /// predicate by which a minor GC scans an old object.
+    pub(crate) fn overlaps_dirty_card(&self, addr: Addr, len: u64) -> bool {
+        self.cards[self.card_range(addr.0, len)].contains(&1)
     }
 
     pub(crate) fn clear_cards(&mut self) {
@@ -553,6 +562,53 @@ impl Heap {
     /// Number of dirty cards (diagnostics).
     pub fn dirty_card_count(&self) -> usize {
         self.cards.iter().filter(|&&c| c == 1).count()
+    }
+
+    /// The first maximal run of dirty cards at or after card `from` that
+    /// lies below `old.top`, cleaned as it is handed out.
+    pub(crate) fn take_dirty_run(&mut self, from: usize) -> Option<Range<usize>> {
+        let below_top = self.card_range(self.old.start, self.old.used()).end;
+        let cards = self.cards.get_mut(from..below_top)?;
+        let first = cards.iter().position(|&c| c != 0)?;
+        let len = cards[first..].iter().position(|&c| c == 0).unwrap_or(cards.len() - first);
+        cards[first..first + len].fill(0);
+        Some(from + first..from + first + len)
+    }
+
+    // ----- object-start record -----------------------------------------
+
+    /// Records `addr` as a place where the old generation parses: an object
+    /// header, or the base of a filler-padded region. A no-op outside the
+    /// old generation. Skyway's receiver calls it for each input-buffer
+    /// chunk it adopts. The caller guarantees the claim: a minor GC starts
+    /// parsing here, and a wrong record would make it mis-parse.
+    pub fn note_object_start(&mut self, addr: Addr) {
+        let Some(i) = self.card_range(addr.0, 1).next() else { return };
+        if self.starts.len() <= i {
+            self.starts.resize(i + 1, 0);
+        }
+        let rec = ((addr.0 - self.card_start(i)) / 8 + 1) as u8;
+        if self.starts[i] == 0 || rec < self.starts[i] {
+            self.starts[i] = rec;
+        }
+    }
+
+    /// Drops every record (the full GC's slide invalidates them all).
+    pub(crate) fn drop_object_starts(&mut self) {
+        self.starts.clear();
+    }
+
+    /// The nearest recorded object start at or before the first byte of
+    /// card `i`, walking back card by card; `old.start` if none is.
+    pub(crate) fn parse_point(&self, i: usize) -> u64 {
+        if self.starts.get(i) == Some(&1) {
+            return self.card_start(i);
+        }
+        let below = &self.starts[..i.min(self.starts.len())];
+        match below.iter().rposition(|&r| r != 0) {
+            Some(j) => self.card_start(j) + u64::from(below[j] - 1) * 8,
+            None => self.old.start,
+        }
     }
 
     // ----- GC-internal space management --------------------------------

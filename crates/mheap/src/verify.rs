@@ -218,21 +218,10 @@ impl Vm {
             // minor GC will miss it. Same overlap predicate the minor-GC
             // card scan uses.
             if let Some(tgt) = young_target {
-                if self.heap().in_old(obj) {
-                    let size = self.obj_size(obj)?;
-                    let mut card = obj.0 & !(crate::heap::CARD_SIZE - 1);
-                    let end = obj.0 + size;
-                    let mut remembered = false;
-                    while card < end {
-                        if self.heap().is_card_dirty(Addr(card.max(obj.0))) {
-                            remembered = true;
-                            break;
-                        }
-                        card += crate::heap::CARD_SIZE;
-                    }
-                    if !remembered {
-                        faults.push(HeapFault::StaleCard { obj: obj.0, target: tgt.0 });
-                    }
+                if self.heap().in_old(obj)
+                    && !self.heap().overlaps_dirty_card(obj, self.obj_size(obj)?)
+                {
+                    faults.push(HeapFault::StaleCard { obj: obj.0, target: tgt.0 });
                 }
             }
         }

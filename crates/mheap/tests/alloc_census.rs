@@ -12,19 +12,34 @@ use mheap::{Addr, ClassPath, FieldType, HeapConfig, KlassDef, PrimType, Vm};
 thread_local! {
     /// Allocations made by this thread (the harness runs other threads).
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations requested.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-// SAFETY: both methods hand their arguments to `System` untouched, so its
-// `GlobalAlloc` contract is ours; the only addition is a bump of a
-// const-initialised, destructor-free thread-local `Cell`, which neither
-// allocates nor unwinds. `realloc` / `alloc_zeroed` default to `alloc`.
+/// Counts one allocation of `layout` against this thread.
+fn count(layout: Layout) {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + layout.size() as u64));
+}
+
+// SAFETY: every method hands its arguments to `System` untouched, so its
+// `GlobalAlloc` contract is ours; the only addition is a bump of two
+// const-initialised, destructor-free thread-local `Cell`s, which neither
+// allocates nor unwinds. `realloc` defaults to `alloc`.
 unsafe impl GlobalAlloc for Counting {
     // SAFETY: `layout` is the caller's, forwarded as is.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        count(layout);
         System.alloc(layout)
+    }
+
+    // SAFETY: as for `alloc`. Forwarding (rather than the default
+    // alloc-then-memset) keeps an arena's untouched pages untouched.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout);
+        System.alloc_zeroed(layout)
     }
 
     // SAFETY: `ptr` was returned by `alloc` above, i.e. by `System`, for
@@ -42,6 +57,13 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// Runs `f`, returning its value and the bytes this thread requested in it.
+fn bytes_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (out, BYTES.with(Cell::get) - before)
 }
 
 const N: usize = 10_000;
@@ -103,4 +125,28 @@ fn collector_verifier_and_field_reads_do_not_allocate_per_object() {
     assert!(faults.is_empty(), "{faults:?}");
     assert!(n < BUDGET, "verify_heap over {N} old objects allocated {n} times");
     read_all(&vm);
+}
+
+/// Bytes `Vm::new` requests for a 256 MiB heap besides the arena itself —
+/// the card table (one byte per 512-byte card of the old generation) plus
+/// the VM's name — measured before the heap gained its object-start
+/// record. Anything a heap keeps per card beyond the card table must grow
+/// lazily: an eager multi-MB table is re-zeroed on every set-up.
+const VM_NEW_BYTES: u64 = 367_008;
+
+#[test]
+fn vm_new_requests_no_per_card_memory_beyond_the_card_table() {
+    let cp = ClassPath::new();
+    define_core_classes(&cp);
+    let config = HeapConfig::default().with_capacity(256 << 20);
+    // The process-wide registry is built on first use, by whichever test
+    // gets there first; it is not the heap's cost.
+    let _ = obs::global();
+    let (vm, bytes) = bytes_during(|| Vm::new("census", &config, cp).unwrap());
+    let beyond_arena = bytes - vm.heap().capacity();
+    assert!(
+        beyond_arena <= VM_NEW_BYTES,
+        "Vm::new on a 256 MiB heap requested {beyond_arena} bytes besides the arena \
+         (budget: {VM_NEW_BYTES})"
+    );
 }

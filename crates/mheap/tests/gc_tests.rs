@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use mheap::stdlib::define_core_classes;
-use mheap::{Addr, ClassPath, FieldType, HeapConfig, KlassDef, PrimType, Vm};
+use mheap::{Addr, ClassPath, FieldType, HeapConfig, KlassDef, PrimType, Vm, CARD_SIZE};
 
 fn classpath() -> Arc<ClassPath> {
     let cp = ClassPath::new();
@@ -233,4 +233,99 @@ fn cyclic_graphs_survive_gc() {
     let b = vm.get_ref(a, "next").unwrap();
     assert_eq!(vm.get_int(b, "id").unwrap(), 2);
     assert_eq!(vm.get_ref(b, "next").unwrap(), a, "cycle broken by GC");
+}
+
+#[test]
+fn minor_gc_scans_an_object_whose_only_dirty_card_is_its_trailing_one() {
+    // Tenure on the first survival, so one minor GC places the node.
+    let config = HeapConfig { tenure_threshold: 1, ..HeapConfig::small() };
+    let mut vm = Vm::new("gc-test", &config, classpath()).unwrap();
+    let k = vm.load_class("Node").unwrap();
+    let node = vm.alloc_instance(k).unwrap();
+    let size = vm.obj_size(node).unwrap();
+    let h = vm.handle(node);
+    // Pad the old generation so the promoted node starts one word before
+    // a card boundary (cards are counted from the generation's start).
+    let (_, _, _, old) = vm.heap().spaces();
+    let boundary = old.start + (old.top - old.start + 16).div_ceil(CARD_SIZE) * CARD_SIZE;
+    vm.heap_mut().alloc_raw_old(boundary - 8 - old.top).unwrap();
+    vm.minor_gc().unwrap();
+    let old_node = vm.resolve(h).unwrap();
+    assert_eq!(old_node.raw(), boundary - 8, "the node must straddle the card boundary");
+    assert!(size > 8 && size < CARD_SIZE);
+    // Its only reference to a young node is stored without the barrier,
+    // and only the trailing card is dirtied.
+    let young = vm.alloc_instance(k).unwrap();
+    vm.set_int(young, "id", 42).unwrap();
+    let next = vm.klasses().get(k).unwrap().field_by_name("next").unwrap().offset;
+    vm.heap().arena().store_word(old_node.raw() + next, young.raw()).unwrap();
+    vm.heap_mut().dirty_card_range(Addr(boundary), 8);
+    assert!(!vm.heap().is_card_dirty(old_node));
+
+    vm.minor_gc().unwrap();
+    let moved = vm.get_ref(old_node, "next").unwrap();
+    assert_ne!(moved, young, "the card walk must evacuate the young node");
+    assert_eq!(vm.get_int(moved, "id").unwrap(), 42, "young node lost by the card walk");
+    let faults = vm.verify_heap().unwrap();
+    assert!(faults.is_empty(), "{faults:?}");
+}
+
+/// Runs one minor GC over a dirty region of fixed shape lying above
+/// `ballast` bytes of untouched tenured data; returns the dirty-card count
+/// before the collection and the collection's `mheap.gc.cards_scanned`.
+fn cards_scanned_above(ballast: u64) -> (usize, u64) {
+    let reg = Arc::new(obs::Registry::new());
+    let config = HeapConfig { capacity: 128 << 20, tenure_threshold: 1, ..HeapConfig::default() };
+    let mut vm = Vm::new("cards", &config, classpath()).unwrap().with_metrics(Arc::clone(&reg));
+    // 10 MB long arrays are large objects: allocated straight into the
+    // old generation, never written.
+    let longs = vm.load_class("[J").unwrap();
+    for _ in 0..ballast / (10 << 20) {
+        let a = vm.alloc_array(longs, (10 << 20) / 8).unwrap();
+        assert!(vm.heap().in_old(a));
+        vm.handle(a);
+    }
+    // Start the region on a card boundary so both heaps lay it out alike.
+    let (_, _, _, old) = vm.heap().spaces();
+    let rel = (old.top - old.start) % CARD_SIZE;
+    if rel != 0 {
+        vm.heap_mut().alloc_raw_old(CARD_SIZE - rel).unwrap();
+    }
+    // A 2 000-slot reference array (≈ 32 cards), tenured by one minor GC.
+    let objs = vm.load_class("[Ljava.lang.Object;").unwrap();
+    let arr = vm.alloc_array(objs, 2_000).unwrap();
+    let ah = vm.handle(arr);
+    vm.minor_gc().unwrap();
+    let arr = vm.resolve(ah).unwrap();
+    assert!(vm.heap().in_old(arr));
+    let k = vm.load_class("Node").unwrap();
+    for i in (0..2_000).step_by(97) {
+        let node = vm.alloc_instance(k).unwrap();
+        vm.set_int(node, "id", i as i32).unwrap();
+        vm.array_set_ref(arr, i, node).unwrap(); // barrier: the header card
+    }
+    vm.heap_mut().dirty_card_range(Addr(arr.raw() + 5 * CARD_SIZE), 4 * CARD_SIZE);
+    vm.heap_mut().dirty_card_range(Addr(arr.raw() + 20 * CARD_SIZE), 2 * CARD_SIZE);
+    let dirty = vm.heap().dirty_card_count();
+
+    let before = reg.counter(obs::names::GC_CARDS_SCANNED).get();
+    vm.minor_gc().unwrap();
+    let scanned = reg.counter(obs::names::GC_CARDS_SCANNED).get() - before;
+    for i in (0..2_000).step_by(97) {
+        let node = vm.array_get_ref(arr, i).unwrap();
+        assert_eq!(vm.get_int(node, "id").unwrap(), i as i32);
+    }
+    let faults = vm.verify_heap().unwrap();
+    assert!(faults.is_empty(), "{faults:?}");
+    (dirty, scanned)
+}
+
+#[test]
+fn minor_gc_card_work_follows_dirty_cards_not_old_gen_size() {
+    let (dirty, scanned) = cards_scanned_above(0);
+    let (dirty_big, scanned_big) = cards_scanned_above(40 << 20);
+    assert_eq!(dirty, 7, "header card + 4 + 2 dirtied cards");
+    assert_eq!(dirty_big, dirty);
+    assert_eq!(scanned, dirty as u64, "cards scanned = cards in dirty runs");
+    assert_eq!(scanned_big, scanned, "40 MB of clean tenured data cost card work");
 }
