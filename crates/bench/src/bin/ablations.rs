@@ -9,11 +9,15 @@
 //!    `LOOKUP` traffic vs the Java serializer's strings-per-object regime.
 //! 4. **`baddr` vs side-table visited tracking** (§4.2): what the extra
 //!    header word buys during the send traversal.
+//! 5. **Receiver-side card dirtying** (§4.3): what the paper's conservative
+//!    card pass over every input buffer costs the next minor collection.
+//!    The library receiver dirties nothing; the paper's pass is replayed
+//!    here with the public `Heap::dirty_card_range`.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use mheap::{ClassPath, HeapConfig, LayoutSpec, Vm};
+use mheap::{Addr, ClassPath, HeapConfig, LayoutSpec, Vm};
 use serlab::jsbs::{build_dataset, define_jsbs_classes, jsbs_class_names};
 use serlab::{deserialize_profiled, serialize_profiled, KryoRegistry, KryoSerializer, Serializer};
 use simnet::{NodeId, Profile};
@@ -165,6 +169,38 @@ fn ablation_tracking(cp: &Arc<ClassPath>) {
     println!("  (the baddr word costs one header word per object — see mem_overhead)");
 }
 
+fn ablation_card_dirtying(cp: &Arc<ClassPath>) {
+    println!("\n--- Ablation 5: receiver-side card dirtying (§4.3) ---");
+    println!("  {:<28} {:>14} {:>14}", "receiver", "cards scanned", "minor GC ms");
+    for (label, dirty) in [("dirties nothing (default)", false), ("dirties its buffers", true)] {
+        let (mut sender, receiver, dir) = fresh_pair(cp);
+        let reg = Arc::new(obs::Registry::new());
+        let mut receiver = receiver.with_metrics(Arc::clone(&reg));
+        let handles = build_dataset(&mut sender, 10_000).expect("dataset");
+        let roots: Vec<_> = handles.iter().map(|h| sender.resolve(*h).unwrap()).collect();
+        let mut p = Profile::new();
+        let bytes = skyway_for(&dir, 0).serialize(&mut sender, &roots, &mut p).expect("ser");
+        let before = receiver.heap().spaces().3.top;
+        let got = skyway_for(&dir, 1).deserialize(&mut receiver, &bytes, &mut p).expect("deser");
+        let after = receiver.heap().spaces().3.top;
+        let _rooted: Vec<_> = got.iter().map(|&r| receiver.handle(r)).collect();
+        // Best of 3 minor collections, each after the same card state.
+        let (mut best, mut scanned) = (f64::MAX, 0);
+        for _ in 0..3 {
+            if dirty {
+                receiver.heap_mut().dirty_card_range(Addr::from_raw(before), after - before);
+            }
+            let cards = reg.snapshot().counter(obs::names::GC_CARDS_SCANNED);
+            let t = Instant::now();
+            receiver.minor_gc().expect("minor gc");
+            best = best.min(t.elapsed().as_secs_f64() * 1e3);
+            scanned = reg.snapshot().counter(obs::names::GC_CARDS_SCANNED) - cards;
+        }
+        println!("  {label:<28} {scanned:>14} {best:>14.3}");
+    }
+    println!("  (a received graph references only its own buffers: no card is needed)");
+}
+
 fn ablation_kryo_comparison(cp: &Arc<ClassPath>) {
     println!("\n--- Context: end-to-end vs kryo on the same dataset ---");
     let (mut sender, mut receiver, dir) = fresh_pair(cp);
@@ -200,6 +236,7 @@ fn main() {
     ablation_chunk_size(&cp);
     ablation_registry(&cp);
     ablation_tracking(&cp);
+    ablation_card_dirtying(&cp);
     ablation_kryo_comparison(&cp);
     skyway_bench::dump_metrics();
 }

@@ -17,9 +17,9 @@
 //!   travel in: `SKYW | version 1 | spec flags | chunk_count | (len |
 //!   bytes)*`, written by [`buffer::frame_chunks`] and read by
 //!   [`buffer::parse_frames`];
-//! * [`receiver`] — input buffers allocated in the old generation, one
-//!   linear absolutization pass, on-demand class loading, card-table
-//!   updates (§4.3);
+//! * [`receiver`] — input buffers allocated in the old generation and
+//!   written once, one linear absolutization pass, on-demand class loading
+//!   (§4.3; no card is dirtied);
 //! * [`pipeline`] — the transfer engine: N sender lanes (the sending
 //!   threads of §4.2) streaming chunks to N absorbers, overlapped;
 //! * [`stream`] — the developer-facing API (§3.3): output/input streams,

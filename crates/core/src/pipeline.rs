@@ -42,7 +42,6 @@ use crate::receiver::{self, AbsorbCore, GraphReceiver, ReceiveStats};
 use crate::registry::TypeDirectory;
 use crate::sender::{
     send_lane, GraphSender, LaneSent, ParallelConfig, RootFeed, SendConfig, SendStats, StealSet,
-    Tracking,
 };
 use crate::stream::UpdateRegistry;
 use crate::{Error, Result};
@@ -82,9 +81,6 @@ pub struct PipelineConfig {
     /// Maximum chunks in flight between a sender lane and its absorber
     /// (channel bound; the backpressure window).
     pub depth: usize,
-    /// Visited-tracking mode for the sender; `None` picks `Baddr` when the
-    /// sender heap carries the word, `HashTable` otherwise.
-    pub tracking: Option<Tracking>,
     /// Cost-model parameters for the simulated-time schedule.
     pub sim: SimConfig,
     /// Opt-in parallel mode: with `Some(par)` the engine runs
@@ -99,7 +95,6 @@ impl Default for PipelineConfig {
         PipelineConfig {
             chunk_limit: DEFAULT_PIPELINE_CHUNK,
             depth: DEFAULT_DEPTH,
-            tracking: None,
             sim: SimConfig::default(),
             parallel: None,
         }
@@ -370,7 +365,7 @@ impl PipelineEngine {
     /// [`obs::names::TRACE_TRANSFER`] root span and threads its child
     /// context through the sender (traversal and chunk-send spans), the
     /// simulated link (occupancy spans on the sim clock), and the receiver
-    /// (absorb, fixup, and card spans; GC pauses on the receiving VM are
+    /// (absorb and fixup spans; GC pauses on the receiving VM are
     /// attributed to this transfer until the next one re-tags it). With
     /// [`obs::TraceCtx::NONE`] — or tracing disabled — the root span and
     /// every span under it are inert.
@@ -439,7 +434,7 @@ impl PipelineEngine {
         let send_cfg = SendConfig {
             chunk_limit: self.cfg.chunk_limit,
             receiver_spec: receiver_vm.spec(),
-            tracking: self.cfg.tracking.unwrap_or(SendConfig::for_vm(sender_vm).tracking),
+            tracking: SendConfig::for_vm(sender_vm).tracking,
         };
         let (pool_hits0, pool_misses0) = (self.pool.hits(), self.pool.misses());
         // Lane `t` sends as stream `stream + t`.
@@ -1077,7 +1072,6 @@ mod tests {
                     n::RECEIVER_CHUNKS_ABSORBED,
                     n::RECEIVER_REF_FIXUPS,
                     n::RECEIVER_CLASSES_LOADED,
-                    n::RECEIVER_CARDS_DIRTIED,
                 ]
                 .map(|name| snap.counter(name))
             };
@@ -1096,7 +1090,7 @@ mod tests {
             tiny.heap_mut().end_shared_old_alloc();
             assert_eq!(reg.snapshot().gauge(obs::names::PIPELINE_CHUNKS_IN_FLIGHT), 0);
             assert_eq!(tiny.verify_heap().unwrap(), vec![], "{lanes} lane(s)");
-            assert_eq!(receiver_counters(), [0; 6], "an abandoned stream publishes nothing");
+            assert_eq!(receiver_counters(), [0; 5], "an abandoned stream publishes nothing");
 
             // A new sID, as any sender starting its next shuffle phase uses.
             let (got, report) = engine
@@ -1111,14 +1105,7 @@ mod tests {
             let rs = report.recv_stats;
             assert_eq!(
                 receiver_counters(),
-                [
-                    rs.objects,
-                    rs.bytes,
-                    rs.chunks,
-                    rs.ref_fixups,
-                    rs.classes_loaded,
-                    rs.cards_dirtied
-                ],
+                [rs.objects, rs.bytes, rs.chunks, rs.ref_fixups, rs.classes_loaded],
                 "{lanes} lane(s): the adopted transfer publishes exactly its ReceiveStats"
             );
         }

@@ -1,18 +1,25 @@
 //! Receiving an object graph (paper §4.3).
 //!
-//! Each received chunk becomes one *input buffer* region allocated directly
-//! in the receiving heap's old generation — transferred data is written
-//! into the heap and usable right away. Because the sender's logical byte
-//! stream is gapless and objects never span a flush boundary, the receiver
-//! only needs a (logical start → heap base) map per chunk; a single linear
-//! scan then **absolutizes** the buffer:
+//! Each received chunk becomes one *input buffer* region claimed directly
+//! in the receiving heap's old generation and written once, by the copy off
+//! the wire — transferred data is written into the heap and usable right
+//! away. Because the sender's logical byte stream is gapless and objects
+//! never span a flush boundary, the receiver only needs a (logical start →
+//! heap base) map per chunk; a single linear scan then **absolutizes** the
+//! buffer:
 //!
 //! * the `tID` in each klass slot is replaced by the local klass pointer
 //!   (loading the class on demand when this node never saw it);
 //! * every relativized reference becomes an absolute heap address;
-//! * top marks identify the root objects without re-traversal;
-//! * card-table entries covering the buffers are dirtied so the collector
-//!   accounts for the new pointers.
+//! * top marks identify the root objects without re-traversal.
+//!
+//! The receiver does no collector work beyond recording where each chunk
+//! starts (the heap's object-start record). Unlike the paper (§4.3), it
+//! dirties no card: an absorbed graph stores only addresses inside its own
+//! stream's input buffers, or null — streams are self-contained and the
+//! buffers are old — so adoption creates no old→young edge. Update hooks run
+//! after adoption with `&mut Vm`, and their reference stores go through
+//! [`Vm::write_ref_at`]'s barrier like any mutator's.
 //!
 //! Per object the scan resolves the tID once, with one indexed load from
 //! the stream's tID-indexed table, and per reference it tries the chunk
@@ -23,8 +30,9 @@
 //! carving its input buffers out of the heap's shared old-generation window,
 //! so N of them can absorb the concurrent streams of one transfer. Whoever
 //! holds the `&mut Vm` opens that window, runs the absorbers, and ends with
-//! exactly one of `adopt` (close the window, one batched card pass, update
-//! hooks) or `abandon` (close it and hand the buffers back as filler).
+//! exactly one of `adopt` (close the window, record each chunk's start,
+//! update hooks) or `abandon` (close it and hand the buffers back as
+//! filler).
 //! [`GraphReceiver`] is that owner for a single stream; the pipeline engine
 //! is the owner for N.
 
@@ -69,7 +77,8 @@ pub struct ReceiveStats {
     pub classes_loaded: u64,
     /// Reference slots rewritten from relative to absolute addresses.
     pub ref_fixups: u64,
-    /// Card-table entries dirtied to cover the input buffers.
+    /// Always 0: the receiver dirties no card (see the module doc). The
+    /// field stays because benchmark reports read it.
     pub cards_dirtied: u64,
 }
 
@@ -81,7 +90,6 @@ impl ReceiveStats {
         self.chunks += o.chunks;
         self.classes_loaded += o.classes_loaded;
         self.ref_fixups += o.ref_fixups;
-        self.cards_dirtied += o.cards_dirtied;
     }
 }
 
@@ -114,9 +122,6 @@ pub(crate) struct AbsorbCore<'d> {
     /// Top references whose target chunk had not arrived: (index into
     /// `roots`, logical target).
     root_fixups: Vec<(usize, u64)>,
-    /// One absorbed range per chunk; cards are dirtied in one batch at
-    /// the end instead of object by object during absorption.
-    card_spans: Vec<(Addr, u64)>,
     /// A top mark at the very end of a chunk applies to the first object
     /// of the next chunk.
     next_is_root: bool,
@@ -143,7 +148,6 @@ impl<'d> AbsorbCore<'d> {
             roots: Vec::new(),
             ref_fixups: Vec::new(),
             root_fixups: Vec::new(),
-            card_spans: Vec::new(),
             next_is_root: false,
             pending_hooks: Vec::new(),
             trace_ctx: obs::TraceCtx::NONE,
@@ -204,8 +208,9 @@ impl<'d> AbsorbCore<'d> {
         Ok((k, hooked))
     }
 
-    /// Places one received chunk into a fresh old-generation input buffer.
-    /// Chunks must arrive in stream order (they do: links are FIFO).
+    /// Places one received chunk into a fresh old-generation input buffer,
+    /// writing each byte of the claim once. Chunks must arrive in stream
+    /// order (they do: links are FIFO).
     ///
     /// # Errors
     /// [`mheap::Error::OldGenFull`] (wrapped) when the heap cannot host the
@@ -219,8 +224,10 @@ impl<'d> AbsorbCore<'d> {
         }
         let len = bytes.len() as u64;
         let base = vm.heap().shared_alloc_raw_old(len).map_err(Error::Heap)?;
-        vm.heap().arena().write_bytes(base.0, bytes).map_err(Error::Heap)?;
+        // Recorded before the copy: should the copy fail, `abandon` still
+        // turns the raw claim into filler.
         self.chunks.push(ChunkMap { logical_start: self.next_logical, base, len });
+        vm.heap().arena().write_bytes(base.0, bytes).map_err(Error::Heap)?;
         self.next_logical += len;
         self.stats.chunks += 1;
         self.stats.bytes += len;
@@ -394,10 +401,6 @@ impl<'d> AbsorbCore<'d> {
                 self.stats.objects += 1;
                 at += size;
             }
-            // New pointers now live in the old generation; the card table
-            // is updated in one batch at adoption (no allocation — and
-            // therefore no GC — can happen before the roots are returned).
-            self.card_spans.push((c.base, c.len));
             span.annotate("chunk", self.absorbed as u64);
             span.annotate("bytes", c.len);
             span.annotate("objects", self.stats.objects - objects_before);
@@ -443,12 +446,13 @@ impl<'d> AbsorbCore<'d> {
 
 /// The adoption step, once per transfer on the thread that owns `&mut Vm`:
 /// closes the shared old-generation window the finished `streams` allocated
-/// through, dirties the cards under every input buffer in one batch,
-/// publishes the merged statistics — the one place a receiver feeds the
-/// `skyway.receiver.*` counters, so an abandoned stream publishes nothing —
-/// and applies the update hooks (§3.3 `registerUpdate`). Returns the merged
-/// statistics; the roots stay with their streams
-/// ([`AbsorbCore::take_roots`]).
+/// through, records each input buffer's base as an object start (a minor
+/// GC's card walk may parse from there), publishes the merged statistics —
+/// the one place a receiver feeds the `skyway.receiver.*` counters, so an
+/// abandoned stream publishes nothing — and applies the update hooks (§3.3
+/// `registerUpdate`). Nothing else touches the heap: the adopted graph is
+/// ordinary tenured data. Returns the merged statistics; the roots stay
+/// with their streams ([`AbsorbCore::take_roots`]).
 ///
 /// # Errors
 /// Whatever an update hook returns.
@@ -461,27 +465,17 @@ pub(crate) fn adopt(
     let mut stats = ReceiveStats::default();
     let Some(first) = streams.first() else { return Ok(stats) };
     let reg = &first.registry;
-    let mut span =
-        reg.tracer().start(obs::names::TRACE_RECEIVER_CARD_DIRTY, first.trace_ctx, &vm.name);
-    let mut cards = 0;
     for s in streams.iter() {
-        // Each chunk parses from its base: a minor GC's card walk may
-        // start there.
-        for &(base, _) in &s.card_spans {
-            vm.heap_mut().note_object_start(base);
+        for c in &s.chunks {
+            vm.heap_mut().note_object_start(c.base);
         }
-        cards += vm.heap_mut().dirty_card_batch(&s.card_spans);
         stats.merge(&s.stats);
     }
-    stats.cards_dirtied += cards;
-    span.annotate("cards", cards);
-    drop(span);
     reg.counter(obs::names::RECEIVER_OBJECTS_ABSORBED).add(stats.objects);
     reg.counter(obs::names::RECEIVER_BYTES_ABSORBED).add(stats.bytes);
     reg.counter(obs::names::RECEIVER_CHUNKS_ABSORBED).add(stats.chunks);
     reg.counter(obs::names::RECEIVER_REF_FIXUPS).add(stats.ref_fixups);
     reg.counter(obs::names::RECEIVER_CLASSES_LOADED).add(stats.classes_loaded);
-    reg.counter(obs::names::RECEIVER_CARDS_DIRTIED).add(stats.cards_dirtied);
     if let Some(h) = hooks {
         for (obj, idx) in streams.iter_mut().flat_map(|s| std::mem::take(&mut s.pending_hooks)) {
             h.apply(vm, obj, idx)?;
@@ -550,8 +544,8 @@ impl<'a> GraphReceiver<'a> {
     }
 
     /// Re-attaches the sender's trace context so receiver-side spans
-    /// (absorb, fixup, card dirtying) and subsequent GC pauses on this
-    /// VM stitch into the same transfer trace.
+    /// (absorb, fixup) and subsequent GC pauses on this VM stitch into
+    /// the same transfer trace.
     #[must_use]
     pub fn with_trace(mut self, ctx: obs::TraceCtx) -> Self {
         self.core.trace_ctx = ctx;
@@ -579,9 +573,9 @@ impl<'a> GraphReceiver<'a> {
     }
 
     /// Completes the receive: absolutizes any chunks not yet absorbed,
-    /// drains the cross-chunk fixup lists, dirties the card table in one
-    /// batch, and applies update hooks. Returns the root objects in
-    /// arrival order, plus statistics.
+    /// drains the cross-chunk fixup lists, adopts the stream, and applies
+    /// update hooks. Returns the root objects in arrival order, plus
+    /// statistics.
     ///
     /// The returned roots are *not yet GC roots*: callers must register
     /// them (handles) before any further allocation on this VM.

@@ -116,8 +116,8 @@ fn full_transfer_reports_exact_metrics_and_roundtrips_as_json() {
         snap.counter(obs::names::RECEIVER_BYTES_ABSORBED),
         stream_out.chunks.iter().map(|c| c.len() as u64).sum::<u64>()
     );
-    assert_eq!(snap.counter(obs::names::RECEIVER_CARDS_DIRTIED), rstats.cards_dirtied);
-    assert!(rstats.cards_dirtied > 0);
+    // Adoption dirties no card: the write barrier is the only producer.
+    assert_eq!(rstats.cards_dirtied, 0);
 
     // GC: the receiver's minor collection landed in the same registry.
     assert_eq!(snap.counter(obs::names::GC_MINOR_GCS), 1);

@@ -9,6 +9,7 @@ use proptest::prelude::*;
 
 use mheap::stdlib::define_core_classes;
 use mheap::{Addr, ClassPath, FieldType, HeapConfig, KlassDef, LayoutSpec, PrimType, Vm};
+use serlab::jsbs::{build_dataset, define_jsbs_classes, verify_media_content};
 use serlab::Serializer;
 use simnet::{NodeId, Profile};
 use skyway::{ShuffleController, SkywaySerializer, TypeDirectory};
@@ -154,7 +155,7 @@ fn check_conservation(snap: &obs::Snapshot, report: &skyway::PipelineReport) -> 
     prop_assert_eq!(snap.counter(n::SENDER_BYTES_CLONED), bytes);
     prop_assert_eq!(bytes, report.chunk_bytes.iter().sum::<u64>());
     prop_assert_eq!(snap.counter(n::RECEIVER_CHUNKS_ABSORBED), report.chunk_bytes.len() as u64);
-    prop_assert_eq!(snap.counter(n::RECEIVER_CARDS_DIRTIED), report.recv_stats.cards_dirtied);
+    prop_assert_eq!(report.recv_stats.cards_dirtied, 0);
     Ok(())
 }
 
@@ -407,5 +408,151 @@ proptest! {
         prop_assert!(report.recv_stats.objects >= rstats.objects);
         prop_assert_eq!(report.send_stats.objects, report.recv_stats.objects);
         check_conservation(&reg.snapshot(), &report)?;
+    }
+}
+
+/// Runs one receive into `receiver` and checks that it leaves the card
+/// table as it found it — clean — and that the next minor collection scans
+/// no card (counted in `reg`, the receiver's scoped registry) and leaves a
+/// well-formed heap. Returns the received roots.
+fn receive_without_cards(
+    receiver: &mut Vm,
+    reg: &obs::Registry,
+    receive: impl FnOnce(&mut Vm) -> Vec<Addr>,
+) -> Result<Vec<Addr>, TestCaseError> {
+    prop_assert_eq!(receiver.heap().dirty_card_count(), 0);
+    let got = receive(receiver);
+    prop_assert_eq!(receiver.heap().dirty_card_count(), 0, "the receive dirtied cards");
+    let scanned = reg.snapshot().counter(obs::names::GC_CARDS_SCANNED);
+    receiver.minor_gc().unwrap();
+    prop_assert_eq!(reg.snapshot().counter(obs::names::GC_CARDS_SCANNED), scanned);
+    prop_assert_eq!(receiver.verify_heap().unwrap(), vec![]);
+    Ok(got)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// No way into a receiving heap touches its card table: an absorbed
+    /// graph references only its own input buffers. Random edge graphs plus
+    /// JSBS media records go through the sequential path, the engine's
+    /// inline, pipelined and 4-lane parallel modes, a `GraphReceiver` fed
+    /// chunk by chunk, and the serializer — all into one receiver, each
+    /// rebuilding the source graph exactly.
+    #[test]
+    fn transfers_leave_the_card_table_untouched(
+        spec in graph_spec(40),
+        records in 2usize..6,
+        chunk in 256usize..2048,
+    ) {
+        use skyway::{
+            GraphReceiver, GraphSender, ParallelConfig, PipelineConfig, PipelineEngine,
+            SendConfig, TransferMode, sequential_transfer,
+        };
+
+        let cp = classpath();
+        define_jsbs_classes(&cp);
+        let mut sender =
+            Vm::new("s", &HeapConfig::small().with_capacity(8 << 20), Arc::clone(&cp)).unwrap();
+        let reg = Arc::new(obs::Registry::new());
+        let mut receiver = Vm::new("r", &HeapConfig::small().with_capacity(8 << 20), cp)
+            .unwrap()
+            .with_metrics(Arc::clone(&reg));
+        let dir = Arc::new(TypeDirectory::new(2, NodeId(0)));
+        dir.bootstrap_driver(&sender).unwrap();
+        dir.worker_startup(NodeId(1)).unwrap();
+
+        let mut handles = build(&mut sender, &spec);
+        let nodes = handles.len();
+        handles.extend(build_dataset(&mut sender, records).unwrap());
+        let longs: Vec<_> = spec.tags.iter().take(4).map(|&t| {
+            let l = sender.new_long(t).unwrap();
+            sender.handle(l)
+        }).collect();
+        let roots: Vec<Addr> = handles.iter().map(|h| sender.resolve(*h).unwrap()).collect();
+        let flat: Vec<Addr> = longs.iter().map(|h| sender.resolve(*h).unwrap()).collect();
+        let want: Vec<_> = roots[..nodes].iter().map(|&r| canonicalize(&sender, r)).collect();
+        let check = |vm: &Vm, got: &[Addr]| -> TestCaseResult {
+            prop_assert_eq!(got.len(), roots.len());
+            for (i, &g) in got.iter().enumerate() {
+                match want.get(i) {
+                    Some(w) => prop_assert_eq!(&canonicalize(vm, g), w),
+                    None => prop_assert!(verify_media_content(vm, g, (i - nodes) as u64).unwrap()),
+                }
+            }
+            Ok(())
+        };
+
+        // The serializer's controller sends as sID 1; every other path
+        // takes a sID of its own.
+        let sky_tx = SkywaySerializer::new(
+            Arc::clone(&dir), NodeId(0), Arc::new(ShuffleController::new()),
+            LayoutSpec::SKYWAY,
+        ).with_chunk_limit(chunk);
+        let mut p = Profile::new();
+        let bytes = sky_tx.serialize(&mut sender, &roots, &mut p).unwrap();
+        let sky_rx = SkywaySerializer::new(
+            Arc::clone(&dir), NodeId(1), Arc::new(ShuffleController::new()),
+            LayoutSpec::SKYWAY,
+        );
+        let got = receive_without_cards(&mut receiver, &reg, |r| {
+            sky_rx.deserialize(r, &bytes, &mut p).unwrap()
+        })?;
+        check(&receiver, &got)?;
+
+        let cfg = SendConfig { chunk_limit: chunk, ..SendConfig::for_vm(&sender) };
+        let got = receive_without_cards(&mut receiver, &reg, |r| {
+            sequential_transfer(&sender, r, &dir, NodeId(0), NodeId(1), 2, 1, &roots, None, cfg)
+                .unwrap().0
+        })?;
+        check(&receiver, &got)?;
+
+        let one_lane = PipelineEngine::new(PipelineConfig {
+            chunk_limit: chunk,
+            ..PipelineConfig::default()
+        });
+        let four_lanes = PipelineEngine::new(PipelineConfig {
+            chunk_limit: chunk,
+            parallel: Some(ParallelConfig { workers: 4, min_roots_per_worker: 1, ..Default::default() }),
+            ..PipelineConfig::default()
+        });
+        for (sid, engine, mode) in [
+            (3, &one_lane, TransferMode::Pipelined),
+            (4, &four_lanes, TransferMode::Parallel),
+        ] {
+            let got = receive_without_cards(&mut receiver, &reg, |r| {
+                let (got, report) = engine
+                    .transfer(&sender, r, &dir, NodeId(0), NodeId(1), sid, 1, &roots, None)
+                    .unwrap();
+                assert_eq!(report.mode, mode);
+                got
+            })?;
+            check(&receiver, &got)?;
+        }
+        let got = receive_without_cards(&mut receiver, &reg, |r| {
+            let (got, report) = one_lane
+                .transfer(&sender, r, &dir, NodeId(0), NodeId(1), 5, 1, &flat, None)
+                .unwrap();
+            assert_eq!(report.mode, TransferMode::Inline);
+            got
+        })?;
+        for (&g, &t) in got.iter().zip(&spec.tags) {
+            prop_assert_eq!(receiver.get_long(g, "value").unwrap(), t);
+        }
+
+        let mut gs = GraphSender::new(&sender, &dir, NodeId(0), 6, 1, cfg).unwrap();
+        for &r in &roots {
+            gs.write_root(r).unwrap();
+        }
+        let out = gs.finish();
+        let got = receive_without_cards(&mut receiver, &reg, |r| {
+            let mut gr = GraphReceiver::new(r, &dir, NodeId(1));
+            for c in &out.chunks {
+                gr.push_chunk(c).unwrap();
+                gr.absorb_ready(None).unwrap();
+            }
+            gr.finish(None).unwrap().0
+        })?;
+        check(&receiver, &got)?;
     }
 }

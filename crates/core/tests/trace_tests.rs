@@ -90,16 +90,14 @@ fn three_object_transfer_emits_exactly_the_expected_spans() {
     // Three flat integers take the single-chunk path: one transfer root,
     // one traversal burst (all roots fit in one chunk, so the burst only
     // closes at stream finish), one simulated wire occupancy, one
-    // absorbed chunk, one fixup drain, one card-dirtying batch, and one
-    // class-load consultation (all three objects share
-    // java.lang.Integer's tid).
+    // absorbed chunk, one fixup drain, and one class-load consultation
+    // (all three objects share java.lang.Integer's tid).
     let expected: BTreeMap<&str, usize> = [
         (obs::names::TRACE_TRANSFER, 1),
         (obs::names::TRACE_SENDER_TRAVERSE, 1),
         (obs::names::TRACE_LINK_XMIT, 1),
         (obs::names::TRACE_RECEIVER_CHUNK_ABSORB, 1),
         (obs::names::TRACE_RECEIVER_FIXUP, 1),
-        (obs::names::TRACE_RECEIVER_CARD_DIRTY, 1),
         (obs::names::TRACE_REGISTRY_CLASS_LOAD, 1),
     ]
     .into_iter()

@@ -503,6 +503,63 @@ fn update_hooks_run_after_transfer() {
     assert_eq!(receiver.get_int(roots[0], "value").unwrap(), 42);
 }
 
+/// The receiver dirties no card, so a young object an update hook stores
+/// into received data is remembered by the write barrier alone: each
+/// received Pair's `second` is a young Long reachable only from the Pair,
+/// and it survives a minor and a full collection at its Pair.
+#[test]
+fn hook_stores_are_remembered_by_the_barrier_alone() {
+    use mheap::stdlib::PAIR;
+    use skyway::{GraphReceiver, GraphSender};
+
+    let (dir, mut sender, mut receiver) = setup_pair();
+    let handles: Vec<_> = (0..64)
+        .map(|i| {
+            let v = sender.new_integer(i).unwrap();
+            let pair = sender.new_pair(v, Addr::NULL).unwrap();
+            sender.handle(pair)
+        })
+        .collect();
+    let roots: Vec<Addr> = handles.iter().map(|h| sender.resolve(*h).unwrap()).collect();
+    let hooks = UpdateRegistry::new();
+    hooks.register_update(PAIR, |vm, pair| {
+        let first = vm.get_ref(pair, "first").map_err(skyway::Error::Heap)?;
+        let n = vm.get_int(first, "value").map_err(skyway::Error::Heap)?;
+        let long = vm.new_long(i64::from(n) * 1000).map_err(skyway::Error::Heap)?;
+        vm.set_ref(pair, "second", long).map_err(skyway::Error::Heap)
+    });
+
+    let mut gs =
+        GraphSender::new(&sender, &dir, NodeId(0), 1, 1, SendConfig::for_vm(&sender)).unwrap();
+    for &r in &roots {
+        gs.write_root(r).unwrap();
+    }
+    let out = gs.finish();
+    let mut gr = GraphReceiver::new(&mut receiver, &dir, NodeId(1));
+    for c in &out.chunks {
+        gr.push_chunk(c).unwrap();
+    }
+    let (got, stats) = gr.finish(Some(&hooks)).unwrap();
+    assert_eq!(stats.cards_dirtied, 0);
+    let got: Vec<_> = got.iter().map(|&a| receiver.handle(a)).collect();
+
+    let check = |vm: &Vm| {
+        for (i, h) in got.iter().enumerate() {
+            let pair = vm.resolve(*h).unwrap();
+            assert!(vm.heap().in_old(pair), "pair {i} is received data");
+            let long = vm.get_ref(pair, "second").unwrap();
+            assert!(vm.heap().in_young(long), "pair {i}'s Long is young");
+            assert_eq!(vm.get_long(long, "value").unwrap(), i as i64 * 1000, "pair {i}");
+        }
+        assert_eq!(vm.verify_heap().unwrap(), vec![]);
+    };
+    check(&receiver);
+    receiver.minor_gc().unwrap();
+    check(&receiver);
+    receiver.full_gc().unwrap();
+    check(&receiver);
+}
+
 #[test]
 fn phase_isolation_new_phase_resends() {
     let (dir, mut sender, mut receiver) = setup_pair();

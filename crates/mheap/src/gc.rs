@@ -12,8 +12,10 @@
 //! 1. input buffers are raw old-generation regions that become parseable
 //!    objects after absolutization, padded with filler words the walkers
 //!    skip, and
-//! 2. the receiver dirties cards for transferred buffers so a minor GC
-//!    discovers any young objects they come to reference.
+//! 2. a received graph is ordinary tenured data: it references only its
+//!    own input buffers (or null), so its arrival dirties no card, and a
+//!    young object stored into it later is remembered by the write barrier
+//!    like any mutator's store.
 //!
 //! A minor collection costs the dirty cards, not the old generation. The
 //! heap's *object-start record* keeps, per card, the lowest object start
@@ -84,26 +86,13 @@ impl Vm {
             }
         }
 
-        // 2. Old→young references found through dirty cards. One read per
-        // slot: a young target is evacuated, and the object stays
-        // remembered only while the new address is still young.
+        // 2. Old→young references found through dirty cards.
         let dirty_objs = self.dirty_card_objects(&mut cards_scanned)?;
         // One buffer for the whole collection: the slot walk borrows the
         // klass out of `self`, and evacuating a target needs `&mut self`.
         let mut slots: Vec<u64> = Vec::new();
         for obj in dirty_objs {
-            slots.clear();
-            slots.extend(self.ref_slots(obj)?);
-            for &off in &slots {
-                let tgt = self.read_ref_at(obj, off)?;
-                if !tgt.is_null() && self.heap.in_young(tgt) {
-                    let n = self.evacuate(tgt, &mut copied)?;
-                    self.write_ref_raw(obj, off, n)?;
-                    if self.heap.in_young(n) {
-                        self.heap.dirty_card(obj); // survivor target: keep remembered
-                    }
-                }
-            }
+            self.scavenge_slots(obj, &mut slots, &mut copied)?;
         }
 
         // 3. Transitive closure over the copied objects.
@@ -111,18 +100,7 @@ impl Vm {
         while i < copied.len() {
             let obj = copied[i];
             i += 1;
-            slots.clear();
-            slots.extend(self.ref_slots(obj)?);
-            for &off in &slots {
-                let tgt = self.read_ref_at(obj, off)?;
-                if !tgt.is_null() && self.heap.in_young(tgt) {
-                    let n = self.evacuate(tgt, &mut copied)?;
-                    self.write_ref_raw(obj, off, n)?;
-                    if self.heap.in_old(obj) && self.heap.in_young(n) {
-                        self.heap.dirty_card(obj);
-                    }
-                }
-            }
+            self.scavenge_slots(obj, &mut slots, &mut copied)?;
         }
 
         // 4. Reset eden and the (now dead) from-space; swap survivors.
@@ -131,6 +109,31 @@ impl Vm {
         let pause_ns = gc_start.elapsed().as_nanos() as u64;
         self.stats.gc_ns += pause_ns;
         self.note_gc(false, pause_ns, self.stats.bytes_promoted - promoted_before, cards_scanned);
+        Ok(())
+    }
+
+    /// Steps 2 and 3's slot scan of `obj`, one read per slot: each young
+    /// target is evacuated and its new address stored, and an old `obj`
+    /// stays remembered (its card dirty) only while a new address is still
+    /// young. `slots` is scratch space reused across calls.
+    fn scavenge_slots(
+        &mut self,
+        obj: Addr,
+        slots: &mut Vec<u64>,
+        copied: &mut Vec<Addr>,
+    ) -> Result<()> {
+        slots.clear();
+        slots.extend(self.ref_slots(obj)?);
+        for &off in slots.iter() {
+            let tgt = self.read_ref_at(obj, off)?;
+            if !tgt.is_null() && self.heap.in_young(tgt) {
+                let n = self.evacuate(tgt, copied)?;
+                self.write_ref_raw(obj, off, n)?;
+                if self.heap.in_old(obj) && self.heap.in_young(n) {
+                    self.heap.dirty_card(obj); // survivor target: keep remembered
+                }
+            }
+        }
         Ok(())
     }
 
@@ -423,9 +426,11 @@ mod tests {
         /// at earlier roots, tenured by one minor GC.
         RefArray(u64),
         /// A received-style input buffer: `n` nodes and `pad` filler words
-        /// in one shared-window chunk, recorded and dirtied at adoption only.
+        /// in one shared-window chunk, written once and recorded at
+        /// adoption; no card is dirtied.
         Chunk(usize, u64),
-        /// An abandoned shared window: `words` of filler with no record.
+        /// An abandoned shared window: a claim of `words` turned into
+        /// filler, with no record.
         Abandoned(u64),
         /// A full collection: every record dropped and rebuilt.
         FullGc,
@@ -472,9 +477,10 @@ mod tests {
                 // A young node is the template for the received ones.
                 let t = vm.alloc_instance(node).unwrap();
                 let size = vm.obj_size(t).unwrap();
-                let len = n as u64 * size + pad * 8;
+                let nodes = n as u64 * size;
                 vm.heap_mut().begin_shared_old_alloc();
-                let base = vm.heap().shared_alloc_raw_old(len).unwrap();
+                let base = vm.heap().shared_alloc_raw_old(nodes + pad * 8).unwrap();
+                vm.heap().fill_filler(Addr(base.0 + nodes), pad * 8).unwrap();
                 vm.heap_mut().end_shared_old_alloc();
                 let next = vm.klasses().get(node).unwrap().field_by_name("next").unwrap().offset;
                 for i in 0..n as u64 {
@@ -486,12 +492,12 @@ mod tests {
                     roots.push(vm.handle(at));
                 }
                 vm.heap_mut().note_object_start(base);
-                vm.heap_mut().dirty_card_batch(&[(base, len)]);
             }
             Step::Abandoned(words) => {
                 vm.heap_mut().begin_shared_old_alloc();
-                vm.heap().shared_alloc_raw_old(words * 8).unwrap();
+                let base = vm.heap().shared_alloc_raw_old(words * 8).unwrap();
                 vm.heap_mut().end_shared_old_alloc();
+                vm.heap().fill_filler(base, words * 8).unwrap();
             }
             Step::FullGc => vm.full_gc().unwrap(),
         }

@@ -3,8 +3,10 @@
 //! The heap is one fixed-capacity arena split into HotSpot-style spaces:
 //! eden + two survivor semispaces (the young generation) and a tenured old
 //! generation. Skyway's receiver allocates its *input buffers* directly in
-//! the old generation (§4.3 "Interaction with GC") and dirties card-table
-//! entries so the collector notices pointers created by a transfer.
+//! the old generation (§4.3 "Interaction with GC"). Outside the collector,
+//! the write barrier ([`Heap::dirty_card`]) is the only producer of dirty
+//! cards: an absorbed graph references only its own buffers, so it creates
+//! no old→young edge.
 //!
 //! Partially-filled input-buffer chunks leave gaps in the otherwise linearly
 //! parseable old space; gaps are filled with [`FILLER_WORD`]s, which the
@@ -371,9 +373,9 @@ impl Heap {
         Some(at)
     }
 
-    /// Allocates a raw, contiguous old-generation region for a Skyway input
-    /// buffer chunk. The caller must leave the region linearly parseable
-    /// (real objects plus [`FILLER_WORD`] padding).
+    /// Allocates a raw, contiguous old-generation region, handed back
+    /// filled with [`FILLER_WORD`]s. The caller must leave the region
+    /// linearly parseable (real objects plus filler padding).
     ///
     /// # Errors
     /// [`Error::OldGenFull`] when the old generation cannot fit `len` bytes.
@@ -410,22 +412,24 @@ impl Heap {
     pub fn end_shared_old_alloc(&mut self) {
         debug_assert!(self.shared_active, "shared old-gen window not open");
         // ORDER: Acquire — pairs with the Release half of each worker's
-        // claiming CAS: every region claim (and the zero/filler writes the
-        // claimer made before returning) is ordered before the window
-        // close folds the cursor back into exclusive state.
+        // claiming CAS: every region claim is ordered before the window
+        // close folds the cursor back into exclusive state. The claimers'
+        // own writes reach this thread through whatever joined them (a
+        // thread join, or running on this thread).
         self.old.top = self.shared_top.load(Ordering::Acquire);
         self.shared_active = false;
         self.note_usage();
     }
 
-    /// [`Heap::alloc_raw_old`] through a shared reference, for concurrent
-    /// absorb workers inside a [`Heap::begin_shared_old_alloc`] window.
-    /// Regions are claimed with a CAS loop on the shared cursor, then
-    /// zeroed and filler-filled exactly like the exclusive path.
+    /// Claims a raw old-generation region through a shared reference, for
+    /// concurrent absorb workers inside a [`Heap::begin_shared_old_alloc`]
+    /// window. Regions are claimed with a CAS loop on the shared cursor and
+    /// handed back as they are: unlike [`Heap::alloc_raw_old`] nothing is
+    /// zeroed or filled. The claimer writes or fills every byte of the claim
+    /// before the window closes, so the old generation stays parseable.
     ///
     /// # Errors
-    /// [`Error::OldGenFull`] when the old generation cannot fit `len`
-    /// bytes, plus the arena errors of the exclusive path.
+    /// [`Error::OldGenFull`] when the old generation cannot fit `len` bytes.
     pub fn shared_alloc_raw_old(&self, len: u64) -> Result<Addr> {
         debug_assert!(self.shared_active, "shared old-gen window not open");
         let len = align8(len);
@@ -454,8 +458,6 @@ impl Heap {
                     // The CAS win proves `[cur, end)` sits inside the old
                     // generation and no other worker can claim it.
                     debug_assert!(addr.0 >= self.old.start && end <= self.old.end);
-                    self.arena.zero(addr.0, len as usize)?;
-                    self.fill_filler(addr, len)?;
                     return Ok(addr);
                 }
                 Err(actual) => cur = actual,
@@ -513,8 +515,8 @@ impl Heap {
     }
 
     /// Dirties the card covering `addr` (no-op outside the old generation).
-    /// This is the write barrier, also invoked by Skyway's receiver after
-    /// absolutizing an input buffer.
+    /// This is the write barrier, the only producer of dirty cards outside
+    /// the collector itself.
     pub fn dirty_card(&mut self, addr: Addr) {
         let r = self.card_range(addr.0, 1);
         self.cards[r].fill(1);
@@ -522,26 +524,8 @@ impl Heap {
 
     /// Dirties every card overlapping `[addr, addr+len)`.
     pub fn dirty_card_range(&mut self, addr: Addr, len: u64) {
-        self.dirty_card_span(addr, len);
-    }
-
-    /// Dirties every card overlapping `[addr, addr+len)` in one slice fill,
-    /// returning how many of those cards were *newly* dirtied, so absorbing
-    /// a chunk costs one memset-like pass.
-    fn dirty_card_span(&mut self, addr: Addr, len: u64) -> u64 {
         let r = self.card_range(addr.0, len);
-        let span = &mut self.cards[r];
-        let newly = span.iter().filter(|&&c| c == 0).count() as u64;
-        span.fill(1);
-        newly
-    }
-
-    /// Dirties the cards covering a batch of ranges in one pass, returning
-    /// how many cards went from clean to dirty across the whole batch.
-    /// Skyway's incremental receiver collects one range per absorbed chunk
-    /// and applies them all here instead of dirtying object by object.
-    pub fn dirty_card_batch(&mut self, ranges: &[(Addr, u64)]) -> u64 {
-        ranges.iter().map(|&(a, l)| self.dirty_card_span(a, l)).sum()
+        self.cards[r].fill(1);
     }
 
     /// True if the card covering `addr` is dirty.
@@ -694,7 +678,14 @@ mod tests {
                 .map(|_| {
                     let h = &h;
                     s.spawn(move || {
-                        (0..8).map(|_| h.shared_alloc_raw_old(56).unwrap()).collect::<Vec<_>>()
+                        // Each claimer fills its own claim, as the contract
+                        // asks: the heap hands the bytes back untouched.
+                        let claim = |_| {
+                            let a = h.shared_alloc_raw_old(56).unwrap();
+                            h.fill_filler(a, 56).unwrap();
+                            a
+                        };
+                        (0..8).map(claim).collect::<Vec<_>>()
                     })
                 })
                 .collect();
@@ -740,24 +731,12 @@ mod tests {
         h.dirty_card_range(a, CARD_SIZE * 3);
         assert!(h.is_card_dirty(Addr(a.0 + CARD_SIZE)));
         assert!(h.is_card_dirty(Addr(a.0 + 2 * CARD_SIZE)));
+        // Ranges outside the old generation are a no-op, not a panic.
+        let dirty = h.dirty_card_count();
+        h.dirty_card_range(Addr(8), 64);
+        assert_eq!(h.dirty_card_count(), dirty);
         h.clear_cards();
         assert_eq!(h.dirty_card_count(), 0);
-    }
-
-    #[test]
-    fn card_batch_counts_newly_dirtied_once() {
-        let mut h = Heap::new(&HeapConfig::small()).unwrap();
-        let a = h.alloc_raw_old(CARD_SIZE * 4).unwrap();
-        // Two ranges sharing a card: the shared card counts once, so the
-        // reported count equals the number of dirty cards in the table.
-        let newly =
-            h.dirty_card_batch(&[(a, CARD_SIZE + 8), (Addr(a.0 + CARD_SIZE), CARD_SIZE * 2)]);
-        assert_eq!(newly as usize, h.dirty_card_count());
-        // Re-dirtying the same span reports zero new cards.
-        assert_eq!(h.dirty_card_batch(&[(a, CARD_SIZE * 3)]), 0);
-        assert!(h.is_card_dirty(Addr(a.0 + 2 * CARD_SIZE)));
-        // Ranges outside the old generation are a no-op, not a panic.
-        assert_eq!(h.dirty_card_batch(&[(Addr(8), 64)]), 0);
     }
 
     #[test]

@@ -54,8 +54,9 @@ pub enum HeapFault {
     /// An old-generation object holds a young-generation reference but
     /// overlaps no dirty card — a minor GC would miss the reference and
     /// collect (or move) its target. This is what a skipped write barrier
-    /// or a skipped [`crate::heap::Heap::dirty_card_batch`] after bulk
-    /// absorption looks like.
+    /// looks like. The barrier is the only producer of dirty cards, so this
+    /// check also catches a young reference stored into received data
+    /// without it.
     StaleCard {
         /// The old-generation object.
         obj: u64,
@@ -388,7 +389,7 @@ mod tests {
     }
 
     #[test]
-    fn stale_card_detected_and_cured_by_dirty_card_batch() {
+    fn stale_card_detected_and_cured_by_dirty_card_range() {
         let mut v = vm();
         let k = v.load_class("VNode").unwrap();
         // Tenure one node into the old generation; after the collections
@@ -402,7 +403,7 @@ mod tests {
         assert!(v.heap().in_old(a));
         // A young node, referenced from the old one via a raw store that
         // bypasses the write barrier — exactly the corruption a skipped
-        // Heap::dirty_card_batch after bulk absorption would leave behind.
+        // barrier would leave behind.
         let b = v.alloc_instance(k).unwrap();
         let _hb = v.handle(b);
         assert!(v.heap().in_young(b));
@@ -414,10 +415,9 @@ mod tests {
                      [HeapFault::StaleCard { obj, target }] if *obj == a.0 && *target == b.0),
             "expected StaleCard, got {faults:?}"
         );
-        // Batch-dirtying the absorbed range (what the receiver does in
-        // finish()) restores the remembered-set invariant.
+        // Dirtying the object's cards restores the remembered-set invariant.
         let size = v.obj_size(a).unwrap();
-        v.heap_mut().dirty_card_batch(&[(a, size)]);
+        v.heap_mut().dirty_card_range(a, size);
         assert_heap_ok(&v);
         // And the next minor GC must now see (and keep) the young target.
         v.minor_gc().unwrap();

@@ -89,8 +89,6 @@ pub mod names {
     pub const RECEIVER_REF_FIXUPS: &str = "skyway.receiver.ref_fixups";
     /// Counter: classes loaded on demand for unknown incoming tIDs.
     pub const RECEIVER_CLASSES_LOADED: &str = "skyway.receiver.classes_loaded";
-    /// Counter: card-table cards dirtied for absorbed objects.
-    pub const RECEIVER_CARDS_DIRTIED: &str = "skyway.receiver.cards_dirtied";
     /// Histogram: bytes per absorbed chunk.
     pub const RECEIVER_CHUNK_BYTES: &str = "skyway.receiver.chunk_bytes";
 
@@ -160,8 +158,6 @@ pub mod names {
     pub const TRACE_RECEIVER_CHUNK_ABSORB: &str = "trace.receiver.chunk_absorb";
     /// Span: draining deferred cross-chunk ref/root fixups.
     pub const TRACE_RECEIVER_FIXUP: &str = "trace.receiver.fixup";
-    /// Span: batch-dirtying card-table cards for absorbed objects.
-    pub const TRACE_RECEIVER_CARD_DIRTY: &str = "trace.receiver.card_dirty";
     /// Span: loading a class on demand for an unknown incoming tID.
     pub const TRACE_REGISTRY_CLASS_LOAD: &str = "trace.registry.class_load";
     /// Span: one GC pause, attributed to the transfer that last touched

@@ -4,7 +4,7 @@
 //! shuffle transfer, propagated across the wire in the chunk frame
 //! header, and re-attached on the receiver, so sender-side spans
 //! (`traverse`, `chunk_send`), simulated link occupancy, receiver-side
-//! spans (`chunk_absorb`, `fixup`, `card_dirty`) and GC pauses stitch
+//! spans (`chunk_absorb`, `fixup`) and GC pauses stitch
 //! into one cross-node span tree ("why was *this* transfer slow?").
 //!
 //! Storage is a lock-free bounded [`SpanBuffer`]: a slot index is claimed

@@ -494,7 +494,7 @@ impl SegStore {
 /// store and attaches the segment to `receiver_vm`, returning the received
 /// roots and a [`PipelineReport`] with [`TransferMode::Shared`] — the
 /// fourth mode next to the engine's inline/pipelined/parallel policy.
-/// `receive`-side statistics show zero chunks, fixups, and dirtied cards:
+/// `receive`-side statistics show zero chunks and fixups:
 /// that absence *is* the mode's win, and `bytes_not_copied` (the segment
 /// length) lands on the `skyway.segstore.bytes_not_copied` counter.
 ///
