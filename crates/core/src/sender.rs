@@ -36,8 +36,10 @@
 //! The same traversal also writes the final image of a shared segment
 //! ([`GraphSender::with_segment_base`]): nothing will parse or patch that
 //! output again, so references go out absolute against the segment's
-//! reserved base and root markers as filler words. The two encodings differ
-//! in one added constant per reference and one branch per root.
+//! reserved base, root markers as filler words, and klass words keep the
+//! klass id, which every attacher on the sender's classpath shares. The two
+//! encodings differ in one added constant per reference, one branch per
+//! root and the word a class resolves to.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,7 +48,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use mheap::layout::{baddr, mark};
-use mheap::{Addr, Klass, KlassKind, LayoutSpec, Vm, FILLER_WORD, SEGMENT_BASE};
+use mheap::{Addr, Klass, KlassKind, LayoutSpec, Vm, FILLER_WORD};
 use simnet::NodeId;
 
 use crate::buffer::{OutputBuffer, TOP_MARK, TOP_REF};
@@ -150,10 +152,10 @@ enum Encoding {
     Wire,
     /// The final image of a segment: a reference is the absolute address
     /// `base + logical` (`base` rides in `GraphSender::ref_bias`), valid
-    /// unchanged in every attacher, marker slots hold filler the heap
-    /// walkers skip, and the roots and the class name behind each tID are
-    /// collected on the side.
-    Image { roots: Vec<Addr>, tid_names: HashMap<u32, String> },
+    /// unchanged in every attacher, klass words keep the klass id, marker
+    /// slots hold filler the heap walkers skip, and the roots are collected
+    /// on the side.
+    Image { roots: Vec<Addr> },
 }
 
 /// A finished segment image ([`GraphSender::finish_image`]).
@@ -165,21 +167,20 @@ pub struct SegmentImage {
     pub bytes: Vec<u8>,
     /// Graph roots as absolute addresses, one per `write_root`, in order.
     pub roots: Vec<Addr>,
-    /// Class name behind every global type id the image's klass words use.
-    pub tid_names: HashMap<u32, String>,
     /// Composition statistics.
     pub stats: SendStats,
 }
 
-/// What one stream knows about a class beyond its layout: the type id the
-/// directory issued. The layout itself — kind, reference map, payload end,
-/// element size — is read off the klass where it lies in the sender VM's
-/// table, as the real Skyway's VM-internal send loop reads its klass
-/// meta-objects.
+/// What one stream knows about a class beyond its layout: the word its
+/// clones carry in their klass slot — the type id the directory issued on
+/// the wire, the klass id in a segment image. The layout itself — kind,
+/// reference map, payload end, element size — is read off the klass where
+/// it lies in the sender VM's table, as the real Skyway's VM-internal send
+/// loop reads its klass meta-objects.
 #[derive(Debug, Clone, Copy)]
 struct KlassFacts<'a> {
     klass: &'a Klass,
-    tid: u64,
+    word: u64,
 }
 
 /// Where one object's bytes sit in both formats, worked out once at its
@@ -256,10 +257,10 @@ pub struct GraphSender<'a> {
     /// facts and shape their visit resolved.
     gray: VecDeque<(Addr, u64, KlassFacts<'a>, Shape)>,
     stats: SendStats,
-    /// Indexed by klass word: `[0]` for owned objects (a local klass id),
-    /// `[1]` for segment residents (a global tID). Each grows only to a
-    /// word `klass_of` has resolved, so a hit is one indexed load.
-    klass_facts: [Vec<Option<KlassFacts<'a>>>; 2],
+    /// Indexed by klass word, which means the same for owned objects and
+    /// segment residents. Grows only to a word `klass_of` has resolved, so
+    /// a hit is one indexed load.
+    klass_facts: Vec<Option<KlassFacts<'a>>>,
     /// Where [`GraphSender::finish`] publishes `stats`, and whose tracer
     /// records this stream's spans. The traversal itself counts into
     /// `stats` only.
@@ -329,7 +330,7 @@ impl<'a> GraphSender<'a> {
             fallback: AddrMap::default(),
             gray: VecDeque::new(),
             stats: SendStats::default(),
-            klass_facts: Default::default(),
+            klass_facts: Vec::new(),
             registry: Arc::clone(obs::global()),
             trace_ctx: obs::TraceCtx::NONE,
             lane: 0,
@@ -370,12 +371,13 @@ impl<'a> GraphSender<'a> {
     }
 
     /// Writes the final image of a segment based at `base` instead of a
-    /// wire stream: absolute references, filler in place of marker words,
-    /// roots and tID names collected for [`GraphSender::finish_image`]. The
-    /// caller sizes `chunk_limit` so the whole image fits one chunk.
+    /// wire stream: absolute references, klass ids in klass words, filler in
+    /// place of marker words, roots collected for
+    /// [`GraphSender::finish_image`]. The caller sizes `chunk_limit` so the
+    /// whole image fits one chunk.
     #[must_use]
     pub fn with_segment_base(mut self, base: u64) -> Self {
-        self.encoding = Encoding::Image { roots: Vec::new(), tid_names: HashMap::new() };
+        self.encoding = Encoding::Image { roots: Vec::new() };
         self.ref_bias = base;
         self
     }
@@ -386,21 +388,19 @@ impl<'a> GraphSender<'a> {
     fn facts_for(&mut self, obj: Addr) -> Result<KlassFacts<'a>> {
         let sspec = self.vm.spec();
         let kw = self.vm.heap().arena().load_word(obj.0 + sspec.klass_off())? as u32 as usize;
-        let table = usize::from(obj.raw() >= SEGMENT_BASE);
-        if let Some(&Some(facts)) = self.klass_facts[table].get(kw) {
+        if let Some(&Some(facts)) = self.klass_facts.get(kw) {
             return Ok(facts);
         }
         let klass = self.vm.klass_of(obj)?;
-        let tid = self.dir.tid_for(self.node, klass)?;
-        if let Encoding::Image { tid_names, .. } = &mut self.encoding {
-            tid_names.entry(tid).or_insert_with(|| klass.name.clone());
+        let word = match self.encoding {
+            Encoding::Wire => self.dir.tid_for(self.node, klass)?,
+            Encoding::Image { .. } => klass.id.0,
+        };
+        let facts = KlassFacts { klass, word: u64::from(word) };
+        if self.klass_facts.len() <= kw {
+            self.klass_facts.resize(kw + 1, None);
         }
-        let facts = KlassFacts { klass, tid: u64::from(tid) };
-        let slots = &mut self.klass_facts[table];
-        if slots.len() <= kw {
-            slots.resize(kw + 1, None);
-        }
-        slots[kw] = Some(facts);
+        self.klass_facts[kw] = Some(facts);
         Ok(facts)
     }
 
@@ -505,12 +505,12 @@ impl<'a> GraphSender<'a> {
         let m = arena.load_word(obj.0 + self.vm.spec().mark_off())?;
         // The object's one output slice, zero-filled by `place` (so the
         // `baddr` word and the padding need no write): header — sanitized
-        // mark (hashcode preserved), tID, array length — then the whole
+        // mark (hashcode preserved), klass word, array length — then the whole
         // payload in one bulk copy, the "transfers every object as a
         // whole" fast path, references included.
         let (head, body) = self.out.slice_mut(logical, size as usize)?.split_at_mut(hdr as usize);
         head[..8].copy_from_slice(&mark::sanitized_for_transfer(m).to_le_bytes());
-        head[8..16].copy_from_slice(&facts.tid.to_le_bytes());
+        head[8..16].copy_from_slice(&facts.word.to_le_bytes());
         if k.kind != KlassKind::Instance {
             let at = rspec.array_len_off() as usize;
             match rspec.array_len_size {
@@ -618,7 +618,7 @@ impl<'a> GraphSender<'a> {
             Seen::At(rel) => {
                 let words = match &mut self.encoding {
                     Encoding::Wire => [TOP_REF, rel + 1],
-                    Encoding::Image { roots, .. } => {
+                    Encoding::Image { roots } => {
                         roots.push(Addr::from_raw(self.ref_bias + rel));
                         [FILLER_WORD; 2]
                     }
@@ -636,7 +636,7 @@ impl<'a> GraphSender<'a> {
         let logical = self.enqueue(root, seen)?;
         let marker = match &mut self.encoding {
             Encoding::Wire => TOP_MARK,
-            Encoding::Image { roots, .. } => {
+            Encoding::Image { roots } => {
                 roots.push(Addr::from_raw(self.ref_bias + logical));
                 FILLER_WORD
             }
@@ -674,8 +674,7 @@ impl<'a> GraphSender<'a> {
     /// [`Error::BadFrame`] if the sender was writing a wire stream, or if
     /// the image outgrew `chunk_limit` and was cut into chunks.
     pub fn finish_image(mut self) -> Result<SegmentImage> {
-        let Encoding::Image { roots, tid_names, .. } =
-            std::mem::replace(&mut self.encoding, Encoding::Wire)
+        let Encoding::Image { roots } = std::mem::replace(&mut self.encoding, Encoding::Wire)
         else {
             return Err(Error::BadFrame("sender was not writing a segment image".into()));
         };
@@ -687,7 +686,7 @@ impl<'a> GraphSender<'a> {
             )));
         }
         let bytes = out.chunks.pop().unwrap_or_default();
-        Ok(SegmentImage { bytes, roots, tid_names, stats: out.stats })
+        Ok(SegmentImage { bytes, roots, stats: out.stats })
     }
 
     /// Upper-bound estimate of the wire bytes `roots` will produce, or

@@ -291,29 +291,18 @@ impl Heap {
         &self.attached
     }
 
-    /// Attaches a sealed segment: maps its memory read-only into this
-    /// heap's address space. Metadata-only — nothing is cloned, no cards
-    /// are dirtied; after this call every address in the segment resolves
-    /// through ordinary heap reads and [`Heap::gen_of`] reports
-    /// [`Gen::Segment`].
+    /// Maps a sealed segment's memory read-only into this heap's address
+    /// space. `Vm::attach_segment` checks first that the segment suits the
+    /// VM.
     ///
     /// # Errors
-    /// [`Error::SegmentFormatMismatch`] if the segment was sealed in a
-    /// different object format than this heap's (its walkers would
-    /// mis-parse every header); [`Error::SegmentAlreadyAttached`] if a
-    /// segment with the same base is already attached.
-    pub fn attach_segment(&mut self, seg: Arc<Segment>) -> Result<()> {
-        if seg.spec() != self.spec {
-            return Err(Error::SegmentFormatMismatch {
-                base: seg.base(),
-                sealed: seg.spec(),
-                attacher: self.spec,
-            });
-        }
+    /// [`Error::SegmentAlreadyAttached`] if a segment with the same base is
+    /// already attached.
+    pub(crate) fn attach_segment(&mut self, seg: Arc<Segment>) -> Result<()> {
         if self.attached.iter().any(|s| s.base() == seg.base()) {
             return Err(Error::SegmentAlreadyAttached(seg.base()));
         }
-        self.arena.map_range(seg.base(), seg.len(), Arc::clone(seg.mem()));
+        self.arena.map_range(seg.base(), seg.len(), Arc::clone(seg.raw_mem()));
         self.attached.push(seg);
         Ok(())
     }

@@ -30,10 +30,13 @@ use parking_lot::RwLock;
 use crate::layout::{align8, LayoutSpec};
 use crate::{Error, Result};
 
-/// Index of a klass in its VM's [`KlassTable`].
+/// Index of a klass in its VM's [`KlassTable`]: the number the VM's
+/// [`ClassPath`] gave the class name.
 ///
-/// Klass ids are VM-local (the same class has different ids on different
-/// nodes) — that is the whole reason Skyway needs global type numbering.
+/// Klass ids are per classpath: every VM sharing one `ClassPath` gives a
+/// class the same id, so a klass word means the same in all of their heaps
+/// and in every segment they seal. VMs on different classpaths still
+/// disagree — that is why the wire carries global type ids instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct KlassId(pub u32);
 
@@ -178,7 +181,7 @@ pub struct Field {
 /// Loaded class metadata with computed layout.
 #[derive(Debug)]
 pub struct Klass {
-    /// VM-local id (index in the [`KlassTable`]).
+    /// Klass id (index in the [`KlassTable`], numbered by the classpath).
     pub id: KlassId,
     /// Fully qualified name.
     pub name: String,
@@ -282,9 +285,15 @@ pub fn ref_array_name(elem: &str) -> String {
 /// encounters an unloaded type id (§4.1: "Skyway instructs the class loader
 /// to load the missing class since the type registry knows the full class
 /// name").
+///
+/// The classpath also numbers classes: the first VM to load a name — array
+/// classes included — fixes its [`KlassId`] for every VM sharing this
+/// classpath.
 #[derive(Debug, Default)]
 pub struct ClassPath {
     defs: RwLock<HashMap<String, KlassDef>>,
+    /// Class numbers, issued in first-load order and never reused.
+    numbers: RwLock<HashMap<String, u32>>,
 }
 
 impl ClassPath {
@@ -311,21 +320,19 @@ impl ClassPath {
         self.defs.read().get(name).cloned()
     }
 
-    /// Number of definitions.
-    pub fn len(&self) -> usize {
-        self.defs.read().len()
+    /// The number of class `name`, issued the first time any VM on this
+    /// classpath loads it. Called once per class per VM, at its publication.
+    pub(crate) fn number(&self, name: &str) -> u32 {
+        let mut numbers = self.numbers.write();
+        let next = numbers.len() as u32;
+        *numbers.entry(name.to_owned()).or_insert(next)
     }
 
-    /// True if no classes are defined.
-    pub fn is_empty(&self) -> bool {
-        self.defs.read().is_empty()
-    }
-
-    /// All defined class names (sorted, for deterministic iteration).
-    pub fn names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.defs.read().keys().cloned().collect();
-        v.sort();
-        v
+    /// The class numbered `number`, if some VM on this classpath loaded it.
+    /// A scan: a VM asks once per class, the first time it meets the class
+    /// in a heap before loading it.
+    pub(crate) fn name_of(&self, number: u32) -> Option<String> {
+        self.numbers.read().iter().find(|&(_, &n)| n == number).map(|(name, _)| name.clone())
     }
 }
 
@@ -350,8 +357,10 @@ fn locate(id: u32) -> (usize, usize) {
 /// Append-only: a published klass never moves and is never replaced, so
 /// [`KlassTable::get`] returns a borrow good for as long as the table is —
 /// the id → class path of every heap walker takes no lock and touches no
-/// reference count. Klasses sit in write-once slots on pages allocated when
-/// the first id on them is issued (nothing is reserved up front). Class
+/// reference count. A klass sits in the write-once slot of the id its
+/// classpath numbered it with, so a VM's ids are sparse when other VMs on
+/// the classpath loaded classes it has not; pages are allocated when the
+/// first id on them is published (nothing is reserved up front). Class
 /// *load* serializes on the name index's lock, which also makes the index
 /// the count of what is published. The table is built from `OnceLock` and
 /// that lock alone — no hand-written atomics, hence no `// ORDER:` notes
@@ -394,9 +403,14 @@ impl KlassTable {
         self.get(id).ok()
     }
 
-    /// All loaded klasses in load order.
+    /// All loaded klasses in this VM's load order.
     pub fn all(&self) -> Vec<Arc<Klass>> {
-        (0..self.len() as u32).filter_map(|i| self.get(KlassId(i)).ok()).cloned().collect()
+        let ids = self.by_name.read();
+        let mut all: Vec<_> = ids.values().filter_map(|&id| self.get(id).ok()).cloned().collect();
+        // `publish` issues each uid under the index's write lock, so uids
+        // follow this table's load order.
+        all.sort_unstable_by_key(|k| k.uid);
+        all
     }
 
     /// Loads `name` (and, recursively, its supers) from `classpath` with the
@@ -437,7 +451,7 @@ impl KlassTable {
                 KlassKind::PrimArray(p) => p.size(),
                 _ => 8,
             };
-            return Ok(self.publish(name, |id| Klass {
+            return Ok(self.publish(name, KlassId(classpath.number(name)), |id| Klass {
                 id,
                 name: name.to_owned(),
                 super_id: Some(object_id),
@@ -465,14 +479,10 @@ impl KlassTable {
                 }
             }
         };
-        let fields: Vec<(String, FieldType)> = def.fields.clone();
-        self.insert_instance(name.to_owned(), super_id, fields, spec)
+        self.insert_instance(name.to_owned(), super_id, def.fields, classpath, spec)
     }
 
     fn ensure_object(&self, classpath: &ClassPath, spec: LayoutSpec) -> Result<KlassId> {
-        if let Some(k) = self.by_name(OBJECT) {
-            return Ok(k.id);
-        }
         if classpath.lookup(OBJECT).is_none() {
             classpath.define(KlassDef::new(OBJECT, None, vec![]));
         }
@@ -484,6 +494,7 @@ impl KlassTable {
         name: String,
         super_id: Option<KlassId>,
         own_fields: Vec<(String, FieldType)>,
+        classpath: &ClassPath,
         spec: LayoutSpec,
     ) -> Result<KlassId> {
         // Super fields (already laid out) come first; own fields are packed
@@ -517,7 +528,7 @@ impl KlassTable {
         let ref_offsets =
             fields.iter().filter(|f| f.ty == FieldType::Ref).map(|f| f.offset).collect();
 
-        Ok(self.publish(&name, |id| Klass {
+        Ok(self.publish(&name, KlassId(classpath.number(&name)), |id| Klass {
             id,
             name: name.clone(),
             super_id,
@@ -534,16 +545,16 @@ impl KlassTable {
         }))
     }
 
-    /// Publishes the klass `build` makes for the next free id under `name`,
-    /// unless a concurrent loader already published that name. Holding the
-    /// index's write lock across the slot write is what keeps ids dense and
-    /// every id in the index resolvable.
-    fn publish(&self, name: &str, build: impl FnOnce(KlassId) -> Klass) -> KlassId {
+    /// Publishes the klass `build` makes under `name` and `id`, the number
+    /// the classpath gave `name` — taken before the index lock, so the two
+    /// locks never nest — unless a concurrent loader already published that
+    /// name. Holding the index's write lock across the slot write is what
+    /// keeps every id in the index resolvable.
+    fn publish(&self, name: &str, id: KlassId, build: impl FnOnce(KlassId) -> Klass) -> KlassId {
         let mut by_name = self.by_name.write();
         if let Some(&id) = by_name.get(name) {
             return id; // lost a benign race
         }
-        let id = KlassId(by_name.len() as u32);
         let (page, slot) = locate(id.0);
         let slots = self.pages[page]
             .get_or_init(|| (0..PAGE0_SLOTS << page).map(|_| OnceLock::new()).collect());
@@ -678,8 +689,8 @@ mod tests {
     }
 
     /// Loaders publish while readers resolve: every id a loader is handed,
-    /// and every id below `len()`, resolves through the borrow path to a
-    /// fully built klass.
+    /// and every klass the index lists, resolves through the borrow path to
+    /// a fully built klass.
     #[test]
     fn concurrent_loads_publish_whole_klasses() {
         const LOADERS: usize = 4;
@@ -713,10 +724,13 @@ mod tests {
                 s.spawn(|| {
                     start.wait();
                     loop {
+                        // The index only grows, and an entry that did not
+                        // resolve would be missing from `all()`.
                         let n = t.len();
-                        for id in 0..n as u32 {
-                            let k = t.get(KlassId(id)).unwrap();
-                            assert_eq!(k.id, KlassId(id));
+                        let all = t.all();
+                        assert!(all.len() >= n, "an indexed id did not resolve");
+                        for k in &all {
+                            assert!(Arc::ptr_eq(t.get(k.id).unwrap(), k));
                             assert!(whole(k), "{} read half-built", k.name);
                         }
                         if n == TOTAL {
@@ -728,6 +742,29 @@ mod tests {
         });
         assert_eq!(t.len(), TOTAL);
         assert!(matches!(t.get(KlassId(TOTAL as u32)), Err(Error::UnknownKlass(_))));
+    }
+
+    /// Two VMs load the same classes in opposite orders — implicit supers
+    /// and array classes included — and agree on every klass id, while
+    /// each table still lists its own load order.
+    #[test]
+    fn tables_on_one_classpath_agree_on_every_id() {
+        let cp = cp();
+        let names = ["Point3D", "[LPoint;", "Mixed", "[I"];
+        let (a, b) = (KlassTable::new(), KlassTable::new());
+        for n in names {
+            a.load(n, &cp, LayoutSpec::SKYWAY).unwrap();
+        }
+        for n in names.iter().rev() {
+            b.load(n, &cp, LayoutSpec::SKYWAY).unwrap();
+        }
+        assert_eq!((a.len(), b.len()), (6, 6));
+        for k in a.all() {
+            assert_eq!(b.by_name(&k.name).unwrap().id, k.id, "{}", k.name);
+        }
+        let order = |t: &KlassTable| t.all().iter().map(|k| k.name.clone()).collect::<Vec<_>>();
+        assert_eq!(order(&a), [OBJECT, "Point", "Point3D", "[LPoint;", "Mixed", "[I"]);
+        assert_eq!(order(&b), [OBJECT, "[I", "Mixed", "Point", "[LPoint;", "Point3D"]);
     }
 
     #[test]

@@ -162,6 +162,9 @@ pub enum Error {
         /// Format of the attaching heap.
         attacher: LayoutSpec,
     },
+    /// A segment sealed by a VM on one classpath was offered to a VM on
+    /// another; its klass words number the sealing classpath's classes.
+    SegmentClassPathMismatch(u64),
 }
 
 impl std::fmt::Display for Error {
@@ -221,6 +224,9 @@ impl std::fmt::Display for Error {
                     "segment {base:#x} was sealed as {sealed:?} but the attaching heap is \
                      {attacher:?}"
                 )
+            }
+            Error::SegmentClassPathMismatch(base) => {
+                write!(f, "segment {base:#x} was sealed on another classpath")
             }
         }
     }

@@ -26,16 +26,16 @@
 //!    stale the moment that heap's GC moved the referent (segments are
 //!    never scanned or patched by any GC).
 //!
-//! Klass words inside a segment hold Skyway *global type ids* (`tID`), not
-//! VM-local klass ids — a VM-local id would only be meaningful to the
-//! sealing VM. Each attacher resolves `tID → class name → local klass` on
-//! first touch via the name map recorded at seal time
-//! ([`Segment::name_for_tid`]).
+//! Klass words inside a segment are klass ids, as in any heap. Every VM on
+//! one [`ClassPath`] gives a class the same id, so a segment records the
+//! classpath it was sealed on and only VMs on that classpath may attach it
+//! ([`crate::Vm::attach_segment`]); they resolve its klass words exactly as
+//! they resolve their own.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::klass::ClassPath;
 use crate::layout::{Addr, LayoutSpec};
 use crate::mem::Arena;
 use crate::{Error, Result};
@@ -118,7 +118,7 @@ pub struct Segment {
     len: u64,
     spec: LayoutSpec,
     roots: Vec<Addr>,
-    tid_names: HashMap<u32, String>,
+    classpath: Arc<ClassPath>,
     checksum: u64,
 }
 
@@ -160,10 +160,10 @@ impl Segment {
         &self.roots
     }
 
-    /// Resolves a Skyway global type id recorded at seal time to its class
-    /// name, for attacher-local klass loading.
-    pub fn name_for_tid(&self, tid: u32) -> Option<&str> {
-        self.tid_names.get(&tid).map(String::as_str)
+    /// The classpath the segment was sealed on, which numbers the classes
+    /// its klass words name; only VMs on it can attach the segment.
+    pub(crate) fn classpath(&self) -> &Arc<ClassPath> {
+        &self.classpath
     }
 
     /// The seal-time content checksum.
@@ -177,13 +177,9 @@ impl Segment {
         self.mem.words(self.len).map(|w| checksum_words(w) == self.checksum).unwrap_or(false)
     }
 
-    /// The backing memory (for mapping into an attacher's arena).
-    pub(crate) fn mem(&self) -> &Arc<Arena> {
-        &self.mem
-    }
-
-    /// The backing memory as a raw arena handle. Tests use this to forge
-    /// post-seal corruption; production code has no reason to touch it.
+    /// The backing memory as a raw arena handle: what an attach maps,
+    /// read-only, into the attacher's arena. Tests also use it to forge
+    /// post-seal corruption.
     pub fn raw_mem(&self) -> &Arc<Arena> {
         &self.mem
     }
@@ -242,9 +238,9 @@ impl SegmentBuilder {
 
     /// Seals `image` — heap-format objects and filler words, references
     /// already absolute — into store-owned memory of exactly its size (one
-    /// copy), records `roots` (global addresses) and the class name behind
-    /// every global type id the image's klass words use, and computes the
-    /// content checksum. The unused tail of the reservation goes back to
+    /// copy), records `roots` (global addresses) and the `classpath` whose
+    /// klass ids the image's klass words hold, and computes the content
+    /// checksum. The unused tail of the reservation goes back to
     /// the base allocator unless a later claim already sits behind it.
     ///
     /// # Errors
@@ -255,7 +251,7 @@ impl SegmentBuilder {
         self,
         image: &[u8],
         roots: Vec<Addr>,
-        tid_names: HashMap<u32, String>,
+        classpath: Arc<ClassPath>,
     ) -> Result<Arc<Segment>> {
         let len = image.len() as u64;
         if len > self.reserved {
@@ -272,7 +268,7 @@ impl SegmentBuilder {
             len,
             spec: self.spec,
             roots,
-            tid_names,
+            classpath,
             checksum,
         }))
     }
@@ -346,7 +342,7 @@ mod tests {
     #[test]
     fn seal_checksum_detects_tampering() {
         let b = SegmentBuilder::reserve(64, LayoutSpec::SKYWAY).unwrap();
-        let seg = b.seal(&image(&[0xfeed, 0xbeef]), Vec::new(), HashMap::new()).unwrap();
+        let seg = b.seal(&image(&[0xfeed, 0xbeef]), Vec::new(), ClassPath::new()).unwrap();
         assert!(seg.verify_checksum());
         // Forge a write through the raw handle (the attacher-side mapping
         // would reject this; the checksum is the second line of defense).
@@ -373,14 +369,11 @@ mod tests {
     }
 
     #[test]
-    fn roots_and_tid_names_survive_seal() {
+    fn roots_survive_seal() {
         let b = SegmentBuilder::reserve(32, LayoutSpec::COMPACT).unwrap();
         let base = b.base();
-        let names = HashMap::from([(7, "java.lang.String".to_owned())]);
-        let seg = b.seal(&image(&[1]), vec![Addr::from_raw(base)], names).unwrap();
+        let seg = b.seal(&image(&[1]), vec![Addr::from_raw(base)], ClassPath::new()).unwrap();
         assert_eq!(seg.roots(), &[Addr::from_raw(base)]);
-        assert_eq!(seg.name_for_tid(7), Some("java.lang.String"));
-        assert_eq!(seg.name_for_tid(8), None);
         assert_eq!(seg.spec(), LayoutSpec::COMPACT);
         assert_eq!(seg.len(), 8);
         assert!(seg.contains(Addr::from_raw(base)));
@@ -390,11 +383,11 @@ mod tests {
     #[test]
     fn seal_rejects_an_image_beyond_its_reservation() {
         let b = SegmentBuilder::reserve(8, LayoutSpec::SKYWAY).unwrap();
-        let err = b.seal(&image(&[1, 2]), Vec::new(), HashMap::new()).unwrap_err();
+        let err = b.seal(&image(&[1, 2]), Vec::new(), ClassPath::new()).unwrap_err();
         assert!(matches!(err, Error::OutOfBounds { .. }), "unexpected error: {err}");
         // An empty image seals to an empty, attachable segment.
         let b = SegmentBuilder::reserve(0, LayoutSpec::SKYWAY).unwrap();
-        let seg = b.seal(&[], Vec::new(), HashMap::new()).unwrap();
+        let seg = b.seal(&[], Vec::new(), ClassPath::new()).unwrap();
         assert!(seg.is_empty());
         assert!(seg.verify_checksum());
     }

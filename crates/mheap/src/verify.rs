@@ -424,23 +424,20 @@ mod tests {
         assert_heap_ok(&v);
     }
 
-    /// Seals a one-`VNode` segment from a freshly allocated VNode's bytes,
-    /// with its klass word rewritten to a Skyway global tid (77) and its
-    /// `next` slot to `next` (a global address).
+    /// Seals a one-`VNode` segment from a freshly allocated VNode's bytes —
+    /// its klass word, VNode's klass id, kept as is — with its `next` slot
+    /// rewritten to `next` (a global address).
     fn seal_one_vnode(v: &mut Vm, next: Addr) -> Arc<Segment> {
         let k = v.load_class("VNode").unwrap();
         let n = v.alloc_instance(k).unwrap();
         let size = v.obj_size(n).unwrap();
         let mut bytes = vec![0u8; size as usize];
         v.heap().arena().read_bytes(n.0, &mut bytes).unwrap();
-        let mut put = |off: u64, w: u64| {
-            bytes[off as usize..off as usize + 8].copy_from_slice(&w.to_le_bytes());
-        };
-        put(v.spec().klass_off(), 77);
-        put(v.klasses().get(k).unwrap().field_by_name("next").unwrap().offset, next.0);
+        let off = v.klasses().get(k).unwrap().field_by_name("next").unwrap().offset as usize;
+        bytes[off..off + 8].copy_from_slice(&next.0.to_le_bytes());
         let b = SegmentBuilder::reserve(size, v.spec()).unwrap();
         let root = Addr(b.base());
-        b.seal(&bytes, vec![root], HashMap::from([(77, "VNode".to_owned())])).unwrap()
+        b.seal(&bytes, vec![root], Arc::clone(v.classpath())).unwrap()
     }
 
     #[test]
@@ -452,8 +449,8 @@ mod tests {
         assert_heap_ok(&v);
         let root = Addr(base);
         assert!(matches!(v.gen_of(root), Ok(Gen::Segment)));
-        // Reads resolve through the mapping; the klass word resolves via
-        // the seal-time tid map.
+        // Reads resolve through the mapping; the klass word resolves like
+        // any other.
         assert_eq!(v.klass_of(root).unwrap().name, "VNode");
         assert!(v.read_ref_at(root, 8).is_ok());
         // Writes into sealed memory are rejected by the arena routing.

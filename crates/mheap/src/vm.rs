@@ -10,6 +10,7 @@ use std::sync::Arc;
 use crate::heap::{Gen, Heap, HeapConfig, FILLER_WORD};
 use crate::klass::{ClassPath, Klass, KlassId, KlassKind, KlassTable};
 use crate::layout::{align8, mark, Addr, LayoutSpec};
+use crate::segment::Segment;
 use crate::{Error, Result};
 
 /// A stable GC root: the handle table is updated when objects move.
@@ -186,7 +187,7 @@ impl Vm {
         self.heap.spec()
     }
 
-    /// Loads a class (and its supers) by name, returning its VM-local id.
+    /// Loads a class (and its supers) by name, returning its klass id.
     ///
     /// # Errors
     /// [`Error::ClassNotFound`] when the classpath lacks a definition.
@@ -194,31 +195,60 @@ impl Vm {
         self.klasses.load(name, &self.classpath, self.heap.spec())
     }
 
-    /// Resolves the klass of an object.
+    /// Resolves the klass of an object: one indexed load of its klass word
+    /// in this VM's table.
     ///
-    /// For objects inside an attached segment the klass word holds a Skyway
-    /// *global type id* (the sealing VM's local klass id would be
-    /// meaningless here); it is resolved through the segment's seal-time
-    /// name map and loaded into this VM's klass table on first touch.
+    /// A klass word means the same class in every VM on this classpath, so
+    /// owned objects and attached segment residents resolve alike. A word
+    /// this VM has no klass for yet names a class another VM on the
+    /// classpath loaded first; it is loaded here by number, once.
     ///
     /// The klass is borrowed from the table, where it lives as long as this
     /// VM does; a caller that must keep it across a `&mut Vm` call clones
     /// the `Arc` explicitly.
     ///
     /// # Errors
-    /// [`Error::BadAddress`] for null/invalid addresses.
+    /// [`Error::BadAddress`] for null/invalid addresses;
+    /// [`Error::UnknownKlass`] for a word the classpath never issued.
     #[inline]
     pub fn klass_of(&self, obj: Addr) -> Result<&Arc<Klass>> {
         if obj.is_null() {
             return Err(Error::BadAddress(0));
         }
-        let kw = self.heap.arena().load_word(obj.0 + self.spec().klass_off())?;
-        if let Some(seg) = self.heap.segment_for(obj) {
-            let tid = kw as u32;
-            let name = seg.name_for_tid(tid).ok_or(Error::UnknownKlass(tid))?;
-            return self.klasses.get(self.load_class(name)?);
+        let id = KlassId(self.heap.arena().load_word(obj.0 + self.spec().klass_off())? as u32);
+        self.klasses.get(id).or_else(|_| self.load_numbered(id))
+    }
+
+    /// Loads the class the classpath numbered `id`: the first time this VM
+    /// meets a class some other VM on the classpath loaded.
+    #[cold]
+    fn load_numbered(&self, id: KlassId) -> Result<&Arc<Klass>> {
+        let name = self.classpath.name_of(id.0).ok_or(Error::UnknownKlass(id.0))?;
+        self.klasses.get(self.load_class(&name)?)
+    }
+
+    /// Attaches a sealed segment to this VM's heap: maps its memory
+    /// read-only into the heap's address space. Metadata-only — nothing is
+    /// cloned, no cards are dirtied; after this call every address in the
+    /// segment resolves through ordinary heap reads and [`Heap::gen_of`]
+    /// reports [`Gen::Segment`].
+    ///
+    /// # Errors
+    /// [`Error::SegmentFormatMismatch`] if the segment was sealed in a
+    /// different object format than this heap's (its walkers would
+    /// mis-parse every header); [`Error::SegmentClassPathMismatch`] if it
+    /// was sealed on another classpath (its klass words number that
+    /// classpath's classes); [`Error::SegmentAlreadyAttached`] if a segment
+    /// with the same base is already attached.
+    pub fn attach_segment(&mut self, seg: Arc<Segment>) -> Result<()> {
+        let (base, sealed, attacher) = (seg.base(), seg.spec(), self.spec());
+        if sealed != attacher {
+            return Err(Error::SegmentFormatMismatch { base, sealed, attacher });
         }
-        self.klasses.get(KlassId(kw as u32))
+        if !Arc::ptr_eq(seg.classpath(), &self.classpath) {
+            return Err(Error::SegmentClassPathMismatch(base));
+        }
+        self.heap.attach_segment(seg)
     }
 
     // ----- handles ------------------------------------------------------

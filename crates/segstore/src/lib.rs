@@ -209,8 +209,10 @@ impl SegStore {
     /// traversal — the ordinary Skyway sender with hash-table visited
     /// tracking (sealing must not scribble `baddr` words the concurrent
     /// shuffle machinery owns) — writes the final image against a base
-    /// reserved beforehand: klass words hold global tIDs, references are
-    /// absolute segment addresses, root markers are filler.
+    /// reserved beforehand: klass words keep `vm`'s klass ids, which every
+    /// VM on its classpath shares, references are absolute segment
+    /// addresses, root markers are filler. `dir` sees no traffic: a seal
+    /// needs no type id.
     ///
     /// # Errors
     /// Sender/registry errors; heap errors from the segment builder.
@@ -264,7 +266,7 @@ impl SegStore {
         let image = gs.finish_image()?;
 
         // 3. Adopt: one right-sized copy into store-owned memory, checksum.
-        let seg = builder.seal(&image.bytes, image.roots, image.tid_names)?;
+        let seg = builder.seal(&image.bytes, image.roots, Arc::clone(vm.classpath()))?;
         pool.release(image.bytes);
         let base = seg.base();
         let len = seg.len();
@@ -303,8 +305,8 @@ impl SegStore {
     ///
     /// # Errors
     /// [`Error::UnknownSegment`]; heap errors (double attach, or a `vm`
-    /// whose object format differs from the sealing VM's). A rejected
-    /// attach leaves the refcount where it was.
+    /// whose object format or classpath differs from the sealing VM's). A
+    /// rejected attach leaves the refcount where it was.
     pub fn attach(&self, vm: &mut Vm, base: u64) -> Result<Vec<Addr>> {
         self.attach_traced(vm, base, obs::TraceCtx::NONE)
     }
@@ -325,8 +327,8 @@ impl SegStore {
             Arc::clone(entry)
         };
         let seg = Arc::clone(&entry.seg);
-        if let Err(e) = vm.heap_mut().attach_segment(Arc::clone(&seg)) {
-            // Roll the refcount back — the heap rejected the mapping. Going
+        if let Err(e) = vm.attach_segment(Arc::clone(&seg)) {
+            // Roll the refcount back — the VM rejected the segment. Going
             // through the common release path means a concurrent successful
             // attach/detach pair cannot strand a zero-count entry.
             self.release_ref(&entry, base);

@@ -476,9 +476,19 @@ fn broadcast_attaches_share_one_segment() {
     assert_eq!(store.live_segments(), 1);
     let nc = registry.counter(obs::names::SEGSTORE_BYTES_NOT_COPIED).get();
     assert_eq!(nc, seal.bytes * N as u64);
+    // An executor starts with no class loaded. Reading the whole graph loads
+    // each of its classes once, under the driver's klass ids; a second pass
+    // loads nothing.
+    let loaded = |vm: &Vm| vm.klasses().all().iter().map(|k| (k.id, k.uid)).collect::<Vec<_>>();
+    let driver_ids = driver.klasses().all().iter().map(|k| k.id).collect::<Vec<_>>();
     for (vm, roots) in executors.iter().zip(&per_vm_roots) {
+        assert!(vm.klasses().is_empty());
+        assert_eq!(canonicalize(vm, roots[0]), want);
+        let first = loaded(vm);
+        assert_eq!(first.iter().map(|&(id, _)| id).collect::<Vec<_>>(), driver_ids);
         assert_eq!(canonicalize(vm, roots[0]), want);
         assert_eq!(vm.verify_heap().unwrap(), vec![]);
+        assert_eq!(loaded(vm), first);
     }
     // Same base address in every attacher: the roots are literally equal.
     for roots in &per_vm_roots {
@@ -515,14 +525,14 @@ fn double_attach_rolls_back_refcount() {
     ));
 }
 
-// Sealing a graph whose objects already live in an attached segment: their
-// klass words hold global tIDs, not klass ids of the re-sealing VM, and
-// they are counted in no space of its heap.
+// Sealing a graph whose objects already live in an attached segment: they
+// are counted in no space of the re-sealing VM's heap, and their klass
+// words mean in it what they meant in the VM that sealed them.
 #[test]
 fn reseal_from_an_attached_segment() {
     let (dir, mut sender, mut receiver) = same_node_env();
-    // Load order differs from the sender's, so a tID read as a local klass
-    // id would name the wrong class here.
+    // Load order differs from the sender's, so klass ids issued in each
+    // VM's own load order would name the wrong class here.
     for c in ["java.lang.Integer", "[J", "java.lang.Long"] {
         receiver.load_class(c).unwrap();
     }
@@ -547,7 +557,7 @@ fn reseal_from_an_attached_segment() {
     assert_eq!(second.stats.objects, first.stats.objects + 1);
     assert_eq!(second.roots, 2);
 
-    let cp = classpath();
+    let cp = Arc::clone(receiver.classpath());
     let mut third = Vm::new("t", &HeapConfig::small(), cp).unwrap();
     let out = store.attach(&mut third, second.base).unwrap();
     assert_eq!(third.verify_heap().unwrap(), vec![]);
@@ -562,10 +572,10 @@ fn reseal_from_an_attached_segment() {
 }
 
 // A graph of owned objects pointing into an attached segment goes over the
-// wire. The attacher's local klass id of `util.Pair` is numerically the tID
-// the segment's `SNode`s carry in their klass words, and the owned objects
-// alternate Pair / SNode, so the sender's class lookup flips between an
-// owned klass id and a resident tID of the same value from object to object.
+// wire. Owned and resident objects share one klass-word space, and the
+// klass id of `util.Pair` is numerically the wire tID of `SNode`; the owned
+// objects alternate Pair / SNode, so a sender that mixed up klass words and
+// tIDs would send one class for the other.
 #[test]
 fn mixed_owned_and_resident_graph_crosses_the_wire() {
     let (dir, mut sender, mut attacher) = same_node_env();
@@ -577,15 +587,15 @@ fn mixed_owned_and_resident_graph_crosses_the_wire() {
         roots: vec![3, 1],
     };
     let handles = build(&mut sender, &spec);
-    // tIDs in load order: `java.lang.Object` 0, `SNode` 1 — and in the
-    // attacher, `util.Pair` is klass 1.
+    // tIDs in the sender's load order: `java.lang.Object` 0, `SNode` 1 —
+    // and `util.Pair`, loaded first on the classpath after Object, is klass 1.
     dir.register_loaded(NodeId(0), &sender).unwrap();
     let roots = resolve_roots(&sender, &handles, &spec.roots);
     let store = SegStore::new().with_metrics(Arc::new(obs::Registry::new()));
     let seal = store.seal(&sender, &dir, NodeId(0), &roots).unwrap();
     let resident = store.attach(&mut attacher, seal.base).unwrap();
     let snode_tid = sender.klasses().by_name("SNode").unwrap().tid().unwrap();
-    assert_eq!(pair.0, snode_tid, "precondition: an owned klass id equals a resident tID");
+    assert_eq!(pair.0, snode_tid, "precondition: a klass id equals another class's tID");
 
     // Owned chain o0 → o1 → … → o5, built tail first; every link also
     // points into the segment.
@@ -788,4 +798,61 @@ fn shared_transfer_stats_match_the_cloning_reference() {
     ] {
         assert_eq!(snap.counter(key), 1, "{key}");
     }
+}
+
+// A segment's klass words number its sealing classpath's classes: a VM on
+// another classpath must refuse it — after the format check — and the
+// refused attach must leave the segment attachable at refcount zero.
+#[test]
+fn classpath_mismatch_is_refused_and_rolls_back() {
+    let (dir, mut sender, mut receiver) = same_node_env();
+    let spec = GraphSpec {
+        tags: vec![5, 6],
+        lefts: vec![None, Some(0)],
+        rights: vec![None, None],
+        roots: vec![1],
+    };
+    let handles = build(&mut sender, &spec);
+    let roots = resolve_roots(&sender, &handles, &spec.roots);
+    let store = SegStore::new().with_metrics(Arc::new(obs::Registry::new()));
+    let seal = store.seal(&sender, &dir, NodeId(0), &roots).unwrap();
+
+    // Same definitions, same format, another classpath.
+    let mut stranger = Vm::new("x", &HeapConfig::small(), classpath()).unwrap();
+    let err = store.attach(&mut stranger, seal.base).unwrap_err();
+    assert!(
+        matches!(err, segstore::Error::Heap(mheap::Error::SegmentClassPathMismatch(base))
+            if base == seal.base),
+        "unexpected error: {err}"
+    );
+    assert!(stranger.heap().attached_segments().is_empty());
+    assert_eq!(stranger.verify_heap().unwrap(), vec![]);
+    assert_eq!(store.refcount(seal.base), Some(0));
+    let out = store.attach(&mut receiver, seal.base).unwrap();
+    assert_eq!(store.refcount(seal.base), Some(1));
+    assert_eq!(canonicalize(&receiver, out[0]), canonicalize(&sender, roots[0]));
+}
+
+// A seal writes klass ids, not type ids: sealing classes the directory has
+// never seen costs it no traffic and registers nothing.
+#[test]
+fn seal_leaves_the_type_directory_alone() {
+    let (dir, mut sender, mut receiver) = same_node_env();
+    let spec = ImageSpec {
+        tags: vec![1, 2],
+        lefts: vec![Some(1), None],
+        rights: vec![Right::Longs(vec![3]), Right::Nodes(vec![Some(0)])],
+        roots: vec![0],
+    };
+    let roots = build_image(&mut sender, &spec);
+    let (before, types) = (dir.stats(), dir.len());
+    let store = SegStore::new().with_metrics(Arc::new(obs::Registry::new()));
+    let seal = store.seal(&sender, &dir, NodeId(0), &roots).unwrap();
+    let after = dir.stats();
+    let traffic = |s: skyway::RegistryStats| (s.view_pulls, s.lookups, s.messages, s.string_bytes);
+    assert_eq!(traffic(after), traffic(before));
+    assert_eq!(dir.len(), types);
+    assert!(sender.klasses().all().iter().all(|k| k.tid().is_none()));
+    let out = store.attach(&mut receiver, seal.base).unwrap();
+    assert_eq!(shape(&receiver, out[0]), shape(&sender, roots[0]));
 }
