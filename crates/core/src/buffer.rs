@@ -8,9 +8,19 @@
 //! buffer. The byte stream cut into chunks at flush points *is* the logical
 //! space; objects never span a chunk boundary (the flush happens when the
 //! next object does not fit).
+//!
+//! Each wire chunk ends in a [`TRAILER`] written where the chunk is cut:
+//! the payload's stream offset, then a checksum over payload and offset
+//! ([`mheap::segment::checksum_words`]). The receiver checks both with
+//! [`open_chunk`] before its one copy into the heap, so a flipped bit, a
+//! duplicated, reordered or lost chunk is a typed error, never a wrong
+//! field. Trailers are not stream bytes: no logical address, statistic or
+//! chunk limit counts them. A segment image is never cut and has none.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+use mheap::segment::checksum_words;
 
 use crate::{Error, Result};
 
@@ -25,6 +35,9 @@ pub const TOP_REF: u64 = 0xffff_ffff_ffff_fff1;
 
 /// Default chunk size (1 MiB).
 pub const DEFAULT_CHUNK: usize = 1 << 20;
+
+/// Bytes after each wire chunk's payload: its stream offset and checksum.
+pub const TRAILER: usize = 16;
 
 /// A reusable pool of chunk backings shared between output buffers and the
 /// consumers that drain their chunks. In steady state a pipelined transfer
@@ -116,18 +129,21 @@ pub struct OutputBuffer {
     pub allocable_addr: u64,
     chunks: Vec<Vec<u8>>,
     pool: Option<Arc<ChunkPool>>,
+    /// Whether a cut chunk gets its [`TRAILER`] (a segment image does not).
+    pub(crate) trailers: bool,
 }
 
 impl OutputBuffer {
     /// Creates a buffer with the given flush threshold.
     pub fn new(chunk_limit: usize) -> Self {
         OutputBuffer {
-            data: Vec::with_capacity(chunk_limit.min(DEFAULT_CHUNK)),
+            data: Vec::with_capacity(chunk_limit.min(DEFAULT_CHUNK) + TRAILER),
             chunk_limit: chunk_limit.max(64),
             flushed_bytes: 0,
             allocable_addr: 0,
             chunks: Vec::new(),
             pool: None,
+            trailers: true,
         }
     }
 
@@ -142,6 +158,7 @@ impl OutputBuffer {
             allocable_addr: 0,
             chunks: Vec::new(),
             pool: Some(pool),
+            trailers: true,
         }
     }
 
@@ -176,7 +193,7 @@ impl OutputBuffer {
         }
         if self.data.capacity() == 0 {
             if let Some(pool) = &self.pool {
-                self.data = pool.acquire(self.chunk_limit);
+                self.data = pool.acquire(self.chunk_limit + TRAILER);
             }
         }
         if logical != self.flushed_bytes + self.data.len() as u64 {
@@ -200,12 +217,19 @@ impl OutputBuffer {
         Ok(at)
     }
 
-    /// Cuts the pending data into a chunk (no-op when empty).
+    /// Cuts the pending data into a chunk (no-op when empty), ending it in
+    /// its trailer.
     pub fn flush(&mut self) {
         if self.data.is_empty() {
             return;
         }
+        let offset = self.flushed_bytes;
         self.flushed_bytes += self.data.len() as u64;
+        if self.trailers {
+            self.data.extend_from_slice(&offset.to_le_bytes());
+            let sum = checksum_words(self.data.as_chunks::<8>().0, u64::from_le_bytes);
+            self.data.extend_from_slice(&sum.to_le_bytes());
+        }
         self.chunks.push(std::mem::take(&mut self.data));
     }
 
@@ -271,8 +295,8 @@ impl OutputBuffer {
     }
 }
 
-/// The only frame version there is.
-const FRAME_VERSION: u8 = 1;
+/// The only frame version there is: 2, whose chunks end in trailers.
+const FRAME_VERSION: u8 = 2;
 
 /// Bytes before the first chunk: magic, version, flags, chunk count.
 const FRAME_HEADER: usize = 10;
@@ -281,8 +305,9 @@ const FRAME_HEADER: usize = 10;
 /// (what a Spark shuffle file or a socket payload carries) — the one
 /// container a Skyway stream travels in.
 ///
-/// Layout: `magic "SKYW" | version u8 = 1 | flags u8 | chunk_count u32 |`
-/// then per chunk `len u32 | bytes`, integers little-endian.
+/// Layout: `magic "SKYW" | version u8 = 2 | flags u8 | chunk_count u32 |`
+/// then per chunk `len u32 | bytes`, integers little-endian; a chunk's
+/// bytes are its payload and its [`TRAILER`], and `len` counts both.
 pub fn frame_chunks(chunks: &[Vec<u8>], flags: u8) -> Vec<u8> {
     let total: usize = chunks.iter().map(|c| c.len() + 4).sum();
     let mut out = Vec::with_capacity(total + FRAME_HEADER);
@@ -303,8 +328,8 @@ pub fn frame_chunks(chunks: &[Vec<u8>], flags: u8) -> Vec<u8> {
 /// allocated for a count the blob could not hold.
 ///
 /// # Errors
-/// [`Error::BadFrame`] for a wrong magic or version, a chunk count the blob
-/// cannot hold, or truncation.
+/// [`Error::FrameVersion`] for any version but 2; [`Error::BadFrame`] for a
+/// wrong magic, a chunk count the blob cannot hold, or truncation.
 pub fn parse_frames(blob: &[u8]) -> Result<(u8, Vec<&[u8]>)> {
     let Some((&[b'S', b'K', b'Y', b'W', version, flags, n @ ..], mut rest)) =
         blob.split_first_chunk::<FRAME_HEADER>()
@@ -312,7 +337,7 @@ pub fn parse_frames(blob: &[u8]) -> Result<(u8, Vec<&[u8]>)> {
         return Err(Error::BadFrame("missing SKYW magic".into()));
     };
     if version != FRAME_VERSION {
-        return Err(Error::BadFrame(format!("unsupported version {version}")));
+        return Err(Error::FrameVersion(version));
     }
     let n = u32::from_le_bytes(n) as usize;
     // Every chunk costs at least its length word.
@@ -333,9 +358,38 @@ pub fn parse_frames(blob: &[u8]) -> Result<(u8, Vec<&[u8]>)> {
     Ok((flags, chunks))
 }
 
+/// Checks a received chunk against its trailer and the stream offset
+/// `expected` next, returning the payload.
+///
+/// # Errors
+/// [`Error::BadFrame`] for a chunk that is not 8-aligned or has no room for
+/// a trailer; [`Error::ChunkChecksum`] if payload or offset changed on the
+/// way; [`Error::ChunkOutOfOrder`] for a chunk of another stream offset.
+pub fn open_chunk(chunk: &[u8], expected: u64) -> Result<&[u8]> {
+    let (words, []) = chunk.as_chunks::<8>() else {
+        return Err(Error::BadFrame(format!("chunk length {} not 8-aligned", chunk.len())));
+    };
+    let Some((payload, [offset, sum])) = words.split_last_chunk::<2>() else {
+        return Err(Error::BadFrame(format!("{}-byte chunk has no trailer", chunk.len())));
+    };
+    if checksum_words(&words[..words.len() - 1], u64::from_le_bytes) != u64::from_le_bytes(*sum) {
+        return Err(Error::ChunkChecksum(expected));
+    }
+    let found = u64::from_le_bytes(*offset);
+    if found != expected {
+        return Err(Error::ChunkOutOfOrder { expected, found });
+    }
+    Ok(payload.as_flattened())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A chunk's payload: all but its trailer.
+    fn payload(c: &[u8]) -> &[u8] {
+        &c[..c.len() - TRAILER]
+    }
 
     #[test]
     fn logical_space_is_gapless_across_flushes() {
@@ -347,10 +401,10 @@ mod tests {
         assert_eq!(a2, 48);
         assert_eq!(a3, 96);
         let chunks = b.finish();
-        let total: usize = chunks.iter().map(Vec::len).sum();
+        let total: usize = chunks.iter().map(|c| payload(c).len()).sum();
         assert_eq!(total, 104);
         // First chunk holds only the first object (flush-at-boundary).
-        assert_eq!(chunks[0].len(), 48);
+        assert_eq!(payload(&chunks[0]).len(), 48);
     }
 
     #[test]
@@ -390,7 +444,7 @@ mod tests {
         assert_eq!(big, 8);
         let chunks = b.finish();
         assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[1].len(), 500);
+        assert_eq!(payload(&chunks[1]).len(), 500);
     }
 
     #[test]
@@ -413,8 +467,11 @@ mod tests {
         assert!(parse_frames(b"nope").is_err());
         // Version 3 does not exist.
         assert!(parse_frames(b"SKYW\x03\x00\x00\x00\x00\x00").is_err());
-        // Version 2 is rejected for its version, not for truncation.
-        assert!(parse_frames(b"SKYW\x02\x00\x01\x00\x00\x00").is_err());
+        // Version 1 is rejected for its version, not for truncation.
+        assert!(matches!(
+            parse_frames(b"SKYW\x01\x00\x01\x00\x00\x00"),
+            Err(Error::FrameVersion(1))
+        ));
         let blob = frame_chunks(&[vec![1, 2, 3]], 0);
         assert!(parse_frames(&blob[..blob.len() - 1]).is_err());
     }
@@ -422,15 +479,15 @@ mod tests {
     #[test]
     fn frame_header_bytes_are_pinned() {
         let blob = frame_chunks(&[vec![0xaa, 0xbb, 0xcc], vec![]], 0b11);
-        assert_eq!(blob, b"SKYW\x01\x03\x02\0\0\0\x03\0\0\0\xaa\xbb\xcc\0\0\0\0");
-        assert_eq!(frame_chunks(&[], 0), b"SKYW\x01\0\0\0\0\0");
+        assert_eq!(blob, b"SKYW\x02\x03\x02\0\0\0\x03\0\0\0\xaa\xbb\xcc\0\0\0\0");
+        assert_eq!(frame_chunks(&[], 0), b"SKYW\x02\0\0\0\0\0");
     }
 
     #[test]
     fn chunk_count_is_bounded_by_the_blob_before_allocating() {
         // Ten bytes claiming u32::MAX chunks: sizing a Vec by that count
         // would abort the process.
-        let e = parse_frames(b"SKYW\x01\x00\xff\xff\xff\xff").unwrap_err();
+        let e = parse_frames(b"SKYW\x02\x00\xff\xff\xff\xff").unwrap_err();
         assert!(matches!(e, Error::BadFrame(_)), "{e}");
         // One more chunk than the body's length words can account for.
         let mut blob = frame_chunks(&[vec![], vec![]], 0);
@@ -439,12 +496,37 @@ mod tests {
     }
 
     #[test]
-    fn only_version_one_parses() {
-        for v in [0u8, 2, 3, 0xff] {
+    fn only_version_two_parses() {
+        for v in [0u8, 1, 3, 0xff] {
             let mut blob = frame_chunks(&[vec![7u8; 8]], 0);
             blob[4] = v;
-            assert!(matches!(parse_frames(&blob), Err(Error::BadFrame(_))), "version {v}");
+            assert!(matches!(parse_frames(&blob), Err(Error::FrameVersion(w)) if w == v));
         }
+    }
+
+    /// Every chunk ends in its stream offset and a checksum over payload and
+    /// offset; `open_chunk` hands back the payload only when both hold.
+    #[test]
+    fn trailers_catch_flips_duplicates_and_reorders() {
+        let mut b = OutputBuffer::new(64);
+        for v in 1..=3 {
+            let at = b.emit(48).unwrap();
+            b.write_word(at, v).unwrap();
+        }
+        let chunks = b.finish();
+        assert_eq!(chunks.iter().map(Vec::len).collect::<Vec<_>>(), [64; 3]);
+        for (i, c) in chunks.iter().enumerate() {
+            assert_eq!(open_chunk(c, 48 * i as u64).unwrap(), payload(c));
+        }
+        for bit in 0..64 * 8 {
+            let mut c = chunks[1].clone();
+            c[bit / 8] ^= 1 << (bit % 8);
+            assert!(matches!(open_chunk(&c, 48), Err(Error::ChunkChecksum(48))), "bit {bit}");
+        }
+        let e = open_chunk(&chunks[2], 48).unwrap_err();
+        assert!(matches!(e, Error::ChunkOutOfOrder { expected: 48, found: 96 }), "{e}");
+        assert!(matches!(open_chunk(&chunks[0][..8], 0), Err(Error::BadFrame(_))));
+        assert!(matches!(open_chunk(&chunks[0][..20], 0), Err(Error::BadFrame(_))));
     }
 
     #[test]
@@ -470,7 +552,7 @@ mod tests {
         assert_eq!(chunks.len(), 2);
         assert_eq!(pool.misses(), 2);
         assert_eq!(pool.hits(), 2);
-        assert!(chunks.iter().all(|c| c.len() == 48));
+        assert!(chunks.iter().all(|c| c.len() == 48 + TRAILER));
     }
 
     #[test]

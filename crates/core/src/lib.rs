@@ -5,21 +5,22 @@
 //! Data Systems* (Nguyen et al., ASPLOS 2018) on top of the [`mheap`]
 //! managed-heap substrate:
 //!
-//! * [`registry`] — global class numbering (§4.1, Algorithm 1): a driver
-//!   registry plus per-worker views, so one integer identifies a class
-//!   cluster-wide;
+//! * [`registry`] — the type registry's traffic (§4.1, Algorithm 1): a
+//!   driver registry plus per-worker views over the classpath's class
+//!   numbers, so one integer identifies a class cluster-wide;
 //! * [`sender`] — the GC-like traversal (§4.2, Algorithm 2): clone objects
 //!   into per-destination output buffers — already in the *receiver's*
 //!   object format, the one place formats are adjusted (§3.1) — sanitize
 //!   headers, relativize references through the `baddr` word, stream
 //!   chunks, settle objects shared between sending threads via CAS;
-//! * [`buffer`] — the output buffer and the one container its chunks
-//!   travel in: `SKYW | version 1 | spec flags | chunk_count | (len |
-//!   bytes)*`, written by [`buffer::frame_chunks`] and read by
-//!   [`buffer::parse_frames`];
-//! * [`receiver`] — input buffers allocated in the old generation and
-//!   written once, one linear absolutization pass, on-demand class loading
-//!   (§4.3; no card is dirtied);
+//! * [`buffer`] — the output buffer, which ends every chunk with its stream
+//!   offset and checksum, and the one container its chunks travel in:
+//!   `SKYW | version 2 | spec flags | chunk_count | (len | bytes)*`, written
+//!   by [`buffer::frame_chunks`] and read by [`buffer::parse_frames`];
+//! * [`receiver`] — chunks checked against their trailers, input buffers
+//!   allocated in the old generation and written once, one linear
+//!   absolutization pass, on-demand class loading (§4.3; no card is
+//!   dirtied);
 //! * [`pipeline`] — the transfer engine: N sender lanes (the sending
 //!   threads of §4.2) streaming chunks to N absorbers, overlapped;
 //! * [`stream`] — the developer-facing API (§3.3): output/input streams,
@@ -97,8 +98,9 @@ pub enum Error {
     Heap(mheap::Error),
     /// A node id outside the cluster.
     UnknownNode(usize),
-    /// A type id no node ever registered.
-    UnknownTypeId(u32),
+    /// A VM on another classpath than the one the type directory serves
+    /// (the first it met): class numbers mean nothing across classpaths.
+    ClassPathMismatch(usize),
     /// `baddr`-based tracking requested on a heap format without the word.
     NeedsBaddr,
     /// A logical buffer address referred to already-flushed data.
@@ -117,6 +119,18 @@ pub enum Error {
     },
     /// A framed transfer blob was malformed.
     BadFrame(String),
+    /// A framed transfer blob of a frame version this build does not read.
+    FrameVersion(u8),
+    /// The bytes of the chunk due at this stream offset do not match its
+    /// trailer's checksum.
+    ChunkChecksum(u64),
+    /// A chunk arrived out of stream order: duplicated, reordered or lost.
+    ChunkOutOfOrder {
+        /// The stream offset the receiver expected.
+        expected: u64,
+        /// The offset the chunk's trailer carries.
+        found: u64,
+    },
     /// A relativized reference pointed outside every received chunk.
     DanglingRelativeAddr(u64),
     /// Sender and receiver object formats disagree.
@@ -137,7 +151,9 @@ impl std::fmt::Display for Error {
         match self {
             Error::Heap(e) => write!(f, "heap error: {e}"),
             Error::UnknownNode(n) => write!(f, "unknown node id {n}"),
-            Error::UnknownTypeId(t) => write!(f, "unknown global type id {t}"),
+            Error::ClassPathMismatch(n) => {
+                write!(f, "node {n} is on another classpath than the type directory serves")
+            }
             Error::NeedsBaddr => {
                 write!(f, "baddr tracking requires an object format with the baddr word")
             }
@@ -148,6 +164,11 @@ impl std::fmt::Display for Error {
                 write!(f, "placement at {logical} out of order (expected {expected})")
             }
             Error::BadFrame(s) => write!(f, "bad transfer frame: {s}"),
+            Error::FrameVersion(v) => write!(f, "unsupported frame version {v}"),
+            Error::ChunkChecksum(at) => write!(f, "chunk at stream offset {at} fails its checksum"),
+            Error::ChunkOutOfOrder { expected, found } => {
+                write!(f, "chunk for stream offset {found} arrived where {expected} was due")
+            }
             Error::DanglingRelativeAddr(a) => {
                 write!(f, "relative address {a} outside every received chunk")
             }

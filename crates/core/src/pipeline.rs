@@ -665,9 +665,9 @@ impl PipelineEngine {
         while let Some(((chunk, ready_ns), waited)) = take() {
             stall_ns += waited;
             let t0 = now();
-            core.push_chunk(vm, &chunk)?;
+            let bytes = core.push_chunk(vm, &chunk)?;
             core.absorb_ready(vm, hooks)?;
-            timeline.push((ready_ns, chunk.len() as u64, now().saturating_sub(t0)));
+            timeline.push((ready_ns, bytes, now().saturating_sub(t0)));
             self.pool.release(chunk);
         }
         let t0 = now();

@@ -1,15 +1,18 @@
 //! Receiving an object graph (paper §4.3).
 //!
-//! Each received chunk becomes one *input buffer* region claimed directly
-//! in the receiving heap's old generation and written once, by the copy off
-//! the wire — transferred data is written into the heap and usable right
-//! away. Because the sender's logical byte stream is gapless and objects
-//! never span a flush boundary, the receiver only needs a (logical start →
-//! heap base) map per chunk; a single linear scan then **absolutizes** the
-//! buffer:
+//! Each received chunk is checked against its trailer — checksum, then
+//! stream offset ([`crate::buffer::open_chunk`]) — and its payload becomes
+//! one *input buffer* region claimed directly in the receiving heap's old
+//! generation and written once, by the copy off the wire — transferred data
+//! is written into the heap and usable right away. Because the sender's
+//! logical byte stream is gapless and objects never span a flush boundary,
+//! the receiver only needs a (logical start → heap base) map per chunk; a
+//! single linear scan then **absolutizes** the buffer:
 //!
-//! * the `tID` in each klass slot is replaced by the local klass pointer
-//!   (loading the class on demand when this node never saw it);
+//! * the klass word of each object is the `tID`, and the `tID` is the
+//!   klass id every VM on the classpath shares, so it stays as it arrived;
+//!   the scan only resolves it, loading the class by number the first time
+//!   this VM meets it;
 //! * every relativized reference becomes an absolute heap address;
 //! * top marks identify the root objects without re-traversal.
 //!
@@ -21,10 +24,12 @@
 //! after adoption with `&mut Vm`, and their reference stores go through
 //! [`Vm::write_ref_at`]'s barrier like any mutator's.
 //!
-//! Per object the scan resolves the tID once, with one indexed load from
-//! the stream's tID-indexed table, and per reference it tries the chunk
-//! being absorbed — where almost every reference lands — before searching
-//! the chunk list.
+//! Per object the scan resolves the klass word with one indexed load from
+//! the VM's klass table, the load [`Vm::klass_of`] makes, and per reference
+//! it tries the chunk being absorbed — where almost every reference lands —
+//! before searching the chunk list. Class numbers mean something on one
+//! classpath only: a VM on another classpath than the type directory serves
+//! is refused at its first chunk.
 //!
 //! One absorber does all of it: `AbsorbCore` scans over a shared `&Vm`,
 //! carving its input buffers out of the heap's shared old-generation window,
@@ -42,7 +47,7 @@ use mheap::layout::mark;
 use mheap::{Addr, Klass, KlassId, KlassKind, Vm, FILLER_WORD};
 use simnet::NodeId;
 
-use crate::buffer::{TOP_MARK, TOP_REF};
+use crate::buffer::{open_chunk, TOP_MARK, TOP_REF};
 use crate::registry::TypeDirectory;
 use crate::stream::UpdateRegistry;
 use crate::{Error, Result};
@@ -54,22 +59,12 @@ struct ChunkMap {
     len: u64,
 }
 
-/// What one stream knows about a tID beyond the class's layout: which local
-/// klass it names and which update hook, if any, waits on its objects. Kind,
-/// sizes and the reference map are read off the klass where it lies in the
-/// receiving VM's table.
-#[derive(Debug, Clone, Copy)]
-struct TidFacts {
-    klass: KlassId,
-    hooked: Option<usize>,
-}
-
 /// Receive statistics.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ReceiveStats {
     /// Objects absolutized.
     pub objects: u64,
-    /// Bytes placed into the heap (markers included).
+    /// Bytes placed into the heap (markers included, trailers not).
     pub bytes: u64,
     /// Chunks (old-generation input-buffer regions).
     pub chunks: u64,
@@ -93,7 +88,7 @@ impl ReceiveStats {
     }
 }
 
-/// The absorber of one stream: chunk map, caches, fixup lists, statistics.
+/// The absorber of one stream: chunk map, fixup lists, statistics.
 /// Every method takes `vm: &Vm` — input buffers come from the heap's shared
 /// old-generation window ([`mheap::Heap::begin_shared_old_alloc`] must be
 /// open) and the scan reads and rewrites their words through the arena's
@@ -104,10 +99,6 @@ pub(crate) struct AbsorbCore<'d> {
     node: NodeId,
     chunks: Vec<ChunkMap>,
     next_logical: u64,
-    /// Indexed by tID. The wire names the index, but the table grows only
-    /// to a tID the directory resolved, and the directory issues them
-    /// densely from 0.
-    tids: Vec<Option<TidFacts>>,
     stats: ReceiveStats,
     /// Where [`adopt`] publishes `stats`, and whose tracer records this
     /// stream's spans. The scan itself counts into `stats` only.
@@ -141,7 +132,6 @@ impl<'d> AbsorbCore<'d> {
             node,
             chunks: Vec::new(),
             next_logical: 0,
-            tids: Vec::new(),
             stats: ReceiveStats::default(),
             registry: Arc::clone(obs::global()),
             absorbed: 0,
@@ -169,58 +159,41 @@ impl<'d> AbsorbCore<'d> {
         self
     }
 
-    /// Resolves the tID word of a klass slot to its local klass (borrowed
-    /// from `vm`'s table) and hook index, loading the class on first sight
-    /// of the tID.
-    fn facts_for_tid<'v>(
-        &mut self,
-        vm: &'v Vm,
-        word: u64,
-        hooks: Option<&UpdateRegistry>,
-    ) -> Result<(&'v Klass, Option<usize>)> {
-        let tid = u32::try_from(word)
-            .map_err(|_| Error::BadFrame(format!("implausible tID {word:#x}")))?;
-        if let Some(&Some(f)) = self.tids.get(tid as usize) {
-            return Ok((vm.klasses().get(f.klass)?, f.hooked));
-        }
-        let name = self.dir.name_for_tid_traced(
-            self.node,
-            tid,
-            self.registry.tracer(),
+    /// The first time this VM meets class number `word`: loads exactly the
+    /// definition the classpath numbered with it, under a
+    /// `trace.registry.class_load` span, and accounts the class at the type
+    /// directory (a `LOOKUP` if this node's view lacks it).
+    #[cold]
+    fn meet_class<'v>(&mut self, vm: &'v Vm, word: u64) -> Result<&'v Klass> {
+        let id = u32::try_from(word)
+            .map_err(|_| Error::BadFrame(format!("implausible class number {word:#x}")))?;
+        let mut span = self.registry.tracer().start(
+            obs::names::TRACE_REGISTRY_CLASS_LOAD,
             self.trace_ctx,
             &vm.name,
-        )?;
-        let loaded_before = vm.klasses().len();
-        let kid = vm.load_class(&name).map_err(Error::Heap)?;
-        if vm.klasses().len() > loaded_before {
-            self.stats.classes_loaded += 1;
-        }
-        // Make sure the local klass knows its tid too (it may serve as a
-        // sender later).
-        let k = vm.klasses().get(kid).map_err(Error::Heap)?;
+        );
+        span.annotate("tid", u64::from(id));
+        let k = vm.load_numbered(KlassId(id))?;
+        self.stats.classes_loaded += 1;
         self.dir.tid_for(self.node, k)?;
-        let hooked = hooks.and_then(|h| h.hook_index(&k.name));
-        let slot = tid as usize;
-        if self.tids.len() <= slot {
-            self.tids.resize(slot + 1, None);
-        }
-        self.tids[slot] = Some(TidFacts { klass: kid, hooked });
-        Ok((k, hooked))
+        Ok(k)
     }
 
-    /// Places one received chunk into a fresh old-generation input buffer,
-    /// writing each byte of the claim once. Chunks must arrive in stream
-    /// order (they do: links are FIFO).
+    /// Checks one received chunk against its trailer and places its payload
+    /// into a fresh old-generation input buffer, writing each byte of the
+    /// claim once. Chunks must arrive in stream order (they do: links are
+    /// FIFO). Returns the payload's length.
     ///
     /// # Errors
+    /// [`Error::ClassPathMismatch`] for a VM on another classpath than the
+    /// directory serves; the errors of [`open_chunk`];
     /// [`mheap::Error::OldGenFull`] (wrapped) when the heap cannot host the
-    /// buffer; [`Error::BadFrame`] for a chunk that is not word-aligned.
-    pub(crate) fn push_chunk(&mut self, vm: &Vm, bytes: &[u8]) -> Result<()> {
-        if !bytes.len().is_multiple_of(8) {
-            return Err(Error::BadFrame(format!("chunk length {} not 8-aligned", bytes.len())));
-        }
+    /// buffer.
+    pub(crate) fn push_chunk(&mut self, vm: &Vm, chunk: &[u8]) -> Result<u64> {
+        self.dir.serve(self.node, vm)?;
+        let bytes = open_chunk(chunk, self.next_logical)?;
         if bytes.is_empty() {
-            return Ok(());
+            return Ok(0);
         }
         let len = bytes.len() as u64;
         let base = vm.heap().shared_alloc_raw_old(len).map_err(Error::Heap)?;
@@ -232,7 +205,7 @@ impl<'d> AbsorbCore<'d> {
         self.stats.chunks += 1;
         self.stats.bytes += len;
         self.registry.histogram(obs::names::RECEIVER_CHUNK_BYTES).record(len);
-        Ok(())
+        Ok(len)
     }
 
     /// Translates a logical stream offset to an absolute heap address.
@@ -343,9 +316,11 @@ impl<'d> AbsorbCore<'d> {
                 // An object: resolve its type, then absolutize.
                 within(at, spec.instance_header(), "object header")?;
                 let obj = Addr::from_raw(at);
-                let tid = arena.load_word(at + spec.klass_off())?;
-                let (k, hooked) = self.facts_for_tid(vm, tid, hooks)?;
-                arena.store_word(at + spec.klass_off(), u64::from(k.id.0))?;
+                let word = arena.load_word(at + spec.klass_off())?;
+                let k = match u32::try_from(word).map(|id| vm.klasses().get(KlassId(id))) {
+                    Ok(Ok(k)) => k,
+                    _ => self.meet_class(vm, word)?,
+                };
                 // Mark words arrive sanitized; a forwarding bit here means
                 // the stream is corrupt (this is untrusted input, so it is
                 // a validation error, not an assertion).
@@ -395,7 +370,7 @@ impl<'d> AbsorbCore<'d> {
                     self.roots.push(obj);
                     self.next_is_root = false;
                 }
-                if let Some(hook_idx) = hooked {
+                if let Some(hook_idx) = hooks.and_then(|h| h.hook_index(&k.name)) {
                     self.pending_hooks.push((obj, hook_idx));
                 }
                 self.stats.objects += 1;
@@ -486,8 +461,9 @@ pub(crate) fn adopt(
 
 /// The other way a transfer ends: closes the shared window and turns every
 /// input buffer `streams` placed back into filler. A stream that failed
-/// midway leaves type ids in klass slots and relative addresses in reference
-/// slots; as filler the space stays walkable, and nothing of it is adopted.
+/// midway leaves relative addresses in reference slots and perhaps class
+/// numbers this VM never loaded in klass slots; as filler the space stays
+/// walkable, and nothing of it is adopted.
 pub(crate) fn abandon(vm: &mut Vm, streams: &[AbsorbCore<'_>]) {
     vm.heap_mut().end_shared_old_alloc();
     for c in streams.iter().flat_map(|s| &s.chunks) {
@@ -553,14 +529,17 @@ impl<'a> GraphReceiver<'a> {
         self
     }
 
-    /// Places one received chunk into a fresh old-generation input buffer.
-    /// Chunks must arrive in stream order (they do: links are FIFO).
+    /// Checks one received chunk against its trailer and places its payload
+    /// into a fresh old-generation input buffer. Chunks must arrive in
+    /// stream order (they do: links are FIFO).
     ///
     /// # Errors
-    /// [`mheap::Error::OldGenFull`] (wrapped) when the heap cannot host the
-    /// buffer; alignment errors for corrupt chunks.
+    /// [`Error::ClassPathMismatch`] for a VM on another classpath than the
+    /// directory serves; trailer errors for a corrupt, duplicated or
+    /// reordered chunk; [`mheap::Error::OldGenFull`] (wrapped) when the heap
+    /// cannot host the buffer.
     pub fn push_chunk(&mut self, bytes: &[u8]) -> Result<()> {
-        self.core.push_chunk(self.vm, bytes)
+        self.core.push_chunk(self.vm, bytes).map(drop)
     }
 
     /// Absolutizes every chunk placed so far but not yet absorbed (see
@@ -610,6 +589,15 @@ mod tests {
         ws.iter().flat_map(|w| w.to_le_bytes()).collect()
     }
 
+    /// One wire chunk at stream offset `at`: the words `ws`, then their
+    /// trailer.
+    fn chunk(ws: &[u64], at: u64) -> Vec<u8> {
+        let mut ws = ws.to_vec();
+        ws.push(at);
+        ws.push(mheap::segment::checksum_words(&ws, u64::from));
+        words(&ws)
+    }
+
     #[test]
     fn translate_empty_chunk_list_is_dangling() {
         let (mut vm, dir) = env();
@@ -622,8 +610,8 @@ mod tests {
     fn translate_past_the_end_is_dangling() {
         let (mut vm, dir) = env();
         let mut r = GraphReceiver::new(&mut vm, &dir, NodeId(0));
-        r.push_chunk(&[0u8; 32]).unwrap();
-        r.push_chunk(&[0u8; 16]).unwrap();
+        r.push_chunk(&chunk(&[0; 4], 0)).unwrap();
+        r.push_chunk(&chunk(&[0; 2], 32)).unwrap();
         // In-range logicals resolve, and stay contiguous across chunks.
         let a0 = r.core.translate(0).unwrap();
         let a31 = r.core.translate(31).unwrap();
@@ -647,11 +635,11 @@ mod tests {
             for tail in [TOP_REF, 0x1] {
                 let (mut vm, dir) = env_with(spec);
                 let mut r = GraphReceiver::new(&mut vm, &dir, NodeId(0));
-                r.push_chunk(&words(&[FILLER_WORD, tail])).unwrap();
+                r.push_chunk(&chunk(&[FILLER_WORD, tail], 0)).unwrap();
                 // A neighbouring buffer (the next chunk, or in parallel mode
                 // another stream's) directly behind the first one.
                 let mut next = AbsorbCore::new(&dir, NodeId(0));
-                next.push_chunk(r.vm, &words(&[1])).unwrap();
+                next.push_chunk(r.vm, &chunk(&[1], 0)).unwrap();
                 let neighbour = next.chunks[0].base;
                 assert_eq!(neighbour.0, r.core.chunks[0].base.0 + 16, "buffers are adjacent");
 
@@ -664,35 +652,34 @@ mod tests {
         }
     }
 
-    /// The tID-indexed table and the absorbed-chunk shortcut in `translate`
-    /// only skip lookups; they trust nothing. Objects alternating two
-    /// registered tIDs each get their own class, the unregistered tID after
-    /// them is a typed error rather than a class resolved earlier, and a
-    /// reference to the first byte past the stream fails the finish pass.
+    /// The klass table's indexed load and the absorbed-chunk shortcut in
+    /// `translate` only skip lookups; they trust nothing. Objects
+    /// alternating two class numbers each resolve to their own class, a
+    /// number the classpath never issued after them is a typed error rather
+    /// than a class resolved earlier, and a reference to the first byte past
+    /// the stream fails the finish pass.
     #[test]
     fn fast_paths_still_reject_hostile_input() {
         use mheap::stdlib::{INTEGER, LONG, PAIR};
         let (mut vm, dir) = env();
         let ids = [INTEGER, LONG, PAIR].map(|name| vm.load_class(name).unwrap());
-        dir.bootstrap_driver(&vm).unwrap();
-        let [int_t, long_t, pair_t] =
-            ids.map(|id| u64::from(vm.klasses().get(id).unwrap().tid().unwrap()));
-        let unknown = dir.len() as u64 + 3;
+        let [int_t, long_t, pair_t] = ids.map(|id| u64::from(id.0));
+        let unknown = 10_000;
 
         // Four 4-word boxes alternating Integer / Long, then a box whose
-        // tID nobody registered.
+        // number the classpath never issued.
         let mut r = GraphReceiver::new(&mut vm, &dir, NodeId(0));
-        let mut chunk = Vec::new();
+        let mut boxes = Vec::new();
         for (i, t) in [int_t, long_t, int_t, long_t, unknown].into_iter().enumerate() {
-            chunk.extend([0, t, 0, i as u64]);
+            boxes.extend([0, t, 0, i as u64]);
         }
-        r.push_chunk(&words(&chunk)).unwrap();
+        r.push_chunk(&chunk(&boxes, 0)).unwrap();
         let err = r.absorb_ready(None).unwrap_err();
-        assert!(matches!(err, Error::UnknownTypeId(t) if u64::from(t) == unknown), "{err}");
+        assert!(matches!(err, Error::Heap(mheap::Error::UnknownKlass(10_000))), "{err}");
         let base = r.core.chunks[0].base.0;
         for (i, id) in [ids[0], ids[1], ids[0], ids[1]].into_iter().enumerate() {
-            let kw = r.vm.heap().arena().load_word(base + 32 * i as u64 + 8).unwrap();
-            assert_eq!(kw, u64::from(id.0), "object {i} took another object's class");
+            let k = r.vm.klass_of(Addr::from_raw(base + 32 * i as u64)).unwrap();
+            assert_eq!(k.id, id, "object {i} took another object's class");
         }
         drop(r);
         assert_eq!(vm.verify_heap().unwrap(), vec![]);
@@ -700,7 +687,7 @@ mod tests {
         // A root pair whose `first` names logical 48: exactly the bytes
         // received, so past every chunk.
         let mut r = GraphReceiver::new(&mut vm, &dir, NodeId(0));
-        r.push_chunk(&words(&[TOP_MARK, 0, pair_t, 0, 48 + 1, 0])).unwrap();
+        r.push_chunk(&chunk(&[TOP_MARK, 0, pair_t, 0, 48 + 1, 0], 0)).unwrap();
         r.absorb_ready(None).unwrap();
         let err = r.finish(None).unwrap_err();
         assert!(matches!(err, Error::DanglingRelativeAddr(48)), "{err}");
@@ -714,8 +701,8 @@ mod tests {
     fn dropped_receiver_leaves_a_walkable_heap() {
         let (mut vm, dir) = env();
         let mut r = GraphReceiver::new(&mut vm, &dir, NodeId(0));
-        // An "object" whose klass slot holds a type id nobody registered.
-        r.push_chunk(&words(&[0x1, 0xdead, 0, 0])).unwrap();
+        // An "object" whose klass slot holds a number nobody issued.
+        r.push_chunk(&chunk(&[0x1, 0xdead, 0, 0], 0)).unwrap();
         assert!(r.absorb_ready(None).is_err());
         drop(r);
         assert_eq!(vm.verify_heap().unwrap(), vec![]);

@@ -1,24 +1,30 @@
-//! Global class numbering (paper §4.1, Algorithm 1).
+//! The type registry's traffic (paper §4.1, Algorithm 1).
 //!
-//! The driver JVM owns the complete type registry mapping every class name
-//! to a cluster-unique integer id (`tID`). Each worker holds a *registry
-//! view* — a subset it pulls from the driver:
+//! A class's global number is its klass id: the [`ClassPath`] every VM of
+//! the cluster shares issues one number per class definition, and the klass
+//! meta-object carries it, so the hot send path reads it with one load. What
+//! the paper's registry protocol costs is modelled here over those numbers.
+//! The driver JVM holds the complete registry; each worker holds a
+//! *registry view* — a subset it pulls from the driver:
 //!
 //! * at startup it issues one `REQUEST_VIEW` and receives the whole current
 //!   registry in a batch (most classes a worker will need are already
 //!   registered, so batching beats per-class round trips);
-//! * when it loads a class missing from its view it issues a `LOOKUP` with
-//!   the class-name string; the driver returns (or creates) the id;
-//! * the id is written into the klass meta-object (`WRITETID`), so the hot
-//!   send path reads it with one load.
+//! * when it sends or receives a class missing from its view it issues a
+//!   `LOOKUP` with the class-name string.
 //!
 //! Message and string-byte counters are kept so the registry-traffic
 //! ablation can compare this protocol against per-class lookups and against
 //! the Java serializer's string-per-object regime.
+//!
+//! A class number means something on one classpath only, so the directory
+//! serves the first classpath it meets; a sender or receiver on another one
+//! gets [`Error::ClassPathMismatch`] before any byte moves.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashSet};
+use std::sync::{Arc, OnceLock};
 
-use mheap::{Klass, Vm};
+use mheap::{ClassPath, Klass, Vm};
 use parking_lot::Mutex;
 use simnet::NodeId;
 
@@ -37,37 +43,6 @@ pub struct RegistryStats {
     pub string_bytes: u64,
 }
 
-#[derive(Debug, Default)]
-struct DriverRegistry {
-    ids: HashMap<String, u32>,
-    names: Vec<String>,
-}
-
-impl DriverRegistry {
-    fn lookup_or_create(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.ids.get(name) {
-            return id;
-        }
-        let id = self.names.len() as u32;
-        self.names.push(name.to_owned());
-        self.ids.insert(name.to_owned(), id);
-        id
-    }
-}
-
-#[derive(Debug, Default, Clone)]
-struct RegistryView {
-    by_name: HashMap<String, u32>,
-    by_id: HashMap<u32, String>,
-}
-
-impl RegistryView {
-    fn insert(&mut self, name: &str, id: u32) {
-        self.by_name.insert(name.to_owned(), id);
-        self.by_id.insert(id, name.to_owned());
-    }
-}
-
 /// The cluster-wide type directory: driver registry + per-node views.
 ///
 /// One instance is shared (via `Arc`) by every node of a simulated cluster;
@@ -76,8 +51,11 @@ impl RegistryView {
 #[derive(Debug)]
 pub struct TypeDirectory {
     driver: NodeId,
-    registry: Mutex<DriverRegistry>,
-    views: Vec<Mutex<RegistryView>>,
+    /// The classpath whose numbers this directory serves.
+    classpath: OnceLock<Arc<ClassPath>>,
+    /// Class number → name length, for every class the driver knows.
+    registry: Mutex<BTreeMap<u32, u64>>,
+    views: Vec<Mutex<HashSet<u32>>>,
     stats: Mutex<RegistryStats>,
 }
 
@@ -87,8 +65,9 @@ impl TypeDirectory {
     pub fn new(n_nodes: usize, driver: NodeId) -> Self {
         TypeDirectory {
             driver,
-            registry: Mutex::new(DriverRegistry::default()),
-            views: (0..n_nodes).map(|_| Mutex::new(RegistryView::default())).collect(),
+            classpath: OnceLock::new(),
+            registry: Mutex::new(BTreeMap::new()),
+            views: (0..n_nodes).map(|_| Mutex::new(HashSet::new())).collect(),
             stats: Mutex::new(RegistryStats::default()),
         }
     }
@@ -105,7 +84,7 @@ impl TypeDirectory {
 
     /// Number of globally registered types.
     pub fn len(&self) -> usize {
-        self.registry.lock().names.len()
+        self.registry.lock().len()
     }
 
     /// True if no type is registered yet.
@@ -113,22 +92,36 @@ impl TypeDirectory {
         self.len() == 0
     }
 
-    fn view(&self, node: NodeId) -> Result<&Mutex<RegistryView>> {
+    fn view(&self, node: NodeId) -> Result<&Mutex<HashSet<u32>>> {
         self.views.get(node.0).ok_or(Error::UnknownNode(node.0))
     }
 
-    /// Driver part 1 (Algorithm 1, lines 3–8): after JVM startup, register
-    /// every class already loaded in the driver VM and stamp their `tID`s.
+    /// Checks that `vm` on `node` is on the classpath this directory serves,
+    /// binding the directory to it if it serves none yet.
     ///
     /// # Errors
-    /// [`Error::UnknownNode`] if the directory was built without the driver.
+    /// [`Error::ClassPathMismatch`].
+    pub(crate) fn serve(&self, node: NodeId, vm: &Vm) -> Result<()> {
+        let served = self.classpath.get_or_init(|| Arc::clone(vm.classpath()));
+        if Arc::ptr_eq(served, vm.classpath()) {
+            return Ok(());
+        }
+        Err(Error::ClassPathMismatch(node.0))
+    }
+
+    /// Driver part 1 (Algorithm 1, lines 3–8): after JVM startup, register
+    /// every class already loaded in the driver VM.
+    ///
+    /// # Errors
+    /// [`Error::UnknownNode`] if the directory was built without the driver;
+    /// [`Error::ClassPathMismatch`].
     pub fn bootstrap_driver(&self, vm: &Vm) -> Result<()> {
+        self.serve(self.driver, vm)?;
         let mut reg = self.registry.lock();
         let mut view = self.view(self.driver)?.lock();
         for k in vm.klasses().all() {
-            let id = reg.lookup_or_create(&k.name);
-            k.set_tid(id);
-            view.insert(&k.name, id);
+            reg.insert(k.id.0, k.name.len() as u64);
+            view.insert(k.id.0);
         }
         Ok(())
     }
@@ -141,11 +134,8 @@ impl TypeDirectory {
     pub fn worker_startup(&self, node: NodeId) -> Result<()> {
         let reg = self.registry.lock();
         let mut view = self.view(node)?.lock();
-        let mut bytes = 0u64;
-        for (i, name) in reg.names.iter().enumerate() {
-            view.insert(name, i as u32);
-            bytes += name.len() as u64 + 4;
-        }
+        view.extend(reg.keys());
+        let bytes: u64 = reg.values().map(|len| len + 4).sum();
         let mut st = self.stats.lock();
         st.view_pulls += 1;
         st.messages += 2;
@@ -153,101 +143,39 @@ impl TypeDirectory {
         Ok(())
     }
 
-    /// Worker part 2 (lines 26–35): obtain the `tID` for a loaded klass,
-    /// consulting the local view first and falling back to a `LOOKUP` round
-    /// trip, then write the id into the klass meta-object.
+    /// Worker part 2 (lines 26–35): the global number of a klass — its klass
+    /// id — after consulting the local view, which costs a `LOOKUP` round
+    /// trip (the class-name string to the driver) if the class is missing.
     ///
     /// # Errors
     /// [`Error::UnknownNode`].
     pub fn tid_for(&self, node: NodeId, klass: &Klass) -> Result<u32> {
-        if let Some(tid) = klass.tid() {
-            return Ok(tid);
+        let id = klass.id.0;
+        if self.view(node)?.lock().contains(&id) {
+            return Ok(id);
         }
-        {
-            let view = self.view(node)?.lock();
-            if let Some(&id) = view.by_name.get(&klass.name) {
-                klass.set_tid(id);
-                return Ok(id);
-            }
-        }
-        // LOOKUP round trip: class-name string to the driver, id back.
-        // Every guard below is scoped to a single statement or block so the
-        // locks are taken strictly one at a time: holding the view while
-        // locking the registry here inverted `worker_startup`'s
-        // registry-then-view order (a deadlock window under concurrent
-        // startup + lookup), and holding stats across the driver-view
-        // insert inverted view-then-stats the same way. The race this
-        // opens — another thread interleaving between the registry lookup
-        // and the view insert — is benign: `lookup_or_create` is
-        // idempotent and re-inserting the same (name, id) is a no-op.
-        let id = self.registry.lock().lookup_or_create(&klass.name);
-        self.view(node)?.lock().insert(&klass.name, id);
-        klass.set_tid(id);
-        {
-            let mut st = self.stats.lock();
-            st.lookups += 1;
-            st.messages += 2;
-            st.string_bytes += klass.name.len() as u64;
-        }
+        // Every guard below is scoped to one statement, so the locks are
+        // taken strictly one at a time (`worker_startup` takes registry, then
+        // view). Two threads racing here may both count the round trip; the
+        // inserts are idempotent.
+        self.registry.lock().insert(id, klass.name.len() as u64);
+        self.view(node)?.lock().insert(id);
         // The driver's own view stays complete.
-        if node != self.driver {
-            self.view(self.driver)?.lock().insert(&klass.name, id);
-        }
-        Ok(id)
-    }
-
-    /// Receiver-side reverse mapping: class name behind a `tID`. Consults
-    /// the local view, then the driver ("the type registry knows the full
-    /// class name", §4.1).
-    ///
-    /// # Errors
-    /// [`Error::UnknownNode`]; [`Error::UnknownTypeId`] if no node ever
-    /// registered the id.
-    pub fn name_for_tid(&self, node: NodeId, tid: u32) -> Result<String> {
-        {
-            let view = self.view(node)?.lock();
-            if let Some(name) = view.by_id.get(&tid) {
-                return Ok(name.clone());
-            }
-        }
-        let reg = self.registry.lock();
-        let name = reg.names.get(tid as usize).cloned().ok_or(Error::UnknownTypeId(tid))?;
-        drop(reg);
-        self.view(node)?.lock().insert(&name, tid);
+        self.view(self.driver)?.lock().insert(id);
         let mut st = self.stats.lock();
         st.lookups += 1;
         st.messages += 2;
-        st.string_bytes += name.len() as u64;
-        Ok(name)
-    }
-
-    /// [`TypeDirectory::name_for_tid`] wrapped in a
-    /// `trace.registry.class_load` span — the receiver's on-demand class
-    /// resolution is a protocol round trip worth seeing on a transfer's
-    /// timeline. Inert (plain lookup) when `ctx` is absent or tracing is
-    /// off.
-    ///
-    /// # Errors
-    /// Same as [`TypeDirectory::name_for_tid`].
-    pub fn name_for_tid_traced(
-        &self,
-        node: NodeId,
-        tid: u32,
-        tracer: &obs::Tracer,
-        ctx: obs::TraceCtx,
-        node_name: &str,
-    ) -> Result<String> {
-        let mut span = tracer.start(obs::names::TRACE_REGISTRY_CLASS_LOAD, ctx, node_name);
-        span.annotate("tid", u64::from(tid));
-        self.name_for_tid(node, tid)
+        st.string_bytes += klass.name.len() as u64;
+        Ok(id)
     }
 
     /// Registers every class currently loaded in a worker VM (bulk variant
     /// of the class-load hook, useful right after booting a workload).
     ///
     /// # Errors
-    /// [`Error::UnknownNode`].
+    /// [`Error::UnknownNode`]; [`Error::ClassPathMismatch`].
     pub fn register_loaded(&self, node: NodeId, vm: &Vm) -> Result<()> {
+        self.serve(node, vm)?;
         for k in vm.klasses().all() {
             self.tid_for(node, &k)?;
         }
@@ -259,34 +187,40 @@ impl TypeDirectory {
 mod tests {
     use super::*;
     use mheap::stdlib::define_core_classes;
-    use mheap::{ClassPath, HeapConfig};
+    use mheap::HeapConfig;
 
-    fn vm(name: &str) -> Vm {
+    fn classpath() -> Arc<ClassPath> {
         let cp = ClassPath::new();
         define_core_classes(&cp);
-        Vm::new(name, &HeapConfig::small(), cp).unwrap()
+        cp
+    }
+
+    fn vm(cp: &Arc<ClassPath>, name: &str) -> Vm {
+        Vm::new(name, &HeapConfig::small(), Arc::clone(cp)).unwrap()
     }
 
     #[test]
     fn driver_bootstrap_assigns_stable_ids() {
-        let driver_vm = vm("driver");
+        let driver_vm = vm(&classpath(), "driver");
         driver_vm.load_class("java.lang.String").unwrap();
         driver_vm.load_class("java.lang.Integer").unwrap();
         let dir = TypeDirectory::new(3, NodeId(0));
         dir.bootstrap_driver(&driver_vm).unwrap();
         let s = driver_vm.klasses().by_name("java.lang.String").unwrap();
-        assert!(s.tid().is_some());
+        assert_eq!(dir.tid_for(NodeId(0), s).unwrap(), s.id.0);
+        assert_eq!(dir.stats().messages, 0, "the driver's view holds what it registered");
         assert_eq!(dir.len(), driver_vm.klasses().len());
     }
 
     #[test]
     fn view_pull_then_local_hits_cost_no_lookups() {
-        let driver_vm = vm("driver");
+        let cp = classpath();
+        let driver_vm = vm(&cp, "driver");
         driver_vm.load_class("java.lang.String").unwrap();
         let dir = TypeDirectory::new(2, NodeId(0));
         dir.bootstrap_driver(&driver_vm).unwrap();
 
-        let worker_vm = vm("worker");
+        let worker_vm = vm(&cp, "worker");
         dir.worker_startup(NodeId(1)).unwrap();
         worker_vm.load_class("java.lang.String").unwrap();
         let k = worker_vm.klasses().by_name("java.lang.String").unwrap();
@@ -294,7 +228,7 @@ mod tests {
 
         // Same id as the driver's.
         let dk = driver_vm.klasses().by_name("java.lang.String").unwrap();
-        assert_eq!(Some(tid), dk.tid());
+        assert_eq!(tid, dk.id.0);
         // No individual lookup was needed.
         assert_eq!(dir.stats().lookups, 0);
         assert_eq!(dir.stats().view_pulls, 1);
@@ -303,21 +237,24 @@ mod tests {
     #[test]
     fn unseen_class_costs_one_lookup_and_registers_globally() {
         let dir = TypeDirectory::new(2, NodeId(0));
-        let worker_vm = vm("worker");
+        let worker_vm = vm(&classpath(), "worker");
         dir.worker_startup(NodeId(1)).unwrap();
         worker_vm.load_class("util.Pair").unwrap();
         let k = worker_vm.klasses().by_name("util.Pair").unwrap();
-        let tid = dir.tid_for(NodeId(1), k).unwrap();
+        dir.tid_for(NodeId(1), k).unwrap();
         assert_eq!(dir.stats().lookups, 1);
-        // A second worker finds it without defining it.
-        assert_eq!(dir.name_for_tid(NodeId(0), tid).unwrap(), "util.Pair");
+        // The driver's view has it now, without a round trip of its own.
+        dir.tid_for(NodeId(0), k).unwrap();
+        assert_eq!(dir.stats().lookups, 1);
+        assert_eq!(dir.len(), 1);
     }
 
     #[test]
     fn same_class_same_id_across_nodes() {
         let dir = TypeDirectory::new(3, NodeId(0));
-        let a = vm("a");
-        let b = vm("b");
+        let cp = classpath();
+        let a = vm(&cp, "a");
+        let b = vm(&cp, "b");
         a.load_class("util.Pair").unwrap();
         b.load_class("util.Pair").unwrap();
         let ka = a.klasses().by_name("util.Pair").unwrap();
@@ -330,7 +267,7 @@ mod tests {
     #[test]
     fn cached_tid_short_circuits() {
         let dir = TypeDirectory::new(1, NodeId(0));
-        let a = vm("a");
+        let a = vm(&classpath(), "a");
         a.load_class("util.Pair").unwrap();
         let k = a.klasses().by_name("util.Pair").unwrap();
         let t1 = dir.tid_for(NodeId(0), k).unwrap();
@@ -341,15 +278,23 @@ mod tests {
     }
 
     #[test]
-    fn unknown_tid_is_an_error() {
-        let dir = TypeDirectory::new(1, NodeId(0));
-        assert!(matches!(dir.name_for_tid(NodeId(0), 999), Err(Error::UnknownTypeId(999))));
-    }
-
-    #[test]
     fn unknown_node_is_an_error() {
         let dir = TypeDirectory::new(1, NodeId(0));
         assert!(matches!(dir.worker_startup(NodeId(5)), Err(Error::UnknownNode(5))));
+    }
+
+    /// Class numbers mean something on one classpath only: the directory
+    /// serves the first it meets and refuses a VM on another.
+    #[test]
+    fn a_directory_serves_one_classpath() {
+        let dir = TypeDirectory::new(2, NodeId(0));
+        dir.bootstrap_driver(&vm(&classpath(), "driver")).unwrap();
+        let stranger = vm(&classpath(), "stranger");
+        assert!(matches!(
+            dir.register_loaded(NodeId(1), &stranger),
+            Err(Error::ClassPathMismatch(1))
+        ));
+        assert!(matches!(dir.bootstrap_driver(&stranger), Err(Error::ClassPathMismatch(0))));
     }
 
     #[test]
@@ -357,7 +302,7 @@ mod tests {
         // Parallel sender threads resolve tids concurrently; all threads
         // must observe one consistent id per class.
         let dir = std::sync::Arc::new(TypeDirectory::new(1, NodeId(0)));
-        let a = vm("a");
+        let a = vm(&classpath(), "a");
         a.load_class("util.Pair").unwrap();
         a.load_class("java.lang.String").unwrap();
         let pair = a.klasses().by_name("util.Pair").unwrap();
@@ -390,7 +335,7 @@ mod tests {
         // class per machine. 1000 tid_for calls → string bytes bounded by
         // one name.
         let dir = TypeDirectory::new(2, NodeId(0));
-        let a = vm("a");
+        let a = vm(&classpath(), "a");
         a.load_class("util.Pair").unwrap();
         let k = a.klasses().by_name("util.Pair").unwrap();
         for _ in 0..1000 {

@@ -5,7 +5,8 @@
 //! per-destination output buffer, and performs the three lightweight
 //! adjustments the paper defines:
 //!
-//! 1. the klass word is replaced by the global type id (`tID`);
+//! 1. the klass word stays the klass id, which is the global type id
+//!    (`tID`): every VM on the classpath gives the class that number;
 //! 2. the mark word is sanitized (GC/lock bits reset, **identity hashcode
 //!    preserved**);
 //! 3. every reference field is *relativized* to the referee's logical
@@ -36,10 +37,9 @@
 //! The same traversal also writes the final image of a shared segment
 //! ([`GraphSender::with_segment_base`]): nothing will parse or patch that
 //! output again, so references go out absolute against the segment's
-//! reserved base, root markers as filler words, and klass words keep the
-//! klass id, which every attacher on the sender's classpath shares. The two
-//! encodings differ in one added constant per reference, one branch per
-//! root and the word a class resolves to.
+//! reserved base, root markers as filler words, and chunks without
+//! trailers. The two encodings differ in one added constant per reference
+//! and one branch per root.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -152,9 +152,8 @@ enum Encoding {
     Wire,
     /// The final image of a segment: a reference is the absolute address
     /// `base + logical` (`base` rides in `GraphSender::ref_bias`), valid
-    /// unchanged in every attacher, klass words keep the klass id, marker
-    /// slots hold filler the heap walkers skip, and the roots are collected
-    /// on the side.
+    /// unchanged in every attacher, marker slots hold filler the heap
+    /// walkers skip, and the roots are collected on the side.
     Image { roots: Vec<Addr> },
 }
 
@@ -169,18 +168,6 @@ pub struct SegmentImage {
     pub roots: Vec<Addr>,
     /// Composition statistics.
     pub stats: SendStats,
-}
-
-/// What one stream knows about a class beyond its layout: the word its
-/// clones carry in their klass slot — the type id the directory issued on
-/// the wire, the klass id in a segment image. The layout itself — kind,
-/// reference map, payload end, element size — is read off the klass where
-/// it lies in the sender VM's table, as the real Skyway's VM-internal send
-/// loop reads its klass meta-objects.
-#[derive(Debug, Clone, Copy)]
-struct KlassFacts<'a> {
-    klass: &'a Klass,
-    word: u64,
 }
 
 /// Where one object's bytes sit in both formats, worked out once at its
@@ -254,13 +241,15 @@ pub struct GraphSender<'a> {
     /// Thread-local fallback: heap address → logical buffer address.
     fallback: AddrMap,
     /// Objects assigned a logical address but not yet cloned, with the
-    /// facts and shape their visit resolved.
-    gray: VecDeque<(Addr, u64, KlassFacts<'a>, Shape)>,
+    /// klass and shape their visit resolved.
+    gray: VecDeque<(Addr, u64, &'a Klass, Shape)>,
     stats: SendStats,
-    /// Indexed by klass word, which means the same for owned objects and
-    /// segment residents. Grows only to a word `klass_of` has resolved, so
-    /// a hit is one indexed load.
-    klass_facts: Vec<Option<KlassFacts<'a>>>,
+    /// The classes this stream met, indexed by klass word. The layout —
+    /// kind, reference map, payload end, element size — is read off the
+    /// klass where it lies in the sender VM's table, as the real Skyway's
+    /// VM-internal send loop reads its klass meta-objects. Grows only to a
+    /// word `klass_of` has resolved, so a hit is one indexed load.
+    klasses: Vec<Option<&'a Klass>>,
     /// Where [`GraphSender::finish`] publishes `stats`, and whose tracer
     /// records this stream's spans. The traversal itself counts into
     /// `stats` only.
@@ -317,6 +306,7 @@ impl<'a> GraphSender<'a> {
         if cfg.tracking == Tracking::Baddr && !vm.spec().with_baddr {
             return Err(Error::NeedsBaddr);
         }
+        dir.serve(node, vm)?;
         Ok(GraphSender {
             vm,
             dir,
@@ -330,7 +320,7 @@ impl<'a> GraphSender<'a> {
             fallback: AddrMap::default(),
             gray: VecDeque::new(),
             stats: SendStats::default(),
-            klass_facts: Vec::new(),
+            klasses: Vec::new(),
             registry: Arc::clone(obs::global()),
             trace_ctx: obs::TraceCtx::NONE,
             lane: 0,
@@ -366,42 +356,42 @@ impl<'a> GraphSender<'a> {
     /// so steady-state pipelined transfer does zero per-chunk allocations.
     #[must_use]
     pub fn with_pool(mut self, pool: Arc<crate::buffer::ChunkPool>) -> Self {
+        let trailers = self.out.trailers;
         self.out = OutputBuffer::new_pooled(self.cfg.chunk_limit, pool);
+        self.out.trailers = trailers;
         self
     }
 
     /// Writes the final image of a segment based at `base` instead of a
-    /// wire stream: absolute references, klass ids in klass words, filler in
-    /// place of marker words, roots collected for
-    /// [`GraphSender::finish_image`]. The caller sizes `chunk_limit` so the
-    /// whole image fits one chunk.
+    /// wire stream: absolute references, filler in place of marker words,
+    /// no chunk trailer, roots collected for [`GraphSender::finish_image`].
+    /// The caller sizes `chunk_limit` so the whole image fits one chunk.
     #[must_use]
     pub fn with_segment_base(mut self, base: u64) -> Self {
         self.encoding = Encoding::Image { roots: Vec::new() };
         self.ref_bias = base;
+        self.out.trailers = false;
         self
     }
 
-    /// Resolves (and caches) the per-klass facts for the klass word of
-    /// `obj` — once per object, at its visit; the gray queue carries them
-    /// to the clone.
-    fn facts_for(&mut self, obj: Addr) -> Result<KlassFacts<'a>> {
+    /// Resolves (and caches) the klass of `obj` — once per object, at its
+    /// visit; the gray queue carries it to the clone. A wire stream's first
+    /// object of a class accounts the class at the type directory.
+    fn klass_for(&mut self, obj: Addr) -> Result<&'a Klass> {
         let sspec = self.vm.spec();
         let kw = self.vm.heap().arena().load_word(obj.0 + sspec.klass_off())? as u32 as usize;
-        if let Some(&Some(facts)) = self.klass_facts.get(kw) {
-            return Ok(facts);
+        if let Some(&Some(klass)) = self.klasses.get(kw) {
+            return Ok(klass);
         }
         let klass = self.vm.klass_of(obj)?;
-        let word = match self.encoding {
-            Encoding::Wire => self.dir.tid_for(self.node, klass)?,
-            Encoding::Image { .. } => klass.id.0,
-        };
-        let facts = KlassFacts { klass, word: u64::from(word) };
-        if self.klass_facts.len() <= kw {
-            self.klass_facts.resize(kw + 1, None);
+        if let Encoding::Wire = self.encoding {
+            self.dir.tid_for(self.node, klass)?;
         }
-        self.klass_facts[kw] = Some(facts);
-        Ok(facts)
+        if self.klasses.len() <= kw {
+            self.klasses.resize(kw + 1, None);
+        }
+        self.klasses[kw] = Some(klass);
+        Ok(klass)
     }
 
     /// The visited check (Algorithm 2 lines 18–26).
@@ -479,28 +469,22 @@ impl<'a> GraphSender<'a> {
     /// Assigns an unseen object its logical address, claims it and queues
     /// it for cloning — its class resolved here, once.
     fn enqueue(&mut self, obj: Addr, seen: Option<u64>) -> Result<u64> {
-        let facts = self.facts_for(obj)?;
-        let shape = self.shape_of(obj, facts.klass)?;
+        let klass = self.klass_for(obj)?;
+        let shape = self.shape_of(obj, klass)?;
         let logical = self.out.assign(shape.size);
         self.claim(obj, seen, logical)?;
-        self.gray.push_back((obj, logical, facts, shape));
+        self.gray.push_back((obj, logical, klass, shape));
         Ok(logical)
     }
 
     /// Clones one object into the buffer at its assigned logical address,
     /// adjusting headers and relativizing references (Algorithm 2 lines
     /// 10–27).
-    fn clone_object(
-        &mut self,
-        obj: Addr,
-        logical: u64,
-        facts: KlassFacts<'a>,
-        shape: Shape,
-    ) -> Result<()> {
+    fn clone_object(&mut self, obj: Addr, logical: u64, k: &Klass, shape: Shape) -> Result<()> {
         let Shape { src_hdr, hdr, len, payload, size } = shape;
         self.out.place(logical, size)?;
         self.stats.objects += 1;
-        let (rspec, k) = (self.cfg.receiver_spec, facts.klass);
+        let rspec = self.cfg.receiver_spec;
         let arena = self.vm.heap().arena();
         let m = arena.load_word(obj.0 + self.vm.spec().mark_off())?;
         // The object's one output slice, zero-filled by `place` (so the
@@ -510,7 +494,7 @@ impl<'a> GraphSender<'a> {
         // whole" fast path, references included.
         let (head, body) = self.out.slice_mut(logical, size as usize)?.split_at_mut(hdr as usize);
         head[..8].copy_from_slice(&mark::sanitized_for_transfer(m).to_le_bytes());
-        head[8..16].copy_from_slice(&facts.word.to_le_bytes());
+        head[8..16].copy_from_slice(&u64::from(k.id.0).to_le_bytes());
         if k.kind != KlassKind::Instance {
             let at = rspec.array_len_off() as usize;
             match rspec.array_len_size {
@@ -642,8 +626,8 @@ impl<'a> GraphSender<'a> {
             }
         };
         self.out.write_word(at, marker)?;
-        while let Some((obj, logical, facts, shape)) = self.gray.pop_front() {
-            self.clone_object(obj, logical, facts, shape)?;
+        while let Some((obj, logical, klass, shape)) = self.gray.pop_front() {
+            self.clone_object(obj, logical, klass, shape)?;
         }
         Ok(())
     }
@@ -699,7 +683,7 @@ impl<'a> GraphSender<'a> {
     /// single-chunk fallback to trust without walking the heap twice.
     ///
     /// Must be called before any `write_root` — it only inspects klass
-    /// facts and array lengths, consuming no buffer space.
+    /// layouts and array lengths, consuming no buffer space.
     ///
     /// # Errors
     /// Heap/registry errors resolving a root's klass.
@@ -709,7 +693,7 @@ impl<'a> GraphSender<'a> {
             if root.is_null() {
                 return Ok(None);
             }
-            let k = self.facts_for(root)?.klass;
+            let k = self.klass_for(root)?;
             if !k.ref_offsets.is_empty() || k.kind == KlassKind::RefArray {
                 return Ok(None);
             }

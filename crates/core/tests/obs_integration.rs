@@ -114,7 +114,7 @@ fn full_transfer_reports_exact_metrics_and_roundtrips_as_json() {
     assert_eq!(snap.counter(obs::names::RECEIVER_CHUNKS_ABSORBED), stream_out.chunks.len() as u64);
     assert_eq!(
         snap.counter(obs::names::RECEIVER_BYTES_ABSORBED),
-        stream_out.chunks.iter().map(|c| c.len() as u64).sum::<u64>()
+        stream_out.chunks.iter().map(|c| (c.len() - skyway::buffer::TRAILER) as u64).sum::<u64>()
     );
     // Adoption dirties no card: the write barrier is the only producer.
     assert_eq!(rstats.cards_dirtied, 0);

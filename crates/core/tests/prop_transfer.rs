@@ -556,3 +556,149 @@ proptest! {
         check(&receiver, &got)?;
     }
 }
+
+/// The chunks of a PNode graph sent from a fresh sender with `chunk_limit`,
+/// plus the receiving VM, its registry and the directory.
+fn chunked_stream(spec: &GraphSpec, chunk_limit: usize) -> (Vec<Vec<u8>>, Vm, Arc<TypeDirectory>) {
+    let (dir, mut sender, receiver) = transfer_env();
+    let handles = build(&mut sender, spec);
+    let cfg = skyway::SendConfig { chunk_limit, ..skyway::SendConfig::for_vm(&sender) };
+    let mut gs = skyway::GraphSender::new(&sender, &dir, NodeId(0), 1, 0, cfg).unwrap();
+    for &i in &spec.roots {
+        gs.write_root(sender.resolve(handles[i]).unwrap()).unwrap();
+    }
+    (gs.finish().chunks, receiver, dir)
+}
+
+/// Feeds `chunks` to one `GraphReceiver` in order and finishes it, counting
+/// into a scoped registry: the result and the objects adoption published.
+fn receive(
+    receiver: &mut Vm,
+    dir: &TypeDirectory,
+    chunks: &[Vec<u8>],
+) -> (skyway::Result<Vec<Addr>>, u64) {
+    let reg = Arc::new(obs::Registry::new());
+    let mut gr =
+        skyway::GraphReceiver::new(receiver, dir, NodeId(1)).with_metrics(Arc::clone(&reg));
+    let got = chunks.iter().try_for_each(|c| gr.push_chunk(c)).and_then(|()| gr.finish(None));
+    (got.map(|(roots, _)| roots), reg.snapshot().counter(obs::names::RECEIVER_OBJECTS_ABSORBED))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One flipped bit anywhere in any chunk — payload, stream offset or
+    /// checksum — is a typed error: nothing is adopted and the heap
+    /// verifies. Without the trailer, a bit flipped in primitive payload
+    /// reads back as a wrong field.
+    #[test]
+    fn a_flipped_bit_anywhere_is_a_typed_error(
+        spec in graph_spec(30),
+        pick in any::<u64>(),
+        bit in any::<u64>(),
+    ) {
+        let (mut chunks, mut receiver, dir) = chunked_stream(&spec, 256);
+        let c = (pick % chunks.len() as u64) as usize;
+        let b = (bit % (8 * chunks[c].len() as u64)) as usize;
+        chunks[c][b / 8] ^= 1 << (b % 8);
+        let (got, adopted) = receive(&mut receiver, &dir, &chunks);
+        prop_assert!(matches!(got, Err(skyway::Error::ChunkChecksum(_))), "chunk {} bit {}", c, b);
+        prop_assert_eq!(adopted, 0);
+        prop_assert_eq!(receiver.verify_heap().unwrap(), vec![]);
+    }
+
+    /// One number names one definition. A JSBS class has one field's type
+    /// changed on the classpath after the sender loaded it. A receiver that
+    /// loaded the new definition first meets the sender's number for a name
+    /// it holds under another (the class, or an array of it): a typed
+    /// `LayoutMismatch` and a clean heap. A receiver that had not loaded the class loads the
+    /// sender's definition by number and rebuilds every record.
+    #[test]
+    fn a_redefined_class_is_refused_or_loaded_as_sent(
+        class in 0usize..5,
+        field in any::<usize>(),
+        preload in any::<bool>(),
+    ) {
+        use mheap::stdlib::{ARRAY_LIST, STRING};
+        use serlab::jsbs::{jsbs_class_names, IMAGE, MEDIA, MEDIA_CONTENT};
+
+        let cp = ClassPath::new();
+        define_jsbs_classes(&cp);
+        let heap = HeapConfig::small().with_capacity(8 << 20);
+        let mut sender = Vm::new("s", &heap, Arc::clone(&cp)).unwrap();
+        let mut receiver = Vm::new("r", &heap, Arc::clone(&cp)).unwrap();
+        let dir = TypeDirectory::new(2, NodeId(0));
+        dir.bootstrap_driver(&sender).unwrap();
+        dir.worker_startup(NodeId(1)).unwrap();
+        let handles = build_dataset(&mut sender, 3).unwrap();
+
+        let name = [MEDIA_CONTENT, MEDIA, IMAGE, STRING, ARRAY_LIST][class];
+        let mut def = cp.lookup(name).unwrap();
+        let f = field % def.fields.len();
+        def.fields[f].1 = match def.fields[f].1 {
+            FieldType::Ref => FieldType::Prim(PrimType::Long),
+            FieldType::Prim(_) => FieldType::Ref,
+        };
+        cp.define(def);
+        if preload {
+            for n in jsbs_class_names() {
+                receiver.load_class(n).unwrap();
+            }
+        }
+
+        let roots: Vec<Addr> = handles.iter().map(|h| sender.resolve(*h).unwrap()).collect();
+        let cfg = skyway::SendConfig::for_vm(&sender);
+        let got = skyway::sequential_transfer(
+            &sender, &mut receiver, &dir, NodeId(0), NodeId(1), 1, 1, &roots, None, cfg,
+        );
+        if preload {
+            // The stream may meet an array of the class before the class.
+            let array = mheap::klass::ref_array_name(name);
+            let ours = |n: &u32| [name, &array].iter().any(|c| {
+                receiver.klasses().by_name(c).is_some_and(|k| k.id.0 == *n)
+            });
+            let mismatch = |e: &mheap::Error| matches!(e, mheap::Error::LayoutMismatch { loaded, .. } if ours(loaded));
+            prop_assert!(matches!(&got, Err(skyway::Error::Heap(e)) if mismatch(e)), "{:?}", got);
+        } else {
+            let (out, _, _) = got.unwrap();
+            for (i, &mc) in out.iter().enumerate() {
+                prop_assert!(verify_media_content(&receiver, mc, i as u64).unwrap(), "record {}", i);
+            }
+        }
+        prop_assert_eq!(receiver.verify_heap().unwrap(), vec![]);
+    }
+}
+
+/// The trailer's stream offset orders chunks: a duplicated, a swapped and a
+/// lost chunk are each a typed error, with nothing adopted and a clean heap.
+#[test]
+fn duplicated_swapped_and_lost_chunks_are_typed_errors() {
+    let n: usize = 24;
+    let spec = GraphSpec {
+        tags: (0..n as i64).collect(),
+        lefts: (0..n).map(|i| i.checked_sub(1)).collect(),
+        rights: vec![None; n],
+        roots: vec![n - 1],
+    };
+    let (chunks, mut receiver, dir) = chunked_stream(&spec, 256);
+    assert!(chunks.len() >= 4, "{} chunks", chunks.len());
+    let (got, _) = receive(&mut receiver, &dir, &chunks);
+    assert_eq!(got.unwrap().len(), 1, "the pristine stream arrives");
+    let payload = |c: &Vec<u8>| (c.len() - skyway::buffer::TRAILER) as u64;
+    let (first, second) = (payload(&chunks[0]), payload(&chunks[0]) + payload(&chunks[1]));
+    let c = |i: usize| chunks[i].clone();
+    for (what, stream, expected, found) in [
+        ("duplicated", vec![c(0), c(1), c(1), c(2)], second, first),
+        ("swapped", vec![c(0), c(2), c(1), c(3)], first, second),
+        ("lost", vec![c(0), c(2), c(3)], first, second),
+    ] {
+        let (got, adopted) = receive(&mut receiver, &dir, &stream);
+        let e = got.unwrap_err();
+        assert!(
+            matches!(e, skyway::Error::ChunkOutOfOrder { expected: x, found: y } if x == expected && y == found),
+            "{what}: {e}"
+        );
+        assert_eq!(adopted, 0, "{what}");
+        assert_eq!(receiver.verify_heap().unwrap(), vec![], "{what}");
+    }
+}

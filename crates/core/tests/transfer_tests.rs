@@ -668,8 +668,8 @@ fn fnv_chunks(chunks: &[Vec<u8>]) -> u64 {
 }
 
 // The wire stream of a fixed JSBS graph (12 records, one root repeated so a
-// `TOP_REF` goes out, 4 KiB chunks), pinned byte for byte. The value was
-// taken before the sender learned to write segment images: the wire
+// `TOP_REF` goes out, 4 KiB chunks), pinned byte for byte: frame version 2,
+// klass ids in klass words, every chunk ended by its trailer. The wire
 // encoding must not move when the image encoding changes.
 #[test]
 fn wire_stream_is_pinned_byte_for_byte() {
@@ -686,6 +686,77 @@ fn wire_stream_is_pinned_byte_for_byte() {
         let out = gs.finish();
         assert_eq!(out.chunks.len(), 5, "{tracking:?}");
         assert_eq!(out.stats.total_bytes, 17_984, "{tracking:?}");
-        assert_eq!(fnv_chunks(&out.chunks), 0x348c_84e4_acf4_8446, "{tracking:?}");
+        assert_eq!(fnv_chunks(&out.chunks), 0x21dc_bad4_c7b9_b08b, "{tracking:?}");
     }
+}
+
+// The klass word is the tID: after absorb, every object's klass slot holds,
+// byte for byte, the word that arrived on the wire — no slot is rewritten.
+#[test]
+fn klass_slots_keep_the_word_that_arrived() {
+    let (dir, mut sender, mut receiver) = setup_pair();
+    let handles = build_dataset(&mut sender, 12).unwrap();
+    let roots: Vec<Addr> = handles.iter().map(|h| sender.resolve(*h).unwrap()).collect();
+    let cfg = SendConfig::for_vm(&sender);
+    let mut gs = skyway::GraphSender::new(&sender, &dir, NodeId(0), 1, 0, cfg).unwrap();
+    for &r in &roots {
+        gs.write_root(r).unwrap();
+    }
+    let out = gs.finish();
+    assert_eq!(out.chunks.len(), 1);
+    let wire = &out.chunks[0];
+    let mut gr = skyway::GraphReceiver::new(&mut receiver, &dir, NodeId(1));
+    gr.push_chunk(wire).unwrap();
+    let (got, _) = gr.finish(None).unwrap();
+
+    // The stream opens with a top mark, so the first root is one word into
+    // the input buffer; the buffer is the chunk's payload, in order.
+    let base = got[0].0 - 8;
+    let klass_off = receiver.spec().klass_off();
+    let mut objects = 0;
+    receiver
+        .walk_range(base, base + out.stats.total_bytes, |_, obj, _| {
+            let at = (obj.0 - base + klass_off) as usize;
+            let arrived = u64::from_le_bytes(wire[at..at + 8].try_into().unwrap());
+            let kept = receiver.heap().arena().load_word(obj.0 + klass_off)?;
+            assert_eq!(kept, arrived, "{} at {:#x}", receiver.klass_of(obj)?.name, obj.0);
+            objects += 1;
+            Ok(())
+        })
+        .unwrap();
+    assert_eq!(objects, out.stats.objects);
+}
+
+// Class numbers mean something on one classpath only. A VM on a second
+// classpath — the same classes, loaded in another order — can neither send
+// through the directory nor receive from it: a typed error before any byte
+// lands, nothing adopted, a clean heap.
+#[test]
+fn another_classpath_is_refused_before_anything_lands() {
+    let (dir, mut sender, _) = setup_pair();
+    let handles = build_dataset(&mut sender, 4).unwrap();
+    let roots: Vec<Addr> = handles.iter().map(|h| sender.resolve(*h).unwrap()).collect();
+    let heap = HeapConfig::default().with_capacity(24 << 20);
+    let mut elsewhere = Vm::new("elsewhere", &heap, classpath()).unwrap();
+    for name in serlab::jsbs::jsbs_class_names().into_iter().rev() {
+        elsewhere.load_class(name).unwrap();
+    }
+    let cfg = SendConfig::for_vm(&elsewhere);
+    let refused = skyway::GraphSender::new(&elsewhere, &dir, NodeId(1), 1, 0, cfg);
+    assert!(matches!(refused, Err(skyway::Error::ClassPathMismatch(1))));
+
+    let mut gs =
+        skyway::GraphSender::new(&sender, &dir, NodeId(0), 1, 0, SendConfig::for_vm(&sender))
+            .unwrap();
+    for &r in &roots {
+        gs.write_root(r).unwrap();
+    }
+    let out = gs.finish();
+    let used = elsewhere.heap().used();
+    let mut gr = skyway::GraphReceiver::new(&mut elsewhere, &dir, NodeId(1));
+    let err = gr.push_chunk(&out.chunks[0]).unwrap_err();
+    assert!(matches!(err, skyway::Error::ClassPathMismatch(1)), "{err}");
+    drop(gr);
+    assert_eq!(elsewhere.heap().used(), used, "nothing was placed");
+    assert_eq!(elsewhere.verify_heap().unwrap(), vec![]);
 }

@@ -6,9 +6,12 @@
 //! which is exactly the information the baseline serializers consult
 //! "reflectively" (by string lookup) and that Skyway never needs to touch.
 //!
-//! Klasses also carry the Skyway global type id (`tID`, §4.1) once the
-//! distributed type registry has assigned one — the paper adds "an extra
-//! field in each klass to accommodate its ID".
+//! The paper adds "an extra field in each klass to accommodate its ID"
+//! (the `tID`, §4.1) so the send path reads a class's global number with one
+//! load. Here the klass id is that number: the [`ClassPath`] issues one
+//! number per class *definition*, and every VM on the classpath publishes
+//! the class under it, so the id is the word a heap, a segment image and a
+//! wire stream all carry.
 //!
 //! **Layout lives on [`Klass`]; walkers borrow.** Which slots of an object
 //! hold references, where its payload ends and how wide an array element is
@@ -17,12 +20,10 @@
 //! [`Klass::elem_size`]). The collector, the verifier, the Skyway sender
 //! and the receiver all read them where they lie: the table is append-only,
 //! so [`KlassTable::get`] hands out a borrow that takes no lock and touches
-//! no reference count. Per-stream caches elsewhere hold only what is
-//! per-stream (tID, receiver-format size, hook index) — never a second copy
-//! of the layout.
+//! no reference count. Nothing else keeps a second copy of the layout.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
@@ -34,14 +35,12 @@ use crate::{Error, Result};
 /// [`ClassPath`] gave the class name.
 ///
 /// Klass ids are per classpath: every VM sharing one `ClassPath` gives a
-/// class the same id, so a klass word means the same in all of their heaps
-/// and in every segment they seal. VMs on different classpaths still
-/// disagree — that is why the wire carries global type ids instead.
+/// class definition the same id, so a klass word means the same in all of
+/// their heaps, in every segment they seal and on the wire between them.
+/// VMs on different classpaths disagree, so nothing crosses from one
+/// classpath to another.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct KlassId(pub u32);
-
-/// Sentinel for "no Skyway type id assigned yet".
-pub const TID_UNSET: u32 = u32::MAX;
 
 /// Process-wide unique klass id counter (see [`Klass::uid`]).
 static NEXT_UID: AtomicU64 = AtomicU64::new(1);
@@ -140,7 +139,7 @@ pub enum KlassKind {
 
 /// A class definition as it would appear "on the classpath": name, super
 /// class, and declared fields. Layout is computed when a VM loads it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct KlassDef {
     /// Fully qualified class name, e.g. `"media.MediaContent"`.
     pub name: String,
@@ -209,8 +208,6 @@ pub struct Klass {
     /// Names of this class and all super classes, most-derived first —
     /// what the Java serializer writes out per object (§2.1).
     pub descriptor_chain: Vec<String>,
-    /// Skyway global type id (§4.1), [`TID_UNSET`] until registered.
-    tid: AtomicU32,
     /// Process-wide unique id, never reused — a sound cache key for
     /// compiled per-class serializer plans (unlike `Arc` pointers, which
     /// the allocator recycles once a VM is dropped).
@@ -240,25 +237,6 @@ impl Klass {
         None
     }
 
-    /// The Skyway global type id, if assigned.
-    pub fn tid(&self) -> Option<u32> {
-        // ORDER: Acquire — pairs with the Release store in `set_tid`, so a
-        // reader that sees the tid also sees the directory registration
-        // writes ordered before publication.
-        match self.tid.load(Ordering::Acquire) {
-            TID_UNSET => None,
-            t => Some(t),
-        }
-    }
-
-    /// Writes the Skyway global type id into the klass meta-object
-    /// (Algorithm 1, `WRITETID`).
-    pub fn set_tid(&self, tid: u32) {
-        // ORDER: Release — publishes the tid after the directory has
-        // recorded the name mapping; pairs with the Acquire load in `tid`.
-        self.tid.store(tid, Ordering::Release);
-    }
-
     /// True if objects of this klass are arrays.
     #[inline]
     pub fn is_array(&self) -> bool {
@@ -282,18 +260,39 @@ pub fn ref_array_name(elem: &str) -> String {
 
 /// A shared "classpath": class definitions by name, shared between all VMs
 /// of a cluster so that a receiving VM can load a class on demand when it
-/// encounters an unloaded type id (§4.1: "Skyway instructs the class loader
-/// to load the missing class since the type registry knows the full class
-/// name").
+/// meets a class number it has not loaded (§4.1: "Skyway instructs the
+/// class loader to load the missing class since the type registry knows the
+/// full class name").
 ///
-/// The classpath also numbers classes: the first VM to load a name — array
-/// classes included — fixes its [`KlassId`] for every VM sharing this
-/// classpath.
+/// The classpath also numbers classes, one number per *definition*: the
+/// first VM to load a definition — array classes included — fixes its
+/// [`KlassId`] for every VM sharing this classpath. A name redefined with
+/// another layout gets a fresh number when a VM first loads it, so a number
+/// never names two layouts.
 #[derive(Debug, Default)]
 pub struct ClassPath {
     defs: RwLock<HashMap<String, KlassDef>>,
-    /// Class numbers, issued in first-load order and never reused.
-    numbers: RwLock<HashMap<String, u32>>,
+    numbers: RwLock<Numbers>,
+}
+
+/// What one class number names: a class name with exactly the layout the
+/// number was issued for — the definition (none for a synthesized array
+/// class) and the number of the class it builds on, which a VM loads first
+/// (the super class of an instance class, the element class of a reference
+/// array).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct Definition {
+    pub(crate) name: String,
+    pub(crate) def: Option<KlassDef>,
+    pub(crate) parent: Option<KlassId>,
+}
+
+/// Issued class numbers, in first-load order and never reused: the number
+/// of each definition, and the definition of each number.
+#[derive(Debug, Default)]
+struct Numbers {
+    by_def: HashMap<Definition, u32>,
+    defs: Vec<Definition>,
 }
 
 impl ClassPath {
@@ -302,7 +301,8 @@ impl ClassPath {
         Arc::new(ClassPath::default())
     }
 
-    /// Adds (or replaces) a class definition.
+    /// Adds (or replaces) a class definition. VMs that already loaded the
+    /// name keep the class they loaded, under its number.
     pub fn define(&self, def: KlassDef) {
         self.defs.write().insert(def.name.clone(), def);
     }
@@ -320,19 +320,24 @@ impl ClassPath {
         self.defs.read().get(name).cloned()
     }
 
-    /// The number of class `name`, issued the first time any VM on this
+    /// The number of definition `d`, issued the first time any VM on this
     /// classpath loads it. Called once per class per VM, at its publication.
-    pub(crate) fn number(&self, name: &str) -> u32 {
-        let mut numbers = self.numbers.write();
-        let next = numbers.len() as u32;
-        *numbers.entry(name.to_owned()).or_insert(next)
+    pub(crate) fn number(&self, d: Definition) -> u32 {
+        let mut n = self.numbers.write();
+        if let Some(&id) = n.by_def.get(&d) {
+            return id;
+        }
+        let id = n.defs.len() as u32;
+        n.by_def.insert(d.clone(), id);
+        n.defs.push(d);
+        id
     }
 
-    /// The class numbered `number`, if some VM on this classpath loaded it.
-    /// A scan: a VM asks once per class, the first time it meets the class
-    /// in a heap before loading it.
-    pub(crate) fn name_of(&self, number: u32) -> Option<String> {
-        self.numbers.read().iter().find(|&(_, &n)| n == number).map(|(name, _)| name.clone())
+    /// The definition numbered `number`, if some VM on this classpath loaded
+    /// it: one indexed read, asked once per class by a VM that meets the
+    /// number before loading the class.
+    pub(crate) fn definition(&self, number: u32) -> Option<Definition> {
+        self.numbers.read().defs.get(number as usize).cloned()
     }
 }
 
@@ -438,20 +443,23 @@ impl KlassTable {
                 }
                 None => return Err(Error::ClassNotFound(name.to_owned())),
             };
-            // Ensure element class of ref arrays is loadable too (matches
-            // JVM behaviour and keeps descriptor chains meaningful).
-            if let KlassKind::RefArray = kind {
-                let elem = &rest[1..rest.len() - 1];
-                if elem != OBJECT {
-                    self.load(elem, classpath, spec)?;
-                }
-            }
             let object_id = self.ensure_object(classpath, spec)?;
+            // The element class of a reference array is loaded first, as a
+            // JVM does; the array's number builds on the element's.
+            let elem = match kind {
+                KlassKind::RefArray => {
+                    let elem = rest[1..].strip_suffix(';');
+                    let elem = elem.ok_or_else(|| Error::ClassNotFound(name.to_owned()))?;
+                    Some(self.load(elem, classpath, spec)?)
+                }
+                _ => None,
+            };
             let elem_size = match kind {
                 KlassKind::PrimArray(p) => p.size(),
                 _ => 8,
             };
-            return Ok(self.publish(name, KlassId(classpath.number(name)), |id| Klass {
+            let d = Definition { name: name.to_owned(), def: None, parent: elem };
+            return Ok(self.publish(name, KlassId(classpath.number(d)), |id| Klass {
                 id,
                 name: name.to_owned(),
                 super_id: Some(object_id),
@@ -463,7 +471,6 @@ impl KlassTable {
                 payload_end: 0,
                 elem_size,
                 descriptor_chain: vec![name.to_owned(), OBJECT.to_owned()],
-                tid: AtomicU32::new(TID_UNSET),
                 uid: NEXT_UID.fetch_add(1, Ordering::Relaxed),
             }));
         }
@@ -479,7 +486,40 @@ impl KlassTable {
                 }
             }
         };
-        self.insert_instance(name.to_owned(), super_id, def.fields, classpath, spec)
+        self.insert_instance(def, super_id, classpath, spec)
+    }
+
+    /// Loads the class the classpath numbered `id` — exactly the definition
+    /// that number was issued for, its parent first, also by number —
+    /// unless this table already holds the class.
+    ///
+    /// # Errors
+    /// [`Error::UnknownKlass`] for a number the classpath never issued;
+    /// [`Error::LayoutMismatch`] if this table holds the class name under
+    /// another number, i.e. another definition.
+    pub(crate) fn load_numbered(
+        &self,
+        id: KlassId,
+        classpath: &ClassPath,
+        spec: LayoutSpec,
+    ) -> Result<KlassId> {
+        let d = classpath.definition(id.0).ok_or(Error::UnknownKlass(id.0))?;
+        let loaded = match self.by_name(&d.name) {
+            Some(k) => k.id,
+            None => {
+                if let Some(parent) = d.parent {
+                    self.load_numbered(parent, classpath, spec)?;
+                }
+                match d.def {
+                    Some(def) => self.insert_instance(def, d.parent, classpath, spec)?,
+                    None => self.load(&d.name, classpath, spec)?,
+                }
+            }
+        };
+        if loaded != id {
+            return Err(Error::LayoutMismatch { numbered: id.0, loaded: loaded.0 });
+        }
+        Ok(id)
     }
 
     fn ensure_object(&self, classpath: &ClassPath, spec: LayoutSpec) -> Result<KlassId> {
@@ -491,12 +531,12 @@ impl KlassTable {
 
     fn insert_instance(
         &self,
-        name: String,
+        def: KlassDef,
         super_id: Option<KlassId>,
-        own_fields: Vec<(String, FieldType)>,
         classpath: &ClassPath,
         spec: LayoutSpec,
     ) -> Result<KlassId> {
+        let name = def.name.clone();
         // Super fields (already laid out) come first; own fields are packed
         // size-descending after the super's payload end (HotSpot-style).
         let (mut fields, mut cursor, mut chain) = match super_id {
@@ -508,12 +548,13 @@ impl KlassTable {
         };
         chain.insert(0, name.clone());
 
-        let mut own: Vec<(String, FieldType)> = own_fields;
+        let mut own: Vec<&(String, FieldType)> = def.fields.iter().collect();
         own.sort_by(|a, b| b.1.size().cmp(&a.1.size()).then_with(|| a.0.cmp(&b.0)));
         for (fname, ty) in own {
             let size = u64::from(ty.size());
             cursor = (cursor + size - 1) & !(size - 1); // align to field size
-            fields.push(Field { name: fname, ty, offset: cursor, declared_in: name.clone() });
+            let (name, declared_in) = (fname.clone(), name.clone());
+            fields.push(Field { name, ty: *ty, offset: cursor, declared_in });
             cursor += size;
         }
 
@@ -528,7 +569,8 @@ impl KlassTable {
         let ref_offsets =
             fields.iter().filter(|f| f.ty == FieldType::Ref).map(|f| f.offset).collect();
 
-        Ok(self.publish(&name, KlassId(classpath.number(&name)), |id| Klass {
+        let d = Definition { name: name.clone(), def: Some(def), parent: super_id };
+        Ok(self.publish(&name, KlassId(classpath.number(d)), |id| Klass {
             id,
             name: name.clone(),
             super_id,
@@ -540,15 +582,14 @@ impl KlassTable {
             payload_end: cursor,
             elem_size: 0,
             descriptor_chain: chain,
-            tid: AtomicU32::new(TID_UNSET),
             uid: NEXT_UID.fetch_add(1, Ordering::Relaxed),
         }))
     }
 
     /// Publishes the klass `build` makes under `name` and `id`, the number
-    /// the classpath gave `name` — taken before the index lock, so the two
-    /// locks never nest — unless a concurrent loader already published that
-    /// name. Holding the index's write lock across the slot write is what
+    /// the classpath gave its definition — taken before the index lock, so
+    /// the two locks never nest — unless a concurrent loader already
+    /// published that name. Holding the index's write lock across the slot write is what
     /// keeps every id in the index resolvable.
     fn publish(&self, name: &str, id: KlassId, build: impl FnOnce(KlassId) -> Klass) -> KlassId {
         let mut by_name = self.by_name.write();
@@ -665,17 +706,6 @@ mod tests {
         let cp = cp();
         let t = KlassTable::new();
         assert!(matches!(t.load("NoSuch", &cp, LayoutSpec::SKYWAY), Err(Error::ClassNotFound(_))));
-    }
-
-    #[test]
-    fn tid_roundtrip() {
-        let cp = cp();
-        let t = KlassTable::new();
-        let id = t.load("Point", &cp, LayoutSpec::SKYWAY).unwrap();
-        let k = t.get(id).unwrap();
-        assert_eq!(k.tid(), None);
-        k.set_tid(42);
-        assert_eq!(k.tid(), Some(42));
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   preservation lets hash-based collections be reused on the receiver
 //!   without rehashing — §4.2 "Header Update"), and a forwarding pointer
 //!   during GC.
-//! * `klass` holds the klass id in the heap; Skyway replaces it with the
-//!   global type id (`tID`) inside a transfer buffer.
+//! * `klass` holds the klass id, which is also Skyway's global type id
+//!   (`tID`): a transfer buffer carries it unchanged.
 //! * `baddr` is the extra word Skyway adds to every object (§4.2): it caches
 //!   the object's relative position in an output buffer, tagged with the
 //!   shuffle-phase id (`sID`, highest byte) and the sending stream/thread id

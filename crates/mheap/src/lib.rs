@@ -86,6 +86,16 @@ pub enum Error {
     UnknownKlass(u32),
     /// The classpath has no definition for this name.
     ClassNotFound(String),
+    /// A class number names a definition of a class this VM already loaded
+    /// from another definition, under another number. It carries numbers
+    /// only: one more owned field in this enum grows its drop glue past what
+    /// the compiler inlines, and every hot `Result` here then pays a call.
+    LayoutMismatch {
+        /// The number met.
+        numbered: u32,
+        /// The number this VM loaded the class under.
+        loaded: u32,
+    },
     /// A class declared (or inherited) two fields with the same name.
     DuplicateField {
         /// Class name.
@@ -182,6 +192,9 @@ impl std::fmt::Display for Error {
             Error::BadAddress(a) => write!(f, "invalid object address {a:#x}"),
             Error::UnknownKlass(id) => write!(f, "unknown klass id {id}"),
             Error::ClassNotFound(n) => write!(f, "class not found on classpath: {n}"),
+            Error::LayoutMismatch { numbered, loaded } => {
+                write!(f, "class number {numbered} names another layout of class {loaded} here")
+            }
             Error::DuplicateField { class, field } => {
                 write!(f, "duplicate field {field} in class {class}")
             }

@@ -174,7 +174,10 @@ impl Segment {
     /// Recomputes the content checksum and compares it with the seal-time
     /// value — `false` means the sealed bytes were tampered with.
     pub fn verify_checksum(&self) -> bool {
-        self.mem.words(self.len).map(|w| checksum_words(w) == self.checksum).unwrap_or(false)
+        self.mem
+            .words(self.len)
+            .map(|w| checksum_words(w, u64::from) == self.checksum)
+            .unwrap_or(false)
     }
 
     /// The backing memory as a raw arena handle: what an attach maps,
@@ -185,22 +188,24 @@ impl Segment {
     }
 }
 
-/// FNV-1a-style content checksum, a word at a time. One multiply chain is
-/// latency-bound, so four lanes take every fourth word each and fold into
-/// the chain that finishes the tail; distinct lane seeds make swapped
-/// lanes change the value.
-fn checksum_words(words: &[u64]) -> u64 {
+/// FNV-1a-style content checksum, a word at a time — of a sealed segment
+/// and of every wire chunk. One multiply chain is latency-bound, so four
+/// lanes take every fourth word each and fold into the chain that finishes
+/// the tail; distinct lane seeds make swapped lanes change the value.
+/// `value` reads one word: the identity on heap words, `u64::from_le_bytes`
+/// on the eight-byte words of a chunk.
+pub fn checksum_words<W: Copy>(words: &[W], value: impl Fn(W) -> u64) -> u64 {
     const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x1_0000_01b3;
     let mut lanes = [BASIS, BASIS ^ 1, BASIS ^ 2, BASIS ^ 3];
     let mut quads = words.chunks_exact(4);
     for q in &mut quads {
         for (lane, &w) in lanes.iter_mut().zip(q) {
-            *lane = (*lane ^ w).wrapping_mul(PRIME);
+            *lane = (*lane ^ value(w)).wrapping_mul(PRIME);
         }
     }
     let mut h = BASIS;
-    for w in lanes.iter().chain(quads.remainder()) {
+    for w in lanes.into_iter().chain(quads.remainder().iter().map(|&w| value(w))) {
         h = (h ^ w).wrapping_mul(PRIME);
     }
     h
@@ -260,7 +265,7 @@ impl SegmentBuilder {
         // An empty image still gets (one word of) memory to map.
         let mem = Arena::new(image.len().max(8))?;
         mem.write_bytes(0, image)?;
-        let checksum = checksum_words(mem.words(len)?);
+        let checksum = checksum_words(mem.words(len)?, u64::from);
         trim_claim_on(&NEXT_BASE, self.base, self.reserved, len);
         Ok(Arc::new(Segment {
             mem: Arc::new(mem),
@@ -355,17 +360,17 @@ mod tests {
         // Ten words: two full quads plus a two-word tail. Flipping any one
         // word, or swapping two words of different lanes, changes the sum.
         let words: Vec<u64> = (1..=10).collect();
-        let sum = checksum_words(&words);
+        let sum = checksum_words(&words, u64::from);
         for i in 0..words.len() {
             let mut w = words.clone();
             w[i] ^= 1 << 40;
-            assert_ne!(checksum_words(&w), sum, "word {i} not covered");
+            assert_ne!(checksum_words(&w, u64::from), sum, "word {i} not covered");
         }
         let mut swapped = words.clone();
         swapped.swap(0, 1);
-        assert_ne!(checksum_words(&swapped), sum);
-        assert_ne!(checksum_words(&words[..9]), sum);
-        assert_eq!(checksum_words(&words), sum);
+        assert_ne!(checksum_words(&swapped, u64::from), sum);
+        assert_ne!(checksum_words(&words[..9], u64::from), sum);
+        assert_eq!(checksum_words(&words, u64::from), sum);
     }
 
     #[test]

@@ -201,15 +201,16 @@ impl Vm {
     /// A klass word means the same class in every VM on this classpath, so
     /// owned objects and attached segment residents resolve alike. A word
     /// this VM has no klass for yet names a class another VM on the
-    /// classpath loaded first; it is loaded here by number, once.
+    /// classpath loaded first; it is loaded here by number, once
+    /// ([`Vm::load_numbered`]).
     ///
     /// The klass is borrowed from the table, where it lives as long as this
     /// VM does; a caller that must keep it across a `&mut Vm` call clones
     /// the `Arc` explicitly.
     ///
     /// # Errors
-    /// [`Error::BadAddress`] for null/invalid addresses;
-    /// [`Error::UnknownKlass`] for a word the classpath never issued.
+    /// [`Error::BadAddress`] for null/invalid addresses; as
+    /// [`Vm::load_numbered`] for a word this VM has not loaded.
     #[inline]
     pub fn klass_of(&self, obj: Addr) -> Result<&Arc<Klass>> {
         if obj.is_null() {
@@ -219,12 +220,17 @@ impl Vm {
         self.klasses.get(id).or_else(|_| self.load_numbered(id))
     }
 
-    /// Loads the class the classpath numbered `id`: the first time this VM
-    /// meets a class some other VM on the classpath loaded.
+    /// Loads the class the classpath numbered `id` — exactly the definition
+    /// the number was issued for: the first time this VM meets a class some
+    /// other VM on the classpath loaded.
+    ///
+    /// # Errors
+    /// [`Error::UnknownKlass`] for a number the classpath never issued;
+    /// [`Error::LayoutMismatch`] if this VM loaded the class name from
+    /// another definition.
     #[cold]
-    fn load_numbered(&self, id: KlassId) -> Result<&Arc<Klass>> {
-        let name = self.classpath.name_of(id.0).ok_or(Error::UnknownKlass(id.0))?;
-        self.klasses.get(self.load_class(&name)?)
+    pub fn load_numbered(&self, id: KlassId) -> Result<&Arc<Klass>> {
+        self.klasses.get(self.klasses.load_numbered(id, &self.classpath, self.spec())?)
     }
 
     /// Attaches a sealed segment to this VM's heap: maps its memory

@@ -87,7 +87,8 @@ pub mod names {
     pub const RECEIVER_CHUNKS_ABSORBED: &str = "skyway.receiver.chunks_absorbed";
     /// Counter: relative references rewritten to absolute addresses.
     pub const RECEIVER_REF_FIXUPS: &str = "skyway.receiver.ref_fixups";
-    /// Counter: classes loaded on demand for unknown incoming tIDs.
+    /// Counter: classes loaded on demand for incoming tIDs (class numbers)
+    /// the receiving VM had not loaded.
     pub const RECEIVER_CLASSES_LOADED: &str = "skyway.receiver.classes_loaded";
     /// Histogram: bytes per absorbed chunk.
     pub const RECEIVER_CHUNK_BYTES: &str = "skyway.receiver.chunk_bytes";
@@ -158,7 +159,8 @@ pub mod names {
     pub const TRACE_RECEIVER_CHUNK_ABSORB: &str = "trace.receiver.chunk_absorb";
     /// Span: draining deferred cross-chunk ref/root fixups.
     pub const TRACE_RECEIVER_FIXUP: &str = "trace.receiver.fixup";
-    /// Span: loading a class on demand for an unknown incoming tID.
+    /// Span: loading a class on demand for an incoming tID (class number)
+    /// the receiving VM had not loaded.
     pub const TRACE_REGISTRY_CLASS_LOAD: &str = "trace.registry.class_load";
     /// Span: one GC pause, attributed to the transfer that last touched
     /// the collecting VM's heap.

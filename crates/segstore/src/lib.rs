@@ -211,8 +211,8 @@ impl SegStore {
     /// shuffle machinery owns) — writes the final image against a base
     /// reserved beforehand: klass words keep `vm`'s klass ids, which every
     /// VM on its classpath shares, references are absolute segment
-    /// addresses, root markers are filler. `dir` sees no traffic: a seal
-    /// needs no type id.
+    /// addresses, root markers are filler. `dir` sees no traffic; `vm`
+    /// must be on the classpath it serves.
     ///
     /// # Errors
     /// Sender/registry errors; heap errors from the segment builder.

@@ -572,10 +572,10 @@ fn reseal_from_an_attached_segment() {
 }
 
 // A graph of owned objects pointing into an attached segment goes over the
-// wire. Owned and resident objects share one klass-word space, and the
-// klass id of `util.Pair` is numerically the wire tID of `SNode`; the owned
-// objects alternate Pair / SNode, so a sender that mixed up klass words and
-// tIDs would send one class for the other.
+// wire. Owned and resident objects share one klass-word space, which is
+// also the wire's; the owned objects alternate Pair / SNode, so a sender
+// that resolved a klass word to the wrong class would send one class for
+// the other.
 #[test]
 fn mixed_owned_and_resident_graph_crosses_the_wire() {
     let (dir, mut sender, mut attacher) = same_node_env();
@@ -587,15 +587,10 @@ fn mixed_owned_and_resident_graph_crosses_the_wire() {
         roots: vec![3, 1],
     };
     let handles = build(&mut sender, &spec);
-    // tIDs in the sender's load order: `java.lang.Object` 0, `SNode` 1 —
-    // and `util.Pair`, loaded first on the classpath after Object, is klass 1.
-    dir.register_loaded(NodeId(0), &sender).unwrap();
     let roots = resolve_roots(&sender, &handles, &spec.roots);
     let store = SegStore::new().with_metrics(Arc::new(obs::Registry::new()));
     let seal = store.seal(&sender, &dir, NodeId(0), &roots).unwrap();
     let resident = store.attach(&mut attacher, seal.base).unwrap();
-    let snode_tid = sender.klasses().by_name("SNode").unwrap().tid().unwrap();
-    assert_eq!(pair.0, snode_tid, "precondition: a klass id equals another class's tID");
 
     // Owned chain o0 → o1 → … → o5, built tail first; every link also
     // points into the segment.
@@ -614,7 +609,7 @@ fn mixed_owned_and_resident_graph_crosses_the_wire() {
     }
     let sent = [attacher.resolve(next.unwrap()).unwrap(), resident[0]];
 
-    let mut third = Vm::new("t", &HeapConfig::small(), classpath()).unwrap();
+    let mut third = Vm::new("t", &HeapConfig::small(), Arc::clone(sender.classpath())).unwrap();
     let cfg = SendConfig::for_vm(&attacher);
     assert_eq!(cfg.tracking, Tracking::Baddr);
     let (out, stats, _) = sequential_transfer(
@@ -852,7 +847,6 @@ fn seal_leaves_the_type_directory_alone() {
     let traffic = |s: skyway::RegistryStats| (s.view_pulls, s.lookups, s.messages, s.string_bytes);
     assert_eq!(traffic(after), traffic(before));
     assert_eq!(dir.len(), types);
-    assert!(sender.klasses().all().iter().all(|k| k.tid().is_none()));
     let out = store.attach(&mut receiver, seal.base).unwrap();
     assert_eq!(shape(&receiver, out[0]), shape(&sender, roots[0]));
 }
