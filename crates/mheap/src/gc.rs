@@ -22,18 +22,26 @@
 //! noted there: by promotion and large-object allocation, by
 //! [`Heap::alloc_raw_old`](crate::heap::Heap::alloc_raw_old), and by the
 //! receiver for each input-buffer chunk it adopts (a chunk parses from its
-//! base). A record is always a true object start; a card without one only
-//! makes the walk reach further back. The card walk visits each maximal
-//! run of dirty cards, parses forward from the nearest recorded start at
-//! or before the run, and cleans the run as it goes. The full collection
-//! drops every record before it slides objects and re-notes each one where
-//! it lands.
+//! base). A record is always a true object start (`verify_heap` checks
+//! it); a card without one only makes the walk reach further back. The
+//! card walk visits each maximal run of dirty cards, parses forward from
+//! the nearest recorded start at or before the run, and cleans the run as
+//! it goes.
+//!
+//! A full collection costs live words, not table probes. Like ParallelOld,
+//! the old-generation compactor of the paper's Parallel Scavenge, it keeps
+//! one side bitmap and no per-object table. It marks every word a
+//! reachable object covers, counts the live words per block of the bitmap,
+//! and then makes one address-order pass over the marked objects. That
+//! pass rewrites each reference through the count (Compressor-style: a
+//! block count plus a popcount), slides each old object down, re-notes its
+//! start, and dirties its card while it holds a young reference.
 
-use std::collections::HashMap;
+use std::ops::Range;
 
 use crate::heap::Gen;
 use crate::layout::{mark, Addr};
-use crate::vm::Vm;
+use crate::vm::{ObjLayout, Vm};
 use crate::{Error, Result};
 
 impl Vm {
@@ -73,17 +81,11 @@ impl Vm {
         // 1. Evacuate handle and temp roots.
         for i in 0..self.handles.slots.len() {
             if let Some(a) = self.handles.slots[i] {
-                if !a.is_null() {
-                    let n = self.evacuate(a, &mut copied)?;
-                    self.handles.slots[i] = Some(n);
-                }
+                self.handles.slots[i] = Some(self.evacuate(a, &mut copied)?);
             }
         }
         for i in 0..self.temp_roots.len() {
-            let a = self.temp_roots[i];
-            if !a.is_null() {
-                self.temp_roots[i] = self.evacuate(a, &mut copied)?;
-            }
+            self.temp_roots[i] = self.evacuate(self.temp_roots[i], &mut copied)?;
         }
 
         // 2. Old→young references found through dirty cards.
@@ -108,7 +110,7 @@ impl Vm {
         self.stats.minor_gcs += 1;
         let pause_ns = gc_start.elapsed().as_nanos() as u64;
         self.stats.gc_ns += pause_ns;
-        self.note_gc(false, pause_ns, self.stats.bytes_promoted - promoted_before, cards_scanned);
+        self.note_gc(pause_ns, self.stats.bytes_promoted - promoted_before, cards_scanned, None);
         Ok(())
     }
 
@@ -163,46 +165,40 @@ impl Vm {
         Ok(objs)
     }
 
-    /// Reports one completed collection to the metrics registry.
-    fn note_gc(&self, full: bool, pause_ns: u64, promoted_bytes: u64, cards_scanned: u64) {
-        let reg = &self.metrics;
+    /// Reports one completed collection to the metrics registry. `live`
+    /// is a full collection's `(objects, words)` marked, `None` for a minor
+    /// one.
+    fn note_gc(&self, pause_ns: u64, promoted: u64, cards: u64, live: Option<(u64, u64)>) {
+        let (reg, ctx, full) = (&self.metrics, self.trace_ctx.get(), live.is_some());
         reg.counter(if full { obs::names::GC_FULL_GCS } else { obs::names::GC_MINOR_GCS }).inc();
         reg.histogram(obs::names::GC_PAUSE_NS).record(pause_ns);
-        reg.counter(obs::names::GC_PROMOTED_BYTES).add(promoted_bytes);
-        reg.counter(obs::names::GC_CARDS_SCANNED).add(cards_scanned);
+        reg.counter(obs::names::GC_PROMOTED_BYTES).add(promoted);
+        reg.counter(obs::names::GC_CARDS_SCANNED).add(cards);
+        let (objects, words) = live.unwrap_or_default();
+        let live = [("live_objects", objects), ("live_words", words)];
+        let args = [("full", u64::from(full)), ("promoted_bytes", promoted), live[0], live[1]];
         // Attribute the pause to the transfer that last touched this
         // heap (inert unless tracing is on and a context was attached).
-        reg.tracer().record_closed(
-            obs::names::TRACE_GC_PAUSE,
-            self.trace_ctx.get(),
-            &self.name,
-            pause_ns,
-            &[("full", u64::from(full)), ("promoted_bytes", promoted_bytes)],
-        );
+        let args = &args[..if full { 4 } else { 2 }];
+        reg.tracer().record_closed(obs::names::TRACE_GC_PAUSE, ctx, &self.name, pause_ns, args);
     }
 
     /// Copies one young object out of the collected region, leaving a
-    /// forwarding pointer; idempotent for already-forwarded objects.
+    /// forwarding pointer; idempotent for already-forwarded objects. Null,
+    /// old objects, attached segment residents (immutable, never moved) and
+    /// to-space objects (already moved this cycle) stay where they are.
     fn evacuate(&mut self, obj: Addr, copied: &mut Vec<Addr>) -> Result<Addr> {
-        match self.heap.gen_of(obj)? {
-            Gen::Old => return Ok(obj),
-            // Attached segments are immutable and never move.
-            Gen::Segment => return Ok(obj),
-            Gen::Young => {}
-        }
-        // Only evacuate from eden/from-space; to-space objects already moved
-        // this cycle.
-        if self.heap.to_space().contains(obj) {
+        let settled = obj.is_null() || self.heap.gen_of(obj)? != Gen::Young;
+        if settled || self.heap.to_space().contains(obj) {
             return Ok(obj);
         }
-        let moff = obj.0;
-        let m = self.heap.arena().load_word(moff)?;
+        let m = self.heap.arena().load_word(obj.0)?;
         if mark::is_forwarded(m) {
             return Ok(Addr(mark::forwarded_addr(m)));
         }
         let size = self.obj_size(obj)?;
         let age = mark::age_of(m).saturating_add(1);
-        let tenure = age >= self.tenure_threshold();
+        let tenure = age >= self.heap.tenure_threshold;
         let dest = if tenure { None } else { self.heap.bump_to_space(size) };
         let (dest, promoted) = match dest {
             Some(d) => (d, false),
@@ -216,7 +212,7 @@ impl Vm {
         // Stamp the new age; clear age if promoted (it no longer matters).
         let new_mark = mark::with_age(m, if promoted { 0 } else { age });
         self.heap.arena().store_word(dest.0, new_mark)?;
-        self.heap.arena().store_word(moff, mark::forward_to(dest.0))?;
+        self.heap.arena().store_word(obj.0, mark::forward_to(dest.0))?;
         if promoted {
             self.stats.bytes_promoted += size;
         }
@@ -224,167 +220,120 @@ impl Vm {
         Ok(dest)
     }
 
-    fn tenure_threshold(&self) -> u8 {
-        self.heap.tenure_threshold
-    }
-
-    /// Runs a full collection: marks the whole heap from the roots, slides
-    /// the live old generation down (compaction), updates every reference,
-    /// then runs a minor collection to clean the young generation.
+    /// Runs a full collection in three steps over one side bitmap, then a
+    /// minor collection to clean the young generation.
+    ///
+    /// 1. *Mark* sets a bit for every word a reachable object covers,
+    ///    resolving each object's class once; it stops at attached segments.
+    ///    [`Vm::live_bytes`] and [`Vm::live_object_count`] read the same
+    ///    mark.
+    /// 2. *Count* the live words in each block of the bitmap. An old
+    ///    object's new address is `old.start` plus the live old words below
+    ///    it: a block count plus a popcount. No forwarding table, no sort.
+    /// 3. *Slide*: one address-order pass over the marked objects rewrites
+    ///    every reference through that rank, slides each old object down
+    ///    (an object already in place is not copied), re-notes its start,
+    ///    and dirties its card while it holds a young reference.
     ///
     /// # Errors
-    /// Propagates heap access errors; [`Error::PromotionFailed`] only if the
-    /// heap is genuinely too full.
+    /// Propagates heap access errors; an object or reference outside
+    /// `[0, old.top)` and outside every attached segment is
+    /// [`Error::BadAddress`]. [`Error::PromotionFailed`] only if the heap
+    /// is genuinely too full.
     pub fn full_gc(&mut self) -> Result<()> {
         let gc_start = std::time::Instant::now();
-        // ---- mark ----
-        let mut live: HashMap<u64, u64> = HashMap::new(); // addr -> size
-        let mut stack = self.roots();
-        while let Some(obj) = stack.pop() {
-            if live.contains_key(&obj.0) {
-                continue;
-            }
-            // Attached segments are marking boundaries: they are immutable,
-            // self-contained (no refs back into owned generations), never
-            // move, and are kept alive by the attach refcount — nothing to
-            // mark, forward, or compact.
-            if self.heap.in_segment(obj) {
-                continue;
-            }
-            let size = self.obj_size(obj)?;
-            live.insert(obj.0, size);
-            for off in self.ref_slots(obj)? {
-                let tgt = self.read_ref_at(obj, off)?;
-                if !tgt.is_null() && !live.contains_key(&tgt.0) {
-                    stack.push(tgt);
-                }
-            }
-        }
+        let (mut bits, live_objects, live_words) = self.mark()?;
+        bits.count();
+        let roots = self.handles.slots.iter_mut().flatten().chain(&mut self.temp_roots);
+        roots.for_each(|r| *r = bits.forward(*r));
 
-        // ---- compute sliding forwarding for live old objects ----
-        let (_, _, _, old) = self.heap.spaces();
-        let mut old_live: Vec<(u64, u64)> = live
-            .iter()
-            .filter(|(&a, _)| a >= old.start && a < old.end)
-            .map(|(&a, &s)| (a, s))
-            .collect();
-        old_live.sort_unstable();
-        let mut fwd: HashMap<u64, u64> = HashMap::with_capacity(old_live.len());
-        let mut cursor = old.start;
-        for &(a, s) in &old_live {
-            fwd.insert(a, cursor);
-            cursor += s;
-        }
-
-        // ---- update references everywhere (live objects + roots) ----
-        let translate = |fwd: &HashMap<u64, u64>, a: Addr| -> Addr {
-            match fwd.get(&a.0) {
-                Some(&n) => Addr(n),
-                None => a,
-            }
-        };
-        let live_addrs: Vec<u64> = live.keys().copied().collect();
-        for &a in &live_addrs {
-            let obj = Addr(a);
-            for off in self.ref_slots(obj)? {
-                let tgt = self.read_ref_at(obj, off)?;
-                if !tgt.is_null() {
-                    let n = translate(&fwd, tgt);
-                    if n != tgt {
-                        self.write_ref_raw(obj, off, n)?;
-                    }
-                }
-            }
-        }
-        for slot in self.handles.slots.iter_mut().flatten() {
-            *slot = translate(&fwd, *slot);
-        }
-        for r in &mut self.temp_roots {
-            *r = translate(&fwd, *r);
-        }
-
-        // ---- move (slide down, address order keeps copies safe) ----
-        // Every object-start record goes stale here; each is re-recorded
-        // as its object lands.
+        // Every object-start record and card goes stale here; each object
+        // is re-noted, and its card re-dirtied, where it lands.
         self.heap.drop_object_starts();
-        for &(a, s) in &old_live {
-            let dest = fwd[&a];
-            if dest != a {
-                self.heap.arena().copy_within(a, dest, s as usize)?;
+        self.heap.clear_cards();
+        let (old_start, mut cursor, mut moved) = (self.heap.old.start, self.heap.old.start, 0);
+        let mut next = bits.next_marked(0);
+        while let Some(word) = next {
+            let obj = Addr::from_raw(word * 8);
+            let ObjLayout { size, slots } = self.layout_of(obj)?;
+            let mut young = false;
+            for off in slots {
+                let n = bits.forward(self.read_ref_at(obj, off)?);
+                self.write_ref_raw(obj, off, n)?;
+                young |= self.heap.in_young(n);
             }
-            self.heap.note_object_start(Addr(dest));
+            next = bits.next_marked(word + size / 8);
+            if obj.byte_add(size).raw() <= old_start {
+                continue; // young objects stay where they are
+            }
+            // In address order a copy lands below every object not yet
+            // slid, so it overwrites nothing still to be read.
+            if obj.raw() != cursor {
+                self.heap.arena().copy_within(obj.raw(), cursor, size as usize)?;
+                moved += size / 8;
+            }
+            let dest = Addr::from_raw(cursor);
+            self.heap.note_object_start(dest);
+            if young {
+                self.heap.dirty_card(dest);
+            }
+            cursor += size;
         }
         self.heap.set_old_top(cursor)?;
 
-        // ---- rebuild the card table (old objects with young refs) ----
-        self.heap.clear_cards();
-        let old_now = {
-            let (_, _, _, o) = self.heap.spaces();
-            o
-        };
-        let mut to_dirty: Vec<Addr> = Vec::new();
-        self.walk_range(old_now.start, old_now.top, |vm, addr, _| {
-            for off in vm.ref_slots(addr)? {
-                let tgt = vm.read_ref_at(addr, off)?;
-                if !tgt.is_null() && vm.heap().in_young(tgt) {
-                    to_dirty.push(addr);
-                    break;
-                }
-            }
-            Ok(())
-        })?;
-        for a in to_dirty {
-            self.heap.dirty_card(a);
-        }
-
         self.stats.full_gcs += 1;
+        self.stats.full_gc_live_words += live_words;
+        self.stats.full_gc_words_moved += moved;
         let pause_ns = gc_start.elapsed().as_nanos() as u64;
         self.stats.gc_ns += pause_ns;
         // The sliding compaction promotes nothing and scans no cards — it
-        // rebuilds the card table from scratch instead.
-        self.note_gc(true, pause_ns, 0, 0);
+        // dirties exactly the remembered ones as it slides.
+        self.note_gc(pause_ns, 0, 0, Some((live_objects, live_words)));
 
-        // ---- clean the young generation with a minor pass ----
-        // Only when the compacted old generation can absorb a worst-case
-        // promotion; otherwise leave the young generation as is — the
-        // caller's allocation retry will surface a clean OutOfMemory.
-        let young_used = {
-            let (eden, from, _, _) = self.heap.spaces();
-            eden.used() + from.used()
-        };
-        let (_, _, _, old_now) = self.heap.spaces();
-        if old_now.free() >= young_used {
+        // Clean the young generation with a minor pass, but only when the
+        // compacted old generation can absorb a worst-case promotion;
+        // otherwise the caller's allocation retry surfaces a clean
+        // OutOfMemory.
+        if self.minor_gc_is_safe() {
             self.minor_gc()
         } else {
             Ok(())
         }
     }
 
-    /// The non-null handle and temp roots.
-    fn roots(&self) -> Vec<Addr> {
+    /// Marks every object reachable from the handle and temp roots into a
+    /// bitmap over `[0, old.top)`, resolving each object's class once, and
+    /// returns it with the count of objects and words marked. Attached
+    /// segments are marking boundaries: immutable, self-contained, never
+    /// moved, and kept alive by their attach refcount.
+    ///
+    /// # Errors
+    /// [`Error::BadAddress`] for an object that does not end by `old.top`;
+    /// heap access errors.
+    fn mark(&self) -> Result<(MarkBits, u64, u64)> {
+        let mut bits = MarkBits::new(self.heap.old.start..self.heap.old.top);
+        let (mut objects, mut words) = (0, 0);
         let roots = self.handles.slots.iter().flatten().chain(&self.temp_roots);
-        roots.copied().filter(|a| !a.is_null()).collect()
-    }
-
-    /// Count and total bytes of the objects reachable from the roots.
-    fn live_census(&self) -> Result<(usize, u64)> {
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = self.roots();
-        let (mut count, mut bytes) = (0, 0);
+        let mut stack: Vec<Addr> = roots.copied().filter(|a| !a.is_null()).collect();
         while let Some(obj) = stack.pop() {
-            if !seen.insert(obj.0) || self.heap.in_segment(obj) {
-                continue; // segment residents are store-owned, not heap-live
+            if self.heap.in_segment(obj) || bits.is_marked(obj.raw() / 8) {
+                continue;
             }
-            count += 1;
-            bytes += self.obj_size(obj)?;
-            for off in self.ref_slots(obj)? {
+            let ObjLayout { size, slots } = self.layout_of(obj)?;
+            if obj.raw().checked_add(size).is_none_or(|end| end > bits.old.end) {
+                return Err(Error::BadAddress(obj.raw()));
+            }
+            bits.mark(obj.raw() / 8, size / 8);
+            objects += 1;
+            words += size / 8;
+            for off in slots {
                 let tgt = self.read_ref_at(obj, off)?;
-                if !tgt.is_null() && !seen.contains(&tgt.0) {
+                if !tgt.is_null() && !bits.is_marked(tgt.raw() / 8) {
                     stack.push(tgt);
                 }
             }
         }
-        Ok((count, bytes))
+        Ok((bits, objects, words))
     }
 
     /// Counts live objects reachable from the roots (diagnostic; used by
@@ -393,7 +342,7 @@ impl Vm {
     /// # Errors
     /// Propagates heap access errors.
     pub fn live_object_count(&self) -> Result<usize> {
-        Ok(self.live_census()?.0)
+        Ok(self.mark()?.1 as usize)
     }
 
     /// Total bytes of live data reachable from the roots (diagnostic).
@@ -401,13 +350,87 @@ impl Vm {
     /// # Errors
     /// Propagates heap access errors.
     pub fn live_bytes(&self) -> Result<u64> {
-        Ok(self.live_census()?.1)
+        Ok(self.mark()?.2 * 8)
+    }
+}
+
+/// Bitmap words per counted block: a rank sums one block's count and at
+/// most eight popcounts.
+const BLOCK: usize = 8;
+
+/// The full collection's side bitmap: one bit per heap word of
+/// `[0, old.top)`, set over every word a marked object covers. After
+/// [`MarkBits::count`], `below[b]` holds the live words below block `b`.
+struct MarkBits {
+    bits: Vec<u64>,
+    below: Vec<u64>,
+    /// `old.start..old.top`.
+    old: Range<u64>,
+    /// Live words below `old_start` (the young generation's).
+    young_words: u64,
+}
+
+impl MarkBits {
+    fn new(old: Range<u64>) -> Self {
+        // One spare word, so `old.top`'s own word has a bit and a block.
+        let bits = vec![0; (old.end / 512) as usize + 1];
+        MarkBits { bits, below: Vec::new(), old, young_words: 0 }
+    }
+
+    fn is_marked(&self, word: u64) -> bool {
+        self.bits.get((word / 64) as usize).is_some_and(|b| b >> (word % 64) & 1 != 0)
+    }
+
+    /// Marks the `n` words from `word`, which the caller keeps below `top`.
+    fn mark(&mut self, word: u64, n: u64) {
+        for w in word..word + n {
+            self.bits[(w / 64) as usize] |= 1 << (w % 64);
+        }
+    }
+
+    /// Counts the live words below each block.
+    fn count(&mut self) {
+        let mut sum = 0;
+        for c in self.bits.chunks(BLOCK) {
+            self.below.push(sum);
+            sum += c.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+        }
+        self.young_words = self.rank(self.old.start / 8);
+    }
+
+    /// Live words below heap word `word` (at most `top`'s).
+    fn rank(&self, word: u64) -> u64 {
+        let (i, bit) = ((word / 64) as usize, word % 64);
+        let whole = &self.bits[i / BLOCK * BLOCK..i];
+        let ones = whole.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+        self.below[i / BLOCK] + ones + u64::from((self.bits[i] & ((1 << bit) - 1)).count_ones())
+    }
+
+    /// Where the object at `a` lands: an old one at `old.start` plus the
+    /// live old words below it, anything else where it is.
+    fn forward(&self, a: Addr) -> Addr {
+        if !self.old.contains(&a.raw()) {
+            return a;
+        }
+        Addr::from_raw(self.old.start + (self.rank(a.raw() / 8) - self.young_words) * 8)
+    }
+
+    /// The first marked word at or after `word`.
+    fn next_marked(&self, word: u64) -> Option<u64> {
+        let mut i = (word / 64) as usize;
+        let mut w = self.bits.get(i)? & (!0 << (word % 64));
+        while w == 0 {
+            i += 1;
+            w = *self.bits.get(i)?;
+        }
+        Some(i as u64 * 64 + u64::from(w.trailing_zeros()))
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::collections::{BTreeSet, HashMap};
+    use std::collections::{BTreeMap, BTreeSet, HashMap};
+    use std::sync::Arc;
 
     use proptest::prelude::*;
 
@@ -415,7 +438,7 @@ mod tests {
     use crate::layout::Addr;
     use crate::stdlib::define_core_classes;
     use crate::vm::{Handle, Vm};
-    use crate::{ClassPath, FieldType, KlassDef, PrimType};
+    use crate::{ClassPath, FieldType, KlassDef, PrimType, SegmentBuilder};
 
     /// One step of building a random old generation.
     #[derive(Debug, Clone)]
@@ -508,6 +531,11 @@ mod tests {
     type Shape = Vec<(String, Option<i32>, Vec<Option<usize>>)>;
 
     fn shape(vm: &Vm, roots: &[Handle]) -> Shape {
+        shape_of(vm, roots.iter().map(|&h| vm.resolve(h).unwrap()))
+    }
+
+    /// [`shape`] from root addresses.
+    fn shape_of(vm: &Vm, roots: impl IntoIterator<Item = Addr>) -> Shape {
         let mut index: HashMap<u64, usize> = HashMap::new();
         let mut order: Vec<Addr> = Vec::new();
         let mut number = |a: Addr, order: &mut Vec<Addr>| {
@@ -518,8 +546,8 @@ mod tests {
                 })
             })
         };
-        for &h in roots {
-            number(vm.resolve(h).unwrap(), &mut order);
+        for a in roots {
+            number(a, &mut order);
         }
         let mut out = Vec::new();
         let mut i = 0;
@@ -536,6 +564,42 @@ mod tests {
             out.push((name, id, refs));
         }
         out
+    }
+
+    /// Attaches a sealed segment holding one `Node` (`id` -7, `next` null)
+    /// and returns the resident's address.
+    fn attach_resident(vm: &mut Vm) -> Addr {
+        let node = vm.load_class("Node").unwrap();
+        let t = vm.alloc_instance(node).unwrap();
+        vm.set_int(t, "id", -7).unwrap();
+        let size = vm.obj_size(t).unwrap();
+        let mut bytes = vec![0u8; size as usize];
+        vm.heap().arena().read_bytes(t.0, &mut bytes).unwrap();
+        let b = SegmentBuilder::reserve(size, vm.spec()).unwrap();
+        let resident = Addr(b.base());
+        let seg = b.seal(&bytes, vec![resident], Arc::clone(vm.classpath())).unwrap();
+        vm.attach_segment(seg).unwrap();
+        resident
+    }
+
+    /// Per card of the old generation that holds an object start: the
+    /// lowest start, and whether any object starting there holds a young
+    /// reference (the cards a minor GC must find dirty).
+    fn old_starts_and_remembered(vm: &Vm) -> (BTreeMap<usize, u64>, BTreeSet<usize>) {
+        let (mut lowest, mut remembered) = (BTreeMap::new(), BTreeSet::new());
+        let old = vm.heap().old;
+        vm.walk_range(old.start, old.top, |vm, a, _| {
+            let card = vm.heap().card_range(a.0, 1).start;
+            lowest.entry(card).or_insert(a.0);
+            for off in vm.ref_slots(a)? {
+                if vm.heap().in_young(vm.read_ref_at(a, off)?) {
+                    remembered.insert(card);
+                }
+            }
+            Ok(())
+        })
+        .unwrap();
+        (lowest, remembered)
     }
 
     /// Indices of the dirty cards.
@@ -649,5 +713,108 @@ mod tests {
             }).unwrap();
             prop_assert_eq!(dirty_cards(&vm), remembered);
         }
+
+        /// A full collection over a random heap keeps the graph, and leaves
+        /// the heap verified, every object-start record a true start (the
+        /// lowest in its card) and exactly the remembered cards dirty. The
+        /// heap mixes promoted nodes, reference arrays over several cards,
+        /// received-style chunks, abandoned windows, a segment resident, a
+        /// random dead share of the handles, temp roots, and young nodes
+        /// behind old→young links.
+        #[test]
+        fn full_gc_keeps_the_graph_and_rebuilds_records_and_cards(
+            steps in layout(),
+            dead in proptest::collection::vec(any::<bool>(), 64),
+            temps in proptest::collection::vec(any::<usize>(), 0..8),
+            links in proptest::collection::vec((any::<usize>(), any::<u64>()), 0..24),
+        ) {
+            let mut vm = vm();
+            let resident = attach_resident(&mut vm);
+            let mut roots = vec![vm.handle(resident)];
+            for s in &steps {
+                apply(&mut vm, &mut roots, s);
+            }
+            // Young targets stay young through the collection's closing
+            // minor GC (unless the survivor space overflows).
+            vm.heap.tenure_threshold = 15;
+            let node = vm.load_class("Node").unwrap();
+            for (r, slot) in links {
+                let young = vm.alloc_instance(node).unwrap();
+                vm.set_int(young, "id", -1).unwrap();
+                let obj = vm.resolve(roots[r % roots.len()]).unwrap();
+                if !vm.heap().in_old(obj) {
+                    continue;
+                }
+                if vm.klass_of(obj).unwrap().name == "Node" {
+                    vm.set_ref(obj, "next", young).unwrap();
+                } else {
+                    let len = vm.array_len(obj).unwrap();
+                    vm.array_set_ref(obj, slot % len, young).unwrap();
+                }
+            }
+            for t in temps {
+                let a = vm.resolve(roots[t % roots.len()]).unwrap();
+                vm.push_temp_root(a);
+            }
+            let mut kept = Vec::new();
+            for (i, h) in roots.into_iter().enumerate() {
+                if dead[i % dead.len()] {
+                    vm.release(h).unwrap();
+                } else {
+                    kept.push(h);
+                }
+            }
+            let all = |vm: &Vm| {
+                let handles = kept.iter().map(|&h| vm.resolve(h).unwrap());
+                handles.chain(vm.temp_roots.iter().copied()).collect::<Vec<_>>()
+            };
+
+            let before = shape_of(&vm, all(&vm));
+            vm.full_gc().unwrap();
+            prop_assert_eq!(shape_of(&vm, all(&vm)), before);
+            let faults = vm.verify_heap().unwrap();
+            prop_assert!(faults.is_empty(), "{:?}", faults);
+            let (lowest, remembered) = old_starts_and_remembered(&vm);
+            let records: Vec<u64> = vm.heap().object_starts().collect();
+            prop_assert_eq!(records, lowest.into_values().collect::<Vec<_>>());
+            prop_assert_eq!(dirty_cards(&vm), remembered);
+        }
+    }
+    /// A full collection counts the live words it marked, reports them on
+    /// its pause span, and a second one back to back moves nothing.
+    #[test]
+    fn full_gc_counts_live_words_and_a_compacted_heap_stays_put() {
+        let reg = Arc::new(obs::Registry::new());
+        reg.tracer().set_enabled(true);
+        let mut vm = vm().with_metrics(Arc::clone(&reg));
+        vm.set_trace_ctx(reg.tracer().new_trace());
+        let mut roots = Vec::new();
+        let steps = [
+            Step::Promote(50),
+            Step::RefArray(300),
+            Step::Chunk(20, 5),
+            Step::Abandoned(40),
+            Step::Promote(30),
+        ];
+        for s in &steps {
+            apply(&mut vm, &mut roots, s);
+        }
+        for &h in roots.iter().step_by(3) {
+            vm.release(h).unwrap();
+        }
+        let (objects, words) =
+            (vm.live_object_count().unwrap() as u64, vm.live_bytes().unwrap() / 8);
+
+        vm.full_gc().unwrap();
+        assert_eq!(vm.stats.full_gc_live_words, words);
+        let moved = vm.stats.full_gc_words_moved;
+        assert!(moved > 0 && moved <= words, "moved {moved} of {words} live words");
+        let full = reg.tracer().spans().into_iter().find(|s| s.args.contains(&("full", 1)));
+        let args = full.expect("a full collection's pause span").args;
+        assert!(args.contains(&("live_objects", objects)) && args.contains(&("live_words", words)));
+
+        vm.full_gc().unwrap();
+        assert_eq!(vm.stats.full_gc_live_words, 2 * words);
+        assert_eq!(vm.stats.full_gc_words_moved, moved, "a compacted heap moves nothing");
     }
 }

@@ -566,6 +566,12 @@ impl Heap {
         }
     }
 
+    /// Every recorded object start, in address order.
+    pub(crate) fn object_starts(&self) -> impl Iterator<Item = u64> + '_ {
+        let records = self.starts.iter().enumerate().filter(|(_, &r)| r != 0);
+        records.map(|(i, &r)| self.card_start(i) + u64::from(r - 1) * 8)
+    }
+
     /// Drops every record (the full GC's slide invalidates them all).
     pub(crate) fn drop_object_starts(&mut self) {
         self.starts.clear();

@@ -11,10 +11,10 @@
 
 use std::collections::HashMap;
 
-use crate::heap::Gen;
+use crate::heap::{Gen, FILLER_WORD};
 use crate::layout::{mark, Addr};
 use crate::vm::Vm;
-use crate::{Error, Result};
+use crate::Result;
 
 /// One structural problem found by [`Vm::verify_heap`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,6 +63,13 @@ pub enum HeapFault {
         /// The young-generation target the remembered set is missing.
         target: u64,
     },
+    /// An object-start record names a word that is neither an object
+    /// header nor a filler word below `old.top` — a minor GC parsing from
+    /// it would mis-parse the old generation.
+    BadObjectStart {
+        /// The recorded address.
+        at: u64,
+    },
     /// An attached sealed segment's bytes no longer match its seal-time
     /// checksum — something wrote into memory that every attacher relies
     /// on being immutable (the arena mapping rejects in-heap stores, so
@@ -106,6 +113,9 @@ impl std::fmt::Display for HeapFault {
                     "old-gen object {obj:#x} references young-gen {target:#x} but lies on no \
                      dirty card"
                 )
+            }
+            HeapFault::BadObjectStart { at } => {
+                write!(f, "object-start record {at:#x} is neither a header nor a filler word")
             }
             HeapFault::TamperedSegment { base } => {
                 write!(f, "sealed segment {base:#x} fails its seal-time checksum")
@@ -181,7 +191,8 @@ impl Vm {
             }
             let home_seg = self.heap().segment_for(obj);
             let mut young_target: Option<Addr> = None;
-            for off in self.ref_slots(obj)? {
+            let lay = self.layout_of(obj)?;
+            for off in lay.slots {
                 let tgt = self.read_ref_at(obj, off)?;
                 if tgt.is_null() {
                     continue;
@@ -219,11 +230,16 @@ impl Vm {
             // minor GC will miss it. Same overlap predicate the minor-GC
             // card scan uses.
             if let Some(tgt) = young_target {
-                if self.heap().in_old(obj)
-                    && !self.heap().overlaps_dirty_card(obj, self.obj_size(obj)?)
-                {
+                if self.heap().in_old(obj) && !self.heap().overlaps_dirty_card(obj, lay.size) {
                     faults.push(HeapFault::StaleCard { obj: obj.0, target: tgt.0 });
                 }
+            }
+        }
+        // The object-start record: a minor GC parses from each record.
+        for at in self.heap().object_starts() {
+            let filler = at < old.top && self.heap().arena().load_word(at)? == FILLER_WORD;
+            if !filler && !starts.contains(&at) {
+                faults.push(HeapFault::BadObjectStart { at });
             }
         }
         Ok(faults)
@@ -288,13 +304,6 @@ pub fn assert_heap_ok(vm: &Vm) {
     assert!(faults.is_empty(), "heap faults: {faults:?}");
 }
 
-/// Suppresses the unused-import lint for Error in this module's signature
-/// position (kept for future fault-raising verifier variants).
-#[allow(dead_code)]
-fn _error_is_used(e: Error) -> Error {
-    e
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,7 +312,7 @@ mod tests {
     use crate::klass::{ClassPath, FieldType, KlassDef, PrimType};
     use crate::segment::{Segment, SegmentBuilder};
     use crate::stdlib::define_core_classes;
-    use crate::HeapConfig;
+    use crate::{Error, HeapConfig};
 
     fn vm() -> Vm {
         let cp = ClassPath::new();
@@ -422,6 +431,28 @@ mod tests {
         // And the next minor GC must now see (and keep) the young target.
         v.minor_gc().unwrap();
         assert_heap_ok(&v);
+    }
+
+    #[test]
+    fn bad_object_start_detected() {
+        let mut v = vm();
+        let k = v.load_class("VNode").unwrap();
+        let a = v.alloc_instance(k).unwrap();
+        let ha = v.handle(a);
+        for _ in 0..10 {
+            v.minor_gc().unwrap();
+        }
+        let a = v.resolve(ha).unwrap();
+        assert!(v.heap().in_old(a));
+        assert_heap_ok(&v);
+        // A record on the object's klass word, the only one in its card.
+        v.heap_mut().drop_object_starts();
+        v.heap_mut().note_object_start(Addr(a.0 + 8));
+        let faults = v.verify_heap().unwrap();
+        assert!(
+            matches!(faults.as_slice(), [HeapFault::BadObjectStart { at }] if *at == a.0 + 8),
+            "expected BadObjectStart, got {faults:?}"
+        );
     }
 
     /// Seals a one-`VNode` segment from a freshly allocated VNode's bytes —

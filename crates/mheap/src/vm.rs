@@ -57,6 +57,14 @@ impl HandleTable {
     }
 }
 
+/// An object with its class resolved once (see [`Vm::layout_of`]).
+pub(crate) struct ObjLayout<I> {
+    /// Size in bytes.
+    pub(crate) size: u64,
+    /// Byte offsets (object-relative) of every reference slot, ascending.
+    pub(crate) slots: I,
+}
+
 /// GC and allocation statistics of one VM.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct VmStats {
@@ -73,6 +81,10 @@ pub struct VmStats {
     /// Nanoseconds spent inside collections (the paper's Fig. 3 note: "the
     /// garbage collection cost is less than 2% and thus not shown").
     pub gc_ns: u64,
+    /// Live words full collections marked, summed over collections.
+    pub full_gc_live_words: u64,
+    /// Words full collections moved, summed over collections.
+    pub full_gc_words_moved: u64,
 }
 
 /// A simulated JVM process.
@@ -331,19 +343,29 @@ impl Vm {
 
     // ----- allocation -----------------------------------------------------
 
+    /// The object at `obj` with its class resolved once: its size and its
+    /// reference slots. [`Vm::obj_size`] and [`Vm::ref_slots`] are its two
+    /// views; a walker that needs both calls this.
+    ///
+    /// # Errors
+    /// [`Error::BadAddress`] / [`Error::UnknownKlass`] for invalid objects.
+    pub(crate) fn layout_of(&self, obj: Addr) -> Result<ObjLayout<impl Iterator<Item = u64> + '_>> {
+        let k = self.klass_of(obj)?;
+        let base = self.spec().array_header();
+        let len = if k.is_array() { self.array_len(obj)? } else { 0 };
+        let array = align8(base + len * u64::from(k.elem_size));
+        let size = if k.is_array() { array } else { k.instance_size };
+        let elems = if k.kind == KlassKind::RefArray { len } else { 0 };
+        let slots = k.ref_offsets.iter().copied().chain((base..base + elems * 8).step_by(8));
+        Ok(ObjLayout { size, slots })
+    }
+
     /// Size in bytes of the object at `obj`.
     ///
     /// # Errors
     /// [`Error::BadAddress`] / [`Error::UnknownKlass`] for invalid objects.
     pub fn obj_size(&self, obj: Addr) -> Result<u64> {
-        let k = self.klass_of(obj)?;
-        match k.kind {
-            KlassKind::Instance => Ok(k.instance_size),
-            _ => {
-                let len = self.array_len(obj)?;
-                Ok(align8(self.spec().array_header() + len * u64::from(k.elem_size)))
-            }
-        }
+        Ok(self.layout_of(obj)?.size)
     }
 
     /// Allocates an instance of `klass` with zeroed fields.
@@ -406,7 +428,7 @@ impl Vm {
     /// True when the old generation could absorb a worst-case promotion of
     /// everything live in the young generation — the precondition that makes
     /// a minor collection infallible.
-    fn minor_gc_is_safe(&self) -> bool {
+    pub(crate) fn minor_gc_is_safe(&self) -> bool {
         let young_used = self.heap.eden.used() + self.heap.from_space().used();
         self.heap.old.free() >= young_used
     }
@@ -603,13 +625,7 @@ impl Vm {
     /// # Errors
     /// Address errors.
     pub fn ref_slots(&self, obj: Addr) -> Result<impl Iterator<Item = u64> + '_> {
-        let k = self.klass_of(obj)?;
-        let elems = match k.kind {
-            KlassKind::RefArray => self.array_len(obj)?,
-            _ => 0,
-        };
-        let base = self.spec().array_header();
-        Ok(k.ref_offsets.iter().copied().chain((0..elems).map(move |i| base + i * 8)))
+        Ok(self.layout_of(obj)?.slots)
     }
 
     // ----- space walking ---------------------------------------------------

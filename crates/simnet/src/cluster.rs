@@ -194,51 +194,34 @@ impl Cluster {
         Ok(())
     }
 
-    /// Reads a spill file on `node`, charging modeled read-I/O time and
-    /// counting the bytes as *local*.
+    /// Takes a spill file off `node`'s disk (the reduce side reads each
+    /// shuffle file once), charging modeled read-I/O time and counting the
+    /// bytes as *local*.
     ///
     /// # Errors
     /// [`Error::UnknownNode`] / [`Error::NoSuchFile`].
-    pub fn disk_read(&mut self, node: NodeId, name: &str) -> Result<Vec<u8>> {
-        self.check(node)?;
-        let data = self.disks[node.0]
-            .files
-            .get(name)
-            .cloned()
-            .ok_or_else(|| Error::NoSuchFile { node: node.0, name: name.to_owned() })?;
-        let p = &mut self.profiles[node.0];
-        p.add_ns(Category::ReadIo, self.cfg.disk_read_ns(data.len() as u64));
-        p.bytes_local += data.len() as u64;
+    pub fn disk_take(&mut self, node: NodeId, name: &str) -> Result<Vec<u8>> {
+        let data = self.disk_take_serve(node, name)?;
+        self.profiles[node.0].bytes_local += data.len() as u64;
         Ok(data)
     }
 
-    /// Reads a spill file in order to *serve* a remote fetch: charges
-    /// read-I/O time on the serving node but does not count the bytes as
-    /// locally-fetched shuffle data (they will be counted as remote bytes
-    /// on the receiver).
+    /// Takes a spill file off `node`'s disk in order to *serve* a remote
+    /// fetch: charges read-I/O time on the serving node but does not count
+    /// the bytes as locally-fetched shuffle data (they will be counted as
+    /// remote bytes on the receiver).
     ///
     /// # Errors
     /// [`Error::UnknownNode`] / [`Error::NoSuchFile`].
-    pub fn disk_read_serve(&mut self, node: NodeId, name: &str) -> Result<Vec<u8>> {
+    pub fn disk_take_serve(&mut self, node: NodeId, name: &str) -> Result<Vec<u8>> {
         self.check(node)?;
         let data = self.disks[node.0]
             .files
-            .get(name)
-            .cloned()
+            .remove(name)
             .ok_or_else(|| Error::NoSuchFile { node: node.0, name: name.to_owned() })?;
         let p = &mut self.profiles[node.0];
         p.add_ns(Category::ReadIo, self.cfg.disk_read_ns(data.len() as u64));
         Ok(data)
-    }
-
-    /// Removes a spill file (shuffle cleanup). Missing files are ignored.
-    ///
-    /// # Errors
-    /// [`Error::UnknownNode`].
-    pub fn disk_remove(&mut self, node: NodeId, name: &str) -> Result<()> {
-        self.check(node)?;
-        self.disks[node.0].files.remove(name);
-        Ok(())
     }
 
     /// Names of files on a node's disk (sorted; diagnostics).
@@ -383,16 +366,17 @@ mod tests {
         c.disk_write(NodeId(1), "shuffle_0_1", vec![7u8; 1_000_000]).unwrap();
         assert!(c.profile(NodeId(1)).ns(Category::WriteIo) > 0);
         assert_eq!(c.profile(NodeId(1)).bytes_spilled, 1_000_000);
-        let data = c.disk_read(NodeId(1), "shuffle_0_1").unwrap();
+        let data = c.disk_take(NodeId(1), "shuffle_0_1").unwrap();
         assert_eq!(data.len(), 1_000_000);
         assert!(c.profile(NodeId(1)).ns(Category::ReadIo) > 0);
         assert_eq!(c.profile(NodeId(1)).bytes_local, 1_000_000);
+        assert!(c.disk_files(NodeId(1)).unwrap().is_empty(), "a take removes the file");
     }
 
     #[test]
     fn missing_file_errors() {
         let mut c = cluster();
-        assert!(matches!(c.disk_read(NodeId(0), "nope"), Err(Error::NoSuchFile { .. })));
+        assert!(matches!(c.disk_take(NodeId(0), "nope"), Err(Error::NoSuchFile { .. })));
     }
 
     #[test]

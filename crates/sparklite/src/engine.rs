@@ -691,13 +691,12 @@ impl SparkCluster {
                 }
                 let name = shuffle_file(seq, src, dst);
                 let blob = if src == dst {
-                    self.cluster.disk_read(src, &name).map_err(Error::Net)?
+                    self.cluster.disk_take(src, &name).map_err(Error::Net)?
                 } else {
-                    let blob = self.cluster.disk_read_serve(src, &name).map_err(Error::Net)?;
+                    let blob = self.cluster.disk_take_serve(src, &name).map_err(Error::Net)?;
                     self.cluster.net_send(src, dst, blob).map_err(Error::Net)?;
                     self.cluster.net_recv(dst, src).map_err(Error::Net)?
                 };
-                self.cluster.disk_remove(src, &name).map_err(Error::Net)?;
                 let serializer = Arc::clone(&self.serializers[vm_idx]);
                 let mut prof = Profile::new();
                 {
