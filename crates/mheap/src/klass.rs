@@ -45,6 +45,9 @@ pub struct KlassId(pub u32);
 /// Process-wide unique klass id counter (see [`Klass::uid`]).
 static NEXT_UID: AtomicU64 = AtomicU64::new(1);
 
+/// Process-wide unique classpath id counter (see [`ClassPath::id`]).
+static NEXT_CLASSPATH_ID: AtomicU64 = AtomicU64::new(1);
+
 /// A primitive field/element type with its Java size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrimType {
@@ -269,10 +272,21 @@ pub fn ref_array_name(elem: &str) -> String {
 /// [`KlassId`] for every VM sharing this classpath. A name redefined with
 /// another layout gets a fresh number when a VM first loads it, so a number
 /// never names two layouts.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ClassPath {
+    id: u64,
     defs: RwLock<HashMap<String, KlassDef>>,
     numbers: RwLock<Numbers>,
+}
+
+impl Default for ClassPath {
+    fn default() -> Self {
+        ClassPath {
+            id: NEXT_CLASSPATH_ID.fetch_add(1, Ordering::Relaxed),
+            defs: RwLock::default(),
+            numbers: RwLock::default(),
+        }
+    }
 }
 
 /// What one class number names: a class name with exactly the layout the
@@ -299,6 +313,13 @@ impl ClassPath {
     /// Creates an empty classpath.
     pub fn new() -> Arc<Self> {
         Arc::new(ClassPath::default())
+    }
+
+    /// This classpath's process-wide unique id: klass ids mean the same on
+    /// every VM whose classpath has the same id, and nothing more.
+    #[inline]
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// Adds (or replaces) a class definition. VMs that already loaded the
@@ -341,13 +362,10 @@ impl ClassPath {
     }
 }
 
-/// Slots in the first page of a [`KlassTable`]; page `p` holds
+/// Slots in the first page of a [`KlassSlots`]; page `p` holds
 /// `PAGE0_SLOTS << p`, so 27 pages cover every `u32` klass id.
 const PAGE0_SLOTS: u64 = 64;
 const PAGES: usize = 27;
-
-/// One page of write-once klass slots.
-type Page = Box<[OnceLock<Arc<Klass>>]>;
 
 /// Page and slot of klass id `id` (page `p` starts at id
 /// `PAGE0_SLOTS * (2^p - 1)`).
@@ -355,6 +373,53 @@ fn locate(id: u32) -> (usize, usize) {
     let page = (u64::from(id) / PAGE0_SLOTS + 1).ilog2();
     let start = PAGE0_SLOTS * ((1 << page) - 1);
     (page as usize, (u64::from(id) - start) as usize)
+}
+
+/// Write-once slots indexed by [`KlassId`]: one indexed, lock-free read per
+/// lookup. Pages are allocated when the first id on them is set (nothing
+/// is reserved up front), so sparse ids cost nothing. The klass table keeps
+/// its klasses in one; a per-class cache keyed by klass id (a serializer's
+/// compiled plans) keeps its entries in another. Built from `OnceLock`
+/// alone — no hand-written atomics, hence no `// ORDER:` notes and no
+/// interleaving model of its own.
+pub struct KlassSlots<T> {
+    pages: [OnceLock<Box<[OnceLock<T>]>>; PAGES],
+}
+
+impl<T> Default for KlassSlots<T> {
+    fn default() -> Self {
+        KlassSlots { pages: std::array::from_fn(|_| OnceLock::new()) }
+    }
+}
+
+impl<T> std::fmt::Debug for KlassSlots<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let pages = self.pages.iter().filter(|p| p.get().is_some()).count();
+        f.debug_struct("KlassSlots").field("pages", &pages).finish()
+    }
+}
+
+impl<T> KlassSlots<T> {
+    /// Creates an empty table.
+    pub fn new() -> Self {
+        KlassSlots::default()
+    }
+
+    /// The value set for `id`, if any.
+    #[inline]
+    pub fn get(&self, id: KlassId) -> Option<&T> {
+        let (page, slot) = locate(id.0);
+        self.pages[page].get().and_then(|p| p[slot].get())
+    }
+
+    /// The value for `id`, set from `init` if none is. A value once set is
+    /// never replaced.
+    pub fn get_or_init(&self, id: KlassId, init: impl FnOnce() -> T) -> &T {
+        let (page, slot) = locate(id.0);
+        let slots = self.pages[page]
+            .get_or_init(|| (0..PAGE0_SLOTS << page).map(|_| OnceLock::new()).collect());
+        slots[slot].get_or_init(init)
+    }
 }
 
 /// Per-VM table of loaded klasses.
@@ -365,14 +430,12 @@ fn locate(id: u32) -> (usize, usize) {
 /// reference count. A klass sits in the write-once slot of the id its
 /// classpath numbered it with, so a VM's ids are sparse when other VMs on
 /// the classpath loaded classes it has not; pages are allocated when the
-/// first id on them is published (nothing is reserved up front). Class
-/// *load* serializes on the name index's lock, which also makes the index
-/// the count of what is published. The table is built from `OnceLock` and
-/// that lock alone — no hand-written atomics, hence no `// ORDER:` notes
-/// and no interleaving model of its own.
+/// first id on them is published ([`KlassSlots`]). Class *load*
+/// serializes on the name index's lock, which also makes the index the
+/// count of what is published.
 #[derive(Debug, Default)]
 pub struct KlassTable {
-    pages: [OnceLock<Page>; PAGES],
+    slots: KlassSlots<Arc<Klass>>,
     by_name: RwLock<HashMap<String, KlassId>>,
 }
 
@@ -398,8 +461,7 @@ impl KlassTable {
     /// [`Error::UnknownKlass`] for ids never issued by this table.
     #[inline]
     pub fn get(&self, id: KlassId) -> Result<&Arc<Klass>> {
-        let (page, slot) = locate(id.0);
-        self.pages[page].get().and_then(|p| p[slot].get()).ok_or(Error::UnknownKlass(id.0))
+        self.slots.get(id).ok_or(Error::UnknownKlass(id.0))
     }
 
     /// Resolves a klass by name, if loaded.
@@ -596,10 +658,7 @@ impl KlassTable {
         if let Some(&id) = by_name.get(name) {
             return id; // lost a benign race
         }
-        let (page, slot) = locate(id.0);
-        let slots = self.pages[page]
-            .get_or_init(|| (0..PAGE0_SLOTS << page).map(|_| OnceLock::new()).collect());
-        slots[slot].get_or_init(|| Arc::new(build(id)));
+        self.slots.get_or_init(id, || Arc::new(build(id)));
         by_name.insert(name.to_owned(), id);
         id
     }

@@ -14,8 +14,9 @@
 //! * class metadata ("klass" meta-objects) with computed field offsets in
 //!   [`klass`], plus a shared [`klass::ClassPath`] for on-demand loading;
 //! * a generational collector with a card table in [`gc`];
-//! * typed object accessors in [`object`] and an in-heap core library
-//!   (strings, lists, an identity-hash map) in [`stdlib`];
+//! * typed object accessors in [`object`] (resolved [`FieldHandle`]s for
+//!   compiled access, by-name accessors for reflection) and an in-heap core
+//!   library (strings, lists, an identity-hash map) in [`stdlib`];
 //! * the [`vm::Vm`] facade tying one simulated JVM process together.
 //!
 //! # Example
@@ -49,10 +50,11 @@ pub mod vm;
 
 pub use heap::{Gen, Heap, HeapConfig, Space, CARD_SIZE, FILLER_WORD};
 pub use klass::{
-    ClassPath, Field, FieldType, Klass, KlassDef, KlassId, KlassKind, KlassTable, PrimType,
+    ClassPath, Field, FieldType, Klass, KlassDef, KlassId, KlassKind, KlassSlots, KlassTable,
+    PrimType,
 };
 pub use layout::{Addr, LayoutSpec};
-pub use object::Value;
+pub use object::{FieldHandle, Value};
 pub use segment::{Segment, SegmentBuilder, SEGMENT_BASE};
 pub use verify::{ClassStat, HeapFault};
 pub use vm::{Handle, Vm, VmStats};
@@ -130,6 +132,33 @@ pub enum Error {
     },
     /// A handle was stale or never issued.
     BadHandle(u32),
+    /// A [`FieldHandle`] met an object of another class: the object's klass
+    /// word is not the handle's klass id. Numbers only, as in
+    /// [`Error::LayoutMismatch`].
+    HandleMismatch {
+        /// The object accessed.
+        obj: u64,
+        /// The klass id the handle was resolved for.
+        expected: u32,
+        /// The object's klass word.
+        found: u64,
+    },
+    /// A [`FieldHandle`] resolved on a VM of another classpath: its klass
+    /// id numbers that classpath's classes.
+    HandleClassPathMismatch {
+        /// The object accessed.
+        obj: u64,
+    },
+    /// A [`FieldHandle`] resolved on a VM of another object format: its
+    /// offset assumes that format's header.
+    HandleFormatMismatch {
+        /// The object accessed.
+        obj: u64,
+        /// Format of the VM the handle was resolved on.
+        resolved: LayoutSpec,
+        /// Format of the accessing VM.
+        used: LayoutSpec,
+    },
     /// The old generation could not fit an input-buffer chunk.
     OldGenFull {
         /// Requested bytes.
@@ -210,6 +239,22 @@ impl std::fmt::Display for Error {
                 write!(f, "index {index} out of bounds for length {len}")
             }
             Error::BadHandle(h) => write!(f, "stale or unknown handle {h}"),
+            Error::HandleMismatch { obj, expected, found } => {
+                write!(
+                    f,
+                    "object {obj:#x} has klass word {found}, the field handle's is {expected}"
+                )
+            }
+            Error::HandleClassPathMismatch { obj } => {
+                write!(f, "field handle used on object {obj:#x} was resolved on another classpath")
+            }
+            Error::HandleFormatMismatch { obj, resolved, used } => {
+                write!(
+                    f,
+                    "field handle used on object {obj:#x} was resolved for {resolved:?} but the \
+                     heap is {used:?}"
+                )
+            }
             Error::OldGenFull { requested } => {
                 write!(f, "old generation cannot fit {requested} bytes")
             }

@@ -365,6 +365,32 @@ impl Arena {
         }
     }
 
+    /// Copies `dst.len()` 8-byte words out of the arena, starting at an
+    /// 8-aligned offset: one bounds check for the whole range.
+    ///
+    /// # Errors
+    /// [`Error::OutOfBounds`] / [`Error::Misaligned`].
+    pub fn read_words(&self, off: u64, dst: &mut [u64]) -> Result<()> {
+        let len = std::mem::size_of_val(dst);
+        if !off.is_multiple_of(8) {
+            return Err(Error::Misaligned { off, align: 8 });
+        }
+        match self.check(off, len) {
+            Ok(o) => {
+                // SAFETY: bounds checked; dst is a distinct Rust allocation
+                // of exactly `len` bytes.
+                unsafe {
+                    std::ptr::copy_nonoverlapping(self.ptr.add(o), dst.as_mut_ptr().cast(), len)
+                };
+                Ok(())
+            }
+            Err(e) => match self.route(off, len) {
+                Some((mem, rel)) => mem.read_words(rel, dst),
+                None => Err(e),
+            },
+        }
+    }
+
     /// Copies `src` into the arena at `off`.
     ///
     /// # Errors

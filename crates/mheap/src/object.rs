@@ -1,14 +1,27 @@
-//! Typed, named-field object accessors.
+//! Typed object accessors: resolved field handles and by-name lookups.
 //!
-//! These wrap the raw offset-based primitives on [`Vm`] with the
-//! by-field-name API application code (workloads, serializers) uses. The
-//! name-based lookups intentionally go through the klass field index —
-//! applications in the engines use cached [`crate::Field`] offsets instead,
-//! just as compiled Java bytecode uses resolved field offsets while
-//! *reflection* resolves names at run time.
+//! Two ways to reach a field, as on a JVM:
+//!
+//! * **Compiled access.** [`Vm::field_handle`] resolves a field once into a
+//!   [`FieldHandle`]: the klass id it belongs to, its offset and its type.
+//!   An access through the handle ([`Vm::int_field`], [`Vm::set_ref_field`],
+//!   ...) compares the object's klass word with the handle's klass id and
+//!   touches the slot, the way compiled bytecode uses a field offset the
+//!   linker resolved. sparklite's records and the core library's strings
+//!   and lists resolve their handles once and keep them.
+//! * **By name.** [`Vm::get_int`], [`Vm::set_ref`], ... look the name up in
+//!   the klass's field index on every call: the convenience and reflection
+//!   path (tests, examples, the JSBS and Flink table builders, the boxed
+//!   values and the hash map of the core library).
+//!
+//! Klass ids agree across every VM on a classpath, and a class's field
+//! offsets across every VM of one object format ([`LayoutSpec`]), so a
+//! handle resolved on one VM serves every VM of its classpath and format,
+//! whether or not that VM has loaded the class yet. A handle used on a VM
+//! of another classpath or format fails with a typed error.
 
-use crate::klass::{FieldType, PrimType};
-use crate::layout::Addr;
+use crate::klass::{FieldType, KlassId, PrimType};
+use crate::layout::{Addr, LayoutSpec};
 use crate::vm::Vm;
 use crate::{Error, Result};
 
@@ -74,6 +87,207 @@ impl Value {
             Value::Long(_) => PrimType::Long,
             Value::Double(_) => PrimType::Double,
         }
+    }
+}
+
+/// A field resolved once: the klass id it belongs to, its offset and its
+/// declared type (see the module docs). `Copy`, so a job resolves its
+/// handles once and captures them in every closure.
+///
+/// An access checks the object's klass word against [`FieldHandle::klass`]
+/// with one compare: an object of any other class, a subclass included,
+/// fails with [`Error::HandleMismatch`]. Klass ids number one classpath's
+/// classes and offsets follow one object format's header, so the handle
+/// also records the classpath and format it was resolved on: it is good
+/// on every VM that shares both, and fails with
+/// [`Error::HandleClassPathMismatch`] or [`Error::HandleFormatMismatch`]
+/// on any other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct FieldHandle {
+    klass: KlassId,
+    offset: u64,
+    ty: FieldType,
+    classpath: u64,
+    spec: LayoutSpec,
+}
+
+impl FieldHandle {
+    /// The klass id the field was resolved for: what an allocation of the
+    /// field's class passes to [`Vm::alloc_instance`].
+    #[inline]
+    pub fn klass(self) -> KlassId {
+        self.klass
+    }
+}
+
+impl Vm {
+    /// Resolves field `name` of the class `class` into a handle. The class
+    /// is loaded by number if this VM has not loaded it yet.
+    ///
+    /// ```
+    /// use mheap::{ClassPath, FieldType, HeapConfig, KlassDef, PrimType, Vm};
+    /// # fn main() -> mheap::Result<()> {
+    /// let cp = ClassPath::new();
+    /// cp.define(KlassDef::new("P", None, vec![("x", FieldType::Prim(PrimType::Int))]));
+    /// let mut vm = Vm::new("doc", &HeapConfig::small(), cp)?;
+    /// let k = vm.load_class("P")?;
+    /// let x = vm.field_handle(k, "x")?;
+    /// let p = vm.alloc_instance(k)?;
+    /// vm.set_int_field(p, x, 7)?;
+    /// assert_eq!(vm.int_field(p, x)?, 7);
+    /// # Ok(())
+    /// # }
+    /// ```
+    ///
+    /// # Errors
+    /// [`Error::UnknownKlass`] for an id the classpath never issued;
+    /// [`Error::NoSuchField`] when the class has no such field.
+    pub fn field_handle(&self, class: KlassId, name: &str) -> Result<FieldHandle> {
+        let k = self.klasses.get(class).or_else(|_| self.load_numbered(class))?;
+        match k.field_by_name(name) {
+            Some(f) => Ok(FieldHandle {
+                klass: class,
+                offset: f.offset,
+                ty: f.ty,
+                classpath: self.classpath().id(),
+                spec: self.spec(),
+            }),
+            None => Err(Error::NoSuchField { class: k.name.clone(), field: name.to_owned() }),
+        }
+    }
+
+    /// The arena offset of `h`'s slot in `obj`, once the handle's
+    /// classpath and format have matched this VM's and the object's klass
+    /// word the handle's klass id.
+    #[inline]
+    fn slot(&self, obj: Addr, h: FieldHandle) -> Result<u64> {
+        if obj.is_null() {
+            return Err(Error::BadAddress(0));
+        }
+        if h.classpath != self.classpath().id() {
+            return Err(Error::HandleClassPathMismatch { obj: obj.0 });
+        }
+        if h.spec != self.spec() {
+            return Err(Error::HandleFormatMismatch {
+                obj: obj.0,
+                resolved: h.spec,
+                used: self.spec(),
+            });
+        }
+        let found = self.heap.arena().load_word(obj.0 + self.spec().klass_off())?;
+        if found != u64::from(h.klass.0) {
+            return Err(Error::HandleMismatch { obj: obj.0, expected: h.klass.0, found });
+        }
+        Ok(obj.0 + h.offset)
+    }
+
+    /// As [`Vm::slot`], for a primitive access of type `want`.
+    #[inline]
+    fn prim_slot(&self, obj: Addr, h: FieldHandle, want: PrimType) -> Result<u64> {
+        if h.ty != FieldType::Prim(want) {
+            return Err(self.handle_type_mismatch(h));
+        }
+        self.slot(obj, h)
+    }
+
+    /// As [`Vm::slot`], for a reference access.
+    #[inline]
+    fn ref_slot(&self, obj: Addr, h: FieldHandle) -> Result<u64> {
+        if h.ty != FieldType::Ref {
+            return Err(self.handle_type_mismatch(h));
+        }
+        self.slot(obj, h)
+    }
+
+    #[cold]
+    fn handle_type_mismatch(&self, h: FieldHandle) -> Error {
+        match self.klasses.get(h.klass).or_else(|_| self.load_numbered(h.klass)) {
+            Ok(k) => {
+                let field = k.fields.iter().find(|f| f.offset == h.offset);
+                let field = field.map_or_else(|| format!("+{}", h.offset), |f| f.name.clone());
+                Error::FieldTypeMismatch { class: k.name.clone(), field }
+            }
+            Err(e) => e,
+        }
+    }
+
+    /// Reads an `Int` field through a handle.
+    ///
+    /// # Errors
+    /// [`Error::BadAddress`] for null; [`Error::HandleClassPathMismatch`]
+    /// or [`Error::HandleFormatMismatch`] for a handle resolved on a VM of
+    /// another classpath or format; [`Error::HandleMismatch`] for an
+    /// object of another class; [`Error::FieldTypeMismatch`] for a field
+    /// that is not an `Int`.
+    #[inline]
+    pub fn int_field(&self, obj: Addr, h: FieldHandle) -> Result<i32> {
+        Ok(self.heap.arena().load_u32(self.prim_slot(obj, h, PrimType::Int)?)? as i32)
+    }
+
+    /// Writes an `Int` field through a handle.
+    ///
+    /// # Errors
+    /// As [`Vm::int_field`].
+    #[inline]
+    pub fn set_int_field(&mut self, obj: Addr, h: FieldHandle, v: i32) -> Result<()> {
+        self.heap.arena().store_u32(self.prim_slot(obj, h, PrimType::Int)?, v as u32)
+    }
+
+    /// Reads a `Long` field through a handle.
+    ///
+    /// # Errors
+    /// As [`Vm::int_field`], for `Long` fields.
+    #[inline]
+    pub fn long_field(&self, obj: Addr, h: FieldHandle) -> Result<i64> {
+        Ok(self.heap.arena().load_word(self.prim_slot(obj, h, PrimType::Long)?)? as i64)
+    }
+
+    /// Writes a `Long` field through a handle.
+    ///
+    /// # Errors
+    /// As [`Vm::long_field`].
+    #[inline]
+    pub fn set_long_field(&mut self, obj: Addr, h: FieldHandle, v: i64) -> Result<()> {
+        self.heap.arena().store_word(self.prim_slot(obj, h, PrimType::Long)?, v as u64)
+    }
+
+    /// Reads a `Double` field through a handle.
+    ///
+    /// # Errors
+    /// As [`Vm::int_field`], for `Double` fields.
+    #[inline]
+    pub fn double_field(&self, obj: Addr, h: FieldHandle) -> Result<f64> {
+        let bits = self.heap.arena().load_word(self.prim_slot(obj, h, PrimType::Double)?)?;
+        Ok(f64::from_bits(bits))
+    }
+
+    /// Writes a `Double` field through a handle.
+    ///
+    /// # Errors
+    /// As [`Vm::double_field`].
+    #[inline]
+    pub fn set_double_field(&mut self, obj: Addr, h: FieldHandle, v: f64) -> Result<()> {
+        self.heap.arena().store_word(self.prim_slot(obj, h, PrimType::Double)?, v.to_bits())
+    }
+
+    /// Reads a reference field through a handle.
+    ///
+    /// # Errors
+    /// As [`Vm::int_field`], for reference fields.
+    #[inline]
+    pub fn ref_field(&self, obj: Addr, h: FieldHandle) -> Result<Addr> {
+        Ok(Addr(self.heap.arena().load_word(self.ref_slot(obj, h)?)?))
+    }
+
+    /// Writes a reference field through a handle, with the write barrier
+    /// of [`Vm::write_ref_at`].
+    ///
+    /// # Errors
+    /// As [`Vm::ref_field`].
+    #[inline]
+    pub fn set_ref_field(&mut self, obj: Addr, h: FieldHandle, val: Addr) -> Result<()> {
+        self.ref_slot(obj, h)?;
+        self.write_ref_at(obj, h.offset, val)
     }
 }
 

@@ -8,10 +8,11 @@
 //! words, so the received map is usable as-is (§1, §4.2 "Header Update").
 //! The ablation benchmark quantifies exactly that difference.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use crate::klass::{ClassPath, FieldType, KlassDef, PrimType};
+use crate::klass::{ClassPath, FieldType, KlassDef, KlassId, PrimType};
 use crate::layout::Addr;
+use crate::object::FieldHandle;
 use crate::vm::Vm;
 use crate::{Error, Result};
 
@@ -31,6 +32,40 @@ pub const ARRAY_LIST: &str = "java.util.ArrayList";
 pub const HASH_MAP: &str = "java.util.HashMap";
 /// Class name of a hash-map chain node.
 pub const HASH_NODE: &str = "java.util.HashMap$Node";
+
+/// Class name of the UTF-16 code-unit array behind a string.
+const CHAR_ARRAY: &str = "[C";
+/// Class name of the backing array of lists and hash maps.
+const OBJECT_ARRAY: &str = "[Ljava.lang.Object;";
+
+/// The classes a string is made of, with the string's fields, resolved
+/// once per VM ([`Vm::strings`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StringClasses {
+    chars: KlassId,
+    string: KlassId,
+    value: FieldHandle,
+    hash: FieldHandle,
+}
+
+/// The classes a list is made of, with the list's fields, resolved once per
+/// VM ([`Vm::lists`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ListClasses {
+    objects: KlassId,
+    list: KlassId,
+    data: FieldHandle,
+    size: FieldHandle,
+}
+
+/// The value in `cell`, resolved by `resolve` on first use.
+fn resolved<T: Copy>(cell: &OnceLock<T>, resolve: impl FnOnce() -> Result<T>) -> Result<T> {
+    if let Some(c) = cell.get() {
+        return Ok(*c);
+    }
+    let c = resolve()?;
+    Ok(*cell.get_or_init(|| c))
+}
 
 /// Registers all core class definitions on a classpath. Idempotent.
 pub fn define_core_classes(cp: &Arc<ClassPath>) {
@@ -68,50 +103,83 @@ pub fn define_core_classes(cp: &Arc<ClassPath>) {
 }
 
 impl Vm {
+    /// The string classes, loaded (array class first, as a JVM loads them
+    /// for `new String`) on this VM's first string.
+    fn strings(&self) -> Result<StringClasses> {
+        resolved(&self.strings, || {
+            let (chars, string) = (self.load_class(CHAR_ARRAY)?, self.load_class(STRING)?);
+            let field = |name| self.field_handle(string, name);
+            Ok(StringClasses { chars, string, value: field("value")?, hash: field("hash")? })
+        })
+    }
+
+    /// The list classes, loaded (backing array first) on this VM's first
+    /// list.
+    fn lists(&self) -> Result<ListClasses> {
+        resolved(&self.lists, || {
+            let (objects, list) = (self.load_class(OBJECT_ARRAY)?, self.load_class(ARRAY_LIST)?);
+            let field = |name| self.field_handle(list, name);
+            Ok(ListClasses { objects, list, data: field("elementData")?, size: field("size")? })
+        })
+    }
+
+    /// The array behind `arr`'s elements, checked to be of class `klass`:
+    /// the arena offset of element 0 and the length.
+    fn array_body(&self, arr: Addr, klass: KlassId) -> Result<(u64, u64)> {
+        if arr.is_null() {
+            return Err(Error::BadAddress(0));
+        }
+        let found = self.heap().arena().load_word(arr.0 + self.spec().klass_off())?;
+        if found != u64::from(klass.0) {
+            return Err(Error::HandleMismatch { obj: arr.0, expected: klass.0, found });
+        }
+        Ok((arr.0 + self.spec().array_header(), self.array_len(arr)?))
+    }
+
     // ----- strings ------------------------------------------------------
 
     /// Allocates an in-heap string with a value-based cached hash (Java's
-    /// `String.hashCode` formula over UTF-16 units).
+    /// `String.hashCode` formula over UTF-16 units). The units reach the
+    /// char array in one bulk copy.
     ///
     /// # Errors
     /// Allocation / class errors.
     pub fn new_string(&mut self, s: &str) -> Result<Addr> {
-        let char_klass = self.load_class("[C")?;
-        let units: Vec<u16> = s.encode_utf16().collect();
-        let arr = self.alloc_array(char_klass, units.len() as u64)?;
-        for (i, u) in units.iter().enumerate() {
-            self.array_set_raw(arr, i as u64, u64::from(*u))?;
+        let c = self.strings()?;
+        let mut units = Vec::with_capacity(s.len() * 2);
+        let mut h: i32 = 0;
+        for u in s.encode_utf16() {
+            units.extend_from_slice(&u.to_ne_bytes());
+            h = h.wrapping_mul(31).wrapping_add(i32::from(u as i16));
         }
+        let arr = self.alloc_array(c.chars, units.len() as u64 / 2)?;
+        self.heap().arena().write_bytes(arr.0 + self.spec().array_header(), &units)?;
         let t = self.push_temp_root(arr);
-        let str_klass = self.load_class(STRING)?;
-        let obj = self.alloc_instance(str_klass)?;
+        let obj = self.alloc_instance(c.string)?;
         let arr = self.temp_root(t);
         self.pop_temp_root();
-        self.set_ref(obj, "value", arr)?;
-        let mut h: i32 = 0;
-        for u in &units {
-            h = h.wrapping_mul(31).wrapping_add(i32::from(*u as i16));
-        }
-        self.set_int(obj, "hash", h)?;
+        self.set_ref_field(obj, c.value, arr)?;
+        self.set_int_field(obj, c.hash, h)?;
         Ok(obj)
     }
 
-    /// Reads an in-heap string back into a Rust `String`.
+    /// Reads an in-heap string back into a Rust `String`: one bulk copy of
+    /// the char array, then one exactly-sized decode.
     ///
     /// # Errors
     /// Address / class errors; lossy for unpaired surrogates (replacement
     /// character), mirroring `String::from_utf16_lossy`.
     pub fn read_string(&self, obj: Addr) -> Result<String> {
-        let arr = self.get_ref(obj, "value")?;
-        if arr.is_null() {
-            return Err(Error::BadAddress(0));
-        }
-        let len = self.array_len(arr)?;
-        let mut units = Vec::with_capacity(len as usize);
-        for i in 0..len {
-            units.push(self.array_get_raw(arr, i)? as u16);
-        }
-        Ok(String::from_utf16_lossy(&units))
+        let c = self.strings()?;
+        let (at, len) = self.array_body(self.ref_field(obj, c.value)?, c.chars)?;
+        let mut bytes = vec![0u8; len as usize * 2];
+        self.heap().arena().read_bytes(at, &mut bytes)?;
+        let units = bytes.chunks_exact(2).map(|b| u16::from_ne_bytes([b[0], b[1]]));
+        let decoded =
+            || char::decode_utf16(units.clone()).map(|r| r.unwrap_or(char::REPLACEMENT_CHARACTER));
+        let mut out = String::with_capacity(decoded().map(char::len_utf8).sum());
+        out.extend(decoded());
+        Ok(out)
     }
 
     /// The value-based hash cached in a string object.
@@ -119,7 +187,7 @@ impl Vm {
     /// # Errors
     /// Address / field errors.
     pub fn string_hash(&self, obj: Addr) -> Result<i32> {
-        self.get_int(obj, "hash")
+        self.int_field(obj, self.strings()?.hash)
     }
 
     // ----- boxed primitives ----------------------------------------------
@@ -182,51 +250,72 @@ impl Vm {
     /// # Errors
     /// Allocation errors.
     pub fn new_list(&mut self, capacity: u64) -> Result<Addr> {
-        let arr_k = self.load_class("[Ljava.lang.Object;")?;
-        let data = self.alloc_array(arr_k, capacity.max(4))?;
+        let c = self.lists()?;
+        let data = self.alloc_array(c.objects, capacity.max(4))?;
         let t = self.push_temp_root(data);
-        let k = self.load_class(ARRAY_LIST)?;
-        let list = self.alloc_instance(k)?;
+        let list = self.alloc_instance(c.list)?;
         let data = self.temp_root(t);
         self.pop_temp_root();
-        self.set_ref(list, "elementData", data)?;
-        self.set_int(list, "size", 0)?;
+        self.set_ref_field(list, c.data, data)?;
+        self.set_int_field(list, c.size, 0)?;
         Ok(list)
     }
 
-    /// Appends `elem`, growing the backing array if needed. Returns the
-    /// (possibly unchanged) list address; note a GC during growth may move
-    /// objects, so callers must hold the list in a handle or temp root.
+    /// Appends `elem`, growing the backing array if needed. A GC during
+    /// growth may move objects, so callers must hold the list in a handle
+    /// or temp root.
     ///
     /// # Errors
     /// Allocation errors.
     pub fn list_push(&mut self, list: Addr, elem: Addr) -> Result<()> {
-        let size = self.get_int(list, "size")? as u64;
-        let data = self.get_ref(list, "elementData")?;
-        let cap = self.array_len(data)?;
-        if size == cap {
-            let tl = self.push_temp_root(list);
-            let te = self.push_temp_root(elem);
-            let td = self.push_temp_root(data);
-            let arr_k = self.load_class("[Ljava.lang.Object;")?;
-            let bigger = self.alloc_array(arr_k, cap * 2)?;
-            let data = self.temp_root(td);
-            for i in 0..size {
-                let v = self.array_get_ref(data, i)?;
-                self.array_set_ref(bigger, i, v)?;
-            }
-            let list2 = self.temp_root(tl);
-            let elem2 = self.temp_root(te);
-            self.pop_temp_root();
-            self.pop_temp_root();
-            self.pop_temp_root();
-            self.set_ref(list2, "elementData", bigger)?;
-            self.array_set_ref(bigger, size, elem2)?;
-            self.set_int(list2, "size", (size + 1) as i32)?;
-            return Ok(());
+        self.list_extend(list, &[elem])
+    }
+
+    /// Appends every element of `elems` in order, growing the backing array
+    /// at most once. `list` and `elems` stay rooted across a collection the
+    /// growth triggers; as with [`Vm::list_push`], callers hold the list in
+    /// a handle or temp root to find it afterwards.
+    ///
+    /// # Errors
+    /// Allocation errors.
+    pub fn list_extend(&mut self, list: Addr, elems: &[Addr]) -> Result<()> {
+        let c = self.lists()?;
+        let size = self.int_field(list, c.size)? as u64;
+        let data = self.ref_field(list, c.data)?;
+        let (_, cap) = self.array_body(data, c.objects)?;
+        let need = size + elems.len() as u64;
+        if need <= cap {
+            self.store_elems(data, size, elems)?;
+            return self.set_int_field(list, c.size, need as i32);
         }
-        self.array_set_ref(data, size, elem)?;
-        self.set_int(list, "size", (size + 1) as i32)?;
+        // Root the list, its array and the new elements in one block of
+        // temp roots; a collection in the allocation updates them.
+        let base = self.temp_roots.len();
+        self.temp_roots.extend_from_slice(&[list, data]);
+        self.temp_roots.extend_from_slice(elems);
+        let grown = self.alloc_array(c.objects, (cap * 2).max(need));
+        let rooted = self.temp_roots.split_off(base);
+        let (bigger, list, data) = (grown?, rooted[0], rooted[1]);
+        let header = self.spec().array_header();
+        self.heap.arena().copy_within(data.0 + header, bigger.0 + header, size as usize * 8)?;
+        if size > 0 && self.heap.in_old(bigger) {
+            self.heap.dirty_card(bigger);
+        }
+        self.store_elems(bigger, size, &rooted[2..])?;
+        self.set_ref_field(list, c.data, bigger)?;
+        self.set_int_field(list, c.size, need as i32)
+    }
+
+    /// Stores `elems` into the object array `data` from index `from`, which
+    /// the caller keeps inside its length, with one write barrier.
+    fn store_elems(&mut self, data: Addr, from: u64, elems: &[Addr]) -> Result<()> {
+        let at = data.0 + self.spec().array_header() + from * 8;
+        for (i, e) in (0u64..).zip(elems) {
+            self.heap.arena().store_word(at + i * 8, e.0)?;
+        }
+        if !elems.is_empty() && self.heap.in_old(data) {
+            self.heap.dirty_card(data);
+        }
         Ok(())
     }
 
@@ -235,7 +324,7 @@ impl Vm {
     /// # Errors
     /// Field errors.
     pub fn list_len(&self, list: Addr) -> Result<u64> {
-        Ok(self.get_int(list, "size")? as u64)
+        Ok(self.int_field(list, self.lists()?.size)? as u64)
     }
 
     /// Element at `idx`.
@@ -243,12 +332,31 @@ impl Vm {
     /// # Errors
     /// [`Error::IndexOutOfBounds`].
     pub fn list_get(&self, list: Addr, idx: u64) -> Result<Addr> {
-        let size = self.list_len(list)?;
+        let c = self.lists()?;
+        let size = self.int_field(list, c.size)? as u64;
         if idx >= size {
             return Err(Error::IndexOutOfBounds { index: idx, len: size });
         }
-        let data = self.get_ref(list, "elementData")?;
+        let data = self.ref_field(list, c.data)?;
         self.array_get_ref(data, idx)
+    }
+
+    /// Every element of the list, in order, read from the backing array in
+    /// one checked range read — what a `list_get` loop returns.
+    ///
+    /// # Errors
+    /// Field errors; [`Error::IndexOutOfBounds`] when the size field
+    /// exceeds the backing array.
+    pub fn list_elements(&self, list: Addr) -> Result<Vec<Addr>> {
+        let c = self.lists()?;
+        let size = self.int_field(list, c.size)? as u64;
+        let (at, cap) = self.array_body(self.ref_field(list, c.data)?, c.objects)?;
+        if size > cap {
+            return Err(Error::IndexOutOfBounds { index: size, len: cap });
+        }
+        let mut words = vec![0u64; size as usize];
+        self.heap.arena().read_words(at, &mut words)?;
+        Ok(words.into_iter().map(Addr).collect())
     }
 
     // ----- identity-hash HashMap -----------------------------------------
@@ -258,7 +366,7 @@ impl Vm {
     /// # Errors
     /// Allocation errors.
     pub fn new_hash_map(&mut self, buckets: u64) -> Result<Addr> {
-        let arr_k = self.load_class("[Ljava.lang.Object;")?;
+        let arr_k = self.load_class(OBJECT_ARRAY)?;
         let table = self.alloc_array(arr_k, buckets.max(4))?;
         let t = self.push_temp_root(table);
         let k = self.load_class(HASH_MAP)?;

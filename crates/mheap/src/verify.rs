@@ -151,98 +151,102 @@ impl Vm {
     /// so tests can assert on them.
     pub fn verify_heap(&self) -> Result<Vec<HeapFault>> {
         let mut faults = Vec::new();
-        // First pass: collect every valid object start. A space whose walk
-        // stops early has a klass word nothing can size the object behind;
-        // that object is reported and the rest of its space skipped.
-        let mut starts: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        let mut objs: Vec<Addr> = Vec::new();
-        let mut scan = |faults: &mut Vec<HeapFault>, start: u64, end: u64| -> Result<()> {
+        let (eden, from, _, old) = self.heap().spaces();
+        let segs = self.heap().attached_segments();
+        // Every range a walk parses: the allocated spaces, then each
+        // attached segment (so references into it resolve to headers).
+        let ranges: Vec<(u64, u64)> = [eden, from, old]
+            .iter()
+            .map(|s| (s.start, s.top))
+            .chain(segs.iter().map(|seg| (seg.base(), seg.base() + seg.len())))
+            .collect();
+        // First pass: mark every valid object start, in one bitmap per
+        // range. A range whose walk stops early has a klass word nothing can
+        // size the object behind; that object is reported and the rest of
+        // its range skipped.
+        let mut starts: Vec<StartBits> =
+            ranges.iter().map(|&(lo, hi)| StartBits::new(lo, hi)).collect();
+        for (bits, &(start, end)) in starts.iter_mut().zip(&ranges) {
             let stopped = self.walk_parsed(start, end, |_, a, _| {
-                starts.insert(a.0);
-                objs.push(a);
+                bits.set(a.0);
                 Ok(())
             })?;
             if let Some((at, _)) = stopped {
                 let kw = self.heap().arena().load_word(at + self.spec().klass_off())?;
                 faults.push(HeapFault::BadKlassWord { obj: at, word: kw });
             }
-            Ok(())
-        };
-        let (eden, from, _, old) = self.heap().spaces();
-        for space in [eden, from, old] {
-            scan(&mut faults, space.start, space.top)?;
         }
-        // Attached segments: walk each linearly so references into them
-        // resolve to valid headers, and check the first sharing invariant
-        // (immutability) against the seal-time checksum. The second
-        // invariant (self-containment) is checked per reference below.
-        for seg in self.heap().attached_segments() {
+        // Each attached segment's first sharing invariant (immutability),
+        // against the seal-time checksum. The second (self-containment) is
+        // checked per reference below.
+        for seg in segs {
             if !seg.verify_checksum() {
                 faults.push(HeapFault::TamperedSegment { base: seg.base() });
             }
-            scan(&mut faults, seg.base(), seg.base() + seg.len())?;
         }
-        // Second pass: check marks and references.
-        for &obj in &objs {
-            let m = self.heap().arena().load_word(obj.0)?;
-            if mark::is_forwarded(m) {
-                faults.push(HeapFault::StrayForwarding { obj: obj.0 });
-                continue;
-            }
-            let home_seg = self.heap().segment_for(obj);
-            let mut young_target: Option<Addr> = None;
-            let lay = self.layout_of(obj)?;
-            for off in lay.slots {
-                let tgt = self.read_ref_at(obj, off)?;
-                if tgt.is_null() {
-                    continue;
-                }
-                if self.heap().gen_of(tgt).is_err() {
-                    faults.push(HeapFault::DanglingRef { obj: obj.0, offset: off, target: tgt.0 });
-                } else if let Some(seg) = home_seg {
-                    // Self-containment: a segment-resident reference must
-                    // stay inside its own sealed segment.
-                    if !seg.contains(tgt) {
-                        faults.push(HeapFault::SegmentEscapingRef {
-                            obj: obj.0,
-                            offset: off,
-                            target: tgt.0,
-                        });
-                    } else if !starts.contains(&tgt.0) {
-                        faults.push(HeapFault::MisalignedRef {
-                            obj: obj.0,
-                            offset: off,
-                            target: tgt.0,
-                        });
-                    }
-                } else if !starts.contains(&tgt.0) {
-                    faults.push(HeapFault::MisalignedRef {
-                        obj: obj.0,
-                        offset: off,
-                        target: tgt.0,
-                    });
-                } else if young_target.is_none() && self.heap().in_young(tgt) {
-                    young_target = Some(tgt);
-                }
-            }
-            // Card-table consistency: an old-gen object with a young-gen
-            // reference must overlap at least one dirty card, or the next
-            // minor GC will miss it. Same overlap predicate the minor-GC
-            // card scan uses.
-            if let Some(tgt) = young_target {
-                if self.heap().in_old(obj) && !self.heap().overlaps_dirty_card(obj, lay.size) {
-                    faults.push(HeapFault::StaleCard { obj: obj.0, target: tgt.0 });
-                }
-            }
+        // Second pass, over the same walks: check marks and references.
+        for &(start, end) in &ranges {
+            self.walk_parsed(start, end, |_, obj, _| {
+                self.verify_object(obj, &starts, &mut faults)
+            })?;
         }
         // The object-start record: a minor GC parses from each record.
         for at in self.heap().object_starts() {
             let filler = at < old.top && self.heap().arena().load_word(at)? == FILLER_WORD;
-            if !filler && !starts.contains(&at) {
+            if !filler && !is_start(&starts, at) {
                 faults.push(HeapFault::BadObjectStart { at });
             }
         }
         Ok(faults)
+    }
+
+    /// The second pass of [`Vm::verify_heap`] over one object: its mark
+    /// word, each reference against `starts`, and its card.
+    fn verify_object(
+        &self,
+        obj: Addr,
+        starts: &[StartBits],
+        faults: &mut Vec<HeapFault>,
+    ) -> Result<()> {
+        let m = self.heap().arena().load_word(obj.0)?;
+        if mark::is_forwarded(m) {
+            faults.push(HeapFault::StrayForwarding { obj: obj.0 });
+            return Ok(());
+        }
+        let home_seg = self.heap().segment_for(obj);
+        let mut young_target: Option<Addr> = None;
+        let lay = self.layout_of(obj)?;
+        for off in lay.slots {
+            let tgt = self.read_ref_at(obj, off)?;
+            if tgt.is_null() {
+                continue;
+            }
+            if self.heap().gen_of(tgt).is_err() {
+                faults.push(HeapFault::DanglingRef { obj: obj.0, offset: off, target: tgt.0 });
+            } else if home_seg.is_some_and(|seg| !seg.contains(tgt)) {
+                // Self-containment: a segment-resident reference must stay
+                // inside its own sealed segment.
+                faults.push(HeapFault::SegmentEscapingRef {
+                    obj: obj.0,
+                    offset: off,
+                    target: tgt.0,
+                });
+            } else if !is_start(starts, tgt.0) {
+                faults.push(HeapFault::MisalignedRef { obj: obj.0, offset: off, target: tgt.0 });
+            } else if home_seg.is_none() && young_target.is_none() && self.heap().in_young(tgt) {
+                young_target = Some(tgt);
+            }
+        }
+        // Card-table consistency: an old-gen object with a young-gen
+        // reference must overlap at least one dirty card, or the next minor
+        // GC will miss it. Same overlap predicate the minor-GC card scan
+        // uses.
+        if let Some(tgt) = young_target {
+            if self.heap().in_old(obj) && !self.heap().overlaps_dirty_card(obj, lay.size) {
+                faults.push(HeapFault::StaleCard { obj: obj.0, target: tgt.0 });
+            }
+        }
+        Ok(())
     }
 
     /// `jmap -histo` analogue: per-class instance counts and byte totals
@@ -292,6 +296,40 @@ impl Vm {
         })?;
         Ok((young, old))
     }
+}
+
+/// One bit per heap word of `[lo, hi)`: the object starts a walk met.
+struct StartBits {
+    lo: u64,
+    hi: u64,
+    bits: Vec<u64>,
+}
+
+impl StartBits {
+    fn new(lo: u64, hi: u64) -> Self {
+        StartBits { lo, hi, bits: vec![0; (hi.saturating_sub(lo) / 8).div_ceil(64) as usize] }
+    }
+
+    fn covers(&self, at: u64) -> bool {
+        (self.lo..self.hi).contains(&at)
+    }
+
+    /// Records a start the caller's walk found inside `[lo, hi)`.
+    fn set(&mut self, at: u64) {
+        let w = (at - self.lo) / 8;
+        self.bits[(w / 64) as usize] |= 1 << (w % 64);
+    }
+
+    fn get(&self, at: u64) -> bool {
+        let w = (at - self.lo) / 8;
+        at.is_multiple_of(8) && self.bits[(w / 64) as usize] >> (w % 64) & 1 != 0
+    }
+}
+
+/// True if a walk met an object start at `at`: `starts` holds one bitmap
+/// per walked range.
+fn is_start(starts: &[StartBits], at: u64) -> bool {
+    starts.iter().find(|s| s.covers(at)).is_some_and(|s| s.get(at))
 }
 
 /// Convenience: asserts a well-formed heap, panicking with the fault list

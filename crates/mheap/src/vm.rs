@@ -5,12 +5,13 @@
 //! allocation and field access go through it; collections are triggered
 //! automatically when an allocation fails.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::heap::{Gen, Heap, HeapConfig, FILLER_WORD};
 use crate::klass::{ClassPath, Klass, KlassId, KlassKind, KlassTable};
 use crate::layout::{align8, mark, Addr, LayoutSpec};
 use crate::segment::Segment;
+use crate::stdlib::{ListClasses, StringClasses};
 use crate::{Error, Result};
 
 /// A stable GC root: the handle table is updated when objects move.
@@ -105,6 +106,10 @@ pub struct Vm {
     /// (the Yak/Broom diagnostic). Left in place after a transfer
     /// finishes: a later pause is still that transfer's garbage.
     pub(crate) trace_ctx: obs::TraceCtxCell,
+    /// The core library's string classes, resolved on first use.
+    pub(crate) strings: OnceLock<StringClasses>,
+    /// The core library's list classes, resolved on first use.
+    pub(crate) lists: OnceLock<ListClasses>,
 }
 
 impl std::fmt::Debug for Vm {
@@ -139,6 +144,8 @@ impl Vm {
             stats: VmStats::default(),
             metrics: Arc::clone(obs::global()),
             trace_ctx: obs::TraceCtxCell::default(),
+            strings: OnceLock::new(),
+            lists: OnceLock::new(),
         })
     }
 
@@ -386,10 +393,15 @@ impl Vm {
     /// # }
     /// ```
     ///
+    /// A klass id this VM has not loaded yet names a class another VM on
+    /// the classpath loaded first: it is loaded here by number, as
+    /// [`Vm::klass_of`] does.
+    ///
     /// # Errors
-    /// [`Error::OutOfMemory`] when even a full GC cannot free enough space.
+    /// [`Error::OutOfMemory`] when even a full GC cannot free enough space;
+    /// as [`Vm::load_numbered`] for a klass id this VM has not loaded.
     pub fn alloc_instance(&mut self, klass: KlassId) -> Result<Addr> {
-        let k = self.klasses.get(klass)?;
+        let k = self.klasses.get(klass).or_else(|_| self.load_numbered(klass))?;
         if k.is_array() {
             return Err(Error::NotAnInstanceKlass(k.name.clone()));
         }
@@ -403,11 +415,14 @@ impl Vm {
 
     /// Allocates an array of `len` elements with zeroed contents.
     ///
+    /// Loads `klass` by number if this VM has not loaded it yet, as
+    /// [`Vm::alloc_instance`] does.
+    ///
     /// # Errors
     /// [`Error::OutOfMemory`]; [`Error::NotAnArray`] if `klass` is an
     /// instance klass.
     pub fn alloc_array(&mut self, klass: KlassId, len: u64) -> Result<Addr> {
-        let k = self.klasses.get(klass)?;
+        let k = self.klasses.get(klass).or_else(|_| self.load_numbered(klass))?;
         if !k.is_array() {
             return Err(Error::NotAnArray(k.name.clone()));
         }

@@ -150,3 +150,60 @@ fn vm_new_requests_no_per_card_memory_beyond_the_card_table() {
          (budget: {VM_NEW_BYTES})"
     );
 }
+
+#[test]
+fn handle_access_allocates_nothing_and_strings_a_constant() {
+    let cp = ClassPath::new();
+    define_core_classes(&cp);
+    cp.define(KlassDef::new(
+        "Rec",
+        None,
+        vec![
+            ("n", FieldType::Prim(PrimType::Long)),
+            ("x", FieldType::Prim(PrimType::Double)),
+            ("i", FieldType::Prim(PrimType::Int)),
+            ("r", FieldType::Ref),
+        ],
+    ));
+    let mut vm = Vm::new("census", &HeapConfig::default(), cp).unwrap();
+    let k = vm.load_class("Rec").unwrap();
+    let [n, x, i, r] = ["n", "x", "i", "r"].map(|f| vm.field_handle(k, f).unwrap());
+    let recs: Vec<Addr> = (0..N).map(|_| vm.alloc_instance(k).unwrap()).collect();
+
+    let ((), writes) = allocs_during(|| {
+        for (v, &o) in recs.iter().enumerate() {
+            vm.set_long_field(o, n, v as i64).unwrap();
+            vm.set_double_field(o, x, v as f64).unwrap();
+            vm.set_int_field(o, i, v as i32).unwrap();
+            vm.set_ref_field(o, r, o).unwrap();
+        }
+    });
+    assert_eq!(writes, 0, "N x handle writes allocated");
+    let ((), reads) = allocs_during(|| {
+        for (v, &o) in recs.iter().enumerate() {
+            assert_eq!(vm.long_field(o, n).unwrap(), v as i64);
+            assert_eq!(vm.double_field(o, x).unwrap(), v as f64);
+            assert_eq!(vm.int_field(o, i).unwrap(), v as i32);
+            assert_eq!(vm.ref_field(o, r).unwrap(), o);
+        }
+    });
+    assert_eq!(reads, 0, "N x handle reads allocated");
+
+    // One string first, so class loading and the temp-root stack's first
+    // growth are not counted; then the same count at every length.
+    vm.new_string("warm").unwrap();
+    let mut counts = Vec::new();
+    for len in [1, 7, 64, 1000, 20_000] {
+        let text: String = "wörd✓".chars().cycle().take(len).collect();
+        let (s, made) = allocs_during(|| vm.new_string(&text).unwrap());
+        let (back, read) = allocs_during(|| vm.read_string(s).unwrap());
+        assert_eq!(back, text);
+        counts.push((len, made, read));
+    }
+    let (_, made, read) = counts[0];
+    assert!(
+        counts.iter().all(|&(_, m, r)| (m, r) == (made, read)),
+        "new_string / read_string allocations per length: {counts:?}"
+    );
+    assert!(made <= 1 && read <= 2, "{counts:?}");
+}

@@ -13,11 +13,11 @@
 //! * `kryo-opt` — reference tracking off (trees only), varint integers;
 //! * `kryo-flat` — reference tracking off, fixed-width integers.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use mheap::{Addr, FieldType, KlassKind, PrimType, Vm};
-use parking_lot::Mutex;
+use mheap::{Addr, FieldType, Klass, KlassKind, KlassSlots, LayoutSpec, PrimType, Vm};
 use simnet::Profile;
 
 use crate::framework::{
@@ -115,9 +115,25 @@ pub struct KryoSerializer {
     references: bool,
     varint_ints: bool,
     name: String,
-    /// Compiled per-class field plans, keyed by the klass's process-wide
-    /// unique id — Kryo's "generated" serializer code.
-    plan_cache: Mutex<HashMap<u64, Arc<Vec<FieldPlan>>>>,
+    /// Compiled per-class field plans indexed by klass id — Kryo's
+    /// "generated" serializer code, found the way real Kryo finds a
+    /// registered serializer: by number, with no lock and no hash.
+    plans: KlassSlots<KlassPlan>,
+}
+
+/// The compiled plan of one class — its registration id, if registered
+/// when first seen, and its field plans — with the classpath and object
+/// format it was compiled for. Klass ids agree across the VMs of one
+/// classpath and field offsets across the VMs of one format, so one table
+/// serves every VM that shares both, the two ends of a shuffle included;
+/// a VM of another classpath may number another class the same, and one of
+/// another format lays the class out elsewhere, which the two tell apart.
+#[derive(Debug, Clone)]
+struct KlassPlan {
+    classpath: u64,
+    spec: LayoutSpec,
+    tid: Option<u32>,
+    fields: Vec<FieldPlan>,
 }
 
 impl KryoSerializer {
@@ -128,7 +144,7 @@ impl KryoSerializer {
             references: true,
             varint_ints: true,
             name: "kryo-manual".into(),
-            plan_cache: Mutex::new(HashMap::new()),
+            plans: KlassSlots::new(),
         }
     }
 
@@ -139,7 +155,7 @@ impl KryoSerializer {
             references: false,
             varint_ints: true,
             name: "kryo-opt".into(),
-            plan_cache: Mutex::new(HashMap::new()),
+            plans: KlassSlots::new(),
         }
     }
 
@@ -150,18 +166,28 @@ impl KryoSerializer {
             references: false,
             varint_ints: false,
             name: "kryo-flat".into(),
-            plan_cache: Mutex::new(HashMap::new()),
+            plans: KlassSlots::new(),
         }
     }
 
-    fn plan(&self, k: &Arc<mheap::Klass>) -> Result<Arc<Vec<FieldPlan>>> {
-        let key = k.uid;
-        if let Some(p) = self.plan_cache.lock().get(&key) {
-            return Ok(Arc::clone(p));
+    /// The compiled plan of `vm`'s class `k`: one indexed read once the
+    /// class has been seen on a VM of `vm`'s classpath and format. A class
+    /// the first such VM's table entry does not match — another classpath
+    /// or format — gets its plan compiled per call.
+    fn plan(&self, vm: &Vm, k: &Klass) -> Cow<'_, KlassPlan> {
+        let (classpath, spec) = (vm.classpath().id(), vm.spec());
+        let compile = || KlassPlan {
+            classpath,
+            spec,
+            tid: self.registry.id_of(&k.name).ok(),
+            fields: field_plans(k),
+        };
+        let cached = self.plans.get_or_init(k.id, compile);
+        if cached.classpath == classpath && cached.spec == spec {
+            Cow::Borrowed(cached)
+        } else {
+            Cow::Owned(compile())
         }
-        let p = Arc::new(field_plans(k));
-        self.plan_cache.lock().insert(key, Arc::clone(&p));
-        Ok(p)
     }
 
     fn write_prim(&self, w: &mut ByteWriter, p: PrimType, bits: u64) {
@@ -214,7 +240,13 @@ impl KryoSerializer {
         profile.ser_invocations += 1;
         profile.objects_transferred += 1;
         let k = vm.klass_of(obj).map_err(Error::Heap)?;
-        let tid = self.registry.id_of(&k.name)?;
+        let plan = self.plan(vm, k);
+        // A class registered after its plan was compiled is looked up by
+        // name (and an unregistered one fails there).
+        let tid = match plan.tid {
+            Some(tid) => tid,
+            None => self.registry.id_of(&k.name)?,
+        };
         w.u8(K_OBJ);
         w.varint(u64::from(tid));
         if self.references {
@@ -224,8 +256,7 @@ impl KryoSerializer {
         match k.kind {
             KlassKind::Instance => {
                 // "Generated" serializer: compiled plan, direct offsets.
-                let plan = self.plan(k)?;
-                for f in plan.iter() {
+                for f in &plan.fields {
                     match f.ty {
                         FieldType::Prim(p) => {
                             let bits =
@@ -296,8 +327,8 @@ impl KryoSerializer {
                         if self.references {
                             seen.push(id);
                         }
-                        let plan = self.plan(&k)?;
-                        for f in plan.iter() {
+                        let plan = self.plan(vm, &k);
+                        for f in &plan.fields {
                             match f.ty {
                                 FieldType::Prim(p) => {
                                     let bits = self.read_prim(r, p)?;
@@ -394,5 +425,46 @@ impl Serializer for KryoSerializer {
 
     fn preserves_sharing(&self) -> bool {
         self.references
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mheap::{ClassPath, HeapConfig, KlassDef};
+
+    fn classpath() -> Arc<ClassPath> {
+        let cp = ClassPath::new();
+        cp.define(KlassDef::new("P", None, vec![("x", FieldType::Prim(PrimType::Long))]));
+        cp
+    }
+
+    fn vm(cp: &Arc<ClassPath>, spec: LayoutSpec) -> Vm {
+        Vm::new("v", &HeapConfig { spec, ..HeapConfig::small() }, Arc::clone(cp)).unwrap()
+    }
+
+    fn p(vm: &Vm) -> Arc<Klass> {
+        Arc::clone(vm.klasses().get(vm.load_class("P").unwrap()).unwrap())
+    }
+
+    #[test]
+    fn one_plan_serves_every_vm_of_a_classpath_and_format() {
+        let registry = Arc::new(KryoRegistry::new());
+        registry.register("P").unwrap();
+        let kryo = KryoSerializer::manual(registry);
+        let cp = classpath();
+        let (a, b) = (vm(&cp, LayoutSpec::SKYWAY), vm(&cp, LayoutSpec::SKYWAY));
+        let cached = kryo.plan(&a, &p(&a));
+        assert!(matches!(cached, Cow::Borrowed(_)));
+        // A second VM of the classpath and format reuses the table entry.
+        assert!(matches!(kryo.plan(&b, &p(&b)), Cow::Borrowed(_)));
+        // Another format numbers P the same but lays it out 8 bytes
+        // earlier; another classpath is told apart as well.
+        let compact = vm(&cp, LayoutSpec::COMPACT);
+        let plan = kryo.plan(&compact, &p(&compact));
+        assert!(matches!(plan, Cow::Owned(_)));
+        assert_eq!(plan.fields[0].offset + 8, cached.fields[0].offset);
+        let other = vm(&classpath(), LayoutSpec::SKYWAY);
+        assert!(matches!(kryo.plan(&other, &p(&other)), Cow::Owned(_)));
     }
 }

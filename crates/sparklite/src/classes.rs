@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use mheap::stdlib::define_core_classes;
-use mheap::{Addr, ClassPath, FieldType, KlassDef, PrimType, Vm};
+use mheap::{Addr, ClassPath, FieldHandle, FieldType, KlassDef, KlassId, PrimType, Vm};
 
 use crate::{Error, Result};
 
@@ -120,182 +120,247 @@ pub fn spark_class_names() -> Vec<&'static str> {
     ]
 }
 
-/// Allocates an edge record.
+/// A record class of two fields, resolved once: its klass id and a handle
+/// per field.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    klass: KlassId,
+    a: FieldHandle,
+    b: FieldHandle,
+}
+
+impl Record {
+    fn resolve(vm: &Vm, class: &str, a: &str, b: &str) -> Result<Self> {
+        Record::of(vm, vm.load_class(class).map_err(Error::Heap)?, a, b)
+    }
+
+    fn of(vm: &Vm, klass: KlassId, a: &str, b: &str) -> Result<Self> {
+        let field = |name| vm.field_handle(klass, name).map_err(Error::Heap);
+        Ok(Record { klass, a: field(a)?, b: field(b)? })
+    }
+
+    fn new_longs(self, vm: &mut Vm, a: i64, b: i64) -> Result<Addr> {
+        let r = vm.alloc_instance(self.klass).map_err(Error::Heap)?;
+        vm.set_long_field(r, self.a, a).map_err(Error::Heap)?;
+        vm.set_long_field(r, self.b, b).map_err(Error::Heap)?;
+        Ok(r)
+    }
+
+    fn read_longs(self, vm: &Vm, r: Addr) -> Result<(i64, i64)> {
+        let a = vm.long_field(r, self.a).map_err(Error::Heap)?;
+        Ok((a, vm.long_field(r, self.b).map_err(Error::Heap)?))
+    }
+
+    fn new_long_double(self, vm: &mut Vm, a: i64, b: f64) -> Result<Addr> {
+        let r = vm.alloc_instance(self.klass).map_err(Error::Heap)?;
+        vm.set_long_field(r, self.a, a).map_err(Error::Heap)?;
+        vm.set_double_field(r, self.b, b).map_err(Error::Heap)?;
+        Ok(r)
+    }
+
+    fn read_long_double(self, vm: &Vm, r: Addr) -> Result<(i64, f64)> {
+        let a = vm.long_field(r, self.a).map_err(Error::Heap)?;
+        Ok((a, vm.double_field(r, self.b).map_err(Error::Heap)?))
+    }
+}
+
+/// Every workload record class with its fields resolved once — the
+/// compiled access path of a job. Klass ids agree across the VMs of a
+/// classpath and field offsets across the VMs of an object format, so one
+/// resolution, on any VM of a cluster (whose VMs share both), serves every
+/// worker: a job resolves this once and captures it in its closures.
+///
+/// The free [`new_edge`] and [`read_edge`] resolve the edge class per
+/// call; they remain only for the standalone transfer rig in `skybench`,
+/// which builds its edges outside any job.
+#[derive(Debug, Clone, Copy)]
+pub struct SparkClasses {
+    edge: Record,
+    adj: Record,
+    rank: Record,
+    contrib: Record,
+    label: Record,
+    query: Record,
+    word_count: Record,
+    long_array: KlassId,
+}
+
+impl SparkClasses {
+    /// Resolves every record class and field on `vm`.
+    ///
+    /// # Errors
+    /// Class-loading / field errors (the classes come from
+    /// [`define_spark_classes`]).
+    pub fn resolve(vm: &Vm) -> Result<Self> {
+        Ok(SparkClasses {
+            edge: Record::resolve(vm, EDGE, "src", "dst")?,
+            adj: Record::resolve(vm, ADJ, "node", "neighbors")?,
+            rank: Record::resolve(vm, RANK, "node", "rank")?,
+            contrib: Record::resolve(vm, CONTRIB, "node", "value")?,
+            label: Record::resolve(vm, LABEL, "node", "label")?,
+            query: Record::resolve(vm, QUERY, "a", "b")?,
+            word_count: Record::resolve(vm, WORD_COUNT, "word", "count")?,
+            long_array: vm.load_class("[J").map_err(Error::Heap)?,
+        })
+    }
+
+    /// Allocates an edge record.
+    ///
+    /// # Errors
+    /// Allocation errors.
+    pub fn new_edge(&self, vm: &mut Vm, src: i64, dst: i64) -> Result<Addr> {
+        self.edge.new_longs(vm, src, dst)
+    }
+
+    /// Reads an edge record.
+    ///
+    /// # Errors
+    /// Field errors.
+    pub fn read_edge(&self, vm: &Vm, e: Addr) -> Result<(i64, i64)> {
+        self.edge.read_longs(vm, e)
+    }
+
+    /// Allocates an adjacency record with a long[] of neighbors.
+    ///
+    /// # Errors
+    /// Allocation errors.
+    pub fn new_adj(&self, vm: &mut Vm, node: i64, neighbors: &[i64]) -> Result<Addr> {
+        let arr = vm.alloc_array(self.long_array, neighbors.len() as u64).map_err(Error::Heap)?;
+        for (i, &n) in neighbors.iter().enumerate() {
+            vm.array_set_raw(arr, i as u64, n as u64).map_err(Error::Heap)?;
+        }
+        let t = vm.push_temp_root(arr);
+        let r = vm.alloc_instance(self.adj.klass).map_err(Error::Heap)?;
+        let arr = vm.temp_root(t);
+        vm.pop_temp_root();
+        vm.set_long_field(r, self.adj.a, node).map_err(Error::Heap)?;
+        vm.set_ref_field(r, self.adj.b, arr).map_err(Error::Heap)?;
+        Ok(r)
+    }
+
+    /// Reads an adjacency record.
+    ///
+    /// # Errors
+    /// Field errors.
+    pub fn read_adj(&self, vm: &Vm, r: Addr) -> Result<(i64, Vec<i64>)> {
+        let node = vm.long_field(r, self.adj.a).map_err(Error::Heap)?;
+        let arr = vm.ref_field(r, self.adj.b).map_err(Error::Heap)?;
+        let len = vm.array_len(arr).map_err(Error::Heap)?;
+        let mut out = Vec::with_capacity(len as usize);
+        for i in 0..len {
+            out.push(vm.array_get_raw(arr, i).map_err(Error::Heap)? as i64);
+        }
+        Ok((node, out))
+    }
+
+    /// Allocates a rank record.
+    ///
+    /// # Errors
+    /// Allocation errors.
+    pub fn new_rank(&self, vm: &mut Vm, node: i64, rank: f64) -> Result<Addr> {
+        self.rank.new_long_double(vm, node, rank)
+    }
+
+    /// Reads a rank record.
+    ///
+    /// # Errors
+    /// Field errors.
+    pub fn read_rank(&self, vm: &Vm, r: Addr) -> Result<(i64, f64)> {
+        self.rank.read_long_double(vm, r)
+    }
+
+    /// Allocates a contribution message.
+    ///
+    /// # Errors
+    /// Allocation errors.
+    pub fn new_contrib(&self, vm: &mut Vm, node: i64, value: f64) -> Result<Addr> {
+        self.contrib.new_long_double(vm, node, value)
+    }
+
+    /// Reads a contribution message.
+    ///
+    /// # Errors
+    /// Field errors.
+    pub fn read_contrib(&self, vm: &Vm, r: Addr) -> Result<(i64, f64)> {
+        self.contrib.read_long_double(vm, r)
+    }
+
+    /// Allocates a label record/message.
+    ///
+    /// # Errors
+    /// Allocation errors.
+    pub fn new_label(&self, vm: &mut Vm, node: i64, label: i64) -> Result<Addr> {
+        self.label.new_longs(vm, node, label)
+    }
+
+    /// Reads a label record.
+    ///
+    /// # Errors
+    /// Field errors.
+    pub fn read_label(&self, vm: &Vm, r: Addr) -> Result<(i64, i64)> {
+        self.label.read_longs(vm, r)
+    }
+
+    /// Allocates a triangle query message.
+    ///
+    /// # Errors
+    /// Allocation errors.
+    pub fn new_query(&self, vm: &mut Vm, a: i64, b: i64) -> Result<Addr> {
+        self.query.new_longs(vm, a, b)
+    }
+
+    /// Reads a triangle query message.
+    ///
+    /// # Errors
+    /// Field errors.
+    pub fn read_query(&self, vm: &Vm, r: Addr) -> Result<(i64, i64)> {
+        self.query.read_longs(vm, r)
+    }
+
+    /// Allocates a word-count record (GC-safe: the string is temp-rooted
+    /// while the record is allocated).
+    ///
+    /// # Errors
+    /// Allocation errors.
+    pub fn new_word_count(&self, vm: &mut Vm, word: &str, count: i32) -> Result<Addr> {
+        let s = vm.new_string(word).map_err(Error::Heap)?;
+        let t = vm.push_temp_root(s);
+        let r = vm.alloc_instance(self.word_count.klass).map_err(Error::Heap)?;
+        let s = vm.temp_root(t);
+        vm.pop_temp_root();
+        vm.set_ref_field(r, self.word_count.a, s).map_err(Error::Heap)?;
+        vm.set_int_field(r, self.word_count.b, count).map_err(Error::Heap)?;
+        Ok(r)
+    }
+
+    /// Reads a word-count record.
+    ///
+    /// # Errors
+    /// Field errors.
+    pub fn read_word_count(&self, vm: &Vm, r: Addr) -> Result<(String, i32)> {
+        let s = vm.ref_field(r, self.word_count.a).map_err(Error::Heap)?;
+        let word = vm.read_string(s).map_err(Error::Heap)?;
+        Ok((word, vm.int_field(r, self.word_count.b).map_err(Error::Heap)?))
+    }
+}
+
+/// Allocates an edge record, resolving the edge class per call (see
+/// [`SparkClasses`]; a job uses [`SparkClasses::new_edge`]).
 ///
 /// # Errors
 /// Allocation errors.
 pub fn new_edge(vm: &mut Vm, src: i64, dst: i64) -> Result<Addr> {
-    let k = vm.load_class(EDGE).map_err(Error::Heap)?;
-    let e = vm.alloc_instance(k).map_err(Error::Heap)?;
-    vm.set_long(e, "src", src).map_err(Error::Heap)?;
-    vm.set_long(e, "dst", dst).map_err(Error::Heap)?;
-    Ok(e)
+    Record::resolve(vm, EDGE, "src", "dst")?.new_longs(vm, src, dst)
 }
 
-/// Reads an edge record.
+/// Reads an edge record, resolving the fields on the record's own class
+/// per call (see [`SparkClasses`]; a job uses [`SparkClasses::read_edge`]).
 ///
 /// # Errors
 /// Field errors.
 pub fn read_edge(vm: &Vm, e: Addr) -> Result<(i64, i64)> {
-    Ok((vm.get_long(e, "src").map_err(Error::Heap)?, vm.get_long(e, "dst").map_err(Error::Heap)?))
-}
-
-/// Allocates an adjacency record with a long[] of neighbors.
-///
-/// # Errors
-/// Allocation errors.
-pub fn new_adj(vm: &mut Vm, node: i64, neighbors: &[i64]) -> Result<Addr> {
-    let arr_k = vm.load_class("[J").map_err(Error::Heap)?;
-    let arr = vm.alloc_array(arr_k, neighbors.len() as u64).map_err(Error::Heap)?;
-    for (i, &n) in neighbors.iter().enumerate() {
-        vm.array_set_raw(arr, i as u64, n as u64).map_err(Error::Heap)?;
-    }
-    let t = vm.push_temp_root(arr);
-    let k = vm.load_class(ADJ).map_err(Error::Heap)?;
-    let adj = vm.alloc_instance(k).map_err(Error::Heap)?;
-    let arr = vm.temp_root(t);
-    vm.pop_temp_root();
-    vm.set_long(adj, "node", node).map_err(Error::Heap)?;
-    vm.set_ref(adj, "neighbors", arr).map_err(Error::Heap)?;
-    Ok(adj)
-}
-
-/// Reads an adjacency record.
-///
-/// # Errors
-/// Field errors.
-pub fn read_adj(vm: &Vm, adj: Addr) -> Result<(i64, Vec<i64>)> {
-    let node = vm.get_long(adj, "node").map_err(Error::Heap)?;
-    let arr = vm.get_ref(adj, "neighbors").map_err(Error::Heap)?;
-    let len = vm.array_len(arr).map_err(Error::Heap)?;
-    let mut out = Vec::with_capacity(len as usize);
-    for i in 0..len {
-        out.push(vm.array_get_raw(arr, i).map_err(Error::Heap)? as i64);
-    }
-    Ok((node, out))
-}
-
-/// Allocates a two-long record of the given class (`RANK`-shaped records).
-fn new_two_long(
-    vm: &mut Vm,
-    class: &str,
-    a_name: &str,
-    a: i64,
-    b_name: &str,
-    b: i64,
-) -> Result<Addr> {
-    let k = vm.load_class(class).map_err(Error::Heap)?;
-    let r = vm.alloc_instance(k).map_err(Error::Heap)?;
-    vm.set_long(r, a_name, a).map_err(Error::Heap)?;
-    vm.set_long(r, b_name, b).map_err(Error::Heap)?;
-    Ok(r)
-}
-
-/// Allocates a rank record.
-///
-/// # Errors
-/// Allocation errors.
-pub fn new_rank(vm: &mut Vm, node: i64, rank: f64) -> Result<Addr> {
-    let k = vm.load_class(RANK).map_err(Error::Heap)?;
-    let r = vm.alloc_instance(k).map_err(Error::Heap)?;
-    vm.set_long(r, "node", node).map_err(Error::Heap)?;
-    vm.set_double(r, "rank", rank).map_err(Error::Heap)?;
-    Ok(r)
-}
-
-/// Reads a rank record.
-///
-/// # Errors
-/// Field errors.
-pub fn read_rank(vm: &Vm, r: Addr) -> Result<(i64, f64)> {
-    Ok((
-        vm.get_long(r, "node").map_err(Error::Heap)?,
-        vm.get_double(r, "rank").map_err(Error::Heap)?,
-    ))
-}
-
-/// Allocates a contribution message.
-///
-/// # Errors
-/// Allocation errors.
-pub fn new_contrib(vm: &mut Vm, node: i64, value: f64) -> Result<Addr> {
-    let k = vm.load_class(CONTRIB).map_err(Error::Heap)?;
-    let r = vm.alloc_instance(k).map_err(Error::Heap)?;
-    vm.set_long(r, "node", node).map_err(Error::Heap)?;
-    vm.set_double(r, "value", value).map_err(Error::Heap)?;
-    Ok(r)
-}
-
-/// Reads a contribution message.
-///
-/// # Errors
-/// Field errors.
-pub fn read_contrib(vm: &Vm, r: Addr) -> Result<(i64, f64)> {
-    Ok((
-        vm.get_long(r, "node").map_err(Error::Heap)?,
-        vm.get_double(r, "value").map_err(Error::Heap)?,
-    ))
-}
-
-/// Allocates a label record/message.
-///
-/// # Errors
-/// Allocation errors.
-pub fn new_label(vm: &mut Vm, node: i64, label: i64) -> Result<Addr> {
-    new_two_long(vm, LABEL, "node", node, "label", label)
-}
-
-/// Reads a label record.
-///
-/// # Errors
-/// Field errors.
-pub fn read_label(vm: &Vm, r: Addr) -> Result<(i64, i64)> {
-    Ok((
-        vm.get_long(r, "node").map_err(Error::Heap)?,
-        vm.get_long(r, "label").map_err(Error::Heap)?,
-    ))
-}
-
-/// Allocates a triangle query message.
-///
-/// # Errors
-/// Allocation errors.
-pub fn new_query(vm: &mut Vm, a: i64, b: i64) -> Result<Addr> {
-    new_two_long(vm, QUERY, "a", a, "b", b)
-}
-
-/// Reads a triangle query message.
-///
-/// # Errors
-/// Field errors.
-pub fn read_query(vm: &Vm, r: Addr) -> Result<(i64, i64)> {
-    Ok((vm.get_long(r, "a").map_err(Error::Heap)?, vm.get_long(r, "b").map_err(Error::Heap)?))
-}
-
-/// Allocates a word-count record (GC-safe: the string is temp-rooted while
-/// the record is allocated).
-///
-/// # Errors
-/// Allocation errors.
-pub fn new_word_count(vm: &mut Vm, word: &str, count: i32) -> Result<Addr> {
-    let s = vm.new_string(word).map_err(Error::Heap)?;
-    let t = vm.push_temp_root(s);
-    let k = vm.load_class(WORD_COUNT).map_err(Error::Heap)?;
-    let r = vm.alloc_instance(k).map_err(Error::Heap)?;
-    let s = vm.temp_root(t);
-    vm.pop_temp_root();
-    vm.set_ref(r, "word", s).map_err(Error::Heap)?;
-    vm.set_int(r, "count", count).map_err(Error::Heap)?;
-    Ok(r)
-}
-
-/// Reads a word-count record.
-///
-/// # Errors
-/// Field errors.
-pub fn read_word_count(vm: &Vm, r: Addr) -> Result<(String, i32)> {
-    let s = vm.get_ref(r, "word").map_err(Error::Heap)?;
-    Ok((vm.read_string(s).map_err(Error::Heap)?, vm.get_int(r, "count").map_err(Error::Heap)?))
+    let class = vm.klass_of(e).map_err(Error::Heap)?.id;
+    Record::of(vm, class, "src", "dst")?.read_longs(vm, e)
 }
 
 /// Allocates a closure descriptor (what closure serialization ships from
@@ -304,19 +369,22 @@ pub fn read_word_count(vm: &Vm, r: Addr) -> Result<(String, i32)> {
 /// # Errors
 /// Allocation errors.
 pub fn new_closure(vm: &mut Vm, name: &str, stage: i32, captured: &str) -> Result<Addr> {
+    let k = vm.load_class(CLOSURE).map_err(Error::Heap)?;
+    let field = |vm: &Vm, f| vm.field_handle(k, f).map_err(Error::Heap);
+    let (name_f, stage_f, captured_f) =
+        (field(vm, "name")?, field(vm, "stage")?, field(vm, "captured")?);
     let n = vm.new_string(name).map_err(Error::Heap)?;
     let tn = vm.push_temp_root(n);
     let c = vm.new_string(captured).map_err(Error::Heap)?;
     let tc = vm.push_temp_root(c);
-    let k = vm.load_class(CLOSURE).map_err(Error::Heap)?;
     let r = vm.alloc_instance(k).map_err(Error::Heap)?;
     let c = vm.temp_root(tc);
     let n = vm.temp_root(tn);
     vm.pop_temp_root();
     vm.pop_temp_root();
-    vm.set_ref(r, "name", n).map_err(Error::Heap)?;
-    vm.set_ref(r, "captured", c).map_err(Error::Heap)?;
-    vm.set_int(r, "stage", stage).map_err(Error::Heap)?;
+    vm.set_ref_field(r, name_f, n).map_err(Error::Heap)?;
+    vm.set_ref_field(r, captured_f, c).map_err(Error::Heap)?;
+    vm.set_int_field(r, stage_f, stage).map_err(Error::Heap)?;
     Ok(r)
 }
 

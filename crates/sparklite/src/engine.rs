@@ -20,7 +20,7 @@ use serlab::{
 use simnet::{Category, Cluster, NodeId, Profile, SimConfig};
 use skyway::{scrub_baddrs, ShuffleController, SkywaySerializer, TypeDirectory};
 
-use crate::classes::{define_spark_classes, new_closure, spark_class_names};
+use crate::classes::{define_spark_classes, new_closure, spark_class_names, SparkClasses};
 use crate::{Error, Result};
 
 /// Which data serializer the engine shuffles with (the x-axis of Fig. 8a).
@@ -354,6 +354,16 @@ impl SparkCluster {
         &mut self.vms[node.0]
     }
 
+    /// The workload record classes with their fields resolved, on the
+    /// driver: every VM of the cluster shares its classpath and object
+    /// format, so the handles serve every worker.
+    ///
+    /// # Errors
+    /// Class-loading / field errors.
+    pub fn classes(&self) -> Result<SparkClasses> {
+        SparkClasses::resolve(&self.vms[0])
+    }
+
     /// Aggregated cost profile across all nodes.
     pub fn aggregate_profile(&self) -> Profile {
         self.cluster.aggregate()
@@ -419,12 +429,7 @@ impl SparkCluster {
 
     fn partition_records(vm: &Vm, p: &Partition) -> Result<Vec<Addr>> {
         let list = vm.resolve(p.list).map_err(Error::Heap)?;
-        let n = vm.list_len(list).map_err(Error::Heap)?;
-        let mut out = Vec::with_capacity(n as usize);
-        for i in 0..n {
-            out.push(vm.list_get(list, i).map_err(Error::Heap)?);
-        }
-        Ok(out)
+        vm.list_elements(list).map_err(Error::Heap)
     }
 
     /// Total number of records in a dataset.
@@ -866,17 +871,9 @@ fn shuffle_file(seq: u64, src: NodeId, dst: NodeId) -> String {
     format!("shuffle_{seq}_{}_{}.sort.result", src.0, dst.0)
 }
 
-/// Roots freshly deserialized objects into a list without losing any to a
-/// GC triggered by the list growth itself.
+/// Appends freshly deserialized objects to a list; `list_extend` keeps them
+/// rooted across a GC triggered by the list growth itself.
 fn adopt_roots(vm: &mut Vm, roots: &[Addr], list: Handle) -> Result<()> {
-    let base = roots.iter().map(|&r| vm.push_temp_root(r)).collect::<Vec<_>>();
-    for &idx in &base {
-        let r = vm.temp_root(idx);
-        let l = vm.resolve(list).map_err(Error::Heap)?;
-        vm.list_push(l, r).map_err(Error::Heap)?;
-    }
-    for _ in &base {
-        vm.pop_temp_root();
-    }
-    Ok(())
+    let l = vm.resolve(list).map_err(Error::Heap)?;
+    vm.list_extend(l, roots).map_err(Error::Heap)
 }

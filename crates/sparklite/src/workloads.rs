@@ -9,10 +9,7 @@
 
 use std::collections::HashMap;
 
-use crate::classes::{
-    self, new_adj, new_contrib, new_edge, new_label, new_query, new_rank, new_word_count, read_adj,
-    read_contrib, read_edge, read_label, read_query, read_rank, read_word_count,
-};
+use crate::classes;
 use crate::engine::{Dataset, SparkCluster};
 use crate::graphgen::{partition_edges, Graph};
 use crate::Result;
@@ -32,6 +29,7 @@ pub const TRIANGLE_DEGREE_CAP: usize = 256;
 /// # Errors
 /// Engine errors.
 pub fn run_wordcount(sc: &mut SparkCluster, lines: Vec<Vec<String>>) -> Result<Vec<(String, i32)>> {
+    let cls = sc.classes()?;
     sc.ship_closure("wordcount.map", 0, "tokenizer")?;
     // Load lines as String records.
     let input = sc.create_dataset(lines, |vm, line: &String| {
@@ -51,13 +49,13 @@ pub fn run_wordcount(sc: &mut SparkCluster, lines: Vec<Vec<String>>) -> Result<V
             }
             Ok(out)
         },
-        |vm, word| new_word_count(vm, word, 1),
+        |vm, word| cls.new_word_count(vm, word, 1),
     )?;
     sc.release(input)?;
 
     // Shuffle by word.
     let shuffled = sc.shuffle(pairs, |vm, r| {
-        let (w, _) = read_word_count(vm, r)?;
+        let (w, _) = cls.read_word_count(vm, r)?;
         Ok(classes::hash_str(&w))
     })?;
 
@@ -67,17 +65,17 @@ pub fn run_wordcount(sc: &mut SparkCluster, lines: Vec<Vec<String>>) -> Result<V
         |vm, records| {
             let mut m: HashMap<String, i32> = HashMap::new();
             for &r in records {
-                let (w, c) = read_word_count(vm, r)?;
+                let (w, c) = cls.read_word_count(vm, r)?;
                 *m.entry(w).or_insert(0) += c;
             }
             Ok(m.into_iter().collect::<Vec<_>>())
         },
-        |vm, (word, count)| new_word_count(vm, word, *count),
+        |vm, (word, count)| cls.new_word_count(vm, word, *count),
     )?;
     sc.release(shuffled)?;
 
     let mut out = sc.collect(&counts, |vm, records| {
-        records.iter().map(|&r| read_word_count(vm, r)).collect()
+        records.iter().map(|&r| cls.read_word_count(vm, r)).collect()
     })?;
     sc.release(counts)?;
     out.sort();
@@ -93,8 +91,9 @@ pub fn run_wordcount(sc: &mut SparkCluster, lines: Vec<Vec<String>>) -> Result<V
 /// # Errors
 /// Engine errors.
 pub fn load_edges(sc: &mut SparkCluster, graph: &Graph) -> Result<Dataset> {
+    let cls = sc.classes()?;
     let parts = partition_edges(graph, sc.n_workers());
-    sc.create_dataset(parts, |vm, &(s, d)| new_edge(vm, s as i64, d as i64))
+    sc.create_dataset(parts, |vm, &(s, d)| cls.new_edge(vm, s as i64, d as i64))
 }
 
 /// Builds adjacency records from a co-partitioned edge dataset
@@ -103,12 +102,13 @@ pub fn load_edges(sc: &mut SparkCluster, graph: &Graph) -> Result<Dataset> {
 /// # Errors
 /// Engine errors.
 pub fn build_adjacency(sc: &mut SparkCluster, edges: &Dataset) -> Result<Dataset> {
+    let cls = sc.classes()?;
     sc.transform(
         edges,
         |vm, records| {
             let mut adj: HashMap<i64, Vec<i64>> = HashMap::new();
             for &r in records {
-                let (s, d) = read_edge(vm, r)?;
+                let (s, d) = cls.read_edge(vm, r)?;
                 adj.entry(s).or_default().push(d);
             }
             let mut out: Vec<(i64, Vec<i64>)> = adj
@@ -122,7 +122,7 @@ pub fn build_adjacency(sc: &mut SparkCluster, edges: &Dataset) -> Result<Dataset
             out.sort_unstable_by_key(|(n, _)| *n);
             Ok(out)
         },
-        |vm, (node, neighbors)| new_adj(vm, *node, neighbors),
+        |vm, (node, neighbors)| cls.new_adj(vm, *node, neighbors),
     )
 }
 
@@ -142,6 +142,7 @@ pub fn run_pagerank(
     iters: usize,
     top_k: usize,
 ) -> Result<Vec<(i64, f64)>> {
+    let cls = sc.classes()?;
     sc.ship_closure("pagerank.iterate", 0, "damping=0.85")?;
     let edges = load_edges(sc, graph)?;
     let adj = build_adjacency(sc, &edges)?;
@@ -150,8 +151,10 @@ pub fn run_pagerank(
     // Initial ranks, co-partitioned with the adjacency.
     let mut ranks = sc.transform(
         &adj,
-        |vm, records| records.iter().map(|&r| Ok(read_adj(vm, r)?.0)).collect::<Result<Vec<i64>>>(),
-        |vm, &node| new_rank(vm, node, 1.0),
+        |vm, records| {
+            records.iter().map(|&r| Ok(cls.read_adj(vm, r)?.0)).collect::<Result<Vec<i64>>>()
+        },
+        |vm, &node| cls.new_rank(vm, node, 1.0),
     )?;
 
     for _ in 0..iters {
@@ -162,12 +165,12 @@ pub fn run_pagerank(
             |vm, adj_recs, rank_recs| {
                 let mut rank_of: HashMap<i64, f64> = HashMap::with_capacity(rank_recs.len());
                 for &r in rank_recs {
-                    let (n, v) = read_rank(vm, r)?;
+                    let (n, v) = cls.read_rank(vm, r)?;
                     rank_of.insert(n, v);
                 }
                 let mut out = Vec::new();
                 for &a in adj_recs {
-                    let (node, neighbors) = read_adj(vm, a)?;
+                    let (node, neighbors) = cls.read_adj(vm, a)?;
                     if neighbors.is_empty() {
                         continue;
                     }
@@ -178,13 +181,13 @@ pub fn run_pagerank(
                 }
                 Ok(out)
             },
-            |vm, (node, value)| new_contrib(vm, *node, *value),
+            |vm, (node, value)| cls.new_contrib(vm, *node, *value),
         )?;
         sc.release(ranks)?;
 
         // Shuffle contributions to their target vertex's partition.
         let grouped = sc.shuffle(contribs, |vm, r| {
-            let (n, _) = read_contrib(vm, r)?;
+            let (n, _) = cls.read_contrib(vm, r)?;
             Ok(classes::hash64(n as u64))
         })?;
 
@@ -195,24 +198,24 @@ pub fn run_pagerank(
             |vm, adj_recs, contrib_recs| {
                 let mut sums: HashMap<i64, f64> = HashMap::new();
                 for &c in contrib_recs {
-                    let (n, v) = read_contrib(vm, c)?;
+                    let (n, v) = cls.read_contrib(vm, c)?;
                     *sums.entry(n).or_insert(0.0) += v;
                 }
                 let mut out = Vec::with_capacity(adj_recs.len());
                 for &a in adj_recs {
-                    let (node, _) = read_adj(vm, a)?;
+                    let (node, _) = cls.read_adj(vm, a)?;
                     out.push((node, 0.15 + 0.85 * sums.get(&node).copied().unwrap_or(0.0)));
                 }
                 Ok(out)
             },
-            |vm, (node, rank)| new_rank(vm, *node, *rank),
+            |vm, (node, rank)| cls.new_rank(vm, *node, *rank),
         )?;
         sc.release(grouped)?;
     }
     sc.release(adj)?;
 
     let mut all =
-        sc.collect(&ranks, |vm, records| records.iter().map(|&r| read_rank(vm, r)).collect())?;
+        sc.collect(&ranks, |vm, records| records.iter().map(|&r| cls.read_rank(vm, r)).collect())?;
     sc.release(ranks)?;
     all.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
     all.truncate(top_k);
@@ -234,6 +237,7 @@ pub fn run_connected_components(
     graph: &Graph,
     max_iters: usize,
 ) -> Result<usize> {
+    let cls = sc.classes()?;
     sc.ship_closure("concomp.propagate", 0, "min-label")?;
     // Undirected: add both directions before partitioning by source.
     let mut sym = Vec::with_capacity(graph.edges.len() * 2);
@@ -254,8 +258,10 @@ pub fn run_connected_components(
     // Labels start as the node's own id (co-partitioned with adj).
     let mut labels = sc.transform(
         &adj,
-        |vm, records| records.iter().map(|&r| Ok(read_adj(vm, r)?.0)).collect::<Result<Vec<i64>>>(),
-        |vm, &node| new_label(vm, node, node),
+        |vm, records| {
+            records.iter().map(|&r| Ok(cls.read_adj(vm, r)?.0)).collect::<Result<Vec<i64>>>()
+        },
+        |vm, &node| cls.new_label(vm, node, node),
     )?;
 
     for _ in 0..max_iters {
@@ -267,12 +273,12 @@ pub fn run_connected_components(
             |vm, adj_recs, label_recs| {
                 let mut label_of: HashMap<i64, i64> = HashMap::with_capacity(label_recs.len());
                 for &l in label_recs {
-                    let (n, v) = read_label(vm, l)?;
+                    let (n, v) = cls.read_label(vm, l)?;
                     label_of.insert(n, v);
                 }
                 let mut out = Vec::new();
                 for &a in adj_recs {
-                    let (node, neighbors) = read_adj(vm, a)?;
+                    let (node, neighbors) = cls.read_adj(vm, a)?;
                     let label = label_of.get(&node).copied().unwrap_or(node);
                     out.push((node, label));
                     for d in neighbors {
@@ -281,11 +287,11 @@ pub fn run_connected_components(
                 }
                 Ok(out)
             },
-            |vm, (node, label)| new_label(vm, *node, *label),
+            |vm, (node, label)| cls.new_label(vm, *node, *label),
         )?;
 
         let grouped = sc.shuffle(msgs, |vm, r| {
-            let (n, _) = read_label(vm, r)?;
+            let (n, _) = cls.read_label(vm, r)?;
             Ok(classes::hash64(n as u64))
         })?;
 
@@ -299,12 +305,12 @@ pub fn run_connected_components(
                 |vm, old_recs, msg_recs| {
                     let mut mins: HashMap<i64, i64> = HashMap::new();
                     for &m in msg_recs {
-                        let (n, l) = read_label(vm, m)?;
+                        let (n, l) = cls.read_label(vm, m)?;
                         mins.entry(n).and_modify(|v| *v = (*v).min(l)).or_insert(l);
                     }
                     let mut out = Vec::with_capacity(old_recs.len());
                     for &o in old_recs {
-                        let (node, old) = read_label(vm, o)?;
+                        let (node, old) = cls.read_label(vm, o)?;
                         let new = mins.get(&node).copied().unwrap_or(old).min(old);
                         if new != old {
                             changed.set(changed.get() + 1);
@@ -313,7 +319,7 @@ pub fn run_connected_components(
                     }
                     Ok(out)
                 },
-                |vm, (node, label)| new_label(vm, *node, *label),
+                |vm, (node, label)| cls.new_label(vm, *node, *label),
             )?;
             changed_total = changed.get();
             nl
@@ -327,8 +333,8 @@ pub fn run_connected_components(
     }
     sc.release(adj)?;
 
-    let all =
-        sc.collect(&labels, |vm, records| records.iter().map(|&r| read_label(vm, r)).collect())?;
+    let all = sc
+        .collect(&labels, |vm, records| records.iter().map(|&r| cls.read_label(vm, r)).collect())?;
     sc.release(labels)?;
     let distinct: std::collections::HashSet<i64> = all.into_iter().map(|(_, l)| l).collect();
     Ok(distinct.len())
@@ -345,6 +351,7 @@ pub fn run_connected_components(
 /// # Errors
 /// Engine errors.
 pub fn run_triangle_count(sc: &mut SparkCluster, graph: &Graph) -> Result<u64> {
+    let cls = sc.classes()?;
     sc.ship_closure("triangles.count", 0, "node-iterator")?;
     // Canonical edges u < v, deduplicated globally by shuffling on the
     // edge itself.
@@ -354,19 +361,19 @@ pub fn run_triangle_count(sc: &mut SparkCluster, graph: &Graph) -> Result<u64> {
         |vm, records| {
             let mut out = Vec::with_capacity(records.len());
             for &r in records {
-                let (s, d) = read_edge(vm, r)?;
+                let (s, d) = cls.read_edge(vm, r)?;
                 if s != d {
                     out.push((s.min(d), s.max(d)));
                 }
             }
             Ok(out)
         },
-        |vm, &(u, v)| new_edge(vm, u, v),
+        |vm, &(u, v)| cls.new_edge(vm, u, v),
     )?;
     sc.release(raw)?;
 
     let by_edge = sc.shuffle(canon, |vm, r| {
-        let (u, v) = read_edge(vm, r)?;
+        let (u, v) = cls.read_edge(vm, r)?;
         Ok(classes::hash64((u as u64) << 32 ^ (v as u64)))
     })?;
     let dedup = sc.transform(
@@ -374,19 +381,19 @@ pub fn run_triangle_count(sc: &mut SparkCluster, graph: &Graph) -> Result<u64> {
         |vm, records| {
             let mut set = std::collections::HashSet::new();
             for &r in records {
-                set.insert(read_edge(vm, r)?);
+                set.insert(cls.read_edge(vm, r)?);
             }
             let mut v: Vec<(i64, i64)> = set.into_iter().collect();
             v.sort_unstable();
             Ok(v)
         },
-        |vm, &(u, v)| new_edge(vm, u, v),
+        |vm, &(u, v)| cls.new_edge(vm, u, v),
     )?;
     sc.release(by_edge)?;
 
     // Higher-neighbor adjacency, partitioned by u.
     let by_src = sc.shuffle(dedup, |vm, r| {
-        let (u, _) = read_edge(vm, r)?;
+        let (u, _) = cls.read_edge(vm, r)?;
         Ok(classes::hash64(u as u64))
     })?;
     let adj_plus = sc.transform(
@@ -394,7 +401,7 @@ pub fn run_triangle_count(sc: &mut SparkCluster, graph: &Graph) -> Result<u64> {
         |vm, records| {
             let mut adj: HashMap<i64, Vec<i64>> = HashMap::new();
             for &r in records {
-                let (u, v) = read_edge(vm, r)?;
+                let (u, v) = cls.read_edge(vm, r)?;
                 adj.entry(u).or_default().push(v);
             }
             let mut out: Vec<(i64, Vec<i64>)> = adj
@@ -409,7 +416,7 @@ pub fn run_triangle_count(sc: &mut SparkCluster, graph: &Graph) -> Result<u64> {
             out.sort_unstable_by_key(|(n, _)| *n);
             Ok(out)
         },
-        |vm, (node, neighbors)| new_adj(vm, *node, neighbors),
+        |vm, (node, neighbors)| cls.new_adj(vm, *node, neighbors),
     )?;
     sc.release(by_src)?;
 
@@ -420,7 +427,7 @@ pub fn run_triangle_count(sc: &mut SparkCluster, graph: &Graph) -> Result<u64> {
         |vm, records| {
             let mut out = Vec::new();
             for &r in records {
-                let (_, neigh) = read_adj(vm, r)?;
+                let (_, neigh) = cls.read_adj(vm, r)?;
                 for i in 0..neigh.len() {
                     for j in (i + 1)..neigh.len() {
                         out.push((neigh[i], neigh[j]));
@@ -429,11 +436,11 @@ pub fn run_triangle_count(sc: &mut SparkCluster, graph: &Graph) -> Result<u64> {
             }
             Ok(out)
         },
-        |vm, &(a, b)| new_query(vm, a, b),
+        |vm, &(a, b)| cls.new_query(vm, a, b),
     )?;
 
     let routed = sc.shuffle(queries, |vm, r| {
-        let (a, _) = read_query(vm, r)?;
+        let (a, _) = cls.read_query(vm, r)?;
         Ok(classes::hash64(a as u64))
     })?;
 
@@ -444,25 +451,25 @@ pub fn run_triangle_count(sc: &mut SparkCluster, graph: &Graph) -> Result<u64> {
         |vm, adj_recs, query_recs| {
             let mut adj: HashMap<i64, std::collections::HashSet<i64>> = HashMap::new();
             for &r in adj_recs {
-                let (n, v) = read_adj(vm, r)?;
+                let (n, v) = cls.read_adj(vm, r)?;
                 adj.insert(n, v.into_iter().collect());
             }
             let mut count = 0i64;
             for &q in query_recs {
-                let (a, b) = read_query(vm, q)?;
+                let (a, b) = cls.read_query(vm, q)?;
                 if adj.get(&a).is_some_and(|s| s.contains(&b)) {
                     count += 1;
                 }
             }
             Ok(vec![count])
         },
-        |vm, &count| new_label(vm, 0, count),
+        |vm, &count| cls.new_label(vm, 0, count),
     )?;
     sc.release(routed)?;
     sc.release(adj_plus)?;
 
     let partials = sc.collect(&hits, |vm, records| {
-        records.iter().map(|&r| Ok(read_label(vm, r)?.1)).collect()
+        records.iter().map(|&r| Ok(cls.read_label(vm, r)?.1)).collect()
     })?;
     sc.release(hits)?;
     Ok(partials.into_iter().sum::<i64>() as u64)

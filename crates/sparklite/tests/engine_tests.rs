@@ -198,9 +198,10 @@ fn profiles_cover_all_five_components() {
 #[test]
 fn dataset_counting_and_release() {
     let mut sc = cluster(SerializerKind::Kryo);
+    let cls = sc.classes().unwrap();
     let ds = sc
         .create_dataset(vec![vec![1i64, 2, 3], vec![4, 5], vec![6]], |vm, &v| {
-            sparklite::classes::new_edge(vm, v, v + 1)
+            cls.new_edge(vm, v, v + 1)
         })
         .unwrap();
     assert_eq!(sc.count(&ds).unwrap(), 6);
@@ -299,12 +300,13 @@ fn shared_segment_shuffle_matches_spill_results() {
 fn broadcast_is_one_segment_with_refcount_n() {
     let mut sc = cluster(SerializerKind::Skyway);
     let n = sc.n_workers();
-    let b = sc.broadcast(|vm| sparklite::classes::new_edge(vm, 40, 2)).unwrap();
+    let cls = sc.classes().unwrap();
+    let b = sc.broadcast(|vm| cls.new_edge(vm, 40, 2)).unwrap();
     // One sealed copy, one attach per worker: refcount == N.
     assert_eq!(sc.segment_store().refcount(b.base), Some(n as u32));
     // Every worker reads the same physical object at the same address.
     for w in sc.worker_nodes() {
-        let (src, dst) = sparklite::classes::read_edge(sc.vm(w), b.root).unwrap();
+        let (src, dst) = cls.read_edge(sc.vm(w), b.root).unwrap();
         assert_eq!((src, dst), (40, 2));
         assert_eq!(sc.vm(w).verify_heap().unwrap(), vec![]);
     }

@@ -2,7 +2,7 @@
 //! process-wide `skyway.shuffle.streams_allocated` counter, which every
 //! shuffle in the process feeds.
 
-use sparklite::classes::{hash64, new_edge, read_edge};
+use sparklite::classes::hash64;
 use sparklite::engine::{SerializerKind, SparkCluster, SparkConfig};
 
 // The engine's lane `t` sends as `stream + t`, so a shuffle through an
@@ -20,14 +20,15 @@ fn a_parallel_engine_shuffle_reserves_every_lane_id() {
         ..SparkConfig::default()
     })
     .unwrap();
+    let cls = sc.classes().unwrap();
     let ds = sc
         .create_dataset(vec![(0..8i64).collect(), (8..16i64).collect()], |vm, &v| {
-            new_edge(vm, v, v + 1)
+            cls.new_edge(vm, v, v + 1)
         })
         .unwrap();
     let allocated = obs::global().counter(obs::names::SHUFFLE_STREAMS_ALLOCATED);
     let before = allocated.get();
-    let out = sc.shuffle(ds, |vm, r| Ok(hash64(read_edge(vm, r)?.0 as u64))).unwrap();
+    let out = sc.shuffle(ds, |vm, r| Ok(hash64(cls.read_edge(vm, r)?.0 as u64))).unwrap();
     assert_eq!(sc.count(&out).unwrap(), 16);
     // Per source worker: one four-lane engine transfer to the other worker
     // and one single-stream spill to itself.

@@ -79,6 +79,10 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     ("atomics-order-cas", "compare_exchange failure ordering is a load ordering, <= success"),
     ("atomics-order-comment", "every non-Relaxed atomic ordering carries a // ORDER: comment"),
+    (
+        "by-name-field-in-app",
+        "no by-name field accessor with a literal field name in crates/sparklite/src",
+    ),
 ];
 
 /// One rule violation at a source location.
@@ -113,6 +117,9 @@ pub struct Config {
     pub panic_paths: Vec<String>,
     /// Path prefixes the `checked-arith` rule applies to.
     pub arith_paths: Vec<String>,
+    /// Path prefixes of application code the `by-name-field-in-app` rule
+    /// applies to.
+    pub app_paths: Vec<String>,
     /// Path prefixes exempt from `lock-order` (vendored lock shims, whose
     /// `Mutex`/`RwLock` *definitions* would otherwise register as lock
     /// classes).
@@ -149,6 +156,7 @@ impl Config {
                 "crates/mheap/src/layout.rs".into(),
                 "crates/mheap/src/mem.rs".into(),
             ],
+            app_paths: vec!["crates/sparklite/src".into()],
             lock_exempt: vec!["shims".into()],
             metric_exempt: vec!["crates/obs".into(), "crates/tidy".into()],
             atomics_exempt: vec!["shims".into()],
@@ -173,6 +181,7 @@ impl Config {
             addr_exempt: vec![],
             panic_paths: vec![String::new()],
             arith_paths: vec!["checked_arith.rs".into()],
+            app_paths: vec!["by_name_field.rs".into()],
             lock_exempt: vec![],
             metric_exempt: vec!["names.rs".into()],
             atomics_exempt: vec![],
@@ -376,6 +385,7 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
         rules::addr_cast::check(cfg, f, &mut out);
         rules::addr_provenance::check(cfg, f, &mut out);
         rules::checked_arith::check(cfg, f, &mut out);
+        rules::by_name_field::check(cfg, f, &mut out);
         rules::unsafe_safety::check(cfg, f, &mut out);
         rules::panic::check(cfg, f, &mut out);
         rules::metrics::check_literal(cfg, f, &mut out);

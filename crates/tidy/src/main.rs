@@ -112,6 +112,7 @@ const FIXTURE_RULES: &[(&str, Option<&str>)] = &[
     ("atomics_order.rs", Some("atomics-order")),
     ("atomics_order_cas.rs", Some("atomics-order-cas")),
     ("atomics_order_comment.rs", Some("atomics-order-comment")),
+    ("by_name_field.rs", Some("by-name-field-in-app")),
     ("checked_arith.rs", Some("checked-arith")),
     ("faults.rs", Some("fault-coverage")),
     ("lock_order.rs", Some("lock-order")),

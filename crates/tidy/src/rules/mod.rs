@@ -6,6 +6,7 @@
 pub mod addr_cast;
 pub mod addr_provenance;
 pub mod atomics_order;
+pub mod by_name_field;
 pub mod checked_arith;
 pub mod fault_coverage;
 pub mod lock_order;

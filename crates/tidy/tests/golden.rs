@@ -165,6 +165,17 @@ fn checked_arith_fires_on_bare_ops_only() {
 }
 
 #[test]
+fn by_name_field_in_app_fires_on_literal_field_names_only() {
+    let vs = fixture_violations();
+    // The one-line call and the call whose literal sits lines below its
+    // opening parenthesis fire; handle accessors, a non-field `get_mut`, a
+    // computed field name, the tagged line and the test module stay quiet.
+    assert_fired(&vs, "by-name-field-in-app", "by_name_field.rs", 6);
+    assert_fired(&vs, "by-name-field-in-app", "by_name_field.rs", 7);
+    assert_eq!(vs.iter().filter(|v| v.rule == "by-name-field-in-app").count(), 2, "{vs:#?}");
+}
+
+#[test]
 fn allow_tag_on_line_or_line_above_suppresses() {
     let vs = fixture_violations();
     assert!(
@@ -233,7 +244,7 @@ fn per_rule_allowlists_suppress_by_path_prefix() {
     assert_fired(&vs, "addr-cast", "addr_cast.rs", 6);
 }
 
-/// The gate itself: the real workspace must scan clean under all twelve
+/// The gate itself: the real workspace must scan clean under all thirteen
 /// rules. This is the same check CI runs via `cargo run -p tidy -- --json`.
 #[test]
 fn workspace_tree_is_clean() {
