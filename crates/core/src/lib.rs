@@ -23,8 +23,9 @@
 //!   dirtied);
 //! * [`pipeline`] — the transfer engine: N sender lanes (the sending
 //!   threads of §4.2) streaming chunks to N absorbers, overlapped;
-//! * [`stream`] — the developer-facing API (§3.3): output/input streams,
-//!   `shuffle_start`, `register_update` hooks;
+//! * [`stream`] — the rest of the developer-facing API (§3.3):
+//!   `shuffle_start` and `register_update` hooks (`writeObject` is
+//!   [`GraphSender::write_root`], `readObject` [`GraphReceiver::finish`]);
 //! * [`serializer`] — the [`serlab::Serializer`] adapter that lets Skyway
 //!   drop into the same shuffle pipelines as Kryo and the Java serializer.
 //!
@@ -35,8 +36,7 @@
 //! use mheap::{ClassPath, HeapConfig, Vm};
 //! use mheap::stdlib::define_core_classes;
 //! use simnet::NodeId;
-//! use skyway::{SendConfig, ShuffleController, SkywayObjectInputStream,
-//!              SkywayObjectOutputStream, TypeDirectory};
+//! use skyway::{GraphReceiver, GraphSender, SendConfig, ShuffleController, TypeDirectory};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let cp = ClassPath::new();
@@ -51,16 +51,16 @@
 //! // Build a string on the sender and ship its object graph.
 //! let s = sender_vm.new_string("over the skyway")?;
 //! let controller = ShuffleController::new();
-//! let mut out = SkywayObjectOutputStream::new(
-//!     &sender_vm, &dir, NodeId(0), &controller, SendConfig::for_vm(&sender_vm))?;
-//! out.write_object(s)?;
+//! let mut out = GraphSender::new(&sender_vm, &dir, NodeId(0), controller.sid(),
+//!     controller.next_stream(), SendConfig::for_vm(&sender_vm))?;
+//! out.write_root(s)?;
 //! let stream = out.finish();
 //!
-//! let mut input = SkywayObjectInputStream::new(&mut receiver_vm, &dir, NodeId(1));
+//! let mut input = GraphReceiver::new(&mut receiver_vm, &dir, NodeId(1));
 //! for chunk in &stream.chunks {
 //!     input.push_chunk(chunk)?;
 //! }
-//! let (roots, _) = input.read_objects(None)?;
+//! let (roots, _) = input.finish(None)?;
 //! assert_eq!(receiver_vm.read_string(roots[0])?, "over the skyway");
 //! # Ok(())
 //! # }
@@ -86,10 +86,7 @@ pub use sender::{
     GraphSender, ParallelConfig, SegmentImage, SendConfig, SendStats, StreamOut, Tracking,
 };
 pub use serializer::SkywaySerializer;
-pub use stream::{
-    scrub_baddrs, ShuffleController, SkywayObjectInputStream, SkywayObjectOutputStream,
-    UpdateRegistry,
-};
+pub use stream::{scrub_baddrs, ShuffleController, UpdateRegistry};
 
 /// Errors produced by Skyway.
 #[derive(Debug)]

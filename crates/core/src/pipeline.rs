@@ -14,8 +14,8 @@
 //! | mode      | N       | D       | threads                              |
 //! |-----------|---------|---------|--------------------------------------|
 //! | inline    | 1       | —       | none: produce, then absorb           |
-//! | pipelined | 1       | `depth` | 1 sender; the caller absorbs         |
-//! | parallel  | workers | `depth` | N work-stealing senders, N absorbers |
+//! | pipelined | 1       | 4       | 1 sender; the caller absorbs         |
+//! | parallel  | workers | 4       | N work-stealing senders, N absorbers |
 //!
 //! The policy only picks N and D: a flat graph that provably fits one chunk
 //! has nothing to overlap and runs inline; otherwise `parallel` engages
@@ -52,8 +52,9 @@ use crate::{Error, Result};
 /// cost of per-chunk bookkeeping the pool keeps negligible.
 pub const DEFAULT_PIPELINE_CHUNK: usize = 64 << 10;
 
-/// Default bound of the in-flight chunk channel.
-pub const DEFAULT_DEPTH: usize = 4;
+/// Bound of the in-flight chunk channel between a sender lane and its
+/// absorber (the backpressure window).
+const DEPTH: usize = 4;
 
 /// Which execution strategy a transfer took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,9 +79,6 @@ pub enum TransferMode {
 pub struct PipelineConfig {
     /// Flush threshold of the sender's output buffer in bytes.
     pub chunk_limit: usize,
-    /// Maximum chunks in flight between a sender lane and its absorber
-    /// (channel bound; the backpressure window).
-    pub depth: usize,
     /// Cost-model parameters for the simulated-time schedule.
     pub sim: SimConfig,
     /// Opt-in parallel mode: with `Some(par)` the engine runs
@@ -94,7 +92,6 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
             chunk_limit: DEFAULT_PIPELINE_CHUNK,
-            depth: DEFAULT_DEPTH,
             sim: SimConfig::default(),
             parallel: None,
         }
@@ -454,7 +451,6 @@ impl PipelineEngine {
         // pays with enough roots to amortize the per-lane setup (each lane
         // owns a stream, a channel, and an absorber).
         let mut lane0 = open_sender(0)?;
-        let depth = self.cfg.depth.max(1);
         let (mode, lanes, depth) =
             if lane0.estimate_flat_bytes(roots, self.cfg.chunk_limit as u64)?.is_some() {
                 (TransferMode::Inline, 1, 0)
@@ -464,9 +460,9 @@ impl PipelineEngine {
                         if p.workers >= 2
                             && roots.len() >= p.workers * p.min_roots_per_worker.max(1) =>
                     {
-                        (TransferMode::Parallel, p.workers, depth)
+                        (TransferMode::Parallel, p.workers, DEPTH)
                     }
-                    _ => (TransferMode::Pipelined, 1, depth),
+                    _ => (TransferMode::Pipelined, 1, DEPTH),
                 }
             };
         match mode {
@@ -756,6 +752,7 @@ impl PipelineEngine {
 /// # Errors
 /// Heap/registry/corrupt-stream errors.
 #[allow(clippy::too_many_arguments)]
+// tidy:allow(unreached-pub, the reference pipelined_equals_sequential and its siblings compare to)
 pub fn sequential_transfer(
     sender_vm: &Vm,
     receiver_vm: &mut Vm,

@@ -16,7 +16,7 @@ use crate::buffer::{frame_chunks, parse_frames};
 use crate::receiver::GraphReceiver;
 use crate::registry::TypeDirectory;
 use crate::sender::{GraphSender, SendConfig, SendStats, Tracking};
-use crate::stream::{ShuffleController, UpdateRegistry};
+use crate::stream::ShuffleController;
 use crate::{Error, Result};
 
 /// Every flag bit a frame header may set (see [`spec_flags`]).
@@ -60,7 +60,6 @@ pub struct SkywaySerializer {
     chunk_limit: usize,
     receiver_spec: LayoutSpec,
     tracking: Tracking,
-    hooks: Option<Arc<UpdateRegistry>>,
     last_send_stats: parking_lot::Mutex<SendStats>,
 }
 
@@ -81,7 +80,6 @@ impl SkywaySerializer {
             chunk_limit: crate::buffer::DEFAULT_CHUNK,
             receiver_spec,
             tracking: Tracking::Baddr,
-            hooks: None,
             last_send_stats: parking_lot::Mutex::new(SendStats::default()),
         }
     }
@@ -96,12 +94,6 @@ impl SkywaySerializer {
     /// switch).
     pub fn with_tracking(mut self, tracking: Tracking) -> Self {
         self.tracking = tracking;
-        self
-    }
-
-    /// Installs post-transfer update hooks, builder-style.
-    pub fn with_hooks(mut self, hooks: Arc<UpdateRegistry>) -> Self {
-        self.hooks = Some(hooks);
         self
     }
 
@@ -165,7 +157,7 @@ impl serlab::Serializer for SkywaySerializer {
             check_wire_spec(flags, vm)?;
             let mut rx = GraphReceiver::new(vm, &self.dir, self.node);
             chunks.into_iter().try_for_each(|c| rx.push_chunk(c))?;
-            Ok(rx.finish(self.hooks.as_deref())?.0)
+            Ok(rx.finish(None)?.0)
         };
         run().map_err(to_serlab)
     }

@@ -1,18 +1,18 @@
-//! The Skyway library API (paper §3.3): stream classes compatible with the
-//! standard serializer interface, shuffle-phase management
-//! (`shuffleStart`), and post-transfer field-update hooks
-//! (`registerUpdate`).
+//! The Skyway library API (paper §3.3) beside the transfer itself:
+//! shuffle-phase management (`shuffleStart`) and post-transfer field-update
+//! hooks (`registerUpdate`). `writeObject` is [`GraphSender::write_root`]
+//! and `readObject` is [`GraphReceiver::finish`]; [`crate::SkywaySerializer`]
+//! wraps both behind the standard serializer interface.
+//!
+//! [`GraphSender::write_root`]: crate::GraphSender::write_root
+//! [`GraphReceiver::finish`]: crate::GraphReceiver::finish
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use mheap::layout::Addr;
 use mheap::Vm;
 use parking_lot::RwLock;
-use simnet::NodeId;
 
-use crate::receiver::{GraphReceiver, ReceiveStats};
-use crate::registry::TypeDirectory;
-use crate::sender::{GraphSender, SendConfig, StreamOut};
 use crate::{Error, Result};
 
 /// Per-sending-VM shuffle-phase state. `shuffle_start()` increments the
@@ -156,6 +156,7 @@ impl UpdateRegistry {
     }
 
     /// Registers an update function for a class.
+    // tidy:allow(unreached-pub, §3.3 registerUpdate; read by update_hooks_run_after_transfer)
     pub fn register_update(
         &self,
         class: impl Into<String>,
@@ -184,129 +185,6 @@ impl UpdateRegistry {
     /// True when no hooks are registered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// The analogue of `SkywayObjectOutputStream`: `write_object(root)` calls
-/// transfer whole object graphs; `finish()` yields the stream chunks, which
-/// [`crate::buffer::frame_chunks`] turns into the blob a carrier moves.
-pub struct SkywayObjectOutputStream<'a> {
-    sender: GraphSender<'a>,
-    roots_written: usize,
-}
-
-impl<'a> std::fmt::Debug for SkywayObjectOutputStream<'a> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SkywayObjectOutputStream")
-            .field("roots_written", &self.roots_written)
-            .finish()
-    }
-}
-
-impl<'a> SkywayObjectOutputStream<'a> {
-    /// Opens an output stream from `vm` within the controller's current
-    /// shuffle phase.
-    ///
-    /// # Errors
-    /// [`Error::NeedsBaddr`] for baddr-tracking on a stock-format heap.
-    pub fn new(
-        vm: &'a Vm,
-        dir: &'a TypeDirectory,
-        node: NodeId,
-        controller: &ShuffleController,
-        cfg: SendConfig,
-    ) -> Result<Self> {
-        let sender =
-            GraphSender::new(vm, dir, node, controller.sid(), controller.next_stream(), cfg)?;
-        Ok(SkywayObjectOutputStream { sender, roots_written: 0 })
-    }
-
-    /// Reports into `registry` instead of the process-wide default.
-    #[must_use]
-    pub fn with_metrics(mut self, registry: std::sync::Arc<obs::Registry>) -> Self {
-        self.sender = self.sender.with_metrics(registry);
-        self
-    }
-
-    /// Attaches the stream to a transfer trace context (see
-    /// [`ShuffleController::begin_transfer`]).
-    #[must_use]
-    pub fn with_trace(mut self, ctx: obs::TraceCtx) -> Self {
-        self.sender = self.sender.with_trace(ctx);
-        self
-    }
-
-    /// Transfers the object graph rooted at `root` — the drop-in
-    /// counterpart of `stream.writeObject(o)`.
-    ///
-    /// # Errors
-    /// Heap/registry errors.
-    pub fn write_object(&mut self, root: Addr) -> Result<()> {
-        self.sender.write_root(root)?;
-        self.roots_written += 1;
-        Ok(())
-    }
-
-    /// Number of `write_object` calls so far.
-    pub fn roots_written(&self) -> usize {
-        self.roots_written
-    }
-
-    /// Closes the stream, returning its chunks and statistics.
-    pub fn finish(self) -> StreamOut {
-        self.sender.finish()
-    }
-}
-
-/// The analogue of `SkywayObjectInputStream`: feed it the received chunks,
-/// then `read_objects()` absolutizes the input buffers and returns the
-/// roots.
-pub struct SkywayObjectInputStream<'a> {
-    receiver: GraphReceiver<'a>,
-}
-
-impl<'a> std::fmt::Debug for SkywayObjectInputStream<'a> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SkywayObjectInputStream").finish()
-    }
-}
-
-impl<'a> SkywayObjectInputStream<'a> {
-    /// Opens an input stream into `vm`.
-    pub fn new(vm: &'a mut Vm, dir: &'a TypeDirectory, node: NodeId) -> Self {
-        SkywayObjectInputStream { receiver: GraphReceiver::new(vm, dir, node) }
-    }
-
-    /// Reports into `registry` instead of the process-wide default.
-    #[must_use]
-    pub fn with_metrics(mut self, registry: std::sync::Arc<obs::Registry>) -> Self {
-        self.receiver = self.receiver.with_metrics(registry);
-        self
-    }
-
-    /// Attaches the receiving side to the sender's transfer trace context
-    /// (the frame does not carry it; the caller hands it over in-process).
-    #[must_use]
-    pub fn with_trace(mut self, ctx: obs::TraceCtx) -> Self {
-        self.receiver = self.receiver.with_trace(ctx);
-        self
-    }
-
-    /// Appends one received chunk (streaming arrival).
-    ///
-    /// # Errors
-    /// Heap errors (old generation full) and corrupt-chunk errors.
-    pub fn push_chunk(&mut self, bytes: &[u8]) -> Result<()> {
-        self.receiver.push_chunk(bytes)
-    }
-
-    /// Absolutizes and returns the transferred roots. The counterpart of
-    /// draining `readObject()` calls.
-    ///
-    /// # Errors
-    /// Corrupt-stream errors.
-    pub fn read_objects(self, hooks: Option<&UpdateRegistry>) -> Result<(Vec<Addr>, ReceiveStats)> {
-        self.receiver.finish(hooks)
     }
 }
 

@@ -1,5 +1,5 @@
 //! End-to-end observability: a known three-object graph goes through a full
-//! `SkywayObjectOutputStream` → `SkywayObjectInputStream` transfer plus a
+//! `GraphSender` → `GraphReceiver` transfer plus a
 //! receiver-side GC, all reporting into one private `obs::Registry`: the
 //! resulting snapshot carries exact counter values and survives a JSON
 //! round-trip, and the registry's tracer holds the transfer's event log.
@@ -10,7 +10,7 @@ use mheap::stdlib::define_core_classes;
 use mheap::{ClassPath, FieldType, HeapConfig, KlassDef, PrimType, Vm};
 use simnet::{NodeId, Profile};
 use skyway::sender::SendConfig;
-use skyway::{ShuffleController, SkywayObjectInputStream, SkywayObjectOutputStream, TypeDirectory};
+use skyway::{GraphReceiver, GraphSender, ShuffleController, TypeDirectory};
 
 fn classpath() -> Arc<ClassPath> {
     let cp = ClassPath::new();
@@ -68,23 +68,29 @@ fn full_transfer_reports_exact_metrics_and_roundtrips_as_json() {
     let controller = ShuffleController::new();
 
     // --- send ---
-    let mut out =
-        SkywayObjectOutputStream::new(&svm, &dir, NodeId(0), &controller, SendConfig::for_vm(&svm))
-            .unwrap()
-            .with_metrics(Arc::clone(&reg))
-            .with_trace(ctx);
-    out.write_object(root).unwrap();
+    let mut out = GraphSender::new(
+        &svm,
+        &dir,
+        NodeId(0),
+        controller.sid(),
+        controller.next_stream(),
+        SendConfig::for_vm(&svm),
+    )
+    .unwrap()
+    .with_metrics(Arc::clone(&reg))
+    .with_trace(ctx);
+    out.write_root(root).unwrap();
     let stream_out = out.finish();
     assert!(stream_out.stats.total_bytes > 0);
 
     // --- receive ---
-    let mut input = SkywayObjectInputStream::new(&mut rvm, &dir, NodeId(1))
+    let mut input = GraphReceiver::new(&mut rvm, &dir, NodeId(1))
         .with_metrics(Arc::clone(&reg))
         .with_trace(ctx);
     for chunk in &stream_out.chunks {
         input.push_chunk(chunk).unwrap();
     }
-    let (roots, rstats) = input.read_objects(None).unwrap();
+    let (roots, rstats) = input.finish(None).unwrap();
     assert_eq!(roots.len(), 1);
     assert_eq!(rvm.get_long(roots[0], "tag").unwrap(), 1);
 

@@ -300,7 +300,6 @@ proptest! {
     fn pipelined_equals_sequential(
         spec in graph_spec(40),
         chunk in 128usize..1024,
-        depth in 1usize..6,
     ) {
         use skyway::{PipelineConfig, PipelineEngine, SendConfig, sequential_transfer};
 
@@ -321,7 +320,6 @@ proptest! {
         let reg = Arc::new(obs::Registry::new());
         let engine = PipelineEngine::new(PipelineConfig {
             chunk_limit: chunk,
-            depth,
             ..PipelineConfig::default()
         })
         .with_metrics(Arc::clone(&reg));
@@ -653,7 +651,7 @@ proptest! {
         );
         if preload {
             // The stream may meet an array of the class before the class.
-            let array = mheap::klass::ref_array_name(name);
+            let array = format!("[L{name};");
             let ours = |n: &u32| [name, &array].iter().any(|c| {
                 receiver.klasses().by_name(c).is_some_and(|k| k.id.0 == *n)
             });

@@ -10,9 +10,9 @@ use serlab::jsbs::{build_dataset, define_jsbs_classes, verify_media_content};
 use serlab::Serializer;
 use simnet::{NodeId, Profile};
 use skyway::{
-    scrub_baddrs, ParallelConfig, PipelineConfig, PipelineEngine, SendConfig, ShuffleController,
-    SkywayObjectInputStream, SkywayObjectOutputStream, SkywaySerializer, Tracking, TransferMode,
-    TypeDirectory, UpdateRegistry,
+    scrub_baddrs, GraphReceiver, GraphSender, ParallelConfig, PipelineConfig, PipelineEngine,
+    SendConfig, ShuffleController, SkywaySerializer, Tracking, TransferMode, TypeDirectory,
+    UpdateRegistry,
 };
 
 fn classpath() -> Arc<ClassPath> {
@@ -138,24 +138,25 @@ fn repeated_root_uses_backward_reference() {
     let s = sender.new_string("root twice").unwrap();
     let h = sender.handle(s);
     let controller = ShuffleController::new();
-    let mut out = SkywayObjectOutputStream::new(
+    let mut out = GraphSender::new(
         &sender,
         &dir,
         NodeId(0),
-        &controller,
+        controller.sid(),
+        controller.next_stream(),
         SendConfig::for_vm(&sender),
     )
     .unwrap();
     let root = sender.resolve(h).unwrap();
-    out.write_object(root).unwrap();
-    out.write_object(root).unwrap(); // already sent in this phase
+    out.write_root(root).unwrap();
+    out.write_root(root).unwrap(); // already sent in this phase
     let stream = out.finish();
 
-    let mut input = SkywayObjectInputStream::new(&mut receiver, &dir, NodeId(1));
+    let mut input = GraphReceiver::new(&mut receiver, &dir, NodeId(1));
     for c in &stream.chunks {
         input.push_chunk(c).unwrap();
     }
-    let (roots, stats) = input.read_objects(None).unwrap();
+    let (roots, stats) = input.finish(None).unwrap();
     assert_eq!(roots.len(), 2);
     assert_eq!(roots[0], roots[1], "backward reference must alias the same object");
     // Only 2 objects (string + char array) crossed, not 4.
@@ -474,7 +475,7 @@ fn baddr_tracking_on_stock_heap_is_rejected() {
         tracking: Tracking::Baddr,
     };
     assert!(matches!(
-        SkywayObjectOutputStream::new(&sender, &dir, NodeId(0), &controller, cfg),
+        GraphSender::new(&sender, &dir, NodeId(0), controller.sid(), controller.next_stream(), cfg),
         Err(skyway::Error::NeedsBaddr)
     ));
 }
@@ -483,23 +484,24 @@ fn baddr_tracking_on_stock_heap_is_rejected() {
 fn update_hooks_run_after_transfer() {
     let (dir, mut sender, mut receiver) = setup_pair();
     let i = sender.new_integer(41).unwrap();
-    let hooks = Arc::new(UpdateRegistry::new());
+    let hooks = UpdateRegistry::new();
     hooks.register_update(mheap::stdlib::INTEGER, |vm, obj| {
         let v = vm.get_int(obj, "value").map_err(skyway::Error::Heap)?;
         vm.set_int(obj, "value", v + 1).map_err(skyway::Error::Heap)?;
         Ok(())
     });
-    let sky_tx = skyway_for(&dir, 0);
-    let sky_rx = SkywaySerializer::new(
-        Arc::clone(&dir),
-        NodeId(1),
-        Arc::new(ShuffleController::new()),
-        LayoutSpec::SKYWAY,
-    )
-    .with_hooks(hooks);
-    let mut p = Profile::new();
-    let bytes = sky_tx.serialize(&mut sender, &[i], &mut p).unwrap();
-    let roots = sky_rx.deserialize(&mut receiver, &bytes, &mut p).unwrap();
+    let controller = ShuffleController::new();
+    let cfg = SendConfig::for_vm(&sender);
+    let mut gs =
+        GraphSender::new(&sender, &dir, NodeId(0), controller.sid(), controller.next_stream(), cfg)
+            .unwrap();
+    gs.write_root(i).unwrap();
+    let out = gs.finish();
+    let mut gr = GraphReceiver::new(&mut receiver, &dir, NodeId(1));
+    for c in &out.chunks {
+        gr.push_chunk(c).unwrap();
+    }
+    let (roots, _) = gr.finish(Some(&hooks)).unwrap();
     assert_eq!(receiver.get_int(roots[0], "value").unwrap(), 42);
 }
 
@@ -510,7 +512,6 @@ fn update_hooks_run_after_transfer() {
 #[test]
 fn hook_stores_are_remembered_by_the_barrier_alone() {
     use mheap::stdlib::PAIR;
-    use skyway::{GraphReceiver, GraphSender};
 
     let (dir, mut sender, mut receiver) = setup_pair();
     let handles: Vec<_> = (0..64)
@@ -595,16 +596,17 @@ fn scrub_baddrs_clears_everything() {
     let s = sender.new_string("scrubbed").unwrap();
     let h = sender.handle(s);
     let controller = ShuffleController::new();
-    let mut out = SkywayObjectOutputStream::new(
+    let mut out = GraphSender::new(
         &sender,
         &dir,
         NodeId(0),
-        &controller,
+        controller.sid(),
+        controller.next_stream(),
         SendConfig::for_vm(&sender),
     )
     .unwrap();
     let s = sender.resolve(h).unwrap();
-    out.write_object(s).unwrap();
+    out.write_root(s).unwrap();
     let _ = out.finish();
     // The baddr word now carries phase state.
     let s = sender.resolve(h).unwrap();

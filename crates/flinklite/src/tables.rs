@@ -342,38 +342,6 @@ pub struct SupplierVal {
     pub name: String,
 }
 
-/// Builds a supplier row.
-///
-/// # Errors
-/// Allocation errors.
-pub fn new_supplier(vm: &mut Vm, v: &SupplierVal) -> Result<Addr> {
-    let n = vm.new_string(&v.name).map_err(Error::Heap)?;
-    let t = vm.push_temp_root(n);
-    let k = vm.load_class(SUPPLIER).map_err(Error::Heap)?;
-    let row = vm.alloc_instance(k).map_err(Error::Heap)?;
-    let n = vm.temp_root(t);
-    vm.pop_temp_root();
-    vm.set_long(row, "suppkey", v.suppkey).map_err(Error::Heap)?;
-    vm.set_long(row, "nationkey", v.nationkey).map_err(Error::Heap)?;
-    vm.set_double(row, "acctbal", v.acctbal).map_err(Error::Heap)?;
-    vm.set_ref(row, "name", n).map_err(Error::Heap)?;
-    Ok(row)
-}
-
-/// Reads a supplier row.
-///
-/// # Errors
-/// Field errors.
-pub fn read_supplier(vm: &Vm, row: Addr) -> Result<SupplierVal> {
-    let n = vm.get_ref(row, "name").map_err(Error::Heap)?;
-    Ok(SupplierVal {
-        suppkey: vm.get_long(row, "suppkey").map_err(Error::Heap)?,
-        nationkey: vm.get_long(row, "nationkey").map_err(Error::Heap)?,
-        acctbal: vm.get_double(row, "acctbal").map_err(Error::Heap)?,
-        name: if n.is_null() { String::new() } else { vm.read_string(n).map_err(Error::Heap)? },
-    })
-}
-
 /// A partsupp row as Rust values.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartsuppVal {

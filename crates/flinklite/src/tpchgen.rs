@@ -25,8 +25,6 @@ pub const SHIP_MODES: [&str; 7] = ["AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"
 pub const PRIORITIES: [&str; 5] = ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"];
 /// Market segments.
 pub const SEGMENTS: [&str; 5] = ["AUTOMOBILE", "BUILDING", "FURNITURE", "HOUSEHOLD", "MACHINERY"];
-/// Region names.
-pub const REGIONS: [&str; 5] = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"];
 
 /// A nation row (generated deterministically, not random).
 #[derive(Debug, Clone, PartialEq)]

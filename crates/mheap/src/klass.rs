@@ -250,17 +250,6 @@ impl Klass {
 /// Name of the root class.
 pub const OBJECT: &str = "java.lang.Object";
 
-/// Synthesizes the array-class name for a primitive, e.g. `"[I"`.
-pub fn prim_array_name(p: PrimType) -> String {
-    format!("[{}", p.descriptor())
-}
-
-/// Synthesizes the array-class name for references to `elem`, e.g.
-/// `"[Ljava.lang.String;"`.
-pub fn ref_array_name(elem: &str) -> String {
-    format!("[L{elem};")
-}
-
 /// A shared "classpath": class definitions by name, shared between all VMs
 /// of a cluster so that a receiving VM can load a class on demand when it
 /// meets a class number it has not loaded (§4.1: "Skyway instructs the

@@ -71,17 +71,6 @@ impl Addr {
         debug_assert!(self.0.checked_add(bytes).is_some(), "byte_add: {self} + {bytes} overflows");
         Addr(self.0.wrapping_add(bytes))
     }
-
-    /// Byte distance from `base` up to `self`.
-    ///
-    /// # Panics
-    /// In debug builds, if `base` lies above `self` (the subtraction
-    /// wraps in release — callers own the ordering invariant).
-    #[inline]
-    pub fn offset_from(self, base: Addr) -> u64 {
-        debug_assert!(base.0 <= self.0, "offset_from: base {base} above {self}");
-        self.0.wrapping_sub(base.0)
-    }
 }
 
 impl std::fmt::Debug for Addr {
@@ -110,8 +99,6 @@ impl std::fmt::Display for Addr {
 ///               forwarded-to address)
 /// ```
 pub mod mark {
-    /// Mask of the lock bits.
-    pub const LOCK_MASK: u64 = 0b111;
     /// Shift of the GC-age field.
     pub const AGE_SHIFT: u32 = 3;
     /// Mask of the GC-age field (after shifting).
@@ -335,7 +322,7 @@ mod tests {
         let s = mark::sanitized_for_transfer(m);
         assert_eq!(mark::hash_of(s), 1234);
         assert_eq!(mark::age_of(s), 0);
-        assert_eq!(s & mark::LOCK_MASK, 0);
+        assert_eq!(s & 0b111, 0, "lock bits cleared");
     }
 
     #[test]

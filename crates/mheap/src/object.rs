@@ -420,6 +420,7 @@ impl Vm {
     ///
     /// # Errors
     /// [`Error::IndexOutOfBounds`], [`Error::NotAnArray`].
+    // tidy:allow(unreached-pub, read by object::tests::prim_array_type_safety)
     pub fn array_get(&self, obj: Addr, idx: u64) -> Result<Value> {
         let k = self.klass_of(obj)?;
         match k.kind {
@@ -436,6 +437,7 @@ impl Vm {
     /// # Errors
     /// [`Error::IndexOutOfBounds`], [`Error::NotAnArray`],
     /// [`Error::FieldTypeMismatch`] for wrong value types.
+    // tidy:allow(unreached-pub, read by object::tests::prim_array_type_safety, field_handles)
     pub fn array_set(&mut self, obj: Addr, idx: u64, val: Value) -> Result<()> {
         let k = self.klass_of(obj)?;
         match k.kind {

@@ -255,6 +255,7 @@ impl Vm {
     ///
     /// # Errors
     /// Heap walking errors.
+    // tidy:allow(unreached-pub, read by verify::tests::histogram_counts_classes)
     pub fn class_histogram(&self) -> Result<Vec<ClassStat>> {
         // Keyed by the name where it lies on the klass: one `String` per
         // class in the result, none per object.
@@ -282,6 +283,7 @@ impl Vm {
     ///
     /// # Errors
     /// Heap walking errors.
+    // tidy:allow(unreached-pub, read by verify::tests::bytes_per_gen_tracks_tenuring)
     pub fn bytes_per_gen(&self) -> Result<(u64, u64)> {
         let mut young = 0;
         let mut old = 0;
@@ -337,6 +339,7 @@ fn is_start(starts: &[StartBits], at: u64) -> bool {
 ///
 /// # Panics
 /// Panics if any fault is found or the walk fails.
+// tidy:allow(unreached-pub, read by the field_handles and record_handles tests)
 pub fn assert_heap_ok(vm: &Vm) {
     let faults = vm.verify_heap().expect("heap walk failed"); // tidy:allow(panic, documented test helper; panicking is its API)
     assert!(faults.is_empty(), "heap faults: {faults:?}");

@@ -39,15 +39,6 @@ impl HandleTable {
         self.slots.get(h.0 as usize).copied().flatten().ok_or(Error::BadHandle(h.0))
     }
 
-    fn set(&mut self, h: Handle, addr: Addr) -> Result<()> {
-        let slot = self.slots.get_mut(h.0 as usize).ok_or(Error::BadHandle(h.0))?;
-        if slot.is_none() {
-            return Err(Error::BadHandle(h.0));
-        }
-        *slot = Some(addr);
-        Ok(())
-    }
-
     fn drop_handle(&mut self, h: Handle) -> Result<()> {
         let slot = self.slots.get_mut(h.0 as usize).ok_or(Error::BadHandle(h.0))?;
         if slot.take().is_none() {
@@ -166,14 +157,6 @@ impl Vm {
     /// The trace context GC pauses are currently attributed to.
     pub fn trace_ctx(&self) -> obs::TraceCtx {
         self.trace_ctx.get()
-    }
-
-    /// Boots a VM with a default-sized heap.
-    ///
-    /// # Errors
-    /// Propagates arena errors from [`Heap::new`].
-    pub fn with_defaults(name: impl Into<String>, classpath: Arc<ClassPath>) -> Result<Self> {
-        Vm::new(name, &HeapConfig::default(), classpath)
     }
 
     /// The heap (read access for Skyway and serializers).
@@ -305,14 +288,6 @@ impl Vm {
     /// [`Error::BadHandle`] for stale handles.
     pub fn resolve(&self, h: Handle) -> Result<Addr> {
         self.handles.get(h)
-    }
-
-    /// Re-points a handle.
-    ///
-    /// # Errors
-    /// [`Error::BadHandle`] for stale handles.
-    pub fn set_handle(&mut self, h: Handle, addr: Addr) -> Result<()> {
-        self.handles.set(h, addr)
     }
 
     /// Releases a handle (the object becomes collectible unless otherwise

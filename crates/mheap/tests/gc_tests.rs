@@ -28,13 +28,14 @@ fn build_list(vm: &mut Vm, n: i32) -> mheap::Handle {
     let head = vm.alloc_instance(k).unwrap();
     vm.set_int(head, "id", 0).unwrap();
     let hh = vm.handle(head);
-    let tail = vm.handle(head);
+    let mut tail = vm.handle(head);
     for i in 1..n {
         let node = vm.alloc_instance(k).unwrap();
         vm.set_int(node, "id", i).unwrap();
         let t = vm.resolve(tail).unwrap();
         vm.set_ref(t, "next", node).unwrap();
-        vm.set_handle(tail, node).unwrap();
+        vm.release(tail).unwrap();
+        tail = vm.handle(node);
     }
     vm.release(tail).unwrap();
     hh
@@ -235,6 +236,16 @@ fn cyclic_graphs_survive_gc() {
     assert_eq!(vm.get_ref(b, "next").unwrap(), a, "cycle broken by GC");
 }
 
+/// Claims `len` old-generation bytes through the shared window (the one raw
+/// path) and leaves them filler, so the old generation stays parseable.
+fn pad_old(vm: &mut Vm, len: u64) {
+    let heap = vm.heap_mut();
+    heap.begin_shared_old_alloc();
+    let pad = heap.shared_alloc_raw_old(len).unwrap();
+    heap.fill_filler(pad, len).unwrap();
+    heap.end_shared_old_alloc();
+}
+
 #[test]
 fn minor_gc_scans_an_object_whose_only_dirty_card_is_its_trailing_one() {
     // Tenure on the first survival, so one minor GC places the node.
@@ -248,7 +259,7 @@ fn minor_gc_scans_an_object_whose_only_dirty_card_is_its_trailing_one() {
     // a card boundary (cards are counted from the generation's start).
     let (_, _, _, old) = vm.heap().spaces();
     let boundary = old.start + (old.top - old.start + 16).div_ceil(CARD_SIZE) * CARD_SIZE;
-    vm.heap_mut().alloc_raw_old(boundary - 8 - old.top).unwrap();
+    pad_old(&mut vm, boundary - 8 - old.top);
     vm.minor_gc().unwrap();
     let old_node = vm.resolve(h).unwrap();
     assert_eq!(old_node.raw(), boundary - 8, "the node must straddle the card boundary");
@@ -289,7 +300,7 @@ fn cards_scanned_above(ballast: u64) -> (usize, u64) {
     let (_, _, _, old) = vm.heap().spaces();
     let rel = (old.top - old.start) % CARD_SIZE;
     if rel != 0 {
-        vm.heap_mut().alloc_raw_old(CARD_SIZE - rel).unwrap();
+        pad_old(&mut vm, CARD_SIZE - rel);
     }
     // A 2 000-slot reference array (≈ 32 cards), tenured by one minor GC.
     let objs = vm.load_class("[Ljava.lang.Object;").unwrap();

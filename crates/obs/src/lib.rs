@@ -221,12 +221,6 @@ impl Registry {
         Self::get_or_insert(&self.histograms, name)
     }
 
-    /// A drop-timer recording elapsed nanoseconds into the histogram
-    /// named `name`.
-    pub fn timer(&self, name: &str) -> ScopedTimer {
-        ScopedTimer::new(self.histogram(name))
-    }
-
     /// The span tracer (disabled until [`Tracer::set_enabled`]).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer

@@ -327,22 +327,9 @@ impl Tracer {
     }
 
     /// Records a span on the *simulated* clock (link occupancy from
-    /// `simnet`): timestamps are simulated nanoseconds, flagged via
+    /// `simnet`) on a worker lane (per-stream link occupancy of a parallel
+    /// transfer): timestamps are simulated nanoseconds, flagged via
     /// [`Span::sim_clock`] so readers never mix the clock domains.
-    pub fn record_sim(
-        &self,
-        name: &'static str,
-        ctx: TraceCtx,
-        node: &str,
-        start_ns: u64,
-        end_ns: u64,
-        args: &[(&'static str, u64)],
-    ) {
-        self.record_sim_on(name, ctx, node, 0, start_ns, end_ns, args);
-    }
-
-    /// [`Tracer::record_sim`] on an explicit worker lane (per-stream link
-    /// occupancy of a parallel transfer).
     #[allow(clippy::too_many_arguments)]
     pub fn record_sim_on(
         &self,
@@ -418,11 +405,6 @@ impl ActiveSpan<'_> {
     /// This span's id (0 when inert).
     pub fn id(&self) -> u64 {
         self.data.as_ref().map_or(0, |d| d.id)
-    }
-
-    /// True when the span records nothing.
-    pub fn is_inert(&self) -> bool {
-        self.data.is_none()
     }
 
     /// Attaches a key-value annotation.
@@ -613,7 +595,7 @@ mod tests {
         let t = Tracer::new(16);
         assert_eq!(t.new_trace(), TraceCtx::NONE);
         let span = t.start(crate::names::TRACE_TRANSFER, TraceCtx { trace_id: 1, parent: 0 }, "n");
-        assert!(span.is_inert());
+        assert_eq!(span.id(), 0, "an inert span has no id");
         assert_eq!(span.ctx(), TraceCtx::NONE);
         drop(span);
         assert!(t.spans().is_empty());
@@ -686,7 +668,7 @@ mod tests {
         let t = Tracer::new(8);
         t.set_enabled(true);
         let ctx = t.new_trace();
-        t.record_sim(crate::names::TRACE_LINK_XMIT, ctx, "link", 10, 40, &[("bytes", 64)]);
+        t.record_sim_on(crate::names::TRACE_LINK_XMIT, ctx, "link", 0, 10, 40, &[("bytes", 64)]);
         let spans = t.spans();
         assert_eq!((spans[0].start_ns, spans[0].end_ns), (10, 40));
         assert!(spans[0].sim_clock);
@@ -698,7 +680,7 @@ mod tests {
         t.set_enabled(true);
         let ctx = t.new_trace();
         t.start(crate::names::TRACE_TRANSFER, ctx, "driver").finish();
-        t.record_sim(crate::names::TRACE_LINK_XMIT, ctx, "driver", 0, 5, &[]);
+        t.record_sim_on(crate::names::TRACE_LINK_XMIT, ctx, "driver", 0, 0, 5, &[]);
         t.record_closed(crate::names::TRACE_GC_PAUSE, ctx, "w1", 10, &[]);
         let json = chrome_trace_json(&t.spans());
         for needle in

@@ -455,6 +455,7 @@ impl SegStore {
 
     /// Current attach refcount of a live segment (`None` once retired or
     /// never sealed).
+    // tidy:allow(unreached-pub, read by segstore_tests and sparklite's engine_tests)
     pub fn refcount(&self, base: u64) -> Option<u32> {
         // ORDER: Relaxed — an observability snapshot; the value is stale
         // the moment the lock drops anyway.
@@ -462,6 +463,7 @@ impl SegStore {
     }
 
     /// Segments currently owned by the store (attachable + limbo).
+    // tidy:allow(unreached-pub, read by segstore_tests and sparklite's engine_tests)
     pub fn live_segments(&self) -> usize {
         let inner = self.inner.lock();
         inner.segments.len() + inner.limbo.len()

@@ -640,7 +640,7 @@ fn mixed_owned_and_resident_graph_crosses_the_wire() {
 #[test]
 fn compact_format_seals_and_attaches() {
     let (dir, mut sender, mut receiver) =
-        env_with(HeapConfig::small().with_spec(LayoutSpec::COMPACT));
+        env_with(HeapConfig { spec: LayoutSpec::COMPACT, ..HeapConfig::small() });
     let spec = ImageSpec {
         tags: vec![1, 2, 3],
         lefts: vec![Some(2), Some(0), None],
@@ -696,7 +696,7 @@ fn format_mismatch_is_refused_and_rolls_back() {
     let store = SegStore::new().with_metrics(Arc::new(obs::Registry::new()));
     let seal = store.seal(&sender, &dir, NodeId(0), &roots).unwrap();
 
-    let cfg = HeapConfig::small().with_spec(LayoutSpec::COMPACT);
+    let cfg = HeapConfig { spec: LayoutSpec::COMPACT, ..HeapConfig::small() };
     let mut compact = Vm::new("c", &cfg, classpath()).unwrap();
     let err = store.attach(&mut compact, seal.base).unwrap_err();
     assert!(

@@ -217,16 +217,6 @@ impl<'a> ByteReader<'a> {
         self.pos
     }
 
-    /// Bytes remaining.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// True when fully consumed.
-    pub fn is_exhausted(&self) -> bool {
-        self.pos >= self.buf.len()
-    }
-
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.pos + n > self.buf.len() {
             return Err(Error::Truncated { at: self.pos, wanted: n });
@@ -455,7 +445,7 @@ mod tests {
         assert_eq!(r.varint_signed().unwrap(), -1);
         assert_eq!(r.varint_signed().unwrap(), i64::MIN);
         assert_eq!(r.string().unwrap(), "héllo");
-        assert!(r.is_exhausted());
+        assert_eq!(r.position(), bytes.len(), "every byte read");
     }
 
     #[test]

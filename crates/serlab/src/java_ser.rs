@@ -57,6 +57,7 @@ impl JavaSerializer {
     }
 
     /// Creates the serializer with a custom reset interval.
+    // tidy:allow(unreached-pub, read by serlab's java_roundtrip_across_stream_resets)
     pub fn with_reset_interval(reset_interval: usize) -> Self {
         JavaSerializer { reset_interval: reset_interval.max(1) }
     }

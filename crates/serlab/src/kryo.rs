@@ -17,7 +17,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use mheap::{Addr, FieldType, Klass, KlassKind, KlassSlots, LayoutSpec, PrimType, Vm};
+use mheap::{Addr, FieldType, Klass, KlassId, KlassKind, KlassSlots, LayoutSpec, PrimType, Vm};
 use simnet::Profile;
 
 use crate::framework::{
@@ -119,6 +119,18 @@ pub struct KryoSerializer {
     /// "generated" serializer code, found the way real Kryo finds a
     /// registered serializer: by number, with no lock and no hash.
     plans: KlassSlots<KlassPlan>,
+    /// The read side's registration-id switch: the klass each registration
+    /// id names, paged by registration id (not klass id).
+    classes: KlassSlots<RegisteredKlass>,
+}
+
+/// The klass a registration id names on the classpath it was resolved on:
+/// klass ids agree across the VMs of one classpath, so one resolution
+/// serves every receiver of it.
+#[derive(Debug, Clone, Copy)]
+struct RegisteredKlass {
+    classpath: u64,
+    klass: KlassId,
 }
 
 /// The compiled plan of one class — its registration id, if registered
@@ -145,6 +157,7 @@ impl KryoSerializer {
             varint_ints: true,
             name: "kryo-manual".into(),
             plans: KlassSlots::new(),
+            classes: KlassSlots::new(),
         }
     }
 
@@ -156,6 +169,7 @@ impl KryoSerializer {
             varint_ints: true,
             name: "kryo-opt".into(),
             plans: KlassSlots::new(),
+            classes: KlassSlots::new(),
         }
     }
 
@@ -167,6 +181,7 @@ impl KryoSerializer {
             varint_ints: false,
             name: "kryo-flat".into(),
             plans: KlassSlots::new(),
+            classes: KlassSlots::new(),
         }
     }
 
@@ -188,6 +203,24 @@ impl KryoSerializer {
         } else {
             Cow::Owned(compile())
         }
+    }
+
+    /// The klass `vm` numbers registration id `tid` with: one indexed read
+    /// once any VM of `vm`'s classpath resolved it, and a load by number on
+    /// a VM that has not met the class yet. A VM of another classpath
+    /// resolves by name per call.
+    fn klass_for<'v>(&self, vm: &'v Vm, tid: u32) -> Result<&'v Arc<Klass>> {
+        let classpath = vm.classpath().id();
+        let by_name = || vm.load_class(&self.registry.name_of(tid)?).map_err(Error::Heap);
+        let entry = match self.classes.get(KlassId(tid)) {
+            Some(entry) => *entry,
+            None => {
+                let klass = by_name()?;
+                *self.classes.get_or_init(KlassId(tid), || RegisteredKlass { classpath, klass })
+            }
+        };
+        let klass = if entry.classpath == classpath { entry.klass } else { by_name()? };
+        vm.klasses().get(klass).or_else(|_| vm.load_numbered(klass)).map_err(Error::Heap)
     }
 
     fn write_prim(&self, w: &mut ByteWriter, p: PrimType, bits: u64) {
@@ -314,12 +347,12 @@ impl KryoSerializer {
             K_OBJ => {
                 profile.deser_invocations += 1;
                 let tid = r.varint()? as u32;
-                let cname = self.registry.name_of(tid)?;
-                // No reflection: the registry gives the class directly (the
-                // generated `case id: return new T()` switch of §2.1).
-                let klass = vm.load_class(&cname).map_err(Error::Heap)?;
+                // No reflection: the registration id gives the class
+                // directly (the generated `case id: return new T()` switch
+                // of §2.1).
                 // Held across the allocating `&mut Vm` calls below.
-                let k = Arc::clone(vm.klasses().get(klass).map_err(Error::Heap)?);
+                let k = Arc::clone(self.klass_for(vm, tid)?);
+                let klass = k.id;
                 match k.kind {
                     KlassKind::Instance => {
                         let obj = vm.alloc_instance(klass).map_err(Error::Heap)?;
@@ -466,5 +499,42 @@ mod tests {
         assert_eq!(plan.fields[0].offset + 8, cached.fields[0].offset);
         let other = vm(&classpath(), LayoutSpec::SKYWAY);
         assert!(matches!(kryo.plan(&other, &p(&other)), Cow::Owned(_)));
+    }
+
+    #[test]
+    fn registration_ids_resolve_on_fresh_vms_of_either_classpath() {
+        let registry = Arc::new(KryoRegistry::new());
+        registry.register("P").unwrap();
+        let kryo = KryoSerializer::manual(registry);
+        let cp = classpath();
+        let mut sender = vm(&cp, LayoutSpec::SKYWAY);
+        let k = sender.load_class("P").unwrap();
+        let obj = sender.alloc_instance(k).unwrap();
+        sender.set_long(obj, "x", -7).unwrap();
+        let mut prof = Profile::new();
+        let bytes = kryo.serialize(&mut sender, &[obj], &mut prof).unwrap();
+
+        // A fresh VM of the classpath has not loaded P: it loads it by the
+        // number the table holds.
+        let mut same = vm(&cp, LayoutSpec::SKYWAY);
+        let got = kryo.deserialize(&mut same, &bytes, &mut prof).unwrap();
+        assert_eq!(same.get_long(got[0], "x").unwrap(), -7);
+        assert_eq!(same.klass_of(got[0]).unwrap().id, k);
+
+        // Another classpath numbers P otherwise: it resolves by name, and
+        // the table entry stays the first classpath's.
+        let other_cp = classpath();
+        other_cp.define(KlassDef::new("Q", None, vec![]));
+        let mut other = vm(&other_cp, LayoutSpec::SKYWAY);
+        other.load_class("Q").unwrap();
+        for _ in 0..2 {
+            let got = kryo.deserialize(&mut other, &bytes, &mut prof).unwrap();
+            assert_eq!(other.get_long(got[0], "x").unwrap(), -7);
+            let theirs = other.klass_of(got[0]).unwrap();
+            assert_eq!(theirs.name, "P");
+            assert_ne!(theirs.id, k, "the other classpath numbers P differently");
+        }
+        let got = kryo.deserialize(&mut same, &bytes, &mut prof).unwrap();
+        assert_eq!(same.klass_of(got[0]).unwrap().id, k);
     }
 }

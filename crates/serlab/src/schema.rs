@@ -154,11 +154,6 @@ pub fn standard_entrants(registry: &Arc<SchemaRegistry>) -> Vec<SchemaSerializer
 }
 
 impl SchemaSerializer {
-    /// Builds a single serializer with an explicit configuration.
-    pub fn with_config(cfg: SchemaConfig, registry: Arc<SchemaRegistry>) -> Self {
-        SchemaSerializer { cfg, registry, plan_cache: Mutex::new(HashMap::new()) }
-    }
-
     fn plan(&self, k: &Arc<mheap::Klass>) -> Result<Arc<Vec<FieldPlan>>> {
         let key = k.uid;
         if let Some(p) = self.plan_cache.lock().get(&key) {

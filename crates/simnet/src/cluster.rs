@@ -166,13 +166,6 @@ impl Cluster {
         total
     }
 
-    /// Resets all profiles (between experiment phases).
-    pub fn reset_profiles(&mut self) {
-        for p in &mut self.profiles {
-            *p = Profile::new();
-        }
-    }
-
     // ----- disk ----------------------------------------------------------
 
     /// Writes a spill file on `node`, charging modeled write-I/O time.
@@ -222,17 +215,6 @@ impl Cluster {
         let p = &mut self.profiles[node.0];
         p.add_ns(Category::ReadIo, self.cfg.disk_read_ns(data.len() as u64));
         Ok(data)
-    }
-
-    /// Names of files on a node's disk (sorted; diagnostics).
-    ///
-    /// # Errors
-    /// [`Error::UnknownNode`].
-    pub fn disk_files(&self, node: NodeId) -> Result<Vec<String>> {
-        self.check(node)?;
-        let mut v: Vec<String> = self.disks[node.0].files.keys().cloned().collect();
-        v.sort();
-        Ok(v)
     }
 
     // ----- network ---------------------------------------------------------
@@ -331,6 +313,7 @@ impl Cluster {
     ///
     /// # Errors
     /// [`Error::UnknownNode`].
+    // tidy:allow(unreached-pub, read by cluster::tests::rpc_counts_both_ends)
     pub fn rpc(
         &mut self,
         requester: NodeId,
@@ -370,7 +353,8 @@ mod tests {
         assert_eq!(data.len(), 1_000_000);
         assert!(c.profile(NodeId(1)).ns(Category::ReadIo) > 0);
         assert_eq!(c.profile(NodeId(1)).bytes_local, 1_000_000);
-        assert!(c.disk_files(NodeId(1)).unwrap().is_empty(), "a take removes the file");
+        let again = c.disk_take(NodeId(1), "shuffle_0_1");
+        assert!(matches!(again, Err(Error::NoSuchFile { .. })), "a take removes the file");
     }
 
     #[test]

@@ -225,10 +225,7 @@ impl SparkClasses {
     /// # Errors
     /// Allocation errors.
     pub fn new_adj(&self, vm: &mut Vm, node: i64, neighbors: &[i64]) -> Result<Addr> {
-        let arr = vm.alloc_array(self.long_array, neighbors.len() as u64).map_err(Error::Heap)?;
-        for (i, &n) in neighbors.iter().enumerate() {
-            vm.array_set_raw(arr, i as u64, n as u64).map_err(Error::Heap)?;
-        }
+        let arr = vm.new_long_array(self.long_array, neighbors).map_err(Error::Heap)?;
         let t = vm.push_temp_root(arr);
         let r = vm.alloc_instance(self.adj.klass).map_err(Error::Heap)?;
         let arr = vm.temp_root(t);
@@ -245,12 +242,7 @@ impl SparkClasses {
     pub fn read_adj(&self, vm: &Vm, r: Addr) -> Result<(i64, Vec<i64>)> {
         let node = vm.long_field(r, self.adj.a).map_err(Error::Heap)?;
         let arr = vm.ref_field(r, self.adj.b).map_err(Error::Heap)?;
-        let len = vm.array_len(arr).map_err(Error::Heap)?;
-        let mut out = Vec::with_capacity(len as usize);
-        for i in 0..len {
-            out.push(vm.array_get_raw(arr, i).map_err(Error::Heap)? as i64);
-        }
-        Ok((node, out))
+        Ok((node, vm.read_long_array(arr, self.long_array).map_err(Error::Heap)?))
     }
 
     /// Allocates a rank record.

@@ -262,7 +262,6 @@ impl SparkCluster {
                     sim: cfg.sim,
                     parallel: (cfg.pipeline_workers >= 2)
                         .then(|| skyway::ParallelConfig::with_workers(cfg.pipeline_workers)),
-                    ..skyway::PipelineConfig::default()
                 }))
             } else {
                 None
@@ -311,11 +310,6 @@ impl SparkCluster {
     /// Worker node ids (1..=W).
     pub fn worker_nodes(&self) -> Vec<NodeId> {
         (1..self.vms.len()).map(NodeId).collect()
-    }
-
-    /// Display label of the serializer in use.
-    pub fn serializer_label(&self) -> &str {
-        &self.kind_label
     }
 
     /// The shared classpath.
@@ -780,11 +774,13 @@ impl SparkCluster {
     }
 
     /// The node-local segment store (refcounts, live-segment census).
+    // tidy:allow(unreached-pub, read by engine_tests' broadcast and shared-segment tests)
     pub fn segment_store(&self) -> &Arc<segstore::SegStore> {
         &self.seg_store
     }
 
     /// Segments currently attached by shared same-node shuffles.
+    // tidy:allow(unreached-pub, read by engine_tests' shared_segment_shuffle_matches_spill_results)
     pub fn shared_spill_count(&self) -> usize {
         self.attached_spills.len()
     }
@@ -797,6 +793,7 @@ impl SparkCluster {
     ///
     /// # Errors
     /// Heap/store errors.
+    // tidy:allow(unreached-pub, read by engine_tests' shared_segment_shuffle_matches_spill_results)
     pub fn reclaim_shared_spills(&mut self) -> Result<usize> {
         for (node, base) in std::mem::take(&mut self.attached_spills) {
             self.seg_store.detach(&mut self.vms[node.0], base).map_err(Error::Store)?;
@@ -813,6 +810,7 @@ impl SparkCluster {
     ///
     /// # Errors
     /// Build, seal, or attach errors.
+    // tidy:allow(unreached-pub, read by engine_tests' broadcast_is_one_segment_with_refcount_n)
     pub fn broadcast(&mut self, build: impl Fn(&mut Vm) -> Result<Addr>) -> Result<Broadcast> {
         let driver = &mut self.vms[0];
         let root = build(driver)?;
@@ -837,6 +835,7 @@ impl SparkCluster {
     ///
     /// # Errors
     /// Heap/store errors.
+    // tidy:allow(unreached-pub, read by engine_tests' broadcast_is_one_segment_with_refcount_n)
     pub fn drop_broadcast(&mut self, b: Broadcast) -> Result<()> {
         for w in self.worker_nodes() {
             self.seg_store.detach(&mut self.vms[w.0], b.base).map_err(Error::Store)?;

@@ -120,3 +120,38 @@ proptest! {
         mheap::verify::assert_heap_ok(&vm);
     }
 }
+
+/// Adjacency records move their `long[]` in one bulk copy each way: the
+/// copy lands element for element at every length (empty, one, and past a
+/// thousand), on a VM that has not loaded `[J` itself, and an array of
+/// another class in the neighbours slot is refused rather than misread.
+#[test]
+fn adjacency_lists_move_in_bulk_at_every_length() {
+    let cp = mheap::ClassPath::new();
+    define_spark_classes(&cp);
+    let resolver = Vm::new("resolver", &HeapConfig::small(), std::sync::Arc::clone(&cp)).unwrap();
+    let c = SparkClasses::resolve(&resolver).unwrap();
+    let mut vm = Vm::new("fresh", &HeapConfig::small(), cp).unwrap();
+    assert!(vm.klasses().by_name("[J").is_none(), "the fresh VM meets [J through the records");
+    for len in [0i64, 1, 1_000, 4_099] {
+        let neighbors: Vec<i64> =
+            (0..len).map(|i| i.wrapping_mul(-0x61c8_8646_80b5_83eb)).collect();
+        let r = c.new_adj(&mut vm, len, &neighbors).unwrap();
+        let arr = vm.get_ref(r, "neighbors").unwrap();
+        let by_element: Vec<i64> = (0..vm.array_len(arr).unwrap())
+            .map(|i| vm.array_get_raw(arr, i).unwrap() as i64)
+            .collect();
+        assert_eq!(by_element, neighbors, "len {len}");
+        assert_eq!(c.read_adj(&vm, r).unwrap(), (len, neighbors), "len {len}");
+    }
+    let ints = vm.load_class("[I").unwrap();
+    let arr = vm.alloc_array(ints, 3).unwrap();
+    let ah = vm.handle(arr);
+    let r = alloc(&mut vm, ADJ);
+    vm.set_ref(r, "neighbors", vm.resolve(ah).unwrap()).unwrap();
+    assert!(matches!(
+        c.read_adj(&vm, r),
+        Err(sparklite::Error::Heap(mheap::Error::HandleMismatch { .. }))
+    ));
+    mheap::verify::assert_heap_ok(&vm);
+}

@@ -3,7 +3,7 @@
 //! syn; a small lexer, brace-matched scopes, a per-function dataflow pass,
 //! and line-oriented rules).
 //!
-//! Twelve rules guard the invariants the dynamic checkers
+//! Fourteen rules guard the invariants the dynamic checkers
 //! (`mheap::verify`, the test suite) can only catch after the fact:
 //!
 //! * `addr-cast` — **address discipline.** Mixing absolute heap addresses
@@ -39,6 +39,12 @@
 //!   accesses; a CAS failure ordering must be a load ordering no stronger
 //!   than its success ordering; and every non-`Relaxed` ordering carries
 //!   a `// ORDER:` justification (the atomic twin of `// SAFETY:`).
+//! * `by-name-field-in-app` — application code reaches fields through
+//!   resolved handles, never by a literal field name.
+//! * `unreached-pub` — **reachable surface.** Every plain-`pub` item of
+//!   library code is named by some non-test line; a knob no harness sets
+//!   or a shim nothing calls is deleted, and an item a test reads on
+//!   purpose carries a waiver naming that test.
 //!
 //! Any rule can be waived for one line with an inline `tidy:allow` comment
 //! tag — on the offending line, or alone on the comment line directly
@@ -83,6 +89,7 @@ pub const RULES: &[(&str, &str)] = &[
         "by-name-field-in-app",
         "no by-name field accessor with a literal field name in crates/sparklite/src",
     ),
+    ("unreached-pub", "every plain-pub item in crates/*/src is named by a non-test line"),
 ];
 
 /// One rule violation at a source location.
@@ -130,6 +137,12 @@ pub struct Config {
     /// Path prefixes exempt from the `atomics-order` family (the vendored
     /// interleaving shim, which wraps every ordering generically).
     pub atomics_exempt: Vec<String>,
+    /// Path prefixes whose plain-`pub` items `unreached-pub` checks
+    /// (test locations under them are never subjects).
+    pub pub_paths: Vec<String>,
+    /// Path prefixes under `pub_paths` that are never `unreached-pub`
+    /// subjects (their lines still count as callers).
+    pub pub_exempt: Vec<String>,
     /// Dotted-name prefixes that identify a metric name literal.
     pub metric_prefixes: Vec<String>,
     /// File (relative) defining the `obs::names` consts, for `dead-metric`.
@@ -160,6 +173,10 @@ impl Config {
             lock_exempt: vec!["shims".into()],
             metric_exempt: vec!["crates/obs".into(), "crates/tidy".into()],
             atomics_exempt: vec!["shims".into()],
+            pub_paths: vec!["crates".into()],
+            // The checker's library surface exists for its own binary and
+            // golden tests; the frozen benchmark crate cannot be edited.
+            pub_exempt: vec!["crates/tidy".into(), "crates/skybench".into()],
             metric_prefixes: vec!["skyway.".into(), "mheap.".into(), "trace.".into()],
             names_file: Some("crates/obs/src/lib.rs".into()),
             fault_file: Some("crates/mheap/src/verify.rs".into()),
@@ -185,6 +202,8 @@ impl Config {
             lock_exempt: vec![],
             metric_exempt: vec!["names.rs".into()],
             atomics_exempt: vec![],
+            pub_paths: vec!["unreached_pub.rs".into()],
+            pub_exempt: vec![],
             metric_prefixes: vec!["skyway.".into(), "mheap.".into(), "trace.".into()],
             names_file: Some("names.rs".into()),
             fault_file: Some("faults.rs".into()),
@@ -394,6 +413,7 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
     rules::atomics_order::check(cfg, &files, &mut out);
     rules::metrics::check_dead(cfg, &files, &mut out);
     rules::fault_coverage::check(cfg, &files, &mut out);
+    rules::unreached_pub::check(cfg, &files, &mut out);
     out.sort_by(|a, b| (&a.file, a.line, a.rule, a.col).cmp(&(&b.file, b.line, b.rule, b.col)));
     out.dedup();
     Ok(Report { violations: out, files_checked: files.len() })

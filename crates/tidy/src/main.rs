@@ -120,6 +120,8 @@ const FIXTURE_RULES: &[(&str, Option<&str>)] = &[
     ("names.rs", Some("dead-metric")),
     ("names_user.rs", None),
     ("panic_unwrap.rs", Some("panic")),
+    ("unreached_pub.rs", Some("unreached-pub")),
+    ("unreached_pub_bin.rs", None),
     ("unsafe_no_safety.rs", Some("unsafe-safety")),
 ];
 

@@ -26,8 +26,7 @@ pub(crate) fn check(cfg: &Config, f: &SourceFile, out: &mut Vec<Violation>) {
                     line: i + 1,
                     col: p + 1,
                     message: "raw integer cast on a line handling an Addr value; use the typed \
-                              helpers (Addr::raw, Addr::from_raw, Addr::byte_add, \
-                              Addr::offset_from)"
+                              helpers (Addr::raw, Addr::from_raw, Addr::byte_add)"
                         .into(),
                 });
             }

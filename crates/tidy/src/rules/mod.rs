@@ -1,7 +1,7 @@
 //! One module per rule family. Per-file rules take a single
 //! [`crate::SourceFile`]; cross-file rules (`dead-metric`,
-//! `fault-coverage`, `lock-order`) take the whole set, since their
-//! evidence spans the tree.
+//! `fault-coverage`, `lock-order`, `unreached-pub`) take the whole set,
+//! since their evidence spans the tree.
 
 pub mod addr_cast;
 pub mod addr_provenance;
@@ -12,4 +12,5 @@ pub mod fault_coverage;
 pub mod lock_order;
 pub mod metrics;
 pub mod panic;
+pub mod unreached_pub;
 pub mod unsafe_safety;

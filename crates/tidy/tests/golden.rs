@@ -176,6 +176,21 @@ fn by_name_field_in_app_fires_on_literal_field_names_only() {
 }
 
 #[test]
+fn unreached_pub_fires_on_items_no_non_test_line_names() {
+    let vs = fixture_violations();
+    // A fn read only by #[cfg(test)] code and an integration test, a fn
+    // reached only through a `pub use` line, a const named nowhere and a
+    // struct named only by its `impl` header fire; the fn the bin calls,
+    // the waived fn and the `pub(crate)` fn stay quiet, and the bin is a
+    // root, never a subject.
+    assert_fired(&vs, "unreached-pub", "unreached_pub.rs", 8);
+    assert_fired(&vs, "unreached-pub", "unreached_pub.rs", 12);
+    assert_fired(&vs, "unreached-pub", "unreached_pub.rs", 16);
+    assert_fired(&vs, "unreached-pub", "unreached_pub.rs", 19);
+    assert_eq!(vs.iter().filter(|v| v.rule == "unreached-pub").count(), 4, "{vs:#?}");
+}
+
+#[test]
 fn allow_tag_on_line_or_line_above_suppresses() {
     let vs = fixture_violations();
     assert!(
@@ -244,7 +259,7 @@ fn per_rule_allowlists_suppress_by_path_prefix() {
     assert_fired(&vs, "addr-cast", "addr_cast.rs", 6);
 }
 
-/// The gate itself: the real workspace must scan clean under all thirteen
+/// The gate itself: the real workspace must scan clean under all fourteen
 /// rules. This is the same check CI runs via `cargo run -p tidy -- --json`.
 #[test]
 fn workspace_tree_is_clean() {

@@ -8,9 +8,7 @@ use std::sync::Arc;
 use mheap::stdlib::define_core_classes;
 use mheap::{ClassPath, FieldType, HeapConfig, KlassDef, PrimType, Vm};
 use simnet::NodeId;
-use skyway::{
-    SendConfig, ShuffleController, SkywayObjectInputStream, SkywayObjectOutputStream, TypeDirectory,
-};
+use skyway::{PipelineConfig, PipelineEngine, ShuffleController, TypeDirectory};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A shared "classpath" of class definitions, as a cluster would have.
@@ -49,35 +47,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Materialize the identity hashcode — Skyway will preserve it.
     let hash_before = sender.identity_hash(order)?;
 
-    // Send: a GC-like traversal clones the graph into an output buffer,
-    // relativizing references (paper §4.2, Algorithm 2).
+    // Send and receive in one call. The sender's GC-like traversal clones
+    // the graph into output buffers, relativizing references (paper §4.2,
+    // Algorithm 2); chunks land in the receiver's old generation, where one
+    // linear scan absolutizes types and pointers (§4.3). The controller
+    // holds the shuffle phase (`start_phase` is §3.3's `shuffleStart`); the
+    // stream id names this sender's output buffer within the phase.
     let controller = ShuffleController::new();
-    let mut out = SkywayObjectOutputStream::new(
+    let engine = PipelineEngine::new(PipelineConfig::default());
+    let order = sender.resolve(oh)?;
+    let (roots, report) = engine.transfer(
         &sender,
+        &mut receiver,
         &dir,
         NodeId(0),
-        &controller,
-        SendConfig::for_vm(&sender),
+        NodeId(1),
+        controller.sid(),
+        controller.next_stream(),
+        &[order],
+        None,
     )?;
-    let order = sender.resolve(oh)?;
-    out.write_object(order)?;
-    let stream = out.finish();
-    println!(
-        "sent {} objects as {} bytes in {} chunk(s) — zero S/D function calls",
-        stream.stats.objects,
-        stream.stats.total_bytes,
-        stream.chunks.len()
-    );
-
-    // Receive: chunks land in the receiver's old generation; one linear
-    // scan absolutizes types and pointers (paper §4.3).
-    let mut input = SkywayObjectInputStream::new(&mut receiver, &dir, NodeId(1));
-    for chunk in &stream.chunks {
-        input.push_chunk(chunk)?;
-    }
-    let (roots, stats) = input.read_objects(None)?;
     let got = roots[0];
-    println!("received {} objects in {} input-buffer chunk(s)", stats.objects, stats.chunks);
+    println!(
+        "sent {} objects as {} bytes in {} chunk(s) ({:?}) — zero S/D function calls",
+        report.send_stats.objects,
+        report.send_stats.total_bytes,
+        report.chunk_bytes.len(),
+        report.mode
+    );
+    println!("received {} objects", report.recv_stats.objects);
 
     // The graph is immediately usable — and the hashcode survived.
     assert_eq!(receiver.get_long(got, "id")?, 4711);
