@@ -7,6 +7,9 @@
 
 #![warn(missing_docs)]
 
+use std::collections::BTreeMap;
+use std::sync::Mutex;
+
 use serde::Serialize;
 use simnet::{BreakdownRow, Category, Profile};
 use sparklite::engine::{SerializerKind, SparkCluster, SparkConfig};
@@ -188,14 +191,26 @@ pub fn run_cell_with_gc(
     }
     let gc_ns: u64 = sc.worker_nodes().into_iter().map(|n| sc.vm(n).stats.gc_ns).sum();
     let profile = sc.aggregate_profile();
-    // Mirror the cell's aggregate into the observability registry so a
-    // `--metrics-out` snapshot carries the Fig. 3 breakdown alongside the
-    // counters.
-    obs::global().put_profile(
-        &format!("bench.{}.{g:?}.{kind:?}", wl.label()),
-        obs::ProfileSection::from(&profile),
-    );
+    // Kept for the `profiles` section of a `--metrics-out` file, so it
+    // carries the Fig. 3 breakdown alongside the counters.
+    PROFILES
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .insert(format!("bench.{}.{g:?}.{kind:?}", wl.label()), profile);
     (profile, gc_ns)
+}
+
+/// Every cell's aggregate profile so far, by `bench.<workload>.<graph>.<serializer>`.
+static PROFILES: Mutex<BTreeMap<String, Profile>> = Mutex::new(BTreeMap::new());
+
+/// A `--metrics-out` file: the observability snapshot's sections plus the
+/// profile of every cell the harness ran.
+#[derive(Serialize)]
+struct MetricsDoc {
+    counters: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, i64>,
+    histograms: BTreeMap<String, obs::HistogramSnapshot>,
+    profiles: BTreeMap<String, Profile>,
 }
 
 /// Prints a stacked-breakdown table (the shape of Fig. 3(a)/8 bars).
@@ -326,15 +341,18 @@ pub fn metrics_out_from_args() -> Option<std::path::PathBuf> {
 }
 
 /// When `--metrics-out <path>` was given, writes the process-wide
-/// observability snapshot ([`obs::Registry::snapshot`]) as pretty-printed
-/// JSON to that path. Call once at the end of a harness `main`. Failure to
-/// write is reported but non-fatal, matching [`write_json`].
+/// observability snapshot ([`obs::Registry::snapshot`]) and the profile of
+/// every cell [`run_cell_with_gc`] ran as pretty-printed JSON to that path.
+/// Call once at the end of a harness `main`. Failure to write is reported
+/// but non-fatal, matching [`write_json`].
 pub fn dump_metrics() {
     let Some(path) = metrics_out_from_args() else {
         return;
     };
-    let snap = obs::global().snapshot();
-    match serde_json::to_string_pretty(&snap) {
+    let obs::Snapshot { counters, gauges, histograms } = obs::global().snapshot();
+    let profiles = PROFILES.lock().unwrap_or_else(|e| e.into_inner()).clone();
+    let doc = MetricsDoc { counters, gauges, histograms, profiles };
+    match serde_json::to_string_pretty(&doc) {
         Ok(s) => {
             if let Err(e) = std::fs::write(&path, s) {
                 eprintln!("note: could not write {}: {e}", path.display());

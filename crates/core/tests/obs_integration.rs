@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use mheap::stdlib::define_core_classes;
 use mheap::{ClassPath, FieldType, HeapConfig, KlassDef, PrimType, Vm};
-use simnet::{NodeId, Profile};
+use simnet::NodeId;
 use skyway::sender::SendConfig;
 use skyway::{GraphReceiver, GraphSender, ShuffleController, TypeDirectory};
 
@@ -97,12 +97,6 @@ fn full_transfer_reports_exact_metrics_and_roundtrips_as_json() {
     // --- a GC on the receiver, into the same registry ---
     rvm.minor_gc().unwrap();
 
-    // Bridge a simnet Profile through the registry too.
-    let mut profile = Profile::new();
-    profile.add_ns(simnet::Category::Ser, 1234);
-    profile.bytes_remote = stream_out.stats.total_bytes;
-    reg.put_profile("test.transfer", obs::ProfileSection::from(&profile));
-
     let snap = reg.snapshot();
 
     // Sender: exactly the 3 objects of the graph, all bytes accounted.
@@ -146,11 +140,6 @@ fn full_transfer_reports_exact_metrics_and_roundtrips_as_json() {
             ctx.trace_id
         );
     }
-
-    // Profile bridge made it into the snapshot.
-    let sect = snap.profiles.get("test.transfer").expect("profile section");
-    assert_eq!(sect.ser_ns, 1234);
-    assert_eq!(sect.bytes_remote, stream_out.stats.total_bytes);
 
     // --- JSON round-trip ---
     let json = serde_json::to_string_pretty(&snap).unwrap();

@@ -27,7 +27,7 @@ mod snapshot;
 mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, ScopedTimer, HISTOGRAM_BUCKETS};
-pub use snapshot::{HistogramSnapshot, ProfileSection, Snapshot};
+pub use snapshot::{HistogramSnapshot, Snapshot};
 pub use trace::{
     chrome_trace_json, critical_path_summary, ActiveSpan, Span, SpanBuffer, TraceCtx, TraceCtxCell,
     Tracer, DEFAULT_SPAN_CAPACITY,
@@ -188,7 +188,6 @@ pub struct Registry {
     counters: MetricMap<Counter>,
     gauges: MetricMap<Gauge>,
     histograms: MetricMap<Histogram>,
-    profiles: RwLock<BTreeMap<String, ProfileSection>>,
     tracer: Tracer,
 }
 
@@ -226,12 +225,6 @@ impl Registry {
         &self.tracer
     }
 
-    /// Attaches (or replaces) a named profile ledger so it appears in
-    /// snapshots alongside the metrics.
-    pub fn put_profile(&self, label: &str, section: ProfileSection) {
-        self.profiles.write().unwrap_or_else(|e| e.into_inner()).insert(label.to_owned(), section);
-    }
-
     /// Captures everything into an owned, serializable [`Snapshot`].
     ///
     /// The loss counter [`names::OBS_SPANS_DROPPED`] is injected into the
@@ -260,8 +253,7 @@ impl Registry {
             .iter()
             .map(|(k, v)| (k.clone(), HistogramSnapshot::capture(v)))
             .collect();
-        let profiles = self.profiles.read().unwrap_or_else(|e| e.into_inner()).clone();
-        Snapshot { counters, gauges, histograms, profiles }
+        Snapshot { counters, gauges, histograms }
     }
 
     /// Zeroes every metric and clears the span buffer. Metric handles
@@ -276,7 +268,6 @@ impl Registry {
         for h in self.histograms.read().unwrap_or_else(|e| e.into_inner()).values() {
             h.reset();
         }
-        self.profiles.write().unwrap_or_else(|e| e.into_inner()).clear();
         self.tracer.clear();
     }
 }
@@ -363,12 +354,10 @@ mod tests {
         r.counter("c").add(7);
         r.gauge("g").set(1);
         r.histogram("h").record(100);
-        r.put_profile("run", ProfileSection { ser_ns: 5, ..Default::default() });
         let s = r.snapshot();
         assert_eq!(s.counter("c"), 7);
         assert_eq!(s.gauge("g"), 1);
         assert_eq!(s.histograms["h"].count, 1);
-        assert_eq!(s.profiles["run"].ser_ns, 5);
     }
 
     #[test]

@@ -45,48 +45,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// An observability-side copy of `simnet::Profile`'s ledger, so profiled
-/// runs land in the same snapshot document as the metric registry.
-/// `simnet` provides `From<&Profile>` for this type.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ProfileSection {
-    /// Application compute nanoseconds.
-    pub compute_ns: u64,
-    /// Serialization nanoseconds.
-    pub ser_ns: u64,
-    /// Shuffle spill write nanoseconds.
-    pub write_io_ns: u64,
-    /// Deserialization nanoseconds.
-    pub deser_ns: u64,
-    /// Read/fetch nanoseconds (network included).
-    pub read_io_ns: u64,
-    /// Nanoseconds attributed to the network proper.
-    pub net_ns: u64,
-    /// Bytes fetched node-locally.
-    pub bytes_local: u64,
-    /// Bytes fetched over the network.
-    pub bytes_remote: u64,
-    /// Bytes written to spill files.
-    pub bytes_spilled: u64,
-    /// Serialization-side function invocations.
-    pub ser_invocations: u64,
-    /// Deserialization-side function invocations.
-    pub deser_invocations: u64,
-    /// Objects moved through data transfer.
-    pub objects_transferred: u64,
-    /// Control-plane messages.
-    pub rpc_messages: u64,
-    /// Control-plane bytes.
-    pub rpc_bytes: u64,
-}
-
-impl ProfileSection {
-    /// Total nanoseconds across the five cost categories.
-    pub fn total_ns(&self) -> u64 {
-        self.compute_ns + self.ser_ns + self.write_io_ns + self.deser_ns + self.read_io_ns
-    }
-}
-
 /// A full point-in-time capture of a [`crate::Registry`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Snapshot {
@@ -96,8 +54,6 @@ pub struct Snapshot {
     pub gauges: BTreeMap<String, i64>,
     /// Histogram summaries by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Attached profile ledgers by label.
-    pub profiles: BTreeMap<String, ProfileSection>,
 }
 
 impl Snapshot {
@@ -141,19 +97,6 @@ impl fmt::Display for Snapshot {
                 )?;
             }
         }
-        if !self.profiles.is_empty() {
-            writeln!(f, "-- profiles {:-<48}", "")?;
-            for (name, p) in &self.profiles {
-                writeln!(
-                    f,
-                    "{:<28} total {:>10.3} ms  ser {:>10.3} ms  deser {:>10.3} ms",
-                    name,
-                    p.total_ns() as f64 / 1e6,
-                    p.ser_ns as f64 / 1e6,
-                    p.deser_ns as f64 / 1e6,
-                )?;
-            }
-        }
         Ok(())
     }
 }
@@ -178,9 +121,8 @@ mod tests {
             "h".into(),
             HistogramSnapshot { count: 1, sum: 5, min: 5, max: 5, p50: 5, p95: 5, p99: 5, p999: 5 },
         );
-        s.profiles.insert("run".into(), ProfileSection::default());
         let t = s.to_string();
-        for needle in ["counters", "gauges", "histograms", "profiles", "a.b", "run"] {
+        for needle in ["counters", "gauges", "histograms", "a.b"] {
             assert!(t.contains(needle), "table missing {needle}: {t}");
         }
     }

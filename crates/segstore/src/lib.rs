@@ -31,9 +31,8 @@
 //!
 //! [`shared_transfer`] packages seal + attach as a drop-in fourth
 //! transfer mode (reported as [`TransferMode::Shared`]) next to the
-//! pipeline engine's inline/pipelined/parallel policy, for callers like
-//! `sparklite` that pick it automatically when source and destination are
-//! the same node.
+//! pipeline engine's inline/pipelined/parallel policy, for a caller whose
+//! source and destination are the same node.
 
 #![warn(missing_docs)]
 
@@ -455,7 +454,7 @@ impl SegStore {
 
     /// Current attach refcount of a live segment (`None` once retired or
     /// never sealed).
-    // tidy:allow(unreached-pub, read by segstore_tests and sparklite's engine_tests)
+    // tidy:allow(unreached-pub, read by segstore_tests)
     pub fn refcount(&self, base: u64) -> Option<u32> {
         // ORDER: Relaxed — an observability snapshot; the value is stale
         // the moment the lock drops anyway.
@@ -463,7 +462,7 @@ impl SegStore {
     }
 
     /// Segments currently owned by the store (attachable + limbo).
-    // tidy:allow(unreached-pub, read by segstore_tests and sparklite's engine_tests)
+    // tidy:allow(unreached-pub, read by segstore_tests)
     pub fn live_segments(&self) -> usize {
         let inner = self.inner.lock();
         inner.segments.len() + inner.limbo.len()
@@ -477,16 +476,6 @@ impl SegStore {
     /// Bases of every attachable (non-retired) segment.
     pub fn bases(&self) -> Vec<u64> {
         self.inner.lock().segments.keys().copied().collect()
-    }
-
-    /// Counts one shared-mode transfer on the engine's mode-policy metric
-    /// (`skyway.pipeline.mode_shared`). [`shared_transfer`] calls this
-    /// itself; callers that split seal and attach across a stage boundary
-    /// (e.g. a map-side seal with a reduce-side attach) call it once per
-    /// logical transfer so the mode census stays comparable to the
-    /// pipeline engine's inline/pipelined/parallel counters.
-    pub fn note_shared_mode(&self) {
-        self.metrics.mode_shared.inc();
     }
 
     fn update_live_gauge(&self, inner: &Inner) {
@@ -531,7 +520,9 @@ pub fn shared_transfer_with_trace(
     let t0 = Instant::now();
     let seal = store.seal_traced(sender_vm, dir, node, roots, parent)?;
     let roots_out = store.attach_traced(receiver_vm, seal.base, parent)?;
-    store.note_shared_mode();
+    // One shared-mode transfer on the engine's mode census, beside its
+    // inline/pipelined/parallel counters.
+    store.metrics.mode_shared.inc();
     let wall_ns = t0.elapsed().as_nanos() as u64;
     let recv_stats = ReceiveStats {
         objects: seal.stats.objects,

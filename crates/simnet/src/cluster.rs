@@ -304,35 +304,6 @@ impl Cluster {
     pub fn net_stream_done(&mut self, src: NodeId, dst: NodeId) {
         self.open_streams.remove(&(src, dst));
     }
-
-    // ----- control plane ----------------------------------------------------
-
-    /// Accounts one request/response RPC between two nodes (Skyway's
-    /// type-registry traffic, Algorithm 1). Latency is charged to the
-    /// requester; message and byte counters to both ends.
-    ///
-    /// # Errors
-    /// [`Error::UnknownNode`].
-    // tidy:allow(unreached-pub, read by cluster::tests::rpc_counts_both_ends)
-    pub fn rpc(
-        &mut self,
-        requester: NodeId,
-        responder: NodeId,
-        req_bytes: u64,
-        resp_bytes: u64,
-    ) -> Result<()> {
-        self.check(requester)?;
-        self.check(responder)?;
-        let rtt = self.cfg.net_ns(req_bytes) + self.cfg.net_ns(resp_bytes);
-        let p = &mut self.profiles[requester.0];
-        p.add_ns(Category::Compute, rtt);
-        p.rpc_messages += 1;
-        p.rpc_bytes += req_bytes + resp_bytes;
-        let q = &mut self.profiles[responder.0];
-        q.rpc_messages += 1;
-        q.rpc_bytes += req_bytes + resp_bytes;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -430,16 +401,6 @@ mod tests {
         let p = c.profile(NodeId(1));
         assert_eq!(p.net_ns, 0);
         assert_eq!(p.bytes_local, 4096);
-    }
-
-    #[test]
-    fn rpc_counts_both_ends() {
-        let mut c = cluster();
-        c.rpc(NodeId(2), NodeId(0), 64, 1024).unwrap();
-        assert_eq!(c.profile(NodeId(2)).rpc_messages, 1);
-        assert_eq!(c.profile(NodeId(0)).rpc_messages, 1);
-        assert_eq!(c.profile(NodeId(2)).rpc_bytes, 1088);
-        assert!(c.profile(NodeId(2)).ns(Category::Compute) > 0);
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! The paper's evaluation (§5) runs on a physical cluster; this crate stands
 //! in for the cluster: per-node cost [`profile::Profile`]s split into the
 //! paper's five run-time components, a message-passing network with a
-//! bandwidth/latency model, per-node simulated SSDs, and control-plane RPC
-//! accounting for Skyway's distributed type registry.
+//! bandwidth/latency model, and per-node simulated SSDs.
 //!
 //! # Example
 //!

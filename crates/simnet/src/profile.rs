@@ -74,10 +74,6 @@ pub struct Profile {
     pub deser_invocations: u64,
     /// Objects moved through data transfer.
     pub objects_transferred: u64,
-    /// Control-plane messages (Skyway registry traffic).
-    pub rpc_messages: u64,
-    /// Control-plane bytes.
-    pub rpc_bytes: u64,
     /// Nanoseconds attributed to the network proper (subset of ReadIo).
     pub net_ns: u64,
 }
@@ -130,8 +126,6 @@ impl Profile {
         self.ser_invocations += other.ser_invocations;
         self.deser_invocations += other.deser_invocations;
         self.objects_transferred += other.objects_transferred;
-        self.rpc_messages += other.rpc_messages;
-        self.rpc_bytes += other.rpc_bytes;
         self.net_ns += other.net_ns;
     }
 
@@ -142,27 +136,6 @@ impl Profile {
             return 0.0;
         }
         (self.ns(Category::Ser) + self.ns(Category::Deser)) as f64 / total as f64
-    }
-}
-
-impl From<&Profile> for obs::ProfileSection {
-    fn from(p: &Profile) -> Self {
-        obs::ProfileSection {
-            compute_ns: p.ns(Category::Compute),
-            ser_ns: p.ns(Category::Ser),
-            write_io_ns: p.ns(Category::WriteIo),
-            deser_ns: p.ns(Category::Deser),
-            read_io_ns: p.ns(Category::ReadIo),
-            net_ns: p.net_ns,
-            bytes_local: p.bytes_local,
-            bytes_remote: p.bytes_remote,
-            bytes_spilled: p.bytes_spilled,
-            ser_invocations: p.ser_invocations,
-            deser_invocations: p.deser_invocations,
-            objects_transferred: p.objects_transferred,
-            rpc_messages: p.rpc_messages,
-            rpc_bytes: p.rpc_bytes,
-        }
     }
 }
 

@@ -60,8 +60,6 @@ pub struct SparkConfig {
     pub heap_bytes: usize,
     /// Network/disk cost model.
     pub sim: SimConfig,
-    /// Skyway output-buffer chunk size.
-    pub chunk_limit: usize,
     /// Object format of every VM's heap (STOCK drops the `baddr` word —
     /// the baseline of the §5.2 memory-overhead experiment; Skyway as a
     /// serializer then requires the default SKYWAY format).
@@ -77,15 +75,6 @@ pub struct SparkConfig {
     /// single-stream pipelined path; the engine's adaptive policy still
     /// falls back per transfer when a partition has too few roots.
     pub pipeline_workers: usize,
-    /// Route same-node shuffle output through the node-local segment
-    /// store instead of the serialize → spill → deserialize path: the
-    /// map side *seals* the bucket's graph into an immutable segment, the
-    /// reduce side *attaches* it metadata-only — the fourth transfer mode
-    /// ([`skyway::TransferMode::Shared`]) next to
-    /// inline/pipelined/parallel. Sealed records are read-only in the
-    /// receiving partition (every sparklite transformation already reads
-    /// records immutably).
-    pub shared_segments: bool,
 }
 
 impl Default for SparkConfig {
@@ -95,11 +84,9 @@ impl Default for SparkConfig {
             serializer: SerializerKind::Kryo,
             heap_bytes: 64 << 20,
             sim: SimConfig::default(),
-            chunk_limit: 1 << 20,
             spec: LayoutSpec::SKYWAY,
             pipeline: false,
             pipeline_workers: 1,
-            shared_segments: false,
         }
     }
 }
@@ -137,14 +124,6 @@ pub struct SparkCluster {
     /// cluster's lifetime so its chunk pool carries backings across
     /// shuffles (steady-state transfers allocate nothing).
     pipeline_engine: Option<skyway::PipelineEngine>,
-    /// The node-local segment store (the simulation treats the cluster as
-    /// one physical host, so every VM can seal into and attach from it).
-    seg_store: Arc<segstore::SegStore>,
-    /// Whether same-node shuffle output takes the seal/attach path.
-    shared_spills: bool,
-    /// Segments attached by shared same-node shuffles, per owning node —
-    /// pinned until [`SparkCluster::reclaim_shared_spills`].
-    attached_spills: Vec<(NodeId, u64)>,
 }
 
 impl std::fmt::Debug for SparkCluster {
@@ -240,15 +219,12 @@ impl SparkCluster {
                 None => match cfg.serializer {
                     SerializerKind::Java => Arc::new(JavaSerializer::new()),
                     SerializerKind::Kryo => Arc::new(KryoSerializer::manual(Arc::clone(&kreg))),
-                    SerializerKind::Skyway => Arc::new(
-                        SkywaySerializer::new(
-                            Arc::clone(&dir),
-                            NodeId(i),
-                            Arc::clone(&controller),
-                            LayoutSpec::SKYWAY,
-                        )
-                        .with_chunk_limit(cfg.chunk_limit),
-                    ),
+                    SerializerKind::Skyway => Arc::new(SkywaySerializer::new(
+                        Arc::clone(&dir),
+                        NodeId(i),
+                        Arc::clone(&controller),
+                        LayoutSpec::SKYWAY,
+                    )),
                 },
             };
             serializers.push(s);
@@ -258,10 +234,10 @@ impl SparkCluster {
         let pipeline_engine =
             if cfg.pipeline && custom.is_none() && cfg.serializer == SerializerKind::Skyway {
                 Some(skyway::PipelineEngine::new(skyway::PipelineConfig {
-                    chunk_limit: cfg.chunk_limit.min(skyway::pipeline::DEFAULT_PIPELINE_CHUNK),
                     sim: cfg.sim,
                     parallel: (cfg.pipeline_workers >= 2)
                         .then(|| skyway::ParallelConfig::with_workers(cfg.pipeline_workers)),
+                    ..skyway::PipelineConfig::default()
                 }))
             } else {
                 None
@@ -279,9 +255,6 @@ impl SparkCluster {
             shuffle_seq: 0,
             classpath,
             pipeline_engine,
-            seg_store: Arc::new(segstore::SegStore::new()),
-            shared_spills: cfg.shared_segments,
-            attached_spills: Vec::new(),
         })
     }
 
@@ -584,10 +557,6 @@ impl SparkCluster {
             None
         };
 
-        // Same-node buckets sealed on the map side (segment roots are
-        // stable absolute addresses, so attach can wait for reduce).
-        let mut sealed_spills: Vec<(usize, u64)> = Vec::new();
-
         // Map side: bucket, sort, serialize, spill.
         for p in &ds.partitions {
             let node = p.node;
@@ -615,23 +584,6 @@ impl SparkCluster {
             for (dst_idx, bucket) in buckets.iter().enumerate() {
                 let dst = NodeId(dst_idx + 1);
                 let roots: Vec<Addr> = bucket.iter().map(|(_, r)| *r).collect();
-                if dst == node && self.shared_spills {
-                    // Zero-copy same-node path: seal the bucket into the
-                    // segment store now (the input records are released at
-                    // the stage boundary and may move); the reduce side
-                    // attaches it metadata-only.
-                    if !roots.is_empty() {
-                        let seal = self
-                            .seg_store
-                            .seal_traced(&self.vms[node.0], &self.dir, node, &roots, stage_ctx)
-                            .map_err(Error::Store)?;
-                        let prof = self.cluster.profile_mut(node);
-                        prof.add_ns(Category::Ser, seal.seal_ns);
-                        prof.objects_transferred += seal.stats.objects;
-                        sealed_spills.push((dst_idx, seal.base));
-                    }
-                    continue;
-                }
                 if dst != node {
                     if let Some(engine) = &self.pipeline_engine {
                         // Heap-to-heap, chunk-granularity: no intermediate
@@ -684,10 +636,6 @@ impl SparkCluster {
                 if self.pipeline_engine.is_some() && src != dst {
                     continue;
                 }
-                if self.shared_spills && src == dst {
-                    // Same-node data is in the segment store, not on disk.
-                    continue;
-                }
                 let name = shuffle_file(seq, src, dst);
                 let blob = if src == dst {
                     self.cluster.disk_take(src, &name).map_err(Error::Net)?
@@ -705,24 +653,6 @@ impl SparkCluster {
                     adopt_roots(vm, &roots, lh)?;
                 }
                 self.merge_sd(dst, prof);
-            }
-            // Attach this node's sealed same-node buckets: the records
-            // arrive as segment addresses — no clone, no card dirtied.
-            for &(idx, base) in &sealed_spills {
-                if idx + 1 != vm_idx {
-                    continue;
-                }
-                let t0 = std::time::Instant::now();
-                let roots = self
-                    .seg_store
-                    .attach_traced(&mut self.vms[vm_idx], base, stage_ctx)
-                    .map_err(Error::Store)?;
-                adopt_roots(&mut self.vms[vm_idx], &roots, lh)?;
-                self.seg_store.note_shared_mode();
-                self.cluster
-                    .profile_mut(dst)
-                    .add_ns(Category::Deser, t0.elapsed().as_nanos() as u64);
-                self.attached_spills.push((dst, base));
             }
             partitions.push(Partition { node: dst, list: lh });
         }
@@ -773,88 +703,6 @@ impl SparkCluster {
         Ok(out)
     }
 
-    /// The node-local segment store (refcounts, live-segment census).
-    // tidy:allow(unreached-pub, read by engine_tests' broadcast and shared-segment tests)
-    pub fn segment_store(&self) -> &Arc<segstore::SegStore> {
-        &self.seg_store
-    }
-
-    /// Segments currently attached by shared same-node shuffles.
-    // tidy:allow(unreached-pub, read by engine_tests' shared_segment_shuffle_matches_spill_results)
-    pub fn shared_spill_count(&self) -> usize {
-        self.attached_spills.len()
-    }
-
-    /// Detaches every segment attached by shared same-node shuffles and
-    /// advances the store epoch so unreferenced ones are reclaimed.
-    /// Callers must first [`SparkCluster::release`] any dataset whose
-    /// records live in those segments — detaching earlier would leave its
-    /// partitions pointing at unmapped memory.
-    ///
-    /// # Errors
-    /// Heap/store errors.
-    // tidy:allow(unreached-pub, read by engine_tests' shared_segment_shuffle_matches_spill_results)
-    pub fn reclaim_shared_spills(&mut self) -> Result<usize> {
-        for (node, base) in std::mem::take(&mut self.attached_spills) {
-            self.seg_store.detach(&mut self.vms[node.0], base).map_err(Error::Store)?;
-        }
-        Ok(self.seg_store.advance_epoch())
-    }
-
-    /// Broadcasts a driver-built value to every worker Spark-style — but
-    /// through the segment store instead of N serialized copies: the
-    /// driver *seals* the value's object graph once, and each worker
-    /// *attaches* the same immutable segment (one copy on the node, N
-    /// views, refcount N). Returns the broadcast descriptor; the root
-    /// address is identical in every attached worker.
-    ///
-    /// # Errors
-    /// Build, seal, or attach errors.
-    // tidy:allow(unreached-pub, read by engine_tests' broadcast_is_one_segment_with_refcount_n)
-    pub fn broadcast(&mut self, build: impl Fn(&mut Vm) -> Result<Addr>) -> Result<Broadcast> {
-        let driver = &mut self.vms[0];
-        let root = build(driver)?;
-        let h = driver.handle(root);
-        let root = driver.resolve(h).map_err(Error::Heap)?;
-        let seal = self
-            .seg_store
-            .seal(&self.vms[0], &self.dir, NodeId(0), &[root])
-            .map_err(Error::Store)?;
-        self.vms[0].release(h).map_err(Error::Heap)?;
-        self.cluster.profile_mut(NodeId(0)).add_ns(Category::Ser, seal.seal_ns);
-        let mut roots = Vec::new();
-        for w in self.worker_nodes() {
-            roots = self.seg_store.attach(&mut self.vms[w.0], seal.base).map_err(Error::Store)?;
-        }
-        let root = *roots.first().ok_or(Error::BadPartitioning { expected: 1, got: 0 })?;
-        Ok(Broadcast { base: seal.base, root })
-    }
-
-    /// Drops a broadcast: detaches the segment from every worker and
-    /// advances the store epoch so it is reclaimed.
-    ///
-    /// # Errors
-    /// Heap/store errors.
-    // tidy:allow(unreached-pub, read by engine_tests' broadcast_is_one_segment_with_refcount_n)
-    pub fn drop_broadcast(&mut self, b: Broadcast) -> Result<()> {
-        for w in self.worker_nodes() {
-            self.seg_store.detach(&mut self.vms[w.0], b.base).map_err(Error::Store)?;
-        }
-        self.seg_store.advance_epoch();
-        Ok(())
-    }
-}
-
-/// A broadcast variable: one sealed segment, attached by every worker.
-#[derive(Debug, Clone, Copy)]
-pub struct Broadcast {
-    /// Segment base — the store key (refcount, detach).
-    pub base: u64,
-    /// The broadcast value's root; the same address in every worker.
-    pub root: Addr,
-}
-
-impl SparkCluster {
     /// Merges an S/D profile into a node's ledger, applying the JVM-vs-Rust
     /// CPU calibration ([`SimConfig::sd_cpu_scale`]) to the measured Ser and
     /// Deser times of *every* serializer equally.

@@ -15,7 +15,7 @@ pub mod engine;
 pub mod graphgen;
 pub mod workloads;
 
-pub use engine::{Broadcast, Dataset, Partition, SerializerKind, SparkCluster, SparkConfig};
+pub use engine::{Dataset, Partition, SerializerKind, SparkCluster, SparkConfig};
 pub use graphgen::{generate, Graph, GraphKind};
 
 /// Errors produced by the engine.
@@ -29,8 +29,6 @@ pub enum Error {
     Skyway(skyway::Error),
     /// Cluster-fabric error.
     Net(simnet::Error),
-    /// Segment-store error (shared same-node transfers, broadcast).
-    Store(segstore::Error),
     /// Datasets/seeds had the wrong number of partitions.
     BadPartitioning {
         /// Expected partition count (or node id).
@@ -47,7 +45,6 @@ impl std::fmt::Display for Error {
             Error::Serde(e) => write!(f, "serializer error: {e}"),
             Error::Skyway(e) => write!(f, "skyway error: {e}"),
             Error::Net(e) => write!(f, "cluster error: {e}"),
-            Error::Store(e) => write!(f, "segment store error: {e}"),
             Error::BadPartitioning { expected, got } => {
                 write!(f, "bad partitioning: expected {expected}, got {got}")
             }
@@ -62,7 +59,6 @@ impl std::error::Error for Error {
             Error::Serde(e) => Some(e),
             Error::Skyway(e) => Some(e),
             Error::Net(e) => Some(e),
-            Error::Store(e) => Some(e),
             Error::BadPartitioning { .. } => None,
         }
     }
@@ -89,12 +85,6 @@ impl From<skyway::Error> for Error {
 impl From<simnet::Error> for Error {
     fn from(e: simnet::Error) -> Self {
         Error::Net(e)
-    }
-}
-
-impl From<segstore::Error> for Error {
-    fn from(e: segstore::Error) -> Self {
-        Error::Store(e)
     }
 }
 

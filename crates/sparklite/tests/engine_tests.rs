@@ -244,75 +244,25 @@ fn pipelined_shuffle_matches_sequential_results() {
 }
 
 #[test]
-fn shared_segment_shuffle_matches_spill_results() {
-    let mk = |shared: bool| {
-        SparkCluster::new(&SparkConfig {
-            n_workers: 3,
-            serializer: SerializerKind::Skyway,
-            heap_bytes: 48 << 20,
-            shared_segments: shared,
-            ..SparkConfig::default()
-        })
-        .unwrap()
-    };
-    let mut spill = mk(false);
-    let mut shared = mk(true);
-    let a = run_wordcount(&mut spill, sample_lines()).unwrap();
-    let b = run_wordcount(&mut shared, sample_lines()).unwrap();
-    assert_eq!(a, b);
-    assert_eq!(
-        spill.aggregate_profile().objects_transferred,
-        shared.aggregate_profile().objects_transferred,
-        "the seal route charges the objects it moves"
-    );
+fn spill_shuffle_conserves_bytes() {
+    for kind in SerializerKind::ALL {
+        let mut sc = cluster(kind);
+        let cls = sc.classes().unwrap();
+        let seeds: Vec<Vec<i64>> = (0..3).map(|w| (0..40).map(|i| w * 40 + i).collect()).collect();
+        let ds = sc.create_dataset(seeds, |vm, &v| cls.new_edge(vm, v, v + 1)).unwrap();
+        let before = sc.aggregate_profile();
+        let out = sc.shuffle(ds, |vm, r| Ok(cls.read_edge(vm, r)?.0 as u64)).unwrap();
+        let after = sc.aggregate_profile();
+        assert_eq!(sc.count(&out).unwrap(), 120, "{kind:?}");
 
-    // The same-node buckets really took the seal/attach path…
-    assert!(shared.shared_spill_count() > 0, "no same-node bucket was sealed");
-    assert_eq!(
-        shared.segment_store().live_segments(),
-        shared.shared_spill_count(),
-        "every sealed spill segment must still be live while attached"
-    );
-    // …and every attached heap still verifies clean.
-    for n in shared.worker_nodes() {
-        assert_eq!(shared.vm(n).verify_heap().unwrap(), vec![]);
+        // Every spilled byte is fetched exactly once, locally or remotely.
+        let spilled = after.bytes_spilled - before.bytes_spilled;
+        let local = after.bytes_local - before.bytes_local;
+        let remote = after.bytes_remote - before.bytes_remote;
+        assert_eq!(spilled, local + remote, "{kind:?}");
+        assert!(local > 0, "{kind:?}: no same-node bucket fetched");
+        assert!(remote > 0, "{kind:?}: no cross-node bucket fetched");
     }
-    // After the workload released its datasets, the spill segments can be
-    // detached and reclaimed in one epoch.
-    let attached = shared.shared_spill_count();
-    assert_eq!(shared.reclaim_shared_spills().unwrap(), attached);
-    assert_eq!(shared.segment_store().live_segments(), 0);
-
-    // Larger, multi-shuffle workload for the same equivalence.
-    let g = generate(GraphKind::LiveJournal, 20_000, 7);
-    let mut spill = mk(false);
-    let mut shared = mk(true);
-    let a = run_pagerank(&mut spill, &g, 3, 5).unwrap();
-    let b = run_pagerank(&mut shared, &g, 3, 5).unwrap();
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.0, y.0);
-        assert!((x.1 - y.1).abs() < 1e-9);
-    }
-}
-
-#[test]
-fn broadcast_is_one_segment_with_refcount_n() {
-    let mut sc = cluster(SerializerKind::Skyway);
-    let n = sc.n_workers();
-    let cls = sc.classes().unwrap();
-    let b = sc.broadcast(|vm| cls.new_edge(vm, 40, 2)).unwrap();
-    // One sealed copy, one attach per worker: refcount == N.
-    assert_eq!(sc.segment_store().refcount(b.base), Some(n as u32));
-    // Every worker reads the same physical object at the same address.
-    for w in sc.worker_nodes() {
-        let (src, dst) = cls.read_edge(sc.vm(w), b.root).unwrap();
-        assert_eq!((src, dst), (40, 2));
-        assert_eq!(sc.vm(w).verify_heap().unwrap(), vec![]);
-    }
-    sc.drop_broadcast(b).unwrap();
-    assert_eq!(sc.segment_store().refcount(b.base), None);
-    assert_eq!(sc.segment_store().live_segments(), 0);
 }
 
 #[test]
