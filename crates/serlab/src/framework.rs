@@ -8,8 +8,6 @@
 //! string lookups vs. compiled field plans vs. Skyway's format-preserving
 //! copy — is the subject of the paper's Figure 7.
 
-use std::time::Instant;
-
 use mheap::{Addr, FieldType, Klass, PrimType, Vm};
 use simnet::{Category, Profile};
 
@@ -67,7 +65,8 @@ pub trait Serializer: Send + Sync {
     }
 }
 
-/// Runs [`Serializer::serialize`], charging measured wall time to `Ser`.
+/// Runs [`Serializer::serialize`], charging the calling thread's CPU time
+/// to `Ser` (a node whose task shares a core is not billed for waiting).
 ///
 /// # Errors
 /// Propagates the serializer's error.
@@ -77,9 +76,9 @@ pub fn serialize_profiled(
     roots: &[Addr],
     profile: &mut Profile,
 ) -> Result<Vec<u8>> {
-    let t = Instant::now();
+    let t0 = obs::thread_cpu_ns();
     let r = s.serialize(vm, roots, profile);
-    let ns = t.elapsed().as_nanos() as u64;
+    let ns = obs::thread_cpu_ns().saturating_sub(t0);
     profile.add_ns(Category::Ser, ns);
     let reg = obs::global();
     reg.histogram(&format!("serlab.{}.serialize_ns", s.name())).record(ns);
@@ -90,7 +89,8 @@ pub fn serialize_profiled(
     r
 }
 
-/// Runs [`Serializer::deserialize`], charging measured wall time to `Deser`.
+/// Runs [`Serializer::deserialize`], charging the calling thread's CPU time
+/// to `Deser`.
 ///
 /// # Errors
 /// Propagates the serializer's error.
@@ -100,9 +100,9 @@ pub fn deserialize_profiled(
     bytes: &[u8],
     profile: &mut Profile,
 ) -> Result<Vec<Addr>> {
-    let t = Instant::now();
+    let t0 = obs::thread_cpu_ns();
     let r = s.deserialize(vm, bytes, profile);
-    let ns = t.elapsed().as_nanos() as u64;
+    let ns = obs::thread_cpu_ns().saturating_sub(t0);
     profile.add_ns(Category::Deser, ns);
     let reg = obs::global();
     reg.histogram(&format!("serlab.{}.deserialize_ns", s.name())).record(ns);

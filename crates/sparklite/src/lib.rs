@@ -5,8 +5,10 @@
 //! eagerly-evaluated partitioned datasets of heap-object records, and a
 //! sort-based shuffle whose serializer is pluggable:
 //! [`engine::SerializerKind::Java`], [`engine::SerializerKind::Kryo`], or
-//! [`engine::SerializerKind::Skyway`]. The four workloads of Figure 8(a)
-//! live in [`workloads`]; the synthetic Table 1 graphs in [`graphgen`].
+//! [`engine::SerializerKind::Skyway`]. Each stage runs one task per worker
+//! heap, side by side, and charges each node its own CPU time (see
+//! [`engine`]). The four workloads of Figure 8(a) live in [`workloads`];
+//! the synthetic Table 1 graphs in [`graphgen`].
 
 #![warn(missing_docs)]
 

@@ -8,6 +8,7 @@
 //! is taken by S/D").
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::classes;
 use crate::engine::{Dataset, SparkCluster};
@@ -298,7 +299,7 @@ pub fn run_connected_components(
         // Take the min label per node; count changes for convergence.
         let changed_total;
         let new_labels = {
-            let changed = std::cell::Cell::new(0u64);
+            let changed = AtomicU64::new(0);
             let nl = sc.zip_transform(
                 &labels,
                 &grouped,
@@ -313,7 +314,7 @@ pub fn run_connected_components(
                         let (node, old) = cls.read_label(vm, o)?;
                         let new = mins.get(&node).copied().unwrap_or(old).min(old);
                         if new != old {
-                            changed.set(changed.get() + 1);
+                            changed.fetch_add(1, Ordering::Relaxed);
                         }
                         out.push((node, new));
                     }
@@ -321,7 +322,7 @@ pub fn run_connected_components(
                 },
                 |vm, (node, label)| cls.new_label(vm, *node, *label),
             )?;
-            changed_total = changed.get();
+            changed_total = changed.into_inner();
             nl
         };
         sc.release(grouped)?;
