@@ -141,6 +141,9 @@ pub enum Error {
     NullRoot,
     /// Internal: an update hook index went stale.
     NoSuchHook(usize),
+    /// A block of this many stream ids no longer fits below the top of the
+    /// current shuffle phase's id range.
+    StreamIdsExhausted(u16),
 }
 
 impl std::fmt::Display for Error {
@@ -174,6 +177,9 @@ impl std::fmt::Display for Error {
             }
             Error::NullRoot => write!(f, "cannot transfer a null root"),
             Error::NoSuchHook(i) => write!(f, "no update hook at index {i}"),
+            Error::StreamIdsExhausted(n) => {
+                write!(f, "no block of {n} stream ids left in this shuffle phase")
+            }
         }
     }
 }

@@ -15,7 +15,12 @@
 //! |-----------|---------|---------|--------------------------------------|
 //! | inline    | 1       | —       | none: produce, then absorb           |
 //! | pipelined | 1       | 4       | 1 sender; the caller absorbs         |
-//! | parallel  | workers | 4       | N work-stealing senders, N absorbers |
+//! | parallel  | workers | 4       | N strided senders, N absorbers       |
+//!
+//! The roots are cut into runs of `B = ⌈roots / (N·ROUNDS)⌉` consecutive
+//! roots, and lane `t` of N sends runs `t, t + N, t + 2N, …` in that order
+//! (with few roots `B` is 1: roots `t, t + N, …`). Received run `r` comes
+//! back from lane `r mod N`, after the lane's `r div N` earlier runs.
 //!
 //! The policy only picks N and D: a flat graph that provably fits one chunk
 //! has nothing to overlap and runs inline; otherwise `parallel` engages
@@ -40,9 +45,7 @@ use simnet::{Cluster, LinkClock, NodeId, SimConfig};
 use crate::buffer::ChunkPool;
 use crate::receiver::{self, AbsorbCore, GraphReceiver, ReceiveStats};
 use crate::registry::TypeDirectory;
-use crate::sender::{
-    send_lane, GraphSender, LaneSent, ParallelConfig, RootFeed, SendConfig, SendStats, StealSet,
-};
+use crate::sender::{send_lane, GraphSender, ParallelConfig, SendConfig, SendStats};
 use crate::stream::UpdateRegistry;
 use crate::{Error, Result};
 
@@ -56,6 +59,14 @@ pub const DEFAULT_PIPELINE_CHUNK: usize = 64 << 10;
 /// absorber (the backpressure window).
 const DEPTH: usize = 4;
 
+/// Runs per lane in the fixed strided root split. Whole runs keep two lanes
+/// off the neighbouring sender-heap records of adjacent roots, whose
+/// `baddr` words they would CAS side by side (a stride of single roots read
+/// up to ≈ 1.25× the critical-path send CPU on a 2-core host, EXPERIMENTS
+/// E12); several runs per lane spread a front-loaded root set over every
+/// lane.
+const ROUNDS: usize = 16;
+
 /// Which execution strategy a transfer took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransferMode {
@@ -64,8 +75,9 @@ pub enum TransferMode {
     Inline,
     /// One sender thread overlapped with absorption on the calling thread.
     Pipelined,
-    /// N work-stealing traversal workers, each streaming to its own
-    /// concurrent absorber over the shared receiving heap.
+    /// N traversal workers, each sending its fixed strided share of the
+    /// roots (every N-th run) to its own concurrent absorber over the
+    /// shared receiving heap.
     Parallel,
     /// Same-node zero-copy: the graph was sealed into (or already lived
     /// in) a shared immutable segment and the receiver attached it
@@ -82,9 +94,10 @@ pub struct PipelineConfig {
     /// Cost-model parameters for the simulated-time schedule.
     pub sim: SimConfig,
     /// Opt-in parallel mode: with `Some(par)` the engine runs
-    /// `par.workers` work-stealing sender lanes, each feeding its own
-    /// absorber, whenever `roots >= workers * min_roots_per_worker` (and
-    /// the graph is not a flat single chunk). `None` keeps one lane.
+    /// `par.workers` sender lanes, each sending its strided share of the
+    /// roots to its own absorber, whenever
+    /// `roots >= workers * min_roots_per_worker` (and the graph is not a
+    /// flat single chunk). `None` keeps one lane.
     pub parallel: Option<ParallelConfig>,
 }
 
@@ -110,7 +123,6 @@ struct PipelineMetrics {
     mode_inline: Arc<obs::Counter>,
     mode_pipelined: Arc<obs::Counter>,
     mode_parallel: Arc<obs::Counter>,
-    steals: Arc<obs::Counter>,
 }
 
 impl PipelineMetrics {
@@ -124,7 +136,6 @@ impl PipelineMetrics {
             mode_inline: registry.counter(obs::names::PIPELINE_MODE_INLINE),
             mode_pipelined: registry.counter(obs::names::PIPELINE_MODE_PIPELINED),
             mode_parallel: registry.counter(obs::names::PIPELINE_MODE_PARALLEL),
-            steals: registry.counter(obs::names::SENDER_STEALS),
             registry,
         }
     }
@@ -194,10 +205,10 @@ impl PipelineReport {
 /// (unscaled, on the lane clock) at the moment the chunk was ready.
 type InFlight = (Vec<u8>, u64);
 
-/// What one sender lane hands back: what it sent, plus its raw produce and
-/// channel-stall nanoseconds.
+/// What one sender lane hands back: its stream's statistics, plus its raw
+/// produce and channel-stall nanoseconds.
 struct SenderSide {
-    sent: LaneSent,
+    stats: SendStats,
     produce_ns: u64,
     stall_ns: u64,
 }
@@ -243,21 +254,21 @@ fn lane_clock(thread_cpu: bool) -> impl Fn() -> u64 {
 /// is gone.
 fn sender_lane<'a>(
     open: impl FnOnce() -> Result<GraphSender<'a>>,
-    feed: RootFeed<'_>,
+    roots: impl Iterator<Item = Addr>,
     thread_cpu: bool,
     mut put: impl FnMut(InFlight) -> Option<u64>,
 ) -> Result<SenderSide> {
     let now = lane_clock(thread_cpu);
     let mut mark = now();
     let (mut produce_ns, mut stall_ns) = (0u64, 0u64);
-    let sent = send_lane(open, feed, |chunk| {
+    let stats = send_lane(open, roots, |chunk| {
         produce_ns += now().saturating_sub(mark);
         let stalled = put((chunk, produce_ns));
         stall_ns += stalled.unwrap_or(0);
         mark = now();
         stalled.is_some()
     })?;
-    Ok(SenderSide { sent, produce_ns, stall_ns })
+    Ok(SenderSide { stats, produce_ns, stall_ns })
 }
 
 /// The transfer engine. Holds the shared [`ChunkPool`] so buffer backings
@@ -471,11 +482,8 @@ impl PipelineEngine {
             _ => metrics.mode_pipelined.inc(),
         }
         let thread_cpu = lanes > 1;
-        let steal_set = (lanes > 1).then(|| StealSet::new(roots, lanes));
-        let feed = |t: usize| match &steal_set {
-            Some(set) => RootFeed::stealing(set, t),
-            None => RootFeed::Slice(roots.iter()),
-        };
+        let run_len = roots.len().div_ceil(lanes * ROUNDS).max(1);
+        let share = |t: usize| roots.chunks(run_len).skip(t).step_by(lanes).flatten().copied();
 
         let in_flight = AtomicI64::new(0);
         let max_in_flight = AtomicU64::new(0);
@@ -498,7 +506,7 @@ impl PipelineEngine {
             let mut produced: Vec<InFlight> = Vec::new();
             let sent = sender_lane(
                 || Ok(lane0),
-                feed(0),
+                share(0),
                 thread_cpu,
                 |item| {
                     produced.push(item);
@@ -525,12 +533,12 @@ impl PipelineEngine {
                 for (t, core) in cores.iter_mut().enumerate() {
                     let (tx, rx) = mpsc::sync_channel::<InFlight>(depth);
                     let (in_flight, max_in_flight) = (&in_flight, &max_in_flight);
-                    let (open_sender, feed, lane) = (&open_sender, feed(t), trace_lane(lanes, t));
+                    let (open_sender, roots, lane) = (&open_sender, share(t), trace_lane(lanes, t));
                     let reuse = lane0.take();
                     senders.push(scope.spawn(move || {
                         sender_lane(
                             || Ok(reuse.map_or_else(|| open_sender(t), Ok)?.with_lane(lane)),
-                            feed,
+                            roots,
                             thread_cpu,
                             |item| {
                                 // The span covers the (possibly blocking)
@@ -586,29 +594,25 @@ impl PipelineEngine {
 
         // Sender errors first: a failed sender closes its channel, which
         // makes its absorber fail on the truncated stream — the sender's
-        // error is the root cause. Then reassemble the roots: a lane that
-        // walked the whole slice delivers them in order; stealing lanes
-        // scatter theirs back through their index tables.
+        // error is the root cause. Then interleave the lanes' runs back
+        // into root order: run `r` is lane `r mod N`'s next run.
         let merge0 = Instant::now();
         let gathered = sent.into_iter().collect::<Result<Vec<SenderSide>>>().and_then(|sent| {
             let absorbed = absorbed.into_iter().collect::<Result<Vec<AbsorbSide>>>()?;
-            let mut roots_out = vec![Addr::NULL; if lanes == 1 { 0 } else { roots.len() }];
-            for (t, (s, core)) in sent.iter().zip(&mut cores).enumerate() {
-                let lane_roots = core.take_roots();
-                let emitted = if lanes == 1 { roots.len() } else { s.sent.order.len() };
-                if lane_roots.len() != emitted {
+            let mut per_lane = Vec::with_capacity(lanes);
+            for (t, core) in cores.iter_mut().enumerate() {
+                let (got, emitted) = (core.take_roots(), share(t).count());
+                if got.len() != emitted {
                     return Err(Error::BadFrame(format!(
                         "lane {t} absorbed {} roots but its sender emitted {emitted}",
-                        lane_roots.len()
+                        got.len()
                     )));
                 }
-                if lanes == 1 {
-                    roots_out = lane_roots;
-                } else {
-                    for (&orig, root) in s.sent.order.iter().zip(lane_roots) {
-                        roots_out[orig as usize] = root;
-                    }
-                }
+                per_lane.push(got.into_iter());
+            }
+            let mut roots_out = Vec::with_capacity(roots.len());
+            for (r, run) in roots.chunks(run_len).enumerate() {
+                roots_out.extend(per_lane[r % lanes].by_ref().take(run.len()));
             }
             Ok((sent, absorbed, roots_out))
         });
@@ -622,7 +626,6 @@ impl PipelineEngine {
         let recv_stats = receiver::adopt(receiver_vm, &mut cores, hooks)?;
         let merge_ns = merge0.elapsed().as_nanos() as u64;
 
-        metrics.steals.add(steal_set.map_or(0, |s| s.steals()));
         let pool_hits = self.pool.hits() - pool_hits0;
         let pool_misses = self.pool.misses() - pool_misses0;
         metrics.pool_hits.add(pool_hits);
@@ -726,7 +729,7 @@ impl PipelineEngine {
             absorb_ns += scale(a.fixup_ns);
         }
         let mut send_stats = SendStats::default();
-        sent.iter().for_each(|s| send_stats.merge(&s.sent.stats));
+        sent.iter().for_each(|s| send_stats.merge(&s.stats));
         PipelineReport {
             send_stats,
             recv_stats,
@@ -934,16 +937,15 @@ mod tests {
             engine.transfer(&s, &mut r, &dir, NodeId(0), NodeId(1), 1, 1, &addrs, None).unwrap();
         assert_eq!(report.mode, TransferMode::Parallel);
         assert_eq!(report.workers, 4);
-        // The mode census and the work-stealing counters reach the registry
-        // (their values depend on scheduling; their presence does not).
+        // The mode census and the CAS-conflict counter reach the registry
+        // (the counter's value depends on scheduling; its presence does not).
         let snap = reg.snapshot();
         assert_eq!(snap.counter(obs::names::PIPELINE_MODE_PARALLEL), 1);
-        for key in [obs::names::SENDER_STEALS, obs::names::SENDER_CAS_CONFLICTS] {
-            assert!(snap.counters.contains_key(key), "{key} missing from the snapshot");
-        }
+        let key = obs::names::SENDER_CAS_CONFLICTS;
+        assert!(snap.counters.contains_key(key), "{key} missing from the snapshot");
         assert_eq!(got.len(), addrs.len());
-        // Root order is restored from the per-stream index tables even
-        // though workers interleave and steal.
+        // Root order is restored from the strided runs even though the
+        // workers run side by side.
         for (i, a) in got.iter().enumerate() {
             assert!(r.read_string(*a).unwrap().starts_with(&format!("parallel payload {i} ")));
         }

@@ -42,10 +42,7 @@
 //! and one branch per root.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use mheap::layout::{baddr, mark};
 use mheap::{Addr, Klass, KlassKind, LayoutSpec, Vm, FILLER_WORD};
@@ -723,22 +720,13 @@ impl<'a> GraphSender<'a> {
     fn note_chunk_sent(&self, bytes: usize) {
         self.registry.histogram(obs::names::SENDER_CHUNK_BYTES).record(bytes as u64);
     }
-
-    /// Records one successful steal by this worker: a lane-attributed
-    /// trace span annotated with the victim worker and batch size.
-    pub(crate) fn note_steal(&self, victim: usize, batch: usize, dur_ns: u64) {
-        self.registry.tracer().record_closed_on(
-            obs::names::TRACE_SENDER_STEAL,
-            self.trace_ctx,
-            &self.vm.name,
-            self.lane,
-            dur_ns,
-            &[("victim", victim as u64), ("batch", batch as u64)],
-        );
-    }
 }
 
-/// Worker count and engagement floor for parallel traversal.
+/// Worker count and engagement floor for parallel traversal. Worker `t`
+/// of `workers` sends a fixed strided share of the roots — every
+/// `workers`-th run of consecutive roots, starting at run `t` — as its own
+/// stream (§4.2 "Support for Threads": independent senders; nothing moves
+/// roots between them).
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelConfig {
     /// Traversal workers (= streams). Defaults to the host's available
@@ -759,158 +747,27 @@ impl Default for ParallelConfig {
     }
 }
 
-impl ParallelConfig {
-    /// A config with an explicit worker count (other knobs default).
-    #[must_use]
-    pub fn with_workers(workers: usize) -> Self {
-        ParallelConfig { workers: workers.max(1), ..ParallelConfig::default() }
-    }
-}
-
-/// Upper bound on roots moved per steal (half the victim's queue is taken,
-/// capped here so one steal cannot empty a large victim).
-const STEAL_BATCH: usize = 32;
-
-/// Shared work-stealing root queues for one parallel traversal: one deque
-/// per worker seeded with a contiguous block of `(original index, root)`
-/// pairs; an idle worker steals the back half of a victim's queue.
-///
-/// Lock discipline: every method holds at most ONE queue lock at a time —
-/// a steal drains the victim into a local buffer, releases, and only then
-/// locks the thief's own queue.
-pub(crate) struct StealSet {
-    queues: Vec<Mutex<VecDeque<(u32, Addr)>>>,
-    steals: AtomicU64,
-}
-
-impl StealSet {
-    /// Partitions `roots` into contiguous per-worker blocks (contiguity
-    /// keeps a steal's batch adjacent in the original root order, which
-    /// the engine's per-lane index tables reassemble anyway).
-    pub(crate) fn new(roots: &[Addr], workers: usize) -> Self {
-        let workers = workers.max(1);
-        let per = roots.len().div_ceil(workers).max(1);
-        let mut queues: Vec<Mutex<VecDeque<(u32, Addr)>>> = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let lo = (w * per).min(roots.len());
-            let hi = ((w + 1) * per).min(roots.len());
-            queues.push(Mutex::new(
-                roots[lo..hi].iter().enumerate().map(|(i, &r)| ((lo + i) as u32, r)).collect(),
-            ));
-        }
-        StealSet { queues, steals: AtomicU64::new(0) }
-    }
-
-    /// Pops the next root from `me`'s own queue.
-    pub(crate) fn pop_local(&self, me: usize) -> Option<(u32, Addr)> {
-        self.queues[me].lock().pop_front()
-    }
-
-    /// Steals up to half of some victim's queue into `me`'s queue,
-    /// returning `(victim, batch)` on success and `None` when every other
-    /// queue is empty (at which point no new roots can ever appear —
-    /// traversal-discovered objects live in each sender's private BFS
-    /// queue, never here — so `None` is the termination signal).
-    pub(crate) fn steal(&self, me: usize) -> Option<(usize, usize)> {
-        let n = self.queues.len();
-        for i in 1..n {
-            let victim = (me + i) % n;
-            let grabbed: VecDeque<(u32, Addr)> = {
-                let mut q = self.queues[victim].lock();
-                let take = q.len().div_ceil(2).min(STEAL_BATCH);
-                if take == 0 {
-                    continue;
-                }
-                let at = q.len() - take;
-                q.split_off(at)
-            };
-            let batch = grabbed.len();
-            self.steals.fetch_add(1, Ordering::Relaxed);
-            let mut own = self.queues[me].lock();
-            own.extend(grabbed);
-            return Some((victim, batch));
-        }
-        None
-    }
-
-    /// Total successful steals across all workers.
-    pub(crate) fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
-    }
-}
-
-/// Where a sender lane draws its roots from.
-pub(crate) enum RootFeed<'r> {
-    /// The lane owns the whole root set and walks it in order: no lock,
-    /// no copy, no index table (arrival order *is* root order).
-    Slice(std::slice::Iter<'r, Addr>),
-    /// Worker `me` of a shared [`StealSet`]; `order` collects the original
-    /// index of every root this lane emitted, in emission order.
-    Steal { set: &'r StealSet, me: usize, order: Vec<u32> },
-}
-
-impl<'r> RootFeed<'r> {
-    /// The feed of worker `me` of `set`.
-    pub(crate) fn stealing(set: &'r StealSet, me: usize) -> Self {
-        RootFeed::Steal { set, me, order: Vec::new() }
-    }
-
-    /// The next root for this lane; `None` once no root can ever reach it
-    /// again. A successful steal is recorded as a span on `sender`'s lane.
-    fn next(&mut self, sender: Option<&GraphSender<'_>>) -> Option<Addr> {
-        match self {
-            RootFeed::Slice(it) => it.next().copied(),
-            RootFeed::Steal { set, me, order } => loop {
-                if let Some((idx, root)) = set.pop_local(*me) {
-                    order.push(idx);
-                    return Some(root);
-                }
-                let t0 = std::time::Instant::now();
-                let (victim, batch) = set.steal(*me)?;
-                if let Some(s) = sender {
-                    s.note_steal(victim, batch, t0.elapsed().as_nanos() as u64);
-                }
-            },
-        }
-    }
-
-    fn into_order(self) -> Vec<u32> {
-        match self {
-            RootFeed::Slice(_) => Vec::new(),
-            RootFeed::Steal { order, .. } => order,
-        }
-    }
-}
-
-/// What one sender lane did: its stream's statistics (all zero when no root
-/// ever reached the lane, so no stream was opened) and the original index
-/// of every root it emitted (empty for a [`RootFeed::Slice`] lane).
-#[derive(Default)]
-pub(crate) struct LaneSent {
-    pub(crate) stats: SendStats,
-    pub(crate) order: Vec<u32>,
-}
-
-/// The sender-lane body, shared by every transfer path: draw roots from
-/// `feed`, traverse each into the stream `open` creates once the first root
+/// The sender-lane body, shared by every transfer path: traverse each of
+/// `roots`, in order, into the stream `open` creates once the first root
 /// arrives, and hand every flushed chunk to `sink` as soon as it is cut. A
 /// `false` from `sink` means the consumer is gone (its error wins): the
-/// lane stops producing and only closes its stream.
+/// lane stops producing and only closes its stream. Returns the stream's
+/// statistics (all zero when `roots` was empty, so no stream was opened).
 ///
 /// # Errors
 /// The first sender error.
 pub(crate) fn send_lane<'a>(
     open: impl FnOnce() -> Result<GraphSender<'a>>,
-    mut feed: RootFeed<'_>,
+    roots: impl Iterator<Item = Addr>,
     mut sink: impl FnMut(Vec<u8>) -> bool,
-) -> Result<LaneSent> {
-    let mut next = feed.next(None);
-    if next.is_none() {
-        return Ok(LaneSent::default());
+) -> Result<SendStats> {
+    let mut roots = roots.peekable();
+    if roots.peek().is_none() {
+        return Ok(SendStats::default());
     }
     let mut sender = open()?;
     let mut consumer_alive = true;
-    while let Some(root) = next {
+    for root in roots {
         let flushed = sender.out.flushed_bytes;
         sender.write_root(root)?;
         // Most roots cut no chunk; only a moved flush mark is worth a drain.
@@ -920,11 +777,10 @@ pub(crate) fn send_lane<'a>(
                 break;
             }
         }
-        next = feed.next(Some(&sender));
     }
     let out = sender.finish();
     if consumer_alive {
         out.chunks.into_iter().all(&mut sink);
     }
-    Ok(LaneSent { stats: out.stats, order: feed.into_order() })
+    Ok(out.stats)
 }

@@ -88,13 +88,22 @@ impl ShuffleController {
 
     /// Allocates `n` *contiguous* stream ids within the current phase and
     /// returns the first — the engine's lane `t` sends as stream
-    /// `base + t`, so one reservation covers every lane of a transfer.
-    pub fn next_stream_block(&self, n: u16) -> u16 {
+    /// `base + t`, so one reservation covers every lane of a transfer. A
+    /// block lies in `1..=0xfffe` and never straddles the top of the range.
+    ///
+    /// # Errors
+    /// [`Error::StreamIdsExhausted`] when the phase has fewer than `n` ids
+    /// left; the counter is then left as it was.
+    pub fn next_stream_block(&self, n: u16) -> Result<u16> {
         let n = n.max(1);
+        // ORDER: AcqRel on success, Acquire on failure — the same pairing
+        // as `next_stream`; a refused block publishes nothing.
+        let claimed = self.stream_counter.fetch_update(Ordering::AcqRel, Ordering::Acquire, |c| {
+            c.checked_add(u32::from(n)).filter(|&end| end <= 0xfffe)
+        });
+        let base = claimed.map_err(|_| Error::StreamIdsExhausted(n))?;
         obs::global().counter(obs::names::SHUFFLE_STREAMS_ALLOCATED).add(u64::from(n));
-        // ORDER: AcqRel — same pairing as `next_stream`.
-        let base = self.stream_counter.fetch_add(u32::from(n), Ordering::AcqRel);
-        (base % 0xfffe) as u16 + 1
+        Ok(base as u16 + 1)
     }
 
     /// Allocates a per-transfer trace context under `parent` (a stage
@@ -190,6 +199,10 @@ impl UpdateRegistry {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -221,7 +234,43 @@ mod tests {
     fn a_block_reserves_every_id_in_it() {
         let c = ShuffleController::new();
         c.next_stream();
-        let base = c.next_stream_block(4);
+        let base = c.next_stream_block(4).unwrap();
         assert_eq!(c.next_stream(), base + 4, "ids base..base+4 belong to the block's owner");
+    }
+
+    proptest! {
+        /// Whatever ids a phase already handed out — singly, in blocks, or
+        /// up to and past the top of the range — every block it still
+        /// grants lies in `1..=0xfffe` and shares no id with them.
+        #[test]
+        fn a_block_stays_in_range_and_clear_of_handed_out_ids(
+            first in (0usize..3, 1u16..=0xfffe, 0u16..16)
+                .prop_map(|(pick, anywhere, below_top)| [0, anywhere, 0xfffe - below_top][pick]),
+            singles in 0usize..4,
+            blocks in proptest::collection::vec(1u16..=8, 0..4),
+            n in 1u16..=8,
+        ) {
+            let c = ShuffleController::new();
+            let mut taken = BTreeSet::new();
+            let take_block = |m: u16, taken: &mut BTreeSet<u32>| {
+                if let Ok(base) = c.next_stream_block(m) {
+                    let ids = u32::from(base)..u32::from(base) + u32::from(m);
+                    prop_assert!(ids.start >= 1 && ids.end - 1 <= 0xfffe, "{ids:?}");
+                    prop_assert!(ids.clone().all(|id| !taken.contains(&id)), "{ids:?} reused");
+                    taken.extend(ids);
+                }
+                Ok(())
+            };
+            if first > 0 {
+                take_block(first, &mut taken)?;
+            }
+            for _ in 0..singles {
+                taken.insert(u32::from(c.next_stream()));
+            }
+            for m in blocks {
+                take_block(m, &mut taken)?;
+            }
+            take_block(n, &mut taken)?;
+        }
     }
 }

@@ -1,12 +1,4 @@
-//! Interleaving models for the sender's two concurrent protocols.
-//!
-//! The work-stealing transfer scheduler (`sender::StealSet`): per-worker
-//! queues behind mutexes, local pops racing steal-half grabs from a victim
-//! queue. The invariants the model drives across schedules: a chunk is
-//! claimed by exactly one worker (uniqueness), nothing is lost or duplicated
-//! in a steal hand-off (conservation), and the claim loop terminates under
-//! every schedule the sweep explores (the harness's step bound converts
-//! livelock into a failure).
+//! Interleaving models for the sender's concurrent protocol.
 //!
 //! The `baddr` claim (`GraphSender::lookup_visited` + `claim`): streams of
 //! one shuffle phase race to record an object they both reach in its
@@ -17,70 +9,8 @@
 
 use std::sync::Arc;
 
-use interleave::{model, AtomicU64, Config, Mutex, Ordering};
+use interleave::{model, AtomicU64, Config, Ordering};
 use mheap::layout::baddr;
-
-/// A bounded claim loop mirroring `StealSet::next`: pop locally, then
-/// steal the back half of the other worker's queue into our own.
-fn run_worker(queues: &[Mutex<Vec<u64>>; 2], w: usize) -> Vec<u64> {
-    let mut mine = Vec::new();
-    for _ in 0..16 {
-        let popped = queues[w].lock().pop();
-        if let Some(chunk) = popped {
-            mine.push(chunk);
-            continue;
-        }
-        // Steal half (rounded up) from the victim, oldest first — the
-        // guard is dropped before we touch our own queue, so the two
-        // locks are never held together.
-        let mut stolen = {
-            let mut victim = queues[1 - w].lock();
-            let keep = victim.len() / 2;
-            victim.split_off(keep)
-        };
-        if stolen.is_empty() {
-            break;
-        }
-        queues[w].lock().append(&mut stolen);
-    }
-    mine
-}
-
-model! {
-    /// Two workers race pops against steal-half grabs: every chunk ends
-    /// up claimed exactly once or still queued — never duplicated, never
-    /// lost — under every explored schedule.
-    fn steal_half_conserves_and_never_duplicates() {
-        let queues = Arc::new([Mutex::new(vec![1u64, 2, 3]), Mutex::new(vec![4u64, 5, 6])]);
-        let handles: Vec<_> = (0..2)
-            .map(|w| {
-                let q2 = Arc::clone(&queues);
-                interleave::spawn(move || run_worker(&q2, w))
-            })
-            .collect();
-        let mut seen: Vec<u64> = handles.into_iter().flat_map(|h| h.join()).collect();
-        // Anything still queued after both workers gave up is unclaimed
-        // but must not have been cloned or dropped along the way.
-        for q in queues.iter() {
-            seen.extend(q.lock().iter().copied());
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, vec![1, 2, 3, 4, 5, 6], "chunks lost or duplicated in steal hand-off");
-    }
-
-    /// A worker with an empty queue drains the victim to completion: the
-    /// steal-then-pop loop claims the whole backlog.
-    fn lone_worker_drains_via_steals() {
-        let queues = Arc::new([Mutex::new(Vec::new()), Mutex::new(vec![7u64, 8, 9])]);
-        let q2 = Arc::clone(&queues);
-        let t = interleave::spawn(move || run_worker(&q2, 0));
-        let mut mine = t.join();
-        mine.extend(queues[0].lock().iter().copied());
-        mine.extend(queues[1].lock().iter().copied());
-        mine.sort_unstable();
-        assert_eq!(mine, vec![7, 8, 9], "steal-half left chunks stranded");
-    }
-}
 
 /// The shuffle phase both streams send in.
 const SID: u8 = 3;

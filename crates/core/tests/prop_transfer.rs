@@ -409,6 +409,72 @@ proptest! {
     }
 }
 
+/// Every lane of a parallel transfer sends its fixed strided share: with N
+/// lanes over n ≥ N roots, one attempt records chunk-send spans on each of
+/// the N worker trace lanes, and every received root, in root order, is
+/// canonically equal to its source.
+#[test]
+fn every_lane_sends_its_strided_share() {
+    use std::collections::BTreeSet;
+
+    use skyway::{ParallelConfig, PipelineConfig, PipelineEngine, TransferMode};
+
+    for workers in 2usize..=4 {
+        for n in [workers, workers + 1, 17, 64] {
+            // Node i links to i - 1 and i / 2, and every node is a root: the
+            // lanes' shares reach common nodes and race on their claims.
+            let spec = GraphSpec {
+                tags: (0..n as i64).collect(),
+                lefts: (0..n).map(|i| i.checked_sub(1)).collect(),
+                rights: (0..n).map(|i| (i > 0).then_some(i / 2)).collect(),
+                roots: Vec::new(),
+            };
+            let (dir, mut sender, mut receiver) = transfer_env();
+            let handles = build(&mut sender, &spec);
+            let roots: Vec<Addr> = handles.iter().map(|h| sender.resolve(*h).unwrap()).collect();
+            let reg = Arc::new(obs::Registry::new());
+            reg.tracer().set_enabled(true);
+            let engine = PipelineEngine::new(PipelineConfig {
+                chunk_limit: 256,
+                parallel: Some(ParallelConfig { workers, min_roots_per_worker: 1 }),
+                ..PipelineConfig::default()
+            })
+            .with_metrics(Arc::clone(&reg));
+            let ctx = reg.tracer().new_trace();
+            let (got, report) = engine
+                .transfer_with_trace(
+                    &sender,
+                    &mut receiver,
+                    &dir,
+                    NodeId(0),
+                    NodeId(1),
+                    1,
+                    1,
+                    &roots,
+                    None,
+                    ctx,
+                )
+                .unwrap();
+            let case = format!("{workers} lanes, {n} roots");
+            assert_eq!(report.mode, TransferMode::Parallel, "{case}");
+            assert_eq!(report.workers, workers as u64, "{case}");
+            let send_lanes: BTreeSet<u32> = reg
+                .tracer()
+                .spans()
+                .iter()
+                .filter(|sp| sp.name == obs::names::TRACE_SENDER_CHUNK_SEND)
+                .map(|sp| sp.lane)
+                .collect();
+            assert_eq!(send_lanes, (1..=workers as u32).collect(), "{case}");
+            assert_eq!(got.len(), n, "{case}");
+            for (&p, &orig) in got.iter().zip(&roots) {
+                assert_eq!(canonicalize(&receiver, p), canonicalize(&sender, orig), "{case}");
+            }
+            assert_eq!(receiver.verify_heap().unwrap(), vec![], "{case}");
+        }
+    }
+}
+
 /// Runs one receive into `receiver` and checks that it leaves the card
 /// table as it found it — clean — and that the next minor collection scans
 /// no card (counted in `reg`, the receiver's scoped registry) and leaves a

@@ -122,9 +122,9 @@ fn untraced_transfer_records_nothing() {
 /// A parallel transfer's span tree is well-formed too, and each worker
 /// records on its own trace lane: the sender, link and receiver spans of
 /// stream `t` all carry lane `t + 1`, and more than one lane did work.
-/// Work stealing does not promise that two workers each send a chunk, so
-/// a transfer one worker drained alone is repeated with a fresh sID, up to
-/// eight times; every attempt must map its lanes right.
+/// Every attempt must map its lanes right; with the fixed strided root
+/// split the first attempt already spreads over every lane
+/// (`every_lane_sends_its_strided_share` pins that).
 #[test]
 fn parallel_span_tree_keeps_each_worker_on_its_own_lane() {
     let (dir, mut s, mut r) = env();

@@ -221,8 +221,7 @@ fn streaming_small_chunks_roundtrip() {
     }
 }
 
-/// An engine with four work-stealing sender lanes that engage from four
-/// roots up.
+/// An engine with four sender lanes that engage from four roots up.
 fn four_lane_engine() -> PipelineEngine {
     PipelineEngine::new(PipelineConfig {
         parallel: Some(ParallelConfig { workers: 4, min_roots_per_worker: 1 }),
@@ -279,9 +278,9 @@ fn engine_lanes_send_under_a_reserved_stream_id_block() {
         let controller = ShuffleController::new();
         let s = sender.new_string("shared").unwrap();
         let sh = sender.handle(s);
-        // Only lane 1's initial block (roots 4..8) references the string;
-        // lane 0's block is heavy, so it is still copying when lane 1 gets
-        // there instead of done and stealing lane 1's roots.
+        // Lane `t` sends roots t, t+4, t+8, t+12: each lane first copies
+        // one heavy ballast string (roots 0..4), then reaches the shared
+        // string (roots 4..8), so any of the four lanes may claim it.
         let ballast = "b".repeat(1 << 17);
         let mut pair_handles = Vec::new();
         for i in 0..17 {
@@ -301,7 +300,7 @@ fn engine_lanes_send_under_a_reserved_stream_id_block() {
         let send = |receiver: &mut Vm, stream: u16, roots: &[Addr]| {
             engine.transfer(&sender, receiver, &dir, NodeId(0), NodeId(1), sid, stream, roots, None)
         };
-        let base = controller.next_stream_block(4);
+        let base = controller.next_stream_block(4).unwrap();
         send(&mut receiver, base, first_set).unwrap();
         let s = sender.resolve(sh).unwrap();
         let word = sender.heap().arena().load_word(s.0 + sender.spec().baddr_off().unwrap());

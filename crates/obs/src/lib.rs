@@ -57,7 +57,7 @@ pub mod names {
     /// Counter: transfers the adaptive policy ran on the single-stream
     /// pipelined path.
     pub const PIPELINE_MODE_PIPELINED: &str = "skyway.pipeline.mode_pipelined";
-    /// Counter: transfers the adaptive policy ran on the work-stealing
+    /// Counter: transfers the adaptive policy ran on the multi-lane
     /// parallel path.
     pub const PIPELINE_MODE_PARALLEL: &str = "skyway.pipeline.mode_parallel";
     /// Counter: transfers that took the same-node zero-copy shared-segment
@@ -75,9 +75,6 @@ pub mod names {
     pub const SENDER_FALLBACK_HITS: &str = "skyway.sender.fallback_hits";
     /// Histogram: bytes per sealed sender chunk.
     pub const SENDER_CHUNK_BYTES: &str = "skyway.sender.chunk_bytes";
-    /// Counter: root batches stolen from a sibling worker's deque by an
-    /// idle parallel-traversal worker.
-    pub const SENDER_STEALS: &str = "skyway.sender.steals";
 
     /// Counter: objects absorbed into the receiving heap.
     pub const RECEIVER_OBJECTS_ABSORBED: &str = "skyway.receiver.objects_absorbed";
@@ -150,9 +147,6 @@ pub mod names {
     pub const TRACE_SENDER_TRAVERSE: &str = "trace.sender.traverse";
     /// Span: sealing + handing one chunk to the carrier.
     pub const TRACE_SENDER_CHUNK_SEND: &str = "trace.sender.chunk_send";
-    /// Span: an idle parallel-traversal worker stealing roots from a
-    /// sibling's deque; annotated with the victim and batch size.
-    pub const TRACE_SENDER_STEAL: &str = "trace.sender.steal";
     /// Span (simulated clock): one chunk occupying the network link.
     pub const TRACE_LINK_XMIT: &str = "trace.link.xmit";
     /// Span: absolutizing one absorbed chunk on the receiver.

@@ -97,7 +97,7 @@ pub struct Span {
     pub sim_clock: bool,
     /// Worker lane within the node: 0 is the main lane, worker *w* of a
     /// parallel transfer records on lane `w + 1`. Lanes map to Perfetto
-    /// thread rows so per-worker traversal/steal/absorb spans stack
+    /// thread rows so per-worker traversal/send/absorb spans stack
     /// side by side instead of overlapping on one row.
     pub lane: u32,
     /// Key-value annotations (chunk index, bytes, CAS conflicts, ...).

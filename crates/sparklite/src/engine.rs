@@ -85,9 +85,10 @@ pub struct SparkConfig {
     /// keep the spill path (one VM cannot host both ends concurrently).
     pub pipeline: bool,
     /// Worker threads for the pipelined shuffle's parallel transfer mode
-    /// (work-stealing senders + concurrent absorbers). `< 2` keeps the
-    /// single-stream pipelined path; the engine's adaptive policy still
-    /// falls back per transfer when a partition has too few roots.
+    /// (sender lanes with fixed strided root shares + concurrent
+    /// absorbers). `< 2` keeps the single-stream pipelined path; the
+    /// engine's adaptive policy still falls back per transfer when a
+    /// partition has too few roots.
     pub pipeline_workers: usize,
 }
 
@@ -252,8 +253,10 @@ impl SparkCluster {
             if cfg.pipeline && custom.is_none() && cfg.serializer == SerializerKind::Skyway {
                 Some(skyway::PipelineEngine::new(skyway::PipelineConfig {
                     sim: cfg.sim,
-                    parallel: (cfg.pipeline_workers >= 2)
-                        .then(|| skyway::ParallelConfig::with_workers(cfg.pipeline_workers)),
+                    parallel: (cfg.pipeline_workers >= 2).then(|| skyway::ParallelConfig {
+                        workers: cfg.pipeline_workers,
+                        ..skyway::ParallelConfig::default()
+                    }),
                     ..skyway::PipelineConfig::default()
                 }))
             } else {
@@ -678,7 +681,7 @@ impl SparkCluster {
                     let sid = self.controllers[node.0].sid();
                     // Lane `t` sends as `stream + t`: reserve them all.
                     let lanes = engine.config().parallel.map_or(1, |p| p.workers);
-                    let stream = self.controllers[node.0].next_stream_block(lanes as u16);
+                    let stream = self.controllers[node.0].next_stream_block(lanes as u16)?;
                     let ctx = self.controllers[node.0].begin_transfer(stage_ctx);
                     let (s_vm, d_vm) = Self::vm_pair(&mut self.vms, node.0, dst.0);
                     let (got, report) = engine
